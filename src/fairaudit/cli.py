@@ -288,6 +288,10 @@ def cmd_curves(args, report: AuditReport) -> None:
 
 
 def cmd_noise(args, report: AuditReport) -> None:
+    if args.k < 1:
+        raise ConfigError("--k must be >= 1")
+    if args.folds < 2:
+        raise ConfigError("--folds must be >= 2")
     d = _load_data(args)
     max_samples = args.max_nn_samples if args.max_nn_samples > 0 else None
     estimates = noise_bounds.all_bounds(

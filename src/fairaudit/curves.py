@@ -1,7 +1,7 @@
 """Learning-curve experiments, inverse power-law fitting, extrapolation
 of the discrimination level, and crossing analysis of two fitted curves.
 
-The curve family is cost(n) = alpha * n^(-beta) + delta with alpha > 0,
+The curve family is cost(n) = alpha * n^(-beta) + delta with alpha >= 0,
 beta in [0.01, 3], delta >= 0.  Fitting profiles beta: for fixed beta the
 model is linear in (alpha, delta), so a global grid search over beta with
 golden-section refinement avoids the flat-valley instability of joint

@@ -76,8 +76,10 @@ class TrainedModel:
                 f"got shape {features.shape}"
             )
         scores = self._scores(features)
-        if self.task is Task.BINARY:
-            assert np.all((scores >= 0.0) & (scores <= 1.0))
+        if self.task is Task.BINARY and not np.all(
+            (scores >= 0.0) & (scores <= 1.0)
+        ):
+            raise AnalysisError("binary scores must lie in [0, 1]")
         return scores
 
     def _scores(self, features: np.ndarray) -> np.ndarray:

@@ -37,8 +37,13 @@ class NoiseBoundEstimate:
     auxiliary: dict
 
     def __post_init__(self):
-        if self.e_low is not None:
-            assert 0.0 <= self.e_low <= self.e_up + 1e-12
+        if self.e_low is not None and not (
+            0.0 <= self.e_low <= self.e_up + 1e-12
+        ):
+            raise AnalysisError(
+                f"need 0 <= e_low <= e_up; got e_low={self.e_low}, "
+                f"e_up={self.e_up}"
+            )
 
 
 def _group_class_stats(d: Dataset, a: int, standardize: bool):
@@ -196,7 +201,7 @@ def nn_bounds(
         folds,
     )
     eps = float(errors.mean())
-    e_up = min(eps, 0.5) if eps > 0.5 else eps
+    e_up = min(eps, 0.5)
     neg = int((y == 0.0).sum())
     return NoiseBoundEstimate(
         method=BoundMethod.NEAREST_NEIGHBOR,

@@ -130,8 +130,13 @@ class TestResult:
     detail: dict = None
 
     def __post_init__(self):
-        assert 0.0 <= self.p_value <= 1.0
-        assert self.reject == (self.p_value < self.level)
+        if not 0.0 <= self.p_value <= 1.0:
+            raise AnalysisError(f"p-value {self.p_value} is outside [0, 1]")
+        if self.reject != (self.p_value < self.level):
+            raise AnalysisError(
+                f"reject={self.reject} contradicts p-value {self.p_value} "
+                f"at level {self.level}"
+            )
 
 
 # ---------------------------------------------------------------------------

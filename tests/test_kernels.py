@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fairaudit import kernels
 
@@ -84,30 +85,249 @@ def test_knn_loo_tie_breaks_to_zero():
     np.testing.assert_array_equal(err, [0.0, 1.0, 0.0, 1.0])
 
 
-def test_fallback_matches_numba_path():
-    import subprocess
-    import sys
+# ---------------------------------------------------------------------------
+# Reference loops.  These are the per-row loops the vectorized kernels
+# replaced; the kernels must reproduce them bit for bit.
 
-    code = (
-        "import numpy as np\n"
-        "from fairaudit import kernels\n"
-        "rng = np.random.default_rng(9)\n"
-        "X = rng.normal(size=(40, 3)); y = (rng.random(40) < 0.5) * 1.0\n"
-        "f, t, s = kernels.best_split_gini(X, y)\n"
-        "print(int(f), float(t).hex(), float(s).hex())\n"
-        "print([float(v).hex() for v in kernels.knn_scores(X, y, X[:5], 3)])\n"
-    )
-    outs = []
-    for disable in ("0", "1"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                **__import__("os").environ,
-                "FAIRAUDIT_DISABLE_NUMBA": disable,
-            },
+
+def loop_best_split_gini(X, y):
+    n, k = X.shape
+    best_feat = -1
+    best_thresh = 0.0
+    best_score = np.inf
+    total_pos = 0.0
+    for i in range(n):
+        total_pos += y[i]
+    for j in range(k):
+        order = np.argsort(X[:, j], kind="mergesort")
+        left_pos = 0.0
+        for pos in range(n - 1):
+            i = order[pos]
+            left_pos += y[i]
+            x_here = X[order[pos], j]
+            x_next = X[order[pos + 1], j]
+            if x_here == x_next:
+                continue
+            n_l = pos + 1
+            n_r = n - n_l
+            p_l = left_pos / n_l
+            p_r = (total_pos - left_pos) / n_r
+            score = n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)
+            if score < best_score - 1e-12:
+                best_score = score
+                best_feat = j
+                best_thresh = 0.5 * (x_here + x_next)
+    return best_feat, best_thresh, best_score
+
+
+def loop_best_split_var(X, y):
+    n, k = X.shape
+    best_feat = -1
+    best_thresh = 0.0
+    best_score = np.inf
+    total_sum = 0.0
+    total_sq = 0.0
+    for i in range(n):
+        total_sum += y[i]
+        total_sq += y[i] * y[i]
+    for j in range(k):
+        order = np.argsort(X[:, j], kind="mergesort")
+        left_sum = 0.0
+        left_sq = 0.0
+        for pos in range(n - 1):
+            i = order[pos]
+            left_sum += y[i]
+            left_sq += y[i] * y[i]
+            x_here = X[order[pos], j]
+            x_next = X[order[pos + 1], j]
+            if x_here == x_next:
+                continue
+            n_l = pos + 1
+            n_r = n - n_l
+            right_sum = total_sum - left_sum
+            right_sq = total_sq - left_sq
+            score = (left_sq - left_sum * left_sum / n_l) + (
+                right_sq - right_sum * right_sum / n_r
+            )
+            if score < best_score - 1e-12:
+                best_score = score
+                best_feat = j
+                best_thresh = 0.5 * (x_here + x_next)
+    return best_feat, best_thresh, best_score
+
+
+def loop_knn_scores(train_X, train_y, test_X, k):
+    n_train = train_X.shape[0]
+    n_test = test_X.shape[0]
+    dim = train_X.shape[1]
+    kk = min(k, n_train)
+    out = np.empty(n_test)
+    dist = np.empty(n_train)
+    for i in range(n_test):
+        for t in range(n_train):
+            acc = 0.0
+            for j in range(dim):
+                diff = test_X[i, j] - train_X[t, j]
+                acc += diff * diff
+            dist[t] = acc
+        order = np.argsort(dist, kind="mergesort")
+        total = 0.0
+        for t in range(kk):
+            total += train_y[order[t]]
+        out[i] = total / kk
+    return out
+
+
+def loop_knn_loo_fold_errors(X, y, fold, k, n_folds):
+    n = X.shape[0]
+    dim = X.shape[1]
+    err = np.empty(n)
+    dist = np.empty(n)
+    for i in range(n):
+        for t in range(n):
+            if fold[t] == fold[i]:
+                dist[t] = np.inf
+            else:
+                acc = 0.0
+                for j in range(dim):
+                    diff = X[i, j] - X[t, j]
+                    acc += diff * diff
+                dist[t] = acc
+        order = np.argsort(dist, kind="mergesort")
+        avail = 0
+        for t in range(n):
+            if fold[t] != fold[i]:
+                avail += 1
+        kk = min(k, avail)
+        votes = 0.0
+        for t in range(kk):
+            votes += y[order[t]]
+        pred = 1.0 if votes > kk / 2.0 else 0.0
+        err[i] = 0.0 if pred == y[i] else 1.0
+    return err
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit comparison with the reference loops.
+
+STYLES = ("normal", "onehot", "integer")
+
+
+def _features(rng, n, dim, style):
+    if style == "normal":
+        return np.round(rng.normal(size=(n, dim)), 1)  # ties, and -0.0
+    if style == "onehot":
+        return rng.integers(0, 2, size=(n, dim)).astype(np.float64)
+    return rng.integers(0, 4, size=(n, dim)).astype(np.float64)
+
+
+def _sizes(rng, count):
+    """Row counts: the n = 1 and n = 2 edges, then random sizes."""
+    return [1, 2] + [int(v) for v in rng.integers(3, 60, size=count)]
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _split_hex(result):
+    feat, thresh, score = result
+    return int(feat), float(thresh).hex(), float(score).hex()
+
+
+@pytest.fixture(params=["default", "one_cell"])
+def block_cells(request, monkeypatch):
+    """Run each comparison with the default k-NN blocks and with
+    one-row blocks."""
+    if request.param == "one_cell":
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_split_kernels_match_loops(style):
+    rng = np.random.default_rng(10 + STYLES.index(style))
+    for n in _sizes(rng, 25):
+        X = _features(rng, n, int(rng.integers(1, 6)), style)
+        labels = (rng.random(n) < 0.4).astype(np.float64)
+        assert _split_hex(kernels.best_split_gini(X, labels)) == _split_hex(
+            loop_best_split_gini(X, labels)
         )
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1]
+        values = np.round(rng.normal(size=n), 1)
+        assert _split_hex(kernels.best_split_var(X, values)) == _split_hex(
+            loop_best_split_var(X, values)
+        )
+
+
+def test_split_separable_feature_matches_loop():
+    # A separable feature makes every cut up to the best one a new running
+    # minimum, so the acceptance scan sees many records.
+    rng = np.random.default_rng(20)
+    x = np.sort(rng.normal(size=200))
+    X = np.column_stack([rng.normal(size=200), x])
+    y = (x > 0.3).astype(np.float64)
+    assert _split_hex(kernels.best_split_gini(X, y)) == _split_hex(
+        loop_best_split_gini(X, y)
+    )
+    assert _split_hex(kernels.best_split_var(X, x)) == _split_hex(
+        loop_best_split_var(X, x)
+    )
+
+
+def test_split_signed_zero_labels_match_loop():
+    # The loops start their sums from +0.0 and np.cumsum from the first
+    # label, so labels of -0.0 give sums of opposite sign; the scores
+    # must still agree.
+    X = np.array([[0.0], [1.0], [2.0]])
+    y = np.array([-0.0, -0.0, -0.0])
+    for kernel, loop in ((kernels.best_split_gini, loop_best_split_gini),
+                         (kernels.best_split_var, loop_best_split_var)):
+        assert _split_hex(kernel(X, y)) == _split_hex(loop(X, y))
+
+
+def test_split_rule_skips_record_within_tolerance():
+    # Two features with the same best partition score the same up to
+    # rounding.  Find a case where the later feature comes out a few ulps
+    # lower: a strict running minimum that the 1e-12 rule must reject.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        side = np.repeat([0.0, 1.0], 6)
+        X = np.column_stack([side, side + rng.permutation(12) * 1e-3])
+        y = rng.normal(size=12)
+        s0 = kernels.best_split_var(X[:, :1], y)[2]
+        s1 = kernels.best_split_var(X[:, 1:], y)[2]
+        if s0 - 1e-12 <= s1 < s0:
+            break
+    else:
+        pytest.fail("no case with a lower score on the second feature")
+    result = kernels.best_split_var(X, y)
+    assert result[0] == 0
+    assert _split_hex(result) == _split_hex(loop_best_split_var(X, y))
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_knn_scores_match_loop(style, block_cells):
+    rng = np.random.default_rng(30 + STYLES.index(style))
+    for n_train in _sizes(rng, 12):
+        dim = int(rng.integers(1, 5))
+        train_X = _features(rng, n_train, dim, style)
+        test_X = _features(rng, int(rng.integers(0, 15)), dim, style)
+        train_y = np.round(rng.random(n_train), 1)
+        k = int(rng.integers(1, 70))  # often more than n_train
+        assert _hex(kernels.knn_scores(train_X, train_y, test_X, k)) == _hex(
+            loop_knn_scores(train_X, train_y, test_X, k)
+        )
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_knn_loo_fold_errors_match_loop(style, block_cells):
+    rng = np.random.default_rng(40 + STYLES.index(style))
+    for n in _sizes(rng, 12):
+        X = _features(rng, n, int(rng.integers(1, 5)), style)
+        y = (rng.random(n) < 0.5).astype(np.float64)
+        n_folds = int(rng.integers(1, 6))  # one fold: no row has neighbours
+        fold = rng.permutation(n) % n_folds
+        k = int(rng.integers(1, 70))
+        assert _hex(kernels.knn_loo_fold_errors(X, y, fold, k, n_folds)) == _hex(
+            loop_knn_loo_fold_errors(X, y, fold, k, n_folds)
+        )

@@ -153,3 +153,17 @@ def test_spec_validation():
         LearnerSpec(kind=LearnerKind.LOGISTIC, penalty="l3")
     with pytest.raises(AnalysisError):
         LearnerSpec(kind=LearnerKind.BAGGED_TREES, feature_fraction=0.0)
+
+
+def test_binary_scores_outside_unit_interval_raise():
+    # A ridge model labelled binary can score outside [0, 1]; the check is
+    # a real one, not an assert that ``python -O`` removes.
+    from fairaudit.learners import RidgeModel
+
+    model = RidgeModel(
+        kind=LearnerKind.RIDGE, task=Task.BINARY, n_features=1,
+        weights=np.array([2.0]), intercept=0.0,
+    )
+    assert model.predict_scores(np.array([[0.25]]))[0] == 0.5
+    with pytest.raises(AnalysisError, match=r"\[0, 1\]"):
+        model.predict_scores(np.array([[1.0]]))

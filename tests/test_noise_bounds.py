@@ -136,3 +136,13 @@ def test_requires_both_classes():
     )
     with pytest.raises(AnalysisError, match="each class"):
         mahalanobis_upper(d, 0)
+
+
+def test_estimate_rejects_lower_bound_above_upper():
+    from fairaudit.noise_bounds import NoiseBoundEstimate
+
+    with pytest.raises(AnalysisError, match="e_low <= e_up"):
+        NoiseBoundEstimate(
+            method=BoundMethod.NEAREST_NEIGHBOR, group=0, e_low=0.3,
+            e_up=0.1, priors=(0.5, 0.5), auxiliary={},
+        )

@@ -197,6 +197,29 @@ def test_cli_noise_and_test_subcommands(tmp_path, synth_csv):
     assert ci["low"] <= ci["high"]
 
 
+@pytest.mark.parametrize(
+    "flags", [["--k", 0], ["--k", -3], ["--folds", 1], ["--folds", 0]]
+)
+def test_cli_noise_rejects_bad_k_and_folds(tmp_path, synth_csv, flags):
+    data, schema, _ = synth_csv
+    out = tmp_path / "noise"
+    assert run(
+        ["noise", "--seed", 7, "--data", data, "--schema", schema,
+         "--out", out, *flags]
+    ) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_cli_noise_rejects_bad_k_from_config(tmp_path, synth_csv):
+    data, schema, _ = synth_csv
+    config = tmp_path / "run.cfg"
+    config.write_text("k=0\n")
+    assert run(
+        ["noise", "--seed", 7, "--data", data, "--schema", schema,
+         "--config", config, "--out", tmp_path / "noise"]
+    ) == 2
+
+
 def test_cli_subgroups_with_topics(tmp_path, synth_csv):
     data, schema, _ = synth_csv
     # build a membership file matching the evaluation split size

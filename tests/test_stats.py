@@ -219,3 +219,19 @@ def test_null_rejection_rate_calibrated():
             rejections += 1
     rate = rejections / trials
     assert 0.02 < rate < 0.09
+
+
+def test_result_rejects_p_value_outside_unit_interval():
+    from fairaudit.stats import TestResult
+
+    with pytest.raises(AnalysisError, match="outside"):
+        TestResult(name="t", statistic=0.0, p_value=1.7, level=0.05,
+                   reject=False)
+
+
+def test_result_rejects_reject_flag_contradicting_p_value():
+    from fairaudit.stats import TestResult
+
+    with pytest.raises(AnalysisError, match="contradicts"):
+        TestResult(name="t", statistic=0.0, p_value=0.01, level=0.05,
+                   reject=False)
