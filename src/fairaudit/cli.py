@@ -74,7 +74,13 @@ def parse_learner(text: str) -> LearnerSpec:
             key = key.strip()
             if key not in converters:
                 raise ConfigError(f"unknown learner option {key!r}")
-            kwargs[key] = converters[key](value.strip())
+            try:
+                kwargs[key] = converters[key](value.strip())
+            except ValueError:
+                raise ConfigError(
+                    f"learner option {key}={value.strip()!r} is not a valid "
+                    f"{converters[key].__name__}"
+                ) from None
     return LearnerSpec(kind=kind, **kwargs)
 
 
@@ -121,16 +127,21 @@ def _apply_config(args: argparse.Namespace) -> None:
         # Flags given on the command line win over the config file.
         if key in args._explicit:
             continue
-        if key == "seed":
-            setattr(args, key, int(value))
-        elif isinstance(current, bool):
+        if isinstance(current, bool):
             setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, key, int(value))
+            continue
+        if key == "seed" or isinstance(current, int):
+            convert = int
         elif isinstance(current, float):
-            setattr(args, key, float(value))
+            convert = float
         else:
-            setattr(args, key, value)
+            convert = str
+        try:
+            setattr(args, key, convert(value))
+        except ValueError:
+            raise ConfigError(
+                f"config key {key!r}: {value!r} is not a valid {convert.__name__}"
+            ) from None
 
 
 def _load_data(args) -> Dataset:
@@ -175,23 +186,26 @@ def cmd_audit(args, report: AuditReport) -> None:
         report.add("brier_scores", briers)
 
 
-def _synth_source(args, seed: int):
+def _synth_spec(args):
+    """The synthetic spec named by ``--synth-kind`` and its generator
+    ``gen(spec, n, seed) -> (Dataset, ConditionalOutcomeModel)``."""
     if args.synth_kind == "regression":
         spec = synth.RegressionSynthSpec(
             sigma_eps=args.sigma_eps, homoskedastic=args.homoskedastic
         )
-        sampler = lambda n, s: synth.gen_regression(spec, n, s)[0]
-        _, om = synth.gen_regression(spec, 1, seed)
-        return spec, sampler, om, Task.REGRESSION
+        return spec, synth.gen_regression
     if args.synth_kind == "discrete":
-        spec = synth.default_discrete_spec()
-        sampler = lambda n, s: synth.gen_discrete(spec, n, s)[0]
-        _, om = synth.gen_discrete(spec, 1, seed)
-        return spec, sampler, om, Task.BINARY
+        return synth.default_discrete_spec(), synth.gen_discrete
     raise ConfigError(f"unknown synthetic kind {args.synth_kind!r}")
 
 
 def cmd_decompose(args, report: AuditReport) -> None:
+    if args.t_models < 2:
+        raise ConfigError("--t-models must be >= 2")
+    if args.n_train < 0:
+        raise ConfigError("--n-train must be >= 0")
+    if args.eval_size < 1:
+        raise ConfigError("--eval-size must be >= 1")
     seed = args.seed
     spec = parse_learner(args.learner)
     if args.data:
@@ -209,14 +223,18 @@ def cmd_decompose(args, report: AuditReport) -> None:
             else decomp.Loss.SQUARED
         )
     else:
-        _, sampler, om, task = _synth_source(args, seed)
+        synth_spec, gen = _synth_spec(args)
+        sampler = lambda n, s: gen(synth_spec, n, s)[0]
+        _, om = gen(synth_spec, 1, seed)
         eval_set = sampler(args.eval_size, derive_seed(seed, "eval"))
         ensemble = decomp.ensemble_train(
             spec, sampler, args.t_models, args.n_train or 200,
             eval_set, derive_seed(seed, "ensemble"), threshold=args.threshold,
         )
         loss = (
-            decomp.Loss.ZERO_ONE if task is Task.BINARY else decomp.Loss.SQUARED
+            decomp.Loss.ZERO_ONE
+            if eval_set.task is Task.BINARY
+            else decomp.Loss.SQUARED
         )
     blocks = {}
     for a in sorted(set(eval_set.group.tolist())):
@@ -364,15 +382,8 @@ def cmd_test(args, report: AuditReport) -> None:
 
 
 def cmd_synth(args, report: AuditReport) -> None:
-    seed = derive_seed(args.seed, "synth")
-    if args.synth_kind == "regression":
-        spec = synth.RegressionSynthSpec(
-            sigma_eps=args.sigma_eps, homoskedastic=args.homoskedastic
-        )
-        d, _ = synth.gen_regression(spec, args.n, seed)
-    else:
-        spec = synth.default_discrete_spec()
-        d, _ = synth.gen_discrete(spec, args.n, seed)
+    spec, gen = _synth_spec(args)
+    d, _ = gen(spec, args.n, derive_seed(args.seed, "synth"))
     bayes = synth.exact_bayes(spec)
     report.add(
         "exact_bayes",
@@ -452,7 +463,11 @@ def build_parser() -> _TrackingParser:
     p = sub.add_parser("decompose")
     common(p)
     p.add_argument("--t-models", type=int, default=50)
-    p.add_argument("--n-train", type=int, default=0)
+    p.add_argument(
+        "--n-train", type=int, default=0,
+        help="training-set size per ensemble member; 0 means the "
+        "train-split size with --data and 200 with a synthetic source",
+    )
     p.add_argument("--eval-size", type=int, default=500)
     p.add_argument("--synth-kind", default="discrete",
                    choices=("discrete", "regression"))
@@ -512,6 +527,8 @@ def run_cli(argv=None) -> int:
         _apply_config(args)
         if args.seed is None:
             raise ConfigError("--seed is mandatory (reproducibility contract)")
+        if not 0.0 < args.level < 1.0:
+            raise ConfigError("--level must be in (0, 1)")
         # The echo covers analysis inputs only; emission options (where and
         # in which format to write) must not break byte-identical reruns.
         emission_only = {"out", "format", "config"}

@@ -11,6 +11,12 @@ holds to machine precision, and group costs satisfy
 gamma_a = N_a + B_a + V_a where the noise and variance terms carry their
 sign factors c_n and c_v.
 
+The terms are computed as arrays over a group's points: one batched
+outcome-model query per group gives y* and the noise, and the ensemble
+columns of those points (an (m, T) slice of the prediction matrix) give
+y_main, c_n, c_v, the bias and the variance.  ``point_decomposition`` is
+the one-point case of the same function.
+
 When the conditional outcome distribution is unknown, y* is unavailable:
 only the (unsigned) variance is reported exactly, together with a
 combined bias+noise residual.
@@ -65,6 +71,10 @@ class EnsemblePredictions:
 
 @dataclass(frozen=True)
 class PointDecomposition:
+    """Terms at one evaluation point.  ``_terms`` fills the same fields
+    with (m,) arrays, one entry per point, so ``expected_loss`` is also
+    the per-point expected loss of a whole group."""
+
     y_star: float
     y_main: float
     noise: float
@@ -117,7 +127,7 @@ def ensemble_train(
     """
     if t_models < 2:
         raise AnalysisError("ensemble needs T >= 2 models")
-    rows = []
+    predictions = np.empty((t_models, eval_set.n))
     fresh = callable(source)
     for t in range(t_models):
         trial_seed = derive_seed(seed, "ensemble", t)
@@ -128,11 +138,10 @@ def ensemble_train(
         model = train(replace(spec, seed=trial_seed), train_set)
         scores = model.predict_scores(eval_set.features)
         if eval_set.task is Task.BINARY:
-            rows.append(apply_threshold(scores, threshold))
-        else:
-            rows.append(scores)
+            scores = apply_threshold(scores, threshold)
+        predictions[t] = scores
     return EnsemblePredictions(
-        predictions=np.vstack(rows),
+        predictions=predictions,
         spec=spec,
         n_train=n_train,
         source="fresh_draws" if fresh else "bootstrap",
@@ -140,51 +149,56 @@ def ensemble_train(
     )
 
 
-def main_prediction(
-    e: EnsemblePredictions, i: int, loss: Loss
-) -> float:
-    """Majority vote (ties toward 0) for zero-one; mean for squared."""
-    column = e.predictions[:, i]
-    if loss is Loss.SQUARED:
-        return float(column.mean())
-    return 1.0 if column.mean() > 0.5 else 0.0
+def _terms(
+    e: EnsemblePredictions,
+    eval_set: Dataset,
+    om: ConditionalOutcomeModel,
+    loss: Loss,
+    rows: np.ndarray,
+    a: int,
+) -> PointDecomposition:
+    """Exact terms of the points ``rows`` (all in group ``a``) as arrays.
 
-
-def _point_terms_zero_one(column: np.ndarray, p1: float) -> PointDecomposition:
-    """Pointwise zero-one terms given p(Y=1|x,a) and the ensemble column."""
-    y_star = 1.0 if p1 > 0.5 else 0.0  # ties toward 0
-    noise = min(p1, 1.0 - p1)
-    frac1 = float(column.mean())
-    y_main = 1.0 if frac1 > 0.5 else 0.0
-    bias = 1.0 if y_main != y_star else 0.0
-    variance = float(np.mean(column != y_main))
-    c_v = 1.0 if y_main == y_star else -1.0
-    c_n = 2.0 * float(np.mean(column == y_star)) - 1.0
+    Zero-one: y* and y_main are majority labels with ties toward 0, and
+    every term is a vote count over T.  Squared: y* is E[Y|x,a] and the
+    noise is Var[Y|x,a].  Each point's arithmetic runs in the order a
+    computation on its own column alone would use, so these entries equal
+    the point's ``point_decomposition`` terms bit for bit.
+    """
+    X = eval_set.features[rows]
+    # (m, T) copy, one contiguous row per point: a row mean sums in the
+    # same pairwise order as the mean of that point's ensemble column.
+    cols = e.predictions.T[rows]
+    col_mean = cols.mean(axis=1)
+    if loss is Loss.ZERO_ONE:
+        p1 = om.prob(X, a)
+        y_star = (p1 > 0.5).astype(np.float64)
+        y_main = (col_mean > 0.5).astype(np.float64)
+        agree = y_main == y_star
+        return PointDecomposition(
+            y_star=y_star,
+            y_main=y_main,
+            noise=np.minimum(p1, 1.0 - p1),
+            bias=(~agree).astype(np.float64),
+            variance=np.mean(cols != y_main[:, None], axis=1),
+            c_n=2.0 * np.mean(cols == y_star[:, None], axis=1) - 1.0,
+            c_v=np.where(agree, 1.0, -1.0),
+        )
+    y_star = om.mean(X, a)
+    # Python's float ** (libm pow): numpy's **2 computes x*x, which differs
+    # from pow in the last bit on some inputs and would move report digits.
+    bias = np.array([d**2 for d in (col_mean - y_star).tolist()])
+    cols -= col_mean[:, None]
+    np.square(cols, out=cols)
+    ones = np.ones(rows.size)
     return PointDecomposition(
         y_star=y_star,
-        y_main=y_main,
-        noise=noise,
+        y_main=col_mean,
+        noise=om.var(X, a),
         bias=bias,
-        variance=variance,
-        c_n=c_n,
-        c_v=c_v,
-    )
-
-
-def _point_terms_squared(
-    column: np.ndarray, mean: float, var: float
-) -> PointDecomposition:
-    y_main = float(column.mean())
-    bias = (y_main - mean) ** 2
-    variance = float(np.mean((column - y_main) ** 2))
-    return PointDecomposition(
-        y_star=mean,
-        y_main=y_main,
-        noise=var,
-        bias=bias,
-        variance=variance,
-        c_n=1.0,
-        c_v=1.0,
+        variance=cols.mean(axis=1),
+        c_n=ones,
+        c_v=ones,
     )
 
 
@@ -203,19 +217,43 @@ def point_decomposition(
         )
     if not 0 <= i < e.n_points:
         raise DataError(f"point index {i} out of range")
-    x = eval_set.features[i]
-    a = int(eval_set.group[i])
-    column = e.predictions[:, i]
+    t = _terms(e, eval_set, om, loss, np.array([i]), int(eval_set.group[i]))
+    return PointDecomposition(
+        **{name: float(v[0]) for name, v in vars(t).items()}
+    )
+
+
+def _unknown_mode(
+    preds: np.ndarray, y, loss: Loss, a: int
+) -> GroupDecomposition:
+    """Observed-label decomposition of the (T, m) predictions ``preds``
+    against labels ``y``: the exact cost and the unsigned variance, with
+    bias and noise merged into one residual."""
     if loss is Loss.ZERO_ONE:
-        return _point_terms_zero_one(column, om.prob(x, a))
-    return _point_terms_squared(column, om.mean(x, a), om.var(x, a))
+        cost = float(np.mean(preds != y))
+        y_main = (preds.mean(axis=0) > 0.5).astype(np.float64)
+        variance_raw = float(np.mean(preds != y_main))
+    else:
+        cost = float(np.mean((preds - y) ** 2))
+        y_main = preds.mean(axis=0)
+        variance_raw = float(np.mean((preds - y_main) ** 2))
+    return GroupDecomposition(
+        group=a,
+        cost=cost,
+        mode="unknown",
+        variance_raw=variance_raw,
+        bias_noise_residual=cost - variance_raw,
+        n_points=preds.shape[1],
+    )
 
 
-def _expected_losses_zero_one(e, rows, p1) -> np.ndarray:
-    """E_{models,Y}[zero-one loss] per point: average over models of
-    p*1[yhat != 1] + (1-p)*1[yhat != 0]."""
-    preds = e.predictions[:, rows]
-    return np.mean(p1 * (preds != 1.0) + (1.0 - p1) * (preds != 0.0), axis=0)
+def _group_rows(e: EnsemblePredictions, eval_set: Dataset, a: int) -> np.ndarray:
+    if e.n_points != eval_set.n:
+        raise DataError("ensemble not aligned with evaluation set")
+    rows = eval_set.group_indices(a)
+    if rows.size == 0:
+        raise AnalysisError(f"group {a} is empty in the evaluation set")
+    return rows
 
 
 def group_decomposition(
@@ -226,48 +264,20 @@ def group_decomposition(
     a: int,
 ) -> GroupDecomposition:
     """Group-weighted decomposition; ``om=None`` selects unknown mode."""
-    if e.n_points != eval_set.n:
-        raise DataError("ensemble not aligned with evaluation set")
-    rows = eval_set.group_indices(a)
-    if rows.size == 0:
-        raise AnalysisError(f"group {a} is empty in the evaluation set")
-    preds = e.predictions[:, rows]
-
+    rows = _group_rows(e, eval_set, a)
     if om is None:
-        y = eval_set.outcome[rows]
-        if loss is Loss.ZERO_ONE:
-            cost = float(np.mean(preds != y))
-            y_main = (preds.mean(axis=0) > 0.5).astype(np.float64)
-            variance_raw = float(np.mean(preds != y_main))
-        else:
-            cost = float(np.mean((preds - y) ** 2))
-            y_main = preds.mean(axis=0)
-            variance_raw = float(np.mean((preds - y_main) ** 2))
-        return GroupDecomposition(
-            group=a,
-            cost=cost,
-            mode="unknown",
-            variance_raw=variance_raw,
-            bias_noise_residual=cost - variance_raw,
-            n_points=rows.size,
+        return _unknown_mode(
+            e.predictions[:, rows], eval_set.outcome[rows], loss, a
         )
-
-    points = [
-        point_decomposition(e, int(i), eval_set, om, loss) for i in rows
-    ]
-    noise = float(np.mean([p.c_n * p.noise for p in points]))
-    bias = float(np.mean([p.bias for p in points]))
-    variance = float(np.mean([p.c_v * p.variance for p in points]))
-    variance_raw = float(np.mean([p.variance for p in points]))
-    cost = float(np.mean([p.expected_loss for p in points]))
+    t = _terms(e, eval_set, om, loss, rows, a)
     return GroupDecomposition(
         group=a,
-        cost=cost,
+        cost=float(np.mean(t.expected_loss)),
         mode="known",
-        noise=noise,
-        bias=bias,
-        variance=variance,
-        variance_raw=variance_raw,
+        noise=float(np.mean(t.c_n * t.noise)),
+        bias=float(np.mean(t.bias)),
+        variance=float(np.mean(t.c_v * t.variance)),
+        variance_raw=float(np.mean(t.variance)),
         n_points=rows.size,
     )
 
@@ -287,35 +297,17 @@ def class_conditional_decomposition(
     """
     if y not in (0, 1):
         raise AnalysisError("conditioning class must be 0 or 1")
-    if e.n_points != eval_set.n:
-        raise DataError("ensemble not aligned with evaluation set")
-    rows = eval_set.group_indices(a)
-    if rows.size == 0:
-        raise AnalysisError(f"group {a} is empty in the evaluation set")
+    rows = _group_rows(e, eval_set, a)
 
     if om is None:
-        mask = eval_set.outcome[rows] == float(y)
-        if not mask.any():
+        sub = rows[eval_set.outcome[rows] == float(y)]
+        if sub.size == 0:
             raise AnalysisError(
                 f"group {a} has no observed Y={y} rows"
             )
-        sub = rows[mask]
-        preds = e.predictions[:, sub]
-        cost = float(np.mean(preds != float(y)))
-        y_main = (preds.mean(axis=0) > 0.5).astype(np.float64)
-        variance_raw = float(np.mean(preds != y_main))
-        return GroupDecomposition(
-            group=a,
-            cost=cost,
-            mode="unknown",
-            variance_raw=variance_raw,
-            bias_noise_residual=cost - variance_raw,
-            n_points=int(mask.sum()),
-        )
+        return _unknown_mode(e.predictions[:, sub], float(y), Loss.ZERO_ONE, a)
 
-    weights = np.array(
-        [om.prob(eval_set.features[i], a) for i in rows], dtype=np.float64
-    )
+    weights = om.prob(eval_set.features[rows], a)
     if y == 0:
         weights = 1.0 - weights
     total = weights.sum()
@@ -323,22 +315,17 @@ def class_conditional_decomposition(
         raise AnalysisError(f"group {a} has zero mass on class {y}")
     weights = weights / total
 
-    noise = bias = variance = cost = 0.0
-    for w, i in zip(weights, rows):
-        p = point_decomposition(e, int(i), eval_set, om, Loss.ZERO_ONE)
-        fixed_loss_star = 1.0 if p.y_star != float(y) else 0.0
-        column = e.predictions[:, int(i)]
-        point_cost = float(np.mean(column != float(y)))
-        noise += w * p.c_n * fixed_loss_star
-        bias += w * p.bias
-        variance += w * p.c_v * p.variance
-        cost += w * point_cost
+    t = _terms(e, eval_set, om, Loss.ZERO_ONE, rows, a)
+    # With the class fixed, the noise loss of y* is 1[y* != y].
+    noise = float(weights @ (t.c_n * (t.y_star != float(y))))
+    variance = float(weights @ (t.c_v * t.variance))
+    point_costs = np.mean(e.predictions[:, rows] != float(y), axis=0)
     return GroupDecomposition(
         group=a,
-        cost=cost,
+        cost=float(weights @ point_costs),
         mode="known",
         noise=noise,
-        bias=bias,
+        bias=float(weights @ t.bias),
         variance=variance,
         variance_raw=variance,
         n_points=rows.size,
@@ -423,9 +410,7 @@ def homoskedastic_noise_gap(
         rows = eval_set.group_indices(a)
         if rows.size == 0:
             raise AnalysisError(f"group {a} is empty")
-        values = np.array(
-            [om.var(eval_set.features[i], a) for i in rows], dtype=np.float64
-        )
+        values = om.var(eval_set.features[rows], a)
         # mean of a constant sample is that constant; bypass summation
         # rounding so the homoskedastic case gives an exact zero gap
         if np.ptp(values) == 0.0:

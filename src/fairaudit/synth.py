@@ -4,12 +4,13 @@ Two families: a heteroskedastic quadratic regression problem with
 per-group Gaussian features, and a discrete classification problem with
 tabulated outcome probabilities.  Both return a queryable conditional
 outcome model so the decomposition machinery can be checked against exact
-values.
+values.  The model answers a whole batch of feature rows per call, so the
+decomposition queries it once per group rather than once per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +20,14 @@ from .errors import AnalysisError
 
 @dataclass(frozen=True)
 class ConditionalOutcomeModel:
-    """Queryable map from (x, a) to the conditional outcome distribution.
+    """Queryable map from (X, a) to the conditional outcome distribution.
 
-    Classification: ``prob(x, a)`` returns p(Y=1|x,a).  Regression:
-    ``mean(x, a)`` and ``var(x, a)`` return E[Y|x,a] and Var[Y|x,a].
-    ``x`` is a feature row (1-D array).
+    Classification: ``prob(X, a)`` returns p(Y=1|x,a).  Regression:
+    ``mean(X, a)`` and ``var(X, a)`` return E[Y|x,a] and Var[Y|x,a].
+    ``X`` is an (n, d) batch of feature rows of group ``a`` and the result
+    is an (n,) float64 array; a 1-D row is a one-row batch and gives a
+    float.  The ``_prob``/``_mean``/``_var`` callables always receive the
+    2-D batch and must return one value per row.
     """
 
     task: Task
@@ -31,24 +35,43 @@ class ConditionalOutcomeModel:
     _mean: callable = None
     _var: callable = None
 
-    def prob(self, x, a: int) -> float:
+    def prob(self, X, a: int):
         if self.task is not Task.BINARY:
             raise AnalysisError("prob() is only defined for binary outcomes")
-        p = float(self._prob(np.asarray(x, dtype=np.float64), a))
-        assert 0.0 <= p <= 1.0
+        p = self._query("prob", self._prob, X, a)
+        if not np.all((p >= 0.0) & (p <= 1.0)):
+            raise AnalysisError("prob() returned a value outside [0, 1]")
         return p
 
-    def mean(self, x, a: int) -> float:
+    def mean(self, X, a: int):
         if self.task is not Task.REGRESSION:
             raise AnalysisError("mean() is only defined for regression")
-        return float(self._mean(np.asarray(x, dtype=np.float64), a))
+        return self._query("mean", self._mean, X, a)
 
-    def var(self, x, a: int) -> float:
+    def var(self, X, a: int):
         if self.task is not Task.REGRESSION:
             raise AnalysisError("var() is only defined for regression")
-        v = float(self._var(np.asarray(x, dtype=np.float64), a))
-        assert v >= 0.0
+        v = self._query("var", self._var, X, a)
+        if not np.all(v >= 0.0):
+            raise AnalysisError("var() returned a negative variance")
         return v
+
+    @staticmethod
+    def _query(name, fn, X, a):
+        X = np.asarray(X, dtype=np.float64)
+        row = X.ndim == 1
+        batch = X[None, :] if row else X
+        if batch.ndim != 2:
+            raise AnalysisError(f"{name}() takes a feature row or an (n, d) batch")
+        values = np.asarray(fn(batch, a), dtype=np.float64)
+        # A per-row callable returns a scalar on a batch, which would
+        # broadcast silently; demand exactly one value per row.
+        if values.shape != (batch.shape[0],):
+            raise AnalysisError(
+                f"{name}() returned shape {values.shape} for "
+                f"{batch.shape[0]} rows; expected one value per row"
+            )
+        return float(values[0]) if row else values
 
 
 @dataclass(frozen=True)
@@ -69,13 +92,17 @@ class RegressionSynthSpec:
         if min(self.sigma) <= 0 or self.sigma_eps <= 0:
             raise AnalysisError("scales must be positive")
 
-    def conditional_mean(self, x: float) -> float:
+    def conditional_mean(self, x: np.ndarray) -> np.ndarray:
         return 2.0 * x * x - 2.0 * x + 0.1
 
-    def conditional_var(self, x: float) -> float:
+    def conditional_var(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         if self.homoskedastic:
-            return self.sigma_eps**2
-        return self.sigma_eps**2 * x**4
+            return np.full(x.shape, self.sigma_eps**2)
+        # Python's float ** (libm pow), not numpy's vectorized power, which
+        # differs from it in the last bit on some inputs.
+        fourth = np.array([v**4 for v in x.ravel().tolist()]).reshape(x.shape)
+        return self.sigma_eps**2 * fourth
 
 
 @dataclass(frozen=True)
@@ -149,8 +176,8 @@ def gen_regression(
     )
     om = ConditionalOutcomeModel(
         task=Task.REGRESSION,
-        _mean=lambda xv, g: spec.conditional_mean(float(xv[0])),
-        _var=lambda xv, g: spec.conditional_var(float(xv[0])),
+        _mean=lambda X, g: spec.conditional_mean(X[:, 0]),
+        _var=lambda X, g: spec.conditional_var(X[:, 0]),
     )
     return d, om
 
@@ -177,11 +204,10 @@ def gen_discrete(
         column_names=tuple(f"x={v}" for v in range(spec.n_values)),
     )
 
-    def prob(xv, g):
-        value = int(np.argmax(xv))
-        return spec.p_y_given_xa[g, value]
-
-    om = ConditionalOutcomeModel(task=Task.BINARY, _prob=prob)
+    om = ConditionalOutcomeModel(
+        task=Task.BINARY,
+        _prob=lambda X, g: spec.p_y_given_xa[g, np.argmax(X, axis=1)],
+    )
     return d, om
 
 

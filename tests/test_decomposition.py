@@ -21,7 +21,7 @@ from fairaudit import (
     point_decomposition,
     RegressionSynthSpec,
 )
-from fairaudit.decomposition import main_prediction
+from fairaudit.decomposition import GroupDecomposition, PointDecomposition
 from fairaudit.errors import AnalysisError
 from fairaudit.learners import LearnerSpec as LS
 from fairaudit.synth import ConditionalOutcomeModel
@@ -49,7 +49,27 @@ def tiny_binary(n, probs, groups):
     probs = np.asarray(probs, dtype=np.float64)
 
     om = ConditionalOutcomeModel(
-        task=Task.BINARY, _prob=lambda x, a: probs[int(np.argmax(x))]
+        task=Task.BINARY, _prob=lambda X, a: probs[np.argmax(X, axis=1)]
+    )
+    return d, om
+
+
+def tiny_regression(mean, var):
+    """One-hot points with tabulated E[Y|x] and Var[Y|x]."""
+    n = len(mean)
+    d = Dataset(
+        features=np.eye(n),
+        group=np.zeros(n, dtype=np.int64),
+        outcome=np.zeros(n),
+        task=Task.REGRESSION,
+        column_names=tuple(f"x{i}" for i in range(n)),
+    )
+    mean = np.asarray(mean, dtype=np.float64)
+    var = np.asarray(var, dtype=np.float64)
+    om = ConditionalOutcomeModel(
+        task=Task.REGRESSION,
+        _mean=lambda X, a: mean[np.argmax(X, axis=1)],
+        _var=lambda X, a: var[np.argmax(X, axis=1)],
     )
     return d, om
 
@@ -92,18 +112,7 @@ def test_squared_identity_random():
     preds = rng.normal(size=(6, 4))
     mean = rng.normal(size=4)
     var = rng.random(4)
-    d = Dataset(
-        features=np.eye(4),
-        group=np.zeros(4, dtype=np.int64),
-        outcome=np.zeros(4),
-        task=Task.REGRESSION,
-        column_names=tuple("abcd"),
-    )
-    om = ConditionalOutcomeModel(
-        task=Task.REGRESSION,
-        _mean=lambda x, a: mean[int(np.argmax(x))],
-        _var=lambda x, a: var[int(np.argmax(x))],
-    )
+    d, om = tiny_regression(mean, var)
     e = make_ensemble(preds)
     for i in range(4):
         p = point_decomposition(e, i, d, om, Loss.SQUARED)
@@ -169,11 +178,17 @@ def test_class_conditional_unknown_mode():
 
 
 def test_main_prediction_rules():
-    e = make_ensemble([[1, 0.2], [1, 0.4], [0, 0.9]])
-    assert main_prediction(e, 0, Loss.ZERO_ONE) == 1.0
-    assert main_prediction(e, 1, Loss.SQUARED) == pytest.approx(0.5)
+    labels, om = tiny_binary(1, [0.3], [0])
+    assert point_decomposition(
+        make_ensemble([[1], [1], [0]]), 0, labels, om, Loss.ZERO_ONE
+    ).y_main == 1.0
+    reals, om_r = tiny_regression([0.0], [1.0])
+    assert point_decomposition(
+        make_ensemble([[0.2], [0.4], [0.9]]), 0, reals, om_r, Loss.SQUARED
+    ).y_main == pytest.approx(0.5)
     tie = make_ensemble([[1], [0]])
-    assert main_prediction(tie, 0, Loss.ZERO_ONE) == 0.0  # ties toward 0
+    # ties toward 0
+    assert point_decomposition(tie, 0, labels, om, Loss.ZERO_ONE).y_main == 0.0
 
 
 def test_gamma_bar():
@@ -240,17 +255,201 @@ def test_identity_property_squared(seed):
     preds = rng.normal(size=(t, n))
     mean = rng.normal(size=n)
     var = rng.random(n) + 0.01
-    d = Dataset(
-        features=np.eye(n),
-        group=np.zeros(n, dtype=np.int64),
-        outcome=np.zeros(n),
-        task=Task.REGRESSION,
-        column_names=tuple(f"x{i}" for i in range(n)),
-    )
-    om = ConditionalOutcomeModel(
-        task=Task.REGRESSION,
-        _mean=lambda x, a: mean[int(np.argmax(x))],
-        _var=lambda x, a: var[int(np.argmax(x))],
-    )
+    d, om = tiny_regression(mean, var)
     g = group_decomposition(make_ensemble(preds), d, om, Loss.SQUARED, 0)
     assert abs(g.cost - (g.noise + g.bias + g.variance)) < 1e-10
+
+
+# Reference oracle: the per-point loop that the decomposition ran before
+# its terms became array operations, with one outcome-model query per row.
+# group_decomposition must agree with it bit for bit; the class-conditional
+# weighted sums may add in another order, so they are held to 1e-12.
+
+
+def loop_point_terms_zero_one(column, p1):
+    y_star = 1.0 if p1 > 0.5 else 0.0  # ties toward 0
+    noise = min(p1, 1.0 - p1)
+    frac1 = float(column.mean())
+    y_main = 1.0 if frac1 > 0.5 else 0.0
+    bias = 1.0 if y_main != y_star else 0.0
+    variance = float(np.mean(column != y_main))
+    c_v = 1.0 if y_main == y_star else -1.0
+    c_n = 2.0 * float(np.mean(column == y_star)) - 1.0
+    return PointDecomposition(
+        y_star=y_star, y_main=y_main, noise=noise, bias=bias,
+        variance=variance, c_n=c_n, c_v=c_v,
+    )
+
+
+def loop_point_terms_squared(column, mean, var):
+    y_main = float(column.mean())
+    bias = (y_main - mean) ** 2
+    variance = float(np.mean((column - y_main) ** 2))
+    return PointDecomposition(
+        y_star=mean, y_main=y_main, noise=var, bias=bias,
+        variance=variance, c_n=1.0, c_v=1.0,
+    )
+
+
+def loop_point(e, i, eval_set, om, loss):
+    x = eval_set.features[i]
+    a = int(eval_set.group[i])
+    column = e.predictions[:, i]
+    if loss is Loss.ZERO_ONE:
+        return loop_point_terms_zero_one(column, om.prob(x, a))
+    return loop_point_terms_squared(column, om.mean(x, a), om.var(x, a))
+
+
+def loop_group_decomposition(e, eval_set, om, loss, a):
+    rows = eval_set.group_indices(a)
+    points = [loop_point(e, int(i), eval_set, om, loss) for i in rows]
+    return GroupDecomposition(
+        group=a,
+        cost=float(np.mean([p.expected_loss for p in points])),
+        mode="known",
+        noise=float(np.mean([p.c_n * p.noise for p in points])),
+        bias=float(np.mean([p.bias for p in points])),
+        variance=float(np.mean([p.c_v * p.variance for p in points])),
+        variance_raw=float(np.mean([p.variance for p in points])),
+        n_points=rows.size,
+    )
+
+
+def loop_class_conditional(e, eval_set, om, a, y):
+    rows = eval_set.group_indices(a)
+    weights = np.array(
+        [om.prob(eval_set.features[i], a) for i in rows], dtype=np.float64
+    )
+    if y == 0:
+        weights = 1.0 - weights
+    weights = weights / weights.sum()
+    noise = bias = variance = cost = 0.0
+    for w, i in zip(weights, rows):
+        p = loop_point(e, int(i), eval_set, om, Loss.ZERO_ONE)
+        column = e.predictions[:, int(i)]
+        noise += w * p.c_n * (1.0 if p.y_star != float(y) else 0.0)
+        bias += w * p.bias
+        variance += w * p.c_v * p.variance
+        cost += w * float(np.mean(column != float(y)))
+    return dict(cost=cost, noise=noise, bias=bias, variance=variance)
+
+
+GROUP_FIELDS = ("cost", "noise", "bias", "variance", "variance_raw")
+
+
+def assert_same_bits(got, want):
+    for name in GROUP_FIELDS:
+        assert float.hex(getattr(got, name)) == float.hex(getattr(want, name)), name
+    assert (got.group, got.mode, got.n_points) == (
+        want.group, want.mode, want.n_points
+    )
+
+
+def assert_matches_loop(e, eval_set, om, loss):
+    for a in sorted(set(eval_set.group.tolist())):
+        assert_same_bits(
+            group_decomposition(e, eval_set, om, loss, a),
+            loop_group_decomposition(e, eval_set, om, loss, a),
+        )
+    for i in range(eval_set.n):
+        got = point_decomposition(e, i, eval_set, om, loss)
+        want = loop_point(e, i, eval_set, om, loss)
+        assert [float.hex(v) for v in vars(got).values()] == [
+            float.hex(v) for v in vars(want).values()
+        ]
+
+
+def random_binary_case(rng, t, groups):
+    """Random labels with forced vote ties and p in {0, 0.5, 1} entries."""
+    n = len(groups)
+    preds = (rng.random((t, n)) < rng.random()).astype(np.float64)
+    if t % 2 == 0:
+        preds[:, 0] = [1.0] * (t // 2) + [0.0] * (t // 2)
+    probs = rng.random(n)
+    probs[: min(n, 3)] = [0.5, 0.0, 1.0][: min(n, 3)]
+    d, om = tiny_binary(n, probs, groups)
+    return make_ensemble(preds), d, om
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 7, 10])
+def test_group_decomposition_matches_loop_zero_one_random(t):
+    rng = np.random.default_rng(20 + t)
+    for n in (1, 2, 5, 23):
+        # the last point forms a one-point group
+        e, d, om = random_binary_case(rng, t, [0] * (n - 1) + [1])
+        assert_matches_loop(e, d, om, Loss.ZERO_ONE)
+
+
+def test_group_decomposition_matches_loop_zero_one_trees():
+    spec = default_discrete_spec()
+    d, om = gen_discrete(spec, 3000, seed=30)
+    sampler = lambda n, s: gen_discrete(spec, n, s)[0]
+    e = ensemble_train(
+        LS(kind=LearnerKind.TREE, max_depth=2), sampler, 8, 100, d, seed=31
+    )
+    assert_matches_loop(e, d, om, Loss.ZERO_ONE)
+
+
+@pytest.mark.parametrize("homoskedastic", [False, True])
+@pytest.mark.parametrize("kind", [LearnerKind.TREE, LearnerKind.RIDGE])
+def test_group_decomposition_matches_loop_squared(homoskedastic, kind):
+    rspec = RegressionSynthSpec(sigma_eps=0.7, homoskedastic=homoskedastic)
+    d, om = gen_regression(rspec, 4000, seed=40)
+    sampler = lambda n, s: gen_regression(rspec, n, s)[0]
+    # T >= 8, where numpy's pairwise column sum differs from a running sum
+    e = ensemble_train(LS(kind=kind, max_depth=3), sampler, 12, 150, d, seed=41)
+    assert_matches_loop(e, d, om, Loss.SQUARED)
+
+
+@pytest.mark.parametrize("t", [2, 5, 16, 50])
+def test_group_decomposition_matches_loop_squared_random(t):
+    rng = np.random.default_rng(50 + t)
+    n = 30
+    d, om = tiny_regression(rng.normal(size=n), rng.random(n))
+    d = Dataset(
+        features=d.features,
+        group=np.array([0] * (n - 1) + [1]),
+        outcome=d.outcome,
+        task=d.task,
+        column_names=d.column_names,
+    )
+    assert_matches_loop(make_ensemble(rng.normal(size=(t, n))), d, om, Loss.SQUARED)
+
+
+def test_group_cost_both_sides_of_identity():
+    rng = np.random.default_rng(60)
+    for t in (2, 4, 9):
+        e, d, om = random_binary_case(rng, t, [0] * 40)
+        g = group_decomposition(e, d, om, Loss.ZERO_ONE, 0)
+        p1 = om.prob(d.features, 0)
+        preds = e.predictions
+        direct = np.mean(
+            np.mean(p1 * (preds != 1.0) + (1.0 - p1) * (preds != 0.0), axis=0)
+        )
+        assert abs(g.cost - direct) < 1e-12
+        assert abs(g.cost - (g.noise + g.bias + g.variance)) < 1e-12
+    mean, var = rng.normal(size=40), rng.random(40)
+    d, om = tiny_regression(mean, var)
+    preds = rng.normal(size=(5, 40))
+    g = group_decomposition(make_ensemble(preds), d, om, Loss.SQUARED, 0)
+    direct = np.mean(np.mean((preds - mean) ** 2, axis=0) + var)
+    assert abs(g.cost - direct) < 1e-12
+    assert abs(g.cost - (g.noise + g.bias + g.variance)) < 1e-12
+
+
+def test_class_conditional_matches_loop():
+    spec = default_discrete_spec()
+    d, om = gen_discrete(spec, 2000, seed=70)
+    sampler = lambda n, s: gen_discrete(spec, n, s)[0]
+    e = ensemble_train(
+        LS(kind=LearnerKind.TREE, max_depth=2), sampler, 6, 100, d, seed=71
+    )
+    rng = np.random.default_rng(72)
+    cases = [(e, d, om), random_binary_case(rng, 4, [0] * 12 + [1])]
+    for e, d, om in cases:
+        for a in (0, 1):
+            for y in (0, 1):
+                got = class_conditional_decomposition(e, d, om, a, y)
+                want = loop_class_conditional(e, d, om, a, y)
+                for name, value in want.items():
+                    assert abs(getattr(got, name) - value) < 1e-12, name

@@ -81,8 +81,9 @@ def test_parse_learner():
     assert spec.n_trees == 7 and spec.max_depth == 3 and not spec.bootstrap
     with pytest.raises(ConfigError):
         parse_learner("boosted")
-    with pytest.raises(ConfigError):
-        parse_learner("knn:weird=1")
+    for bad in ("knn:weird=1", "tree:max_depth=abc", "ridge:lam=x", "knn:k=2.5"):
+        with pytest.raises(ConfigError):
+            parse_learner(bad)
     assert parse_kinds("zero_one,fpr") == [CostKind.ZERO_ONE, CostKind.FPR]
     with pytest.raises(ConfigError):
         parse_kinds("nope")
@@ -218,6 +219,50 @@ def test_cli_noise_rejects_bad_k_from_config(tmp_path, synth_csv):
         ["noise", "--seed", 7, "--data", data, "--schema", schema,
          "--config", config, "--out", tmp_path / "noise"]
     ) == 2
+
+
+def test_cli_decompose_rejects_non_numeric_learner_option(tmp_path):
+    assert run(
+        ["decompose", "--seed", 1, "--learner", "tree:max_depth=abc",
+         "--out", tmp_path / "dec"]
+    ) == 2
+    assert not (tmp_path / "dec" / "report.json").exists()
+
+
+@pytest.mark.parametrize("line", ["seed=abc", "t_models=many", "threshold=high"])
+def test_cli_rejects_non_numeric_config_value(tmp_path, line):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    argv = ["decompose", "--config", config, "--out", tmp_path / "dec"]
+    if not line.startswith("seed"):
+        argv += ["--seed", 1]
+    assert run(argv) == 2
+
+
+@pytest.mark.parametrize("level", [2, 1, 0, -0.1, "nan"])
+def test_cli_rejects_level_outside_unit_interval(tmp_path, synth_csv, level):
+    data, schema, _ = synth_csv
+    out = tmp_path / "test"
+    assert run(
+        ["test", "--seed", 8, "--data", data, "--schema", schema,
+         "--learner", "knn", "--reps", 50, "--level", level, "--out", out]
+    ) == 2
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--t-models", 1], ["--t-models", 0], ["--n-train", -1],
+     ["--eval-size", 0], ["--eval-size", -5]],
+)
+def test_cli_decompose_rejects_out_of_range_sizes(tmp_path, flags):
+    out = tmp_path / "dec"
+    assert run(
+        ["decompose", "--seed", 4, "--learner", "tree:max_depth=2",
+         "--t-models", 3, "--n-train", 50, "--eval-size", 40, *flags,
+         "--out", out]
+    ) == 2
+    assert not (out / "report.json").exists()
 
 
 def test_cli_subgroups_with_topics(tmp_path, synth_csv):

@@ -11,7 +11,7 @@ from fairaudit import (
     gen_regression,
 )
 from fairaudit.errors import AnalysisError
-from fairaudit.synth import gaussian_fourth_moment
+from fairaudit.synth import ConditionalOutcomeModel, gaussian_fourth_moment
 
 
 def test_gaussian_fourth_moment():
@@ -122,3 +122,72 @@ def test_generation_deterministic():
     np.testing.assert_array_equal(d1.outcome, d2.outcome)
     d3, _ = gen_discrete(spec, 100, seed=6)
     assert not np.array_equal(d1.outcome, d3.outcome)
+
+
+@pytest.mark.parametrize("homoskedastic", [False, True])
+def test_regression_oracle_batch_matches_scalar_formulas(homoskedastic):
+    spec = RegressionSynthSpec(sigma_eps=0.7, homoskedastic=homoskedastic)
+    d, om = gen_regression(spec, 200_000, seed=5)
+    x = d.features[:, 0].tolist()
+    mean = om.mean(d.features, 0)
+    var = om.var(d.features, 0)
+    assert mean.shape == var.shape == (d.n,)
+    # Python float arithmetic, ``**`` included, is the reference: numpy's
+    # vectorized power differs from it in the last bit on some inputs.
+    want_mean = [2.0 * v * v - 2.0 * v + 0.1 for v in x]
+    want_var = [
+        spec.sigma_eps**2 if homoskedastic else spec.sigma_eps**2 * v**4
+        for v in x
+    ]
+    assert [float.hex(v) for v in mean.tolist()] == [float.hex(v) for v in want_mean]
+    assert [float.hex(v) for v in var.tolist()] == [float.hex(v) for v in want_var]
+    # a 1-D row is a one-row batch and gives a float
+    assert om.var(d.features[3], 1) == want_var[3]
+    assert isinstance(om.mean(d.features[3], 1), float)
+
+
+def test_discrete_oracle_batch_matches_table():
+    spec = default_discrete_spec()
+    d, om = gen_discrete(spec, 5000, seed=6)
+    x = np.argmax(d.features, axis=1)
+    for g in (0, 1):
+        np.testing.assert_array_equal(
+            om.prob(d.features, g), spec.p_y_given_xa[g, x]
+        )
+    assert om.prob(d.features[0], 1) == spec.p_y_given_xa[1, x[0]]
+
+
+def _batch_model(task, values):
+    """An outcome model whose callables return ``values`` for any batch."""
+    fn = lambda X, a: values
+    if task is Task.BINARY:
+        return ConditionalOutcomeModel(task=task, _prob=fn)
+    return ConditionalOutcomeModel(task=task, _mean=fn, _var=fn)
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_oracle_rejects_prob_outside_unit_interval(bad):
+    om = _batch_model(Task.BINARY, np.array([0.2, bad, 0.7]))
+    with pytest.raises(AnalysisError, match=r"outside \[0, 1\]"):
+        om.prob(np.eye(3), 0)
+
+
+def test_oracle_rejects_negative_variance():
+    om = _batch_model(Task.REGRESSION, np.array([0.5, 0.0, -1e-300]))
+    with pytest.raises(AnalysisError, match="negative variance"):
+        om.var(np.eye(3), 0)
+    # the mean may be negative
+    assert om.mean(np.eye(3), 0)[2] == -1e-300
+
+
+def test_oracle_rejects_result_of_wrong_shape():
+    # a per-row callable returns one scalar for the whole batch
+    per_row = ConditionalOutcomeModel(
+        task=Task.BINARY, _prob=lambda x, a: 0.25 * float(np.argmax(x) % 2)
+    )
+    with pytest.raises(AnalysisError, match="one value per row"):
+        per_row.prob(np.eye(4), 0)
+    with pytest.raises(AnalysisError, match="one value per row"):
+        per_row.prob(np.eye(4)[1], 0)
+    with pytest.raises(AnalysisError, match="one value per row"):
+        _batch_model(Task.REGRESSION, np.zeros(2)).mean(np.eye(3), 0)
