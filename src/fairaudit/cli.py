@@ -301,7 +301,6 @@ def cmd_curves(args, report: AuditReport) -> None:
                 fitted = fit(n) if fit else ""
                 rows.append([n, a, kind.value, mean, stderr, fitted])
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         write_curve_table(os.path.join(args.out, "curve_data.csv"), rows)
 
 
@@ -397,8 +396,12 @@ def cmd_synth(args, report: AuditReport) -> None:
 def cmd_report(args, report: AuditReport) -> None:
     if not args.data:
         raise ConfigError("report subcommand needs --data <report.json>")
-    with open(args.data, "r", encoding="utf-8") as fh:
-        loaded = AuditReport.from_json(fh.read())
+    try:
+        with open(args.data, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read report {args.data}: {exc}") from exc
+    loaded = AuditReport.from_json(text)
     report.results = loaded.results
     report.warnings = loaded.warnings
     report.errors = loaded.errors
@@ -442,10 +445,14 @@ class _TrackingParser(argparse.ArgumentParser):
 
 
 def build_parser() -> _TrackingParser:
-    parser = _TrackingParser(prog="fairaudit")
+    # No abbreviated flags: _TrackingParser records a flag as explicit only
+    # when it is spelled out, so an abbreviation would lose to the config
+    # file.
+    parser = _TrackingParser(prog="fairaudit", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def add(name):
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None)
         p.add_argument("--data", default=None)
         p.add_argument("--schema", default=None)
@@ -457,11 +464,10 @@ def build_parser() -> _TrackingParser:
         p.add_argument("--level", type=float, default=0.05)
         p.add_argument("--learner", default="bagged_trees")
         p.add_argument("--test-fraction", type=float, default=0.2)
+        return p
 
-    p = sub.add_parser("audit")
-    common(p)
-    p = sub.add_parser("decompose")
-    common(p)
+    add("audit")
+    p = add("decompose")
     p.add_argument("--t-models", type=int, default=50)
     p.add_argument(
         "--n-train", type=int, default=0,
@@ -473,32 +479,25 @@ def build_parser() -> _TrackingParser:
                    choices=("discrete", "regression"))
     p.add_argument("--sigma-eps", type=float, default=1.0)
     p.add_argument("--homoskedastic", action="store_true")
-    p = sub.add_parser("curves")
-    common(p)
+    p = add("curves")
     p.add_argument("--grid", default="100,200,400")
     p.add_argument("--trials", type=int, default=10)
-    p = sub.add_parser("noise")
-    common(p)
+    p = add("noise")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--max-nn-samples", type=int, default=0)
-    p = sub.add_parser("subgroups")
-    common(p)
+    p = add("subgroups")
     p.add_argument("--topics", default=None)
-    p = sub.add_parser("test")
-    common(p)
+    p = add("test")
     p.add_argument("--reps", type=int, default=1000)
-    p = sub.add_parser("synth")
-    common(p)
+    p = add("synth")
     p.add_argument("--synth-kind", default="discrete",
                    choices=("discrete", "regression"))
     p.add_argument("--sigma-eps", type=float, default=1.0)
     p.add_argument("--homoskedastic", action="store_true")
     p.add_argument("--n", type=int, default=1000)
-    p = sub.add_parser("report")
-    common(p)
-    p = sub.add_parser("prepare-adult")
-    common(p)
+    add("report")
+    p = add("prepare-adult")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-schema", default=None)
     return parser

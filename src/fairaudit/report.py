@@ -107,42 +107,53 @@ def _flatten(prefix: str, value, rows: list) -> None:
 
 def emit_report(report: AuditReport, out_dir, fmt: str = "json") -> list:
     """Write the report; returns the list of files written."""
-    os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if fmt == "json":
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report.to_json())
-        written.append(path)
-    elif fmt == "csv":
-        for name, block in sorted(report.results.items()):
-            rows: list = []
-            _flatten("", block, rows)
-            path = os.path.join(out_dir, f"{name}.csv")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        written = []
+        if fmt == "json":
+            path = os.path.join(out_dir, "report.json")
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(report.to_json())
+            written.append(path)
+        elif fmt == "csv":
+            for name, block in sorted(report.results.items()):
+                rows: list = []
+                _flatten("", block, rows)
+                path = os.path.join(out_dir, f"{name}.csv")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(["field", "value"])
+                    writer.writerows(rows)
+                written.append(path)
+            path = os.path.join(out_dir, "meta.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["field", "value"])
+                rows = []
+                _flatten("config", _plain(report.config), rows)
                 writer.writerows(rows)
+                for i, w in enumerate(report.warnings):
+                    writer.writerow([f"warning[{i}]", w])
             written.append(path)
-        path = os.path.join(out_dir, "meta.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["field", "value"])
-            rows = []
-            _flatten("config", _plain(report.config), rows)
-            writer.writerows(rows)
-            for i, w in enumerate(report.warnings):
-                writer.writerow([f"warning[{i}]", w])
-        written.append(path)
-    else:
-        raise DataError(f"unknown report format {fmt!r}")
+        else:
+            raise DataError(f"unknown report format {fmt!r}")
+    except OSError as exc:
+        raise DataError(f"cannot write report under {out_dir}: {exc}") from exc
     return written
 
 
 def write_curve_table(path, rows) -> None:
-    """Plot-data export: n,group,cost_kind,mean,stderr,fitted_value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "group", "cost_kind", "mean", "stderr", "fitted_value"])
-        for row in rows:
-            writer.writerow(row)
+    """Plot-data export: n,group,cost_kind,mean,stderr,fitted_value.
+
+    Creates the file's directory if it does not exist."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["n", "group", "cost_kind", "mean", "stderr", "fitted_value"]
+            )
+            for row in rows:
+                writer.writerow(row)
+    except OSError as exc:
+        raise DataError(f"cannot write curve table {path}: {exc}") from exc

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from fairaudit import (
     subsample,
     write_dataset,
 )
+from fairaudit import data as data_mod
 from fairaudit.data import _load_csv_text, canonical_schema, load_dataset
 from fairaudit.errors import ConfigError
 
@@ -146,3 +150,390 @@ def test_dataset_validation():
             task=Task.BINARY,
             column_names=("x",),
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the per-cell loader that `_load_csv_text` replaced.  The
+# columnar loader must reproduce its arrays byte for byte and its errors
+# word for word.
+
+
+def _parse_cell(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def loop_load_csv_text(text, schema, origin="<memory>"):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{origin}: empty file") from None
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise DataError(f"{origin}: duplicate column names in header")
+    for needed in (schema.group, schema.outcome):
+        if needed not in header:
+            raise DataError(f"{origin}: schema column {needed!r} not in header")
+    if schema.score is not None and schema.score not in header:
+        raise DataError(f"{origin}: score column {schema.score!r} not in header")
+    special = {schema.group, schema.outcome, schema.score} | set(schema.ignore)
+    feature_cols = [h for h in header if h not in special]
+    if not feature_cols:
+        raise DataError(f"{origin}: no feature columns left under schema")
+
+    rows = []
+    for lineno, row in enumerate(reader, 2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{origin}:{lineno}: expected {len(header)} cells, got {len(row)}"
+            )
+        cells = [c.strip() for c in row]
+        if any(c == "" for c in cells):
+            raise DataError(f"{origin}:{lineno}: missing value")
+        rows.append(cells)
+    if not rows:
+        raise DataError(f"{origin}: no data rows")
+
+    col = {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+    outcome = np.empty(len(rows))
+    for i, cell in enumerate(col[schema.outcome]):
+        value = _parse_cell(cell)
+        if value is None:
+            raise DataError(
+                f"{origin}: non-numeric outcome value {cell!r} in row {i + 2}"
+            )
+        outcome[i] = value
+    if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
+        bad = outcome[~np.isin(outcome, (0.0, 1.0))][0]
+        raise DataError(f"{origin}: binary outcome value {bad} not in {{0,1}}")
+
+    raw_group = col[schema.group]
+    numeric_group = [_parse_cell(c) for c in raw_group]
+    if all(v is not None and float(v).is_integer() and v >= 0 for v in numeric_group):
+        group = np.array([int(v) for v in numeric_group], dtype=np.int64)
+        present = sorted(set(group.tolist()))
+        remap = {g: i for i, g in enumerate(present)}
+        group_names = tuple(str(g) for g in present)
+        group = np.array([remap[g] for g in group], dtype=np.int64)
+    else:
+        cats = sorted(set(raw_group))
+        remap = {c: i for i, c in enumerate(cats)}
+        group = np.array([remap[c] for c in raw_group], dtype=np.int64)
+        group_names = tuple(cats)
+
+    blocks = []
+    names = []
+    for name in feature_cols:
+        parsed = [_parse_cell(c) for c in col[name]]
+        if all(v is not None for v in parsed):
+            blocks.append(np.asarray(parsed, dtype=np.float64)[:, None])
+            names.append(name)
+        else:
+            cats = sorted(set(col[name]))
+            for cat in cats:
+                indicator = np.fromiter(
+                    (1.0 if c == cat else 0.0 for c in col[name]),
+                    dtype=np.float64,
+                    count=len(rows),
+                )
+                blocks.append(indicator[:, None])
+                names.append(f"{name}={cat}")
+    features = np.hstack(blocks)
+
+    score = None
+    if schema.score is not None:
+        score = np.empty(len(rows))
+        for i, cell in enumerate(col[schema.score]):
+            value = _parse_cell(cell)
+            if value is None:
+                raise DataError(f"{origin}: non-numeric score value {cell!r}")
+            score[i] = value
+
+    return Dataset(
+        features=features,
+        group=group,
+        outcome=outcome,
+        task=schema.task,
+        column_names=tuple(names),
+        group_names=group_names,
+        score=score,
+    )
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["default_chunk", "chunk1", "chunk3"])
+def chunk_rows(request, monkeypatch):
+    """Run a test at the default chunk size and with records transposed one
+    and three at a time, so chunk boundaries fall everywhere."""
+    if request.param is not None:
+        monkeypatch.setattr(data_mod, "_CHUNK_ROWS", request.param)
+
+
+def assert_same_dataset(got, want):
+    """Field-by-field equality, arrays compared by bytes."""
+    for name in ("features", "group", "outcome"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.flags.c_contiguous
+        assert g.tobytes() == w.tobytes()
+    if want.score is None:
+        assert got.score is None
+    else:
+        assert got.score.dtype == want.score.dtype
+        assert got.score.tobytes() == want.score.tobytes()
+    assert got.task is want.task
+    assert got.column_names == want.column_names
+    assert got.group_names == want.group_names
+
+
+def _outcome_of(loader, text, schema):
+    """The loaded Dataset, or the text of the DataError it raised."""
+    try:
+        return loader(text, schema, origin="t.csv")
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def assert_same_load(text, schema=SCHEMA):
+    want = _outcome_of(loop_load_csv_text, text, schema)
+    got = _outcome_of(_load_csv_text, text, schema)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert_same_dataset(got, want)
+
+
+ADULT_LEVELS = {
+    "workclass": ("Private", "Self-emp", "State-gov", "Never-worked"),
+    "occupation": ("Sales", "Tech-support", "Craft-repair", "Armed-Forces",
+                   "Exec-managerial"),
+    "race": ("White", "Black", "Asian-Pac-Islander", "Other"),
+}
+ADULT_SCHEMA = Schema(group="sex", outcome="income", task=Task.BINARY)
+
+
+def adult_text(seed, n=300):
+    rng = np.random.default_rng(seed)
+    columns = {
+        "age": rng.integers(17, 91, n).astype(str),
+        "hours": np.round(rng.normal(40, 12, n), 1).astype(str),
+        "sex": np.where(rng.random(n) < 0.67, "Male", "Female"),
+    }
+    for name, levels in ADULT_LEVELS.items():
+        columns[name] = np.asarray(levels)[rng.integers(0, len(levels), n)]
+    columns["income"] = (rng.random(n) < 0.25).astype(int).astype(str)
+    lines = [",".join(columns)]
+    lines += [",".join(row) for row in zip(*(v.tolist() for v in columns.values()))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_loader_matches_loop_on_adult_shaped_text(seed, chunk_rows):
+    text = adult_text(seed)
+    assert_same_load(text, ADULT_SCHEMA)
+    assert_same_load(text.replace("\n", "\r\n"), ADULT_SCHEMA)
+    # Blank records and padded cells.
+    lines = text.splitlines()
+    lines.insert(3, "")
+    lines.insert(7, "   ")
+    padded = "\n".join(" " + line.replace(",", " ,\t") for line in lines)
+    assert_same_load(padded + "\n\n", ADULT_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # quoted cells with commas and newlines
+        'sex,y,job\nM,1,"a,b"\nF,0,"c\nd"\n"M",1,a\n',
+        # case and non-ASCII categories, code-point order
+        "sex,y,job\nM,1,b\nF,0,B\nF,1,é\nM,0,Z\nF,1,ß\nM,0,a\n",
+        # number-like strings
+        "sex,y,x\nM,1,1_000\nF,0, 1e3 \nF,1,-0\nM,0,.5\n",
+        "sex,y,x\nM,1,1\nF,0,nan\n",
+        "sex,y,x\nM,1,inf\nF,0,1\n",
+        "sex,y,x\nM,1,1e999\nF,0,1\n",
+        # numeric except in its last cell
+        "sex,y,x\nM,1,1\nF,0,2\nF,1,3\nM,0,3.5x\n",
+        # numeric groups with gaps, as floats, negative, fractional
+        "sex,y,x\n5,1,1\n0,0,2\n2,1,3\n5,0,4\n",
+        "sex,y,x\n2.0,1,1\n0e0,0,2\n-0,1,3\n",
+        "sex,y,x\n-1,1,1\n0,0,2\n3,1,3\n",
+        "sex,y,x\n1.5,1,1\n0,0,2\n",
+        "sex,y,x\nnan,1,1\n0,0,2\n",
+        "sex,y,x\ninf,1,1\n0,0,2\n",
+        # CRLF and blank records
+        "sex,y,x\r\nM,1,1\r\n\r\nF,0,2\r\n\r\n",
+        # errors
+        "",
+        "sex,y,x\n",
+        "sex,y,x\n\n  \n",
+        "sex,y,y\nM,1,1\n",
+        "sex,y\nM,1\n",
+        "sex,y,x\nM,1,1\nF,0\n",
+        "sex,y,x\nM,1,1\nF,0,1,2\n",
+        "sex,y,x\nM,1, \nF,0\n",
+        "sex,y,x\nM,1\nF,0,\n",
+        "sex,y,x\nM,1,1\n\nF,,2\n",
+        "sex,y,x\nM,1,1\nF,yes,2\n",
+        "sex,y,x\nM,1,1\n\nF,2,2\n",
+        "sex,y,x\nM,1,1\nF,0.5,2\n",
+    ],
+)
+def test_loader_matches_loop_on_edge_cases(text, chunk_rows):
+    assert_same_load(text)
+
+
+def test_loader_matches_loop_with_ignore_and_score(chunk_rows):
+    schema = Schema(
+        group="g", outcome="y", task=Task.REGRESSION, score="s", ignore=("id", "z")
+    )
+    rng = np.random.default_rng(11)
+    lines = ["id,g,y,x,z,job,s"]
+    for i in range(200):
+        lines.append(
+            f"{i},{rng.integers(0, 4) * 3},{rng.normal():.6f},{rng.random()!r},"
+            f"q{i % 7},{'abc'[rng.integers(0, 3)]},{rng.random():.3f}"
+        )
+    text = "\n".join(lines) + "\n"
+    assert_same_load(text, schema)
+    assert_same_load(text.replace(",0.", ",zero.", 1), schema)
+    assert_same_load(text + "201,3,0.5,0.1,q,a,high\n", schema)
+    assert_same_load(text.replace("id,g,y", "id,g,yy"), schema)
+    assert_same_load(text.replace(",s\n", ",t\n", 1), schema)
+
+
+def test_loader_matches_loop_on_random_cells(chunk_rows):
+    rng = np.random.default_rng(5)
+    pool = ["0", "1", " 1 ", "2", "-3", "0.5", "1e3", "1_0", "nan", "a", "A",
+            "b ", "é", '"x,y"', '"p\nq"']
+    schemas = [
+        SCHEMA,
+        Schema(group="sex", outcome="y", task=Task.REGRESSION),
+        Schema(group="sex", outcome="y", task=Task.REGRESSION, score="s"),
+    ]
+    for trial in range(300):
+        lines = ["sex,y,age,s"]
+        for _ in range(rng.integers(1, 8)):
+            width = 4 if rng.random() < 0.9 else rng.integers(0, 6)
+            cells = [pool[i] for i in rng.integers(0, len(pool), width)]
+            if rng.random() < 0.5:
+                cells[:2] = [str(rng.integers(0, 3)), str(rng.integers(0, 2))][:width]
+            if width and rng.random() < 0.1:
+                cells[rng.integers(0, width)] = " " * rng.integers(0, 2)
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+        for schema in schemas:
+            assert_same_load(text, schema)
+
+
+def test_loader_error_messages(chunk_rows):
+    def error(text, schema=SCHEMA):
+        with pytest.raises(DataError) as info:
+            _load_csv_text(text, schema, origin="m.csv")
+        return str(info.value)
+
+    # Line numbers count CSV records, blank ones included.
+    assert error("sex,y,age\nM,1,30\n\nF,0,\n") == "m.csv:4: missing value"
+    assert error('sex,y,age\n"M\nX",1,30\nF,0,\n') == "m.csv:3: missing value"
+    # The first defective record in file order is the one reported.
+    assert error("sex,y,age\nM,1,\nF,0\n") == "m.csv:2: missing value"
+    assert error("sex,y,age\nM,1\nF,0,\n") == "m.csv:2: expected 3 cells, got 2"
+    assert error("sex,y,age\nM,1,30\nF,yes,25\n") == (
+        "m.csv: non-numeric outcome value 'yes' in row 3"
+    )
+    schema = Schema(group="sex", outcome="y", task=Task.BINARY, score="s")
+    assert error("sex,y,age,s\nM,1,30,0.5\nF,0,25,high\n", schema) == (
+        "m.csv: non-numeric score value 'high'"
+    )
+
+
+def test_numeric_column_follows_python_float():
+    text = "sex,y,x,c\nM,1,1_000,b\nF,0, 1e3 ,B\nF,1,-0,é\nM,0,.5,a\n"
+    d = _load_csv_text(text, SCHEMA)
+    assert d.column_names == ("x", "c=B", "c=a", "c=b", "c=é")
+    assert d.features[:, 0].tolist() == [1000.0, 1000.0, -0.0, 0.5]
+    with pytest.raises(DataError, match="non-finite feature value"):
+        _load_csv_text("sex,y,x\nM,1,nan\nF,0,1\n", SCHEMA)
+
+
+def test_numeric_group_keeps_numeric_order():
+    d = _load_csv_text("sex,y,x\n10,1,1\n0,0,2\n2,1,3\n10,0,4\n", SCHEMA)
+    assert d.group_names == ("0", "2", "10")
+    assert d.group.tolist() == [2, 0, 1, 2]
+    d = _load_csv_text("sex,y,x\n-1,1,1\n0,0,2\n10,1,3\n", SCHEMA)
+    assert d.group_names == ("-1", "0", "10")
+    # Past the int64 range (the per-cell loader raised OverflowError here).
+    d = _load_csv_text("sex,y,x\n1e20,1,1\n0,0,2\n", SCHEMA)
+    assert d.group_names == ("0", "100000000000000000000")
+    assert d.group.tolist() == [1, 0]
+
+
+# ---------------------------------------------------------------------------
+# Dataset.take
+
+
+def _rebuilt(d, idx):
+    return Dataset(
+        features=d.features[idx],
+        group=d.group[idx],
+        outcome=d.outcome[idx],
+        task=d.task,
+        column_names=d.column_names,
+        group_names=d.group_names,
+        score=None if d.score is None else d.score[idx],
+    )
+
+
+def test_take_equals_dataset_built_from_the_same_rows():
+    schema = Schema(group="g", outcome="y", task=Task.BINARY, score="s")
+    text = "g,y,job,s\nb,1,x,0.9\na,0,y,0.2\nc,1,x,0.4\na,0,z,0.7\n"
+    d = _load_csv_text(text, schema)
+    rng = np.random.default_rng(0)
+    for idx in ([2, 0, 1, 3], [3, 3, 0], rng.integers(0, 4, 50), [1]):
+        sub = d.take(np.asarray(idx))
+        assert_same_dataset(sub, _rebuilt(d, idx))
+        # group_names carry over even when a group is absent from the subset.
+        assert sub.group_names == ("a", "b", "c")
+    reg = Dataset(
+        features=np.arange(12.0).reshape(6, 2),
+        group=np.array([0, 1, 0, 1, 0, 1]),
+        outcome=np.linspace(-1.0, 1.0, 6),
+        task=Task.REGRESSION,
+        column_names=("u", "v"),
+    )
+    assert_same_dataset(reg.take([5, 0, 2]), _rebuilt(reg, [5, 0, 2]))
+    assert reg.take([1, 3]).score is None
+
+
+def test_take_rejects_empty_and_non_1d_indices(binary_dataset):
+    with pytest.raises(DataError, match="no rows"):
+        binary_dataset.take(np.array([], dtype=np.int64))
+    with pytest.raises(DataError, match="no rows"):
+        binary_dataset.take([])
+    with pytest.raises(DataError, match="1-D"):
+        binary_dataset.take(np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "permutation, message",
+    [
+        (lambda n: np.zeros(n, dtype=np.int64), "both train and test"),
+        (lambda n: np.arange(n - 1), "lost or repeated rows"),
+    ],
+)
+def test_split_invariants_raise_data_error(
+    monkeypatch, binary_dataset, permutation, message
+):
+    class BrokenRng:
+        def permutation(self, n):
+            return permutation(n)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: BrokenRng())
+    with pytest.raises(DataError, match=message):
+        split(binary_dataset, 0.25, seed=0)

@@ -292,6 +292,77 @@ def test_cli_report_reemission(tmp_path, synth_csv):
     assert (out2 / "meta.csv").exists()
 
 
+def _config_file(tmp_path):
+    """A config file setting threshold=0.9; also a plain file to put --out
+    under."""
+    path = tmp_path / "c.cfg"
+    path.write_text("threshold=0.9\n")
+    return path
+
+
+def test_cli_synth_unwritable_data_path_is_a_data_error(tmp_path, capsys):
+    code = run(["synth", "--seed", 0, "--data", tmp_path / "no_dir" / "d.csv",
+                "--out", tmp_path / "o"])
+    assert code == 3
+    assert "cannot write dataset" in capsys.readouterr().err
+
+
+def test_cli_report_under_a_file_is_a_data_error(tmp_path, capsys):
+    out = _config_file(tmp_path) / "sub"
+    assert run(["synth", "--seed", 0, "--out", out]) == 3
+    assert "cannot write report" in capsys.readouterr().err
+
+
+def test_cli_curve_table_under_a_file_is_a_data_error(tmp_path, synth_csv, capsys):
+    data, schema, _ = synth_csv
+    out = _config_file(tmp_path) / "sub"
+    code = run(
+        ["curves", "--seed", 6, "--data", data, "--schema", schema,
+         "--learner", "tree:max_depth=2", "--grid", "40,80",
+         "--trials", 1, "--out", out]
+    )
+    assert code == 3
+    assert "cannot write curve table" in capsys.readouterr().err
+
+
+def test_cli_report_missing_input_is_a_data_error(tmp_path, capsys):
+    code = run(["report", "--seed", 0, "--data", tmp_path / "nope.json",
+                "--out", tmp_path / "o"])
+    assert code == 3
+    assert "cannot read report" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"results": "\xff"}')
+    assert run(["report", "--seed", 0, "--data", bad, "--out", tmp_path / "o"]) == 3
+    assert "cannot read report" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_dataset_is_a_data_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"g,y,x\n0,1,\xff\n1,0,2\n")
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    code = run(["audit", "--seed", 0, "--data", data, "--schema", schema,
+                "--out", tmp_path / "o"])
+    assert code == 3
+    assert "cannot read dataset" in capsys.readouterr().err
+
+
+def test_cli_rejects_abbreviated_flags(tmp_path):
+    cfg = _config_file(tmp_path)
+    code = run(["synth", "--seed", 0, "--config", cfg, "--thresh", 0.1,
+                "--out", tmp_path / "o"])
+    assert code == 2
+
+
+def test_cli_full_flag_beats_config_file(tmp_path):
+    cfg = _config_file(tmp_path)
+    out = tmp_path / "o"
+    assert run(["synth", "--seed", 0, "--config", cfg, "--threshold", 0.1,
+                "--out", out]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["config"]["threshold"] == 0.1
+
+
 def test_cli_entry_point_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "fairaudit.cli", "--help"],
