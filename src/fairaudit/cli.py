@@ -111,7 +111,7 @@ def _read_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 

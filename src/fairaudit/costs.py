@@ -78,14 +78,7 @@ class GroupCostReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def per_sample_losses(
-    preds: PredictionSet, d: Dataset, kind: CostKind, a: int
-) -> np.ndarray:
-    """Per-sample losses over the subset of group ``a`` relevant to ``kind``.
-
-    The cost is their mean; their unbiased variance feeds the normal
-    approximations of the significance tests.
-    """
+def _check_applies(preds: PredictionSet, d: Dataset, kind: CostKind) -> None:
     if preds.n != d.n:
         raise DataError(
             f"predictions have {preds.n} rows but dataset has {d.n}"
@@ -94,41 +87,67 @@ def per_sample_losses(
         raise AnalysisError(
             f"cost kind {kind.value} requires a {kind.task.value} task"
         )
-    rows = d.group_indices(a)
-    if rows.size == 0:
-        raise AnalysisError(f"group {a} has no rows in the evaluation set")
-    y = d.outcome[rows]
 
+
+def row_losses(
+    preds: PredictionSet, d: Dataset, kind: CostKind, rows=slice(None)
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Each row's loss under ``kind``, for the dataset rows ``rows``.
+
+    Returns (losses, counted, outside): ``counted`` masks the rows the cost
+    counts (None when it counts all; FPR counts Y=0 rows, FNR Y=1 rows) and
+    ``outside`` the rows whose score lies outside [0, 1] (None for a kind
+    that reads no scores).  Raises when ``kind`` does not apply to the
+    predictions and dataset.
+    """
+    _check_applies(preds, d, kind)
+    y = d.outcome[rows]
     if kind is CostKind.MSE:
         pred = (preds.scores if preds.scores is not None else preds.labels)[rows]
-        return (pred - y) ** 2
-
+        return (pred - y) ** 2, None, None
     if kind.needs_scores:
         if preds.scores is None:
             raise AnalysisError(f"cost kind {kind.value} requires scores")
         s = preds.scores[rows]
-        if np.any((s < 0.0) | (s > 1.0)):
-            raise AnalysisError("scores outside [0,1]")
+        outside = (s < 0.0) | (s > 1.0)
         if kind is CostKind.BRIER:
-            return (s - y) ** 2
+            return (s - y) ** 2, None, outside
         # Generalized zero-one: expected zero-one loss of a randomized
         # classifier that accepts with probability s.
-        return y * (1.0 - s) + (1.0 - y) * s
-
+        return y * (1.0 - s) + (1.0 - y) * s, None, outside
     yhat = preds.hard()[rows]
     if kind is CostKind.ZERO_ONE:
-        return (yhat != y).astype(np.float64)
+        return (yhat != y).astype(np.float64), None, None
     if kind is CostKind.FPR:
-        negatives = y == 0.0
-        if not negatives.any():
-            raise AnalysisError(f"group {a} has no Y=0 rows; FPR undefined")
-        return yhat[negatives].astype(np.float64)
+        return yhat.astype(np.float64), y == 0.0, None
     if kind is CostKind.FNR:
-        positives = y == 1.0
-        if not positives.any():
-            raise AnalysisError(f"group {a} has no Y=1 rows; FNR undefined")
-        return (1.0 - yhat[positives]).astype(np.float64)
+        return (1.0 - yhat).astype(np.float64), y == 1.0, None
     raise AnalysisError(f"unhandled cost kind {kind}")
+
+
+def per_sample_losses(
+    preds: PredictionSet, d: Dataset, kind: CostKind, a: int
+) -> np.ndarray:
+    """Per-sample losses over the subset of group ``a`` relevant to ``kind``.
+
+    The cost is their mean; their unbiased variance feeds the normal
+    approximations of the significance tests.
+    """
+    _check_applies(preds, d, kind)
+    rows = d.group_indices(a)
+    if rows.size == 0:
+        raise AnalysisError(f"group {a} has no rows in the evaluation set")
+    losses, counted, outside = row_losses(preds, d, kind, rows)
+    if outside is not None and outside.any():
+        raise AnalysisError("scores outside [0,1]")
+    if counted is None:
+        return losses
+    if not counted.any():
+        label = 0 if kind is CostKind.FPR else 1
+        raise AnalysisError(
+            f"group {a} has no Y={label} rows; {kind.value.upper()} undefined"
+        )
+    return losses[counted]
 
 
 def group_cost(
@@ -181,27 +200,13 @@ def discrimination_level(
 
 def brier_score(scores: np.ndarray, d: Dataset, a: int) -> float:
     """Mean squared difference between score and binary outcome in group a."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if d.task is not Task.BINARY:
-        raise AnalysisError("Brier score requires a binary task")
-    if np.any((scores < 0.0) | (scores > 1.0)):
-        raise AnalysisError("scores outside [0,1]")
-    rows = d.group_indices(a)
-    if rows.size == 0:
-        raise AnalysisError(f"group {a} has no rows")
-    return float(np.mean((scores[rows] - d.outcome[rows]) ** 2))
+    preds = PredictionSet(scores=scores)
+    return float(per_sample_losses(preds, d, CostKind.BRIER, a).mean())
 
 
 def generalized_zero_one(scores: np.ndarray, d: Dataset, a: int) -> float:
     """Expected zero-one cost of score-as-probability randomization."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if d.task is not Task.BINARY:
-        raise AnalysisError("generalized zero-one requires a binary task")
-    if np.any((scores < 0.0) | (scores > 1.0)):
-        raise AnalysisError("scores outside [0,1]")
-    rows = d.group_indices(a)
-    if rows.size == 0:
-        raise AnalysisError(f"group {a} has no rows")
-    y = d.outcome[rows]
-    s = scores[rows]
-    return float(np.mean(y * (1.0 - s) + (1.0 - y) * s))
+    preds = PredictionSet(scores=scores)
+    return float(
+        per_sample_losses(preds, d, CostKind.GENERALIZED_ZERO_ONE, a).mean()
+    )

@@ -51,7 +51,7 @@ class Schema:
                         )
                     key, _, value = line.partition("=")
                     keys[key.strip()] = value.strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read schema file {path}: {exc}") from exc
         for required in ("group", "outcome", "task"):
             if required not in keys:
@@ -108,6 +108,8 @@ class Dataset:
             raise DataError("dataset has no rows")
         if not np.all(np.isfinite(features)):
             raise DataError("non-finite feature value")
+        if not np.all(np.isfinite(outcome)):
+            raise DataError("non-finite outcome value")
         if group.min() < 0:
             raise DataError("negative group index")
         # Row subsets (subsampling, bootstrap) may lose a group entirely;
@@ -123,6 +125,8 @@ class Dataset:
             score = np.ascontiguousarray(self.score, dtype=np.float64)
             if score.shape != (n,):
                 raise DataError("score length does not match feature rows")
+            if not np.all(np.isfinite(score)):
+                raise DataError("non-finite score value")
             object.__setattr__(self, "score", score)
 
     @property
@@ -217,6 +221,18 @@ def _check_missing(columns: list, linenos: list, origin: str) -> None:
         raise DataError(f"{origin}:{linenos[first]}: missing value")
 
 
+def _check_finite(
+    values: np.ndarray, cells: list, linenos: list, origin: str, role: str
+) -> None:
+    """Raise for the first record whose ``role`` value is nan or infinite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = bad[0]
+        raise DataError(
+            f"{origin}:{linenos[i]}: non-finite {role} value {cells[i]!r}"
+        )
+
+
 def load_dataset(path, schema: Schema) -> Dataset:
     """Load a CSV file under a column-role schema.
 
@@ -241,8 +257,9 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     is numeric when Python ``float()`` accepts every cell (so ``1_000``,
     ``1e3``, ``nan`` and ``inf`` are numbers); otherwise its distinct
     values, sorted by code point, become one-hot columns.  The outcome and
-    score must be numeric.  A group column of non-negative integers keeps
-    their numeric order; any other group column is categorical.
+    score must be numeric and finite.  A group column of non-negative
+    integers keeps their numeric order; any other group column is
+    categorical.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -297,6 +314,7 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
         raise DataError(
             f"{origin}: non-numeric outcome value {cells[i]!r} in row {i + 2}"
         )
+    _check_finite(outcome, cells, linenos, origin, "outcome")
     if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
         bad = outcome[~np.isin(outcome, (0.0, 1.0))][0]
         raise DataError(f"{origin}: binary outcome value {bad} not in {{0,1}}")
@@ -338,6 +356,7 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
         if score is None:
             bad = cells[_first_non_numeric(cells)]
             raise DataError(f"{origin}: non-numeric score value {bad!r}")
+        _check_finite(score, cells, linenos, origin, "score")
 
     return Dataset(
         features=features,

@@ -9,6 +9,12 @@ at a time; and neighbours are ranked by a stable sort, so distance ties go
 to the lower row index.  The k-NN kernels take query rows in blocks of at
 most ``_BLOCK_CELLS`` distance cells, so their memory stays flat however
 many rows a group has.
+
+Split search scores only the cuts between distinct values of a feature,
+the only cuts a split can take.  The running sums still run over every
+sorted row and are read at those cuts; a node with no such cut returns
+before any scoring, and a node whose every cut is one (all-distinct
+columns) scores the full arrays without gathering.
 """
 
 from __future__ import annotations
@@ -23,31 +29,52 @@ USE_NUMBA = False
 # once; one block of float64 cells is 256 KiB.
 _BLOCK_CELLS = 1 << 15
 
+# A split search's result when no cut separates the node.
+_NO_SPLIT = (-1, 0.0, np.inf)
+
 
 def _presort(X: np.ndarray, y: np.ndarray):
     """Each feature's values and labels in stable ascending order, as
-    (features, rows) arrays."""
-    order = np.argsort(X.T, axis=1, kind="stable")
-    return np.take_along_axis(X.T, order, axis=1), y[order]
+    (features, rows) arrays, and the cuts between distinct values: their
+    flat indices into the (features, rows - 1) cut grid in feature-major
+    order, or None when every cut separates two distinct values."""
+    n, k = X.shape
+    columns = np.ascontiguousarray(X.T)
+    order = np.argsort(columns, axis=1, kind="stable")
+    xs = columns.ravel()[order + np.arange(0, n * k, n)[:, None]]
+    distinct = xs[:, :-1] != xs[:, 1:]
+    cuts = None if distinct.all() else distinct.ravel().nonzero()[0]
+    return xs, y[order], cuts
 
 
-def _first_best(score: np.ndarray, xs: np.ndarray):
+def _at_cuts(running: np.ndarray, cuts):
+    """The running sums over each feature's sorted rows read at the cuts,
+    and the number of rows left of each cut."""
+    if cuts is None:
+        return running[:, :-1], np.arange(1, running.shape[1])
+    feat, pos = np.divmod(cuts, running.shape[1] - 1)
+    return running.ravel()[cuts + feat], pos + 1
+
+
+def _first_best(score: np.ndarray, xs: np.ndarray, cuts):
     """The cut a feature-major scan keeps when it accepts a cut only if
     ``score < best - 1e-12``: ties go to the lowest feature, then the
-    lowest threshold.  A cut between equal values is never taken.
+    lowest threshold.  ``score`` holds only cuts between distinct values.
 
     Every accepted cut scores below all cuts scanned before it, so only
     those strict running-minimum records are scanned here.
     """
-    score = np.where(xs[:, :-1] == xs[:, 1:], np.inf, score).ravel()
+    score = score.ravel()
     before = np.concatenate(([np.inf], np.fmin.accumulate(score)[:-1]))
-    records = np.flatnonzero(score < before)
+    records = (score < before).nonzero()[0]
     best_at, best = -1, np.inf
     for at, s in zip(records.tolist(), score[records].tolist()):
         if s < best - 1e-12:
             best_at, best = at, s
     if best_at < 0:
-        return -1, 0.0, np.inf
+        return _NO_SPLIT
+    if cuts is not None:
+        best_at = int(cuts[best_at])
     feat, pos = divmod(best_at, xs.shape[1] - 1)
     return feat, 0.5 * (xs[feat, pos] + xs[feat, pos + 1]), best
 
@@ -61,16 +88,17 @@ def best_split_gini(X, y):
     """
     n = X.shape[0]
     if n < 2:
-        return -1, 0.0, np.inf
-    xs, ys = _presort(X, y)
-    total_pos = np.cumsum(y)[-1]
-    left_pos = np.cumsum(ys, axis=1)[:, :-1]
-    n_l = np.arange(1, n)
+        return _NO_SPLIT
+    xs, ys, cuts = _presort(X, y)
+    if cuts is not None and cuts.size == 0:
+        return _NO_SPLIT
+    total_pos = y.cumsum()[-1]
+    left_pos, n_l = _at_cuts(ys.cumsum(axis=1), cuts)
     n_r = n - n_l
     p_l = left_pos / n_l
     p_r = (total_pos - left_pos) / n_r
     score = n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)
-    return _first_best(score, xs)
+    return _first_best(score, xs, cuts)
 
 
 def best_split_var(X, y):
@@ -80,20 +108,21 @@ def best_split_var(X, y):
     """
     n = X.shape[0]
     if n < 2:
-        return -1, 0.0, np.inf
-    xs, ys = _presort(X, y)
-    total_sum = np.cumsum(y)[-1]
-    total_sq = np.cumsum(y * y)[-1]
-    left_sum = np.cumsum(ys, axis=1)[:, :-1]
-    left_sq = np.cumsum(ys * ys, axis=1)[:, :-1]
-    n_l = np.arange(1, n)
+        return _NO_SPLIT
+    xs, ys, cuts = _presort(X, y)
+    if cuts is not None and cuts.size == 0:
+        return _NO_SPLIT
+    total_sum = y.cumsum()[-1]
+    total_sq = (y * y).cumsum()[-1]
+    left_sum, n_l = _at_cuts(ys.cumsum(axis=1), cuts)
+    left_sq, _ = _at_cuts((ys * ys).cumsum(axis=1), cuts)
     n_r = n - n_l
     right_sum = total_sum - left_sum
     right_sq = total_sq - left_sq
     score = (left_sq - left_sum * left_sum / n_l) + (
         right_sq - right_sum * right_sum / n_r
     )
-    return _first_best(score, xs)
+    return _first_best(score, xs, cuts)
 
 
 def _blocks(n_rows: int, n_cols: int):

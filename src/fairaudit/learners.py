@@ -225,37 +225,36 @@ def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
     )
 
 
-def _leaf_value(y: np.ndarray) -> float:
-    return float(y.mean())
-
-
 def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def build(rows: np.ndarray, depth: int) -> int:
+    def build(Xn: np.ndarray, yn: np.ndarray, depth: int) -> int:
+        # Xn, yn are this node's rows, sliced once from the parent's.
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(_leaf_value(y[rows]))
-        ys = y[rows]
-        if depth >= max_depth or rows.size < 2 or np.all(ys == ys[0]):
+        value.append(float(yn.sum() / yn.size))  # bit-equal to yn.mean()
+        if depth >= max_depth or yn.size < 2 or (yn == yn[0]).all():
             return node
+        # Looked up on the module at each node, so a wrapper installed on
+        # ``kernels`` sees every call.
         if task is Task.BINARY:
-            feat, thresh, _ = kernels.best_split_gini(X[rows], ys)
+            feat, thresh, _ = kernels.best_split_gini(Xn, yn)
         else:
-            feat, thresh, _ = kernels.best_split_var(X[rows], ys)
+            feat, thresh, _ = kernels.best_split_var(Xn, yn)
         if feat < 0:
             return node
-        go_right = X[rows, feat] >= thresh
+        go_right = Xn[:, feat] >= thresh
+        go_left = ~go_right
         feature[node] = int(feat)
         threshold[node] = float(thresh)
-        left[node] = build(rows[~go_right], depth + 1)
-        right[node] = build(rows[go_right], depth + 1)
+        left[node] = build(Xn[go_left], yn[go_left], depth + 1)
+        right[node] = build(Xn[go_right], yn[go_right], depth + 1)
         return node
 
-    build(np.arange(X.shape[0]), 0)
+    build(X, y, 0)
     return TreeModel(
         kind=LearnerKind.TREE,
         task=task,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostKind, PredictionSet, per_sample_losses
+from .costs import CostKind, PredictionSet, per_sample_losses, row_losses
 from .data import Dataset
 from .errors import AnalysisError, DataError
 
@@ -271,22 +271,34 @@ def bootstrap_gamma_ci(
     if reps < 100:
         raise AnalysisError("reps must be >= 100")
     rng = np.random.default_rng(seed)
-    groups = sorted(set(d.group.tolist()))
+    # Per group: the rows its cost counts, and for a score kind the rows
+    # whose out-of-range score leaves it undefined.  A replicate's cost is
+    # the mean loss of its counted draws in draw order: the same values, in
+    # the same order, as per_sample_losses gives on the resampled rows.
+    cells = []
+    try:
+        losses, counted, outside = row_losses(preds, d, kind)
+    except AnalysisError:
+        pass  # the cost is undefined for every group in every replicate
+    else:
+        for a in sorted(set(d.group.tolist())):
+            member = d.group == a
+            cells.append((
+                member if counted is None else member & counted,
+                None if outside is None else member & outside,
+            ))
     gammas = []
     skipped = 0
     for _ in range(reps):
         idx = rng.integers(0, d.n, size=d.n)
-        db = d.take(idx)
-        pb = PredictionSet(
-            scores=None if preds.scores is None else preds.scores[idx],
-            labels=None if preds.labels is None else preds.labels[idx],
-        )
         costs = []
-        for a in groups:
-            try:
-                costs.append(per_sample_losses(pb, db, kind, a).mean())
-            except AnalysisError:
+        for counted_a, outside_a in cells:
+            drawn = idx[counted_a[idx]]
+            if drawn.size == 0:
                 continue
+            if outside_a is not None and outside_a[idx].any():
+                continue
+            costs.append(losses[drawn].mean())
         if len(costs) < 2:
             skipped += 1
             continue

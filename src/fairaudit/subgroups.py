@@ -127,13 +127,7 @@ def cluster_cost(
     """Cost of kind restricted to rows in group a and hard cluster c."""
     if cl.kind is not ClusteringKind.HARD:
         raise AnalysisError("cluster_cost requires a hard clustering")
-    if cl.n != d.n:
-        raise DataError("clustering not aligned with dataset")
-    rows = np.flatnonzero((cl.assignment == c) & (d.group == a))
-    if rows.size == 0:
-        raise AnalysisError(f"cluster {c} x group {a} cell is empty")
-    sub, sub_preds = _restrict(d, preds, rows)
-    return float(per_sample_losses(sub_preds, sub, kind, a).mean())
+    return _cell_cost_and_mass(preds, d, cl, kind, a, c)[0]
 
 
 def weighted_group_error(
@@ -147,15 +141,7 @@ def weighted_group_error(
     sum_i 1[y_i != yhat_i] 1[a_i = a] q_ic / sum_i 1[a_i = a] q_ic."""
     if cl.kind is not ClusteringKind.SOFT:
         raise AnalysisError("weighted_group_error requires a soft clustering")
-    if cl.n != d.n:
-        raise DataError("clustering not aligned with dataset")
-    q = cl.membership[:, c]
-    in_group = (d.group == a).astype(np.float64)
-    denom = float((in_group * q).sum())
-    if denom <= 0.0:
-        raise AnalysisError(f"zero membership mass for group {a}, cluster {c}")
-    errors = (preds.hard() != d.outcome).astype(np.float64)
-    return float((errors * in_group * q).sum() / denom)
+    return _cell_cost_and_mass(preds, d, cl, CostKind.ZERO_ONE, a, c)[0]
 
 
 def outcome_enrichment(d: Dataset, cl: Clustering, c: int) -> float:
@@ -171,25 +157,24 @@ def outcome_enrichment(d: Dataset, cl: Clustering, c: int) -> float:
 
 
 def _cell_cost_and_mass(preds, d, cl, kind, a, c):
+    """Cost of ``kind`` over the rows of group ``a`` in cluster ``c``, and
+    the cell's mass: its row count, or for a soft clustering its membership
+    weight.  A soft cell's cost is always the zero-one kind's; callers check
+    ``kind``.  Raises AnalysisError when the cost is undefined."""
+    if cl.n != d.n:
+        raise DataError("clustering not aligned with dataset")
     if cl.kind is ClusteringKind.HARD:
         rows = np.flatnonzero((cl.assignment == c) & (d.group == a))
         if rows.size == 0:
-            return None, 0.0
+            raise AnalysisError(f"cluster {c} x group {a} cell is empty")
         sub, sub_preds = _restrict(d, preds, rows)
-        try:
-            cost = float(per_sample_losses(sub_preds, sub, kind, a).mean())
-        except AnalysisError:
-            return None, float(rows.size)
+        cost = float(per_sample_losses(sub_preds, sub, kind, a).mean())
         return cost, float(rows.size)
     q = cl.membership[:, c]
     in_group = (d.group == a).astype(np.float64)
     mass = float((in_group * q).sum())
     if mass <= 0.0:
-        return None, 0.0
-    if kind is not CostKind.ZERO_ONE:
-        raise AnalysisError(
-            "soft clusterings support the zero-one kind only"
-        )
+        raise AnalysisError(f"zero membership mass for group {a}, cluster {c}")
     errors = (preds.hard() != d.outcome).astype(np.float64)
     return float((errors * in_group * q).sum() / mass), mass
 
@@ -209,16 +194,20 @@ def rank_clusters(
     unreliable = []
     warnings = []
     usable = []
+    if cl.kind is ClusteringKind.SOFT and kind is not CostKind.ZERO_ONE:
+        raise AnalysisError("soft clusterings support the zero-one kind only")
     for c in range(cl.n_clusters):
         cell_costs = []
         for a in groups:
-            cost, mass = _cell_cost_and_mass(preds, d, cl, kind, a, c)
-            if cost is not None:
-                costs[(c, a)] = cost
-                masses[(c, a)] = mass
-                cell_costs.append(cost)
-                if mass < min_cell_mass:
-                    unreliable.append((c, a))
+            try:
+                cost, mass = _cell_cost_and_mass(preds, d, cl, kind, a, c)
+            except AnalysisError:
+                continue
+            costs[(c, a)] = cost
+            masses[(c, a)] = mass
+            cell_costs.append(cost)
+            if mass < min_cell_mass:
+                unreliable.append((c, a))
         if not cell_costs:
             warnings.append(f"cluster {c} dropped: no computable cells")
             continue

@@ -12,6 +12,7 @@ from fairaudit import (
     per_sample_losses,
 )
 from fairaudit.costs import brier_score, generalized_zero_one
+from fairaudit.errors import DataError
 
 
 def small_binary():
@@ -131,3 +132,105 @@ def test_gap_is_max_minus_min():
 def test_hard_threshold_convention():
     preds = PredictionSet(scores=np.array([0.5, 0.49]))
     np.testing.assert_array_equal(preds.hard(0.5), [1.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the per-kind branches that `row_losses` now holds
+# once, and the stand-alone Brier and generalized zero-one formulas that
+# became wrappers over `per_sample_losses`.
+
+
+def loop_per_sample_losses(preds, d, kind, a):
+    if preds.n != d.n:
+        raise DataError(f"predictions have {preds.n} rows but dataset has {d.n}")
+    if kind.task is not d.task:
+        raise AnalysisError(
+            f"cost kind {kind.value} requires a {kind.task.value} task"
+        )
+    rows = d.group_indices(a)
+    if rows.size == 0:
+        raise AnalysisError(f"group {a} has no rows in the evaluation set")
+    y = d.outcome[rows]
+    if kind is CostKind.MSE:
+        pred = (preds.scores if preds.scores is not None else preds.labels)[rows]
+        return (pred - y) ** 2
+    if kind.needs_scores:
+        if preds.scores is None:
+            raise AnalysisError(f"cost kind {kind.value} requires scores")
+        s = preds.scores[rows]
+        if np.any((s < 0.0) | (s > 1.0)):
+            raise AnalysisError("scores outside [0,1]")
+        if kind is CostKind.BRIER:
+            return (s - y) ** 2
+        return y * (1.0 - s) + (1.0 - y) * s
+    yhat = preds.hard()[rows]
+    if kind is CostKind.ZERO_ONE:
+        return (yhat != y).astype(np.float64)
+    if kind is CostKind.FPR:
+        negatives = y == 0.0
+        if not negatives.any():
+            raise AnalysisError(f"group {a} has no Y=0 rows; FPR undefined")
+        return yhat[negatives].astype(np.float64)
+    positives = y == 1.0
+    if not positives.any():
+        raise AnalysisError(f"group {a} has no Y=1 rows; FNR undefined")
+    return (1.0 - yhat[positives]).astype(np.float64)
+
+
+def _losses_or_error(fn, *args):
+    try:
+        return [v.hex() for v in fn(*args).tolist()]
+    except (AnalysisError, DataError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _cost_case(rng, n, task, n_groups=3):
+    group = rng.integers(0, n_groups, size=n)
+    if task is Task.BINARY:
+        y = (rng.random(n) < rng.random()).astype(float)
+    else:
+        y = np.round(rng.normal(size=n), 2)
+    return Dataset(
+        features=np.zeros((n, 1)), group=group, outcome=y, task=task,
+        column_names=("x",),
+    )
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_per_sample_losses_match_loop(kind):
+    rng = np.random.default_rng(60 + list(CostKind).index(kind))
+    for trial in range(40):
+        n = int(rng.integers(1, 12))
+        task = Task.BINARY if trial % 4 else Task.REGRESSION
+        d = _cost_case(rng, n, task)
+        scores = np.round(rng.uniform(-0.1, 1.1, size=n), 2)
+        labels = (rng.random(n) < 0.5).astype(float)
+        for preds in (
+            PredictionSet(scores=scores),
+            PredictionSet(labels=labels),
+            PredictionSet(scores=scores, labels=labels),
+            PredictionSet(scores=np.clip(scores, 0.0, 1.0)),
+            PredictionSet(scores=np.append(scores, 0.5)),  # misaligned
+        ):
+            for a in range(4):
+                assert _losses_or_error(per_sample_losses, preds, d, kind, a) == (
+                    _losses_or_error(loop_per_sample_losses, preds, d, kind, a)
+                )
+
+
+def test_brier_and_generalized_zero_one_match_formulas():
+    rng = np.random.default_rng(70)
+    for _ in range(30):
+        d = _cost_case(rng, int(rng.integers(2, 40)), Task.BINARY, n_groups=2)
+        s = np.round(rng.random(d.n), 3)
+        for a in range(2):
+            rows = d.group_indices(a)
+            if rows.size == 0:
+                continue
+            y = d.outcome[rows]
+            assert brier_score(s, d, a).hex() == float(
+                np.mean((s[rows] - y) ** 2)
+            ).hex()
+            assert generalized_zero_one(s, d, a).hex() == float(
+                np.mean(y * (1.0 - s[rows]) + (1.0 - y) * s[rows])
+            ).hex()

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -153,9 +154,10 @@ def test_dataset_validation():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the per-cell loader that `_load_csv_text` replaced.  The
-# columnar loader must reproduce its arrays byte for byte and its errors
-# word for word.
+# Reference oracle: the per-cell loader that `_load_csv_text` replaced, plus
+# the later rule that outcome and score values be finite.  The columnar
+# loader must reproduce its arrays byte for byte and its errors word for
+# word.
 
 
 def _parse_cell(text):
@@ -185,6 +187,7 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
         raise DataError(f"{origin}: no feature columns left under schema")
 
     rows = []
+    linenos = []
     for lineno, row in enumerate(reader, 2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -196,6 +199,7 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
         if any(c == "" for c in cells):
             raise DataError(f"{origin}:{lineno}: missing value")
         rows.append(cells)
+        linenos.append(lineno)
     if not rows:
         raise DataError(f"{origin}: no data rows")
 
@@ -209,6 +213,11 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
                 f"{origin}: non-numeric outcome value {cell!r} in row {i + 2}"
             )
         outcome[i] = value
+    for i, cell in enumerate(col[schema.outcome]):
+        if not math.isfinite(outcome[i]):
+            raise DataError(
+                f"{origin}:{linenos[i]}: non-finite outcome value {cell!r}"
+            )
     if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
         bad = outcome[~np.isin(outcome, (0.0, 1.0))][0]
         raise DataError(f"{origin}: binary outcome value {bad} not in {{0,1}}")
@@ -254,6 +263,11 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
             if value is None:
                 raise DataError(f"{origin}: non-numeric score value {cell!r}")
             score[i] = value
+        for i, cell in enumerate(col[schema.score]):
+            if not math.isfinite(score[i]):
+                raise DataError(
+                    f"{origin}:{linenos[i]}: non-finite score value {cell!r}"
+                )
 
     return Dataset(
         features=features,
@@ -451,6 +465,47 @@ def test_loader_error_messages(chunk_rows):
     assert error("sex,y,age,s\nM,1,30,0.5\nF,0,25,high\n", schema) == (
         "m.csv: non-numeric score value 'high'"
     )
+
+
+def test_non_finite_outcome_and_score_rejected_with_line_numbers(chunk_rows):
+    regression = Schema(group="sex", outcome="y", task=Task.REGRESSION, score="s")
+
+    def error(text, schema=regression):
+        with pytest.raises(DataError) as info:
+            _load_csv_text(text, schema, origin="m.csv")
+        return str(info.value)
+
+    assert error("sex,y,age,s\nM,1,30,0.5\n\nF,nan,25,0.5\n") == (
+        "m.csv:4: non-finite outcome value 'nan'"
+    )
+    assert error("sex,y,age,s\nM,-inf,30,0.5\nF,inf,25,0.5\n") == (
+        "m.csv:2: non-finite outcome value '-inf'"
+    )
+    assert error("sex,y,age,s\nM,1,30,0.5\nF,2,25, inf \n") == (
+        "m.csv:3: non-finite score value 'inf'"
+    )
+    # A non-numeric cell is still reported before a non-finite one.
+    assert error("sex,y,age,s\nM,nan,30,0.5\nF,x,25,0.5\n") == (
+        "m.csv: non-numeric outcome value 'x' in row 3"
+    )
+    # For a binary task the non-finite test comes first, with the line.
+    assert error("sex,y,age\nM,1,30\nF,nan,25\n", SCHEMA) == (
+        "m.csv:3: non-finite outcome value 'nan'"
+    )
+
+
+def test_dataset_rejects_non_finite_outcome_and_score():
+    for outcome, score in (([1.0, np.nan], None), ([1.0, np.inf], None),
+                           ([1.0, 2.0], [0.5, np.nan]), ([1.0, 2.0], [-np.inf, 0.5])):
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(
+                features=np.zeros((2, 1)),
+                group=np.array([0, 1]),
+                outcome=np.array(outcome),
+                task=Task.REGRESSION,
+                column_names=("x",),
+                score=None if score is None else np.array(score),
+            )
 
 
 def test_numeric_column_follows_python_float():

@@ -331,3 +331,78 @@ def test_knn_loo_fold_errors_match_loop(style, block_cells):
         assert _hex(kernels.knn_loo_fold_errors(X, y, fold, k, n_folds)) == _hex(
             loop_knn_loo_fold_errors(X, y, fold, k, n_folds)
         )
+
+
+# ---------------------------------------------------------------------------
+# Only the cuts between distinct values are scored: nodes with no such cut,
+# one such cut, signed zeros, and the all-distinct case where every cut is.
+
+
+def _assert_both_kernels_match(X, labels, values):
+    assert _split_hex(kernels.best_split_gini(X, labels)) == _split_hex(
+        loop_best_split_gini(X, labels)
+    )
+    assert _split_hex(kernels.best_split_var(X, values)) == _split_hex(
+        loop_best_split_var(X, values)
+    )
+
+
+def test_split_node_with_every_feature_constant():
+    rng = np.random.default_rng(50)
+    for n, dim in ((2, 1), (5, 3), (300, 10)):
+        X = np.tile(rng.normal(size=dim), (n, 1))
+        labels = (np.arange(n) % 2).astype(np.float64)
+        values = rng.normal(size=n)
+        assert kernels.best_split_gini(X, labels)[0] == -1
+        assert kernels.best_split_var(X, values)[0] == -1
+        _assert_both_kernels_match(X, labels, values)
+    # Signed zeros compare equal, so a column of 0.0 and -0.0 has no cut.
+    X = np.array([[0.0], [-0.0], [0.0], [-0.0]])
+    _assert_both_kernels_match(X, np.array([0.0, 1.0, 0.0, 1.0]), rng.normal(size=4))
+    assert kernels.best_split_gini(X, np.array([0.0, 1.0, 0.0, 1.0]))[0] == -1
+
+
+def test_split_node_with_exactly_one_valid_cut():
+    rng = np.random.default_rng(51)
+    for n, dim, feat in ((2, 1, 0), (9, 4, 2), (200, 10, 9)):
+        X = np.tile(rng.normal(size=dim), (n, 1))
+        side = rng.permutation(n) < max(1, n // 3)
+        X[side, feat] += 1.5
+        labels = (rng.random(n) < 0.5).astype(np.float64)
+        labels[0], labels[1] = 0.0, 1.0  # not pure
+        values = np.round(rng.normal(size=n), 2)
+        result = kernels.best_split_gini(X, labels)
+        assert result[0] == feat
+        _assert_both_kernels_match(X, labels, values)
+
+
+def test_split_signed_zero_runs_next_to_other_values():
+    rng = np.random.default_rng(52)
+    cells = np.array([-0.0, 0.0, -1.0, 1.0, 0.5, -0.5])
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        X = cells[rng.integers(0, cells.size, size=(n, int(rng.integers(1, 5))))]
+        # Runs: sort a random block of rows so equal values sit together.
+        X[: n // 2] = np.sort(X[: n // 2], axis=0)
+        labels = (rng.random(n) < 0.5).astype(np.float64)
+        values = np.round(rng.normal(size=n), 1)
+        _assert_both_kernels_match(X, labels, values)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 1), (3, 2), (50, 3), (800, 10)])
+def test_split_all_distinct_normal_columns(n, dim):
+    rng = np.random.default_rng(53 + n)
+    X = rng.normal(size=(n, dim))
+    assert all(np.unique(X[:, j]).size == n for j in range(dim))
+    labels = (rng.random(n) < 0.4).astype(np.float64)
+    values = rng.normal(size=n)
+    _assert_both_kernels_match(X, labels, values)
+
+
+def test_split_onehot_node_800_by_10():
+    rng = np.random.default_rng(54)
+    X = rng.integers(0, 2, size=(800, 10)).astype(np.float64)
+    X[:, 3] = 1.0  # one constant column among them
+    labels = ((X[:, 0] + X[:, 5] + rng.random(800)) > 1.4).astype(np.float64)
+    values = np.round(X[:, 5] * 2.0 + rng.normal(size=800), 2)
+    _assert_both_kernels_match(X, labels, values)

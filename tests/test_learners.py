@@ -167,3 +167,104 @@ def test_binary_scores_outside_unit_interval_raise():
     assert model.predict_scores(np.array([[0.25]]))[0] == 0.5
     with pytest.raises(AnalysisError, match=r"\[0, 1\]"):
         model.predict_scores(np.array([[1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the tree grower that indexed X[rows] and y[rows] anew
+# for each use at a node.  The grower that slices each node once must build
+# the same node arrays byte for byte.
+
+
+def loop_grow_tree(X, y, task, max_depth):
+    from fairaudit import kernels
+
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(rows, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[rows].mean()))
+        ys = y[rows]
+        if depth >= max_depth or rows.size < 2 or np.all(ys == ys[0]):
+            return node
+        if task is Task.BINARY:
+            feat, thresh, _ = kernels.best_split_gini(X[rows], ys)
+        else:
+            feat, thresh, _ = kernels.best_split_var(X[rows], ys)
+        if feat < 0:
+            return node
+        go_right = X[rows, feat] >= thresh
+        feature[node] = int(feat)
+        threshold[node] = float(thresh)
+        left[node] = build(rows[~go_right], depth + 1)
+        right[node] = build(rows[go_right], depth + 1)
+        return node
+
+    build(np.arange(X.shape[0]), 0)
+    return (
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(value),
+    )
+
+
+def _tree_arrays(model):
+    return tuple(
+        getattr(model, name).tobytes()
+        for name in ("node_feature", "node_threshold", "node_left",
+                     "node_right", "node_value")
+    )
+
+
+@pytest.mark.parametrize("max_depth", [1, 3, 8])
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+def test_grow_tree_matches_reference(task, max_depth):
+    from fairaudit.learners import _grow_tree
+
+    rng = np.random.default_rng(80 + max_depth)
+    for trial in range(6):
+        n = int(rng.integers(2, 400))
+        style = trial % 3
+        if style == 0:  # tied one-hot columns
+            X = rng.integers(0, 2, size=(n, 6)).astype(np.float64)
+        elif style == 1:  # rounded normals: ties and signed zeros
+            X = np.round(rng.normal(size=(n, 4)), 1)
+        else:  # all-distinct columns
+            X = rng.normal(size=(n, 3))
+        signal = X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 0.5, n)
+        if task is Task.BINARY:
+            y = (signal > 0.4).astype(np.float64)
+        else:
+            y = np.round(signal, 2)
+        got = _tree_arrays(_grow_tree(X, y, task, max_depth))
+        want = tuple(a.tobytes() for a in loop_grow_tree(X, y, task, max_depth))
+        assert got == want
+
+
+def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
+    # The grower looks the kernel up on the module at every node, so a
+    # wrapper installed there sees each call, as many as the reference makes.
+    from fairaudit import kernels
+    from fairaudit.learners import _grow_tree
+
+    calls = []
+    real = kernels.best_split_gini
+
+    def counting(X, y):
+        calls.append(X.shape)
+        return real(X, y)
+
+    monkeypatch.setattr(kernels, "best_split_gini", counting)
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 2, size=(200, 5)).astype(np.float64)
+    y = ((X[:, 0] + X[:, 1] + 2.0 * rng.random(200)) > 1.5).astype(np.float64)
+    _grow_tree(X, y, Task.BINARY, 4)
+    got = list(calls)
+    calls.clear()
+    loop_grow_tree(X, y, Task.BINARY, 4)
+    assert len(got) > 1 and got == calls

@@ -371,3 +371,50 @@ def test_cli_entry_point_installed():
     )
     assert proc.returncode == 0
     assert "audit" in proc.stdout
+
+
+def test_cli_non_utf8_schema_is_a_config_error(tmp_path, synth_csv, capsys):
+    data, _, _ = synth_csv
+    schema = tmp_path / "s.txt"
+    schema.write_bytes(b"group=group\noutcome=outcome\ntask=binary\n# \xff\n")
+    code = run(["audit", "--seed", 0, "--data", data, "--schema", schema,
+                "--out", tmp_path / "o"])
+    assert code == 2
+    assert "cannot read schema file" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_bytes(b"threshold=0.9\n# \xff\n")
+    code = run(["synth", "--seed", 0, "--config", cfg, "--out", tmp_path / "o"])
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+def _regression_csv(tmp_path, outcome_cell, score_cell):
+    data = tmp_path / "r.csv"
+    data.write_text(
+        "g,y,x,s\n0,1.5,1,0.5\n1,0.5,2,0.5\n\n"
+        f"0,{outcome_cell},3,{score_cell}\n1,2.0,4,0.5\n0,1.0,5,0.5\n1,0.0,6,0.5\n"
+    )
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=regression\nscore=s\n")
+    return data, schema
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cli_non_finite_outcome_is_a_data_error(tmp_path, capsys, cell):
+    data, schema = _regression_csv(tmp_path, cell, "0.5")
+    code = run(["audit", "--seed", 0, "--data", data, "--schema", schema,
+                "--learner", "ridge", "--kind", "mse", "--out", tmp_path / "o"])
+    assert code == 3
+    # Line 5: the blank record counts.
+    assert f"r.csv:5: non-finite outcome value '{cell}'" in capsys.readouterr().err
+
+
+def test_cli_non_finite_score_is_a_data_error(tmp_path, capsys):
+    data, schema = _regression_csv(tmp_path, "1.0", "nan")
+    code = run(["audit", "--seed", 0, "--data", data, "--schema", schema,
+                "--learner", "ridge", "--kind", "mse", "--out", tmp_path / "o"])
+    assert code == 3
+    assert "r.csv:5: non-finite score value 'nan'" in capsys.readouterr().err

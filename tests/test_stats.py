@@ -14,6 +14,7 @@ from fairaudit import (
     pairwise_welch_holm,
     welch_t,
 )
+from fairaudit.costs import per_sample_losses
 from fairaudit.errors import AnalysisError
 from fairaudit.stats import (
     f_sf,
@@ -235,3 +236,129 @@ def test_result_rejects_reject_flag_contradicting_p_value():
     with pytest.raises(AnalysisError, match="contradicts"):
         TestResult(name="t", statistic=0.0, p_value=0.01, level=0.05,
                    reject=False)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the bootstrap loop that built a resampled Dataset and
+# PredictionSet per replicate.  `bootstrap_gamma_ci` must give the same
+# interval bit for bit and skip the same replicates.
+
+
+def loop_bootstrap_gamma_ci(preds, d, kind, reps=1000, level=0.05, seed=0):
+    if reps < 100:
+        raise AnalysisError("reps must be >= 100")
+    rng = np.random.default_rng(seed)
+    groups = sorted(set(d.group.tolist()))
+    gammas = []
+    skipped = 0
+    for _ in range(reps):
+        idx = rng.integers(0, d.n, size=d.n)
+        db = d.take(idx)
+        pb = PredictionSet(
+            scores=None if preds.scores is None else preds.scores[idx],
+            labels=None if preds.labels is None else preds.labels[idx],
+        )
+        costs = []
+        for a in groups:
+            try:
+                costs.append(per_sample_losses(pb, db, kind, a).mean())
+            except AnalysisError:
+                continue
+        if len(costs) < 2:
+            skipped += 1
+            continue
+        gammas.append(max(costs) - min(costs))
+    if skipped > 0.1 * reps:
+        raise AnalysisError(
+            f"{skipped}/{reps} bootstrap replicates lacked 2 evaluable groups"
+        )
+    lo = float(np.percentile(gammas, 100.0 * level / 2.0))
+    hi = float(np.percentile(gammas, 100.0 * (1.0 - level / 2.0)))
+    return lo, hi
+
+
+def _ci_or_error(fn, *args, **kwargs):
+    try:
+        lo, hi = fn(*args, **kwargs)
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+    return lo.hex(), hi.hex()
+
+
+def _bootstrap_case(seed, sizes, task=Task.BINARY, with_labels=True):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    if task is Task.BINARY:
+        y = (rng.random(n) < 0.4).astype(float)
+        scores = np.round(rng.random(n), 2)
+    else:
+        y = np.round(rng.normal(size=n), 2)
+        scores = np.round(y + rng.normal(size=n), 2)
+    d = Dataset(
+        features=rng.normal(size=(n, 1)), group=group, outcome=y, task=task,
+        column_names=("x",),
+    )
+    labels = None
+    if with_labels and task is Task.BINARY:
+        labels = (rng.random(n) < 0.5).astype(float)
+    return d, PredictionSet(scores=scores, labels=labels)
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+@pytest.mark.parametrize("sizes", [(60, 90), (50, 40, 70), (80, 3, 70)],
+                         ids=["2groups", "3groups", "tiny_group"])
+def test_bootstrap_matches_loop(kind, sizes):
+    task = kind.task
+    for seed, level in ((0, 0.05), (1, 0.2)):
+        for with_labels in (True, False):
+            d, preds = _bootstrap_case(seed, sizes, task, with_labels)
+            args = (preds, d, kind)
+            kw = dict(reps=200, level=level, seed=seed)
+            assert _ci_or_error(bootstrap_gamma_ci, *args, **kw) == (
+                _ci_or_error(loop_bootstrap_gamma_ci, *args, **kw)
+            )
+
+
+def test_bootstrap_tiny_group_vanishes_from_some_replicates():
+    # A 3-row group in 153 rows is missing from about 5% of replicates;
+    # with two other groups those replicates still count.
+    d, preds = _bootstrap_case(1, (80, 3, 70))
+    rng = np.random.default_rng(0)
+    missing = sum(
+        not np.isin(1, d.group[rng.integers(0, d.n, size=d.n)])
+        for _ in range(200)
+    )
+    assert missing > 0
+    got = bootstrap_gamma_ci(preds, d, CostKind.FPR, reps=200, seed=0)
+    assert got == loop_bootstrap_gamma_ci(preds, d, CostKind.FPR, reps=200, seed=0)
+
+
+def test_bootstrap_out_of_range_score_voids_its_group_per_replicate():
+    # One score above 1 in group 1 leaves that group's cost undefined in
+    # exactly the replicates that draw it; the other two groups carry on.
+    d, preds = _bootstrap_case(2, (50, 40, 70), with_labels=False)
+    scores = preds.scores.copy()
+    scores[60] = 1.5
+    preds = PredictionSet(scores=scores)
+    for kind in (CostKind.BRIER, CostKind.GENERALIZED_ZERO_ONE):
+        got = bootstrap_gamma_ci(preds, d, kind, reps=300, seed=4)
+        assert got == loop_bootstrap_gamma_ci(preds, d, kind, reps=300, seed=4)
+
+
+@pytest.mark.parametrize("case", ["tiny_second_group", "wrong_task", "no_scores"])
+def test_bootstrap_skip_error_matches_loop(case):
+    if case == "tiny_second_group":
+        # The 1-row group is drawn in only ~63% of replicates.
+        d, preds = _bootstrap_case(3, (120, 1))
+        kind = CostKind.ZERO_ONE
+    elif case == "wrong_task":
+        d, preds = _bootstrap_case(3, (60, 60))
+        kind = CostKind.MSE
+    else:
+        d, preds = _bootstrap_case(3, (60, 60))
+        preds = PredictionSet(labels=preds.labels)
+        kind = CostKind.BRIER
+    want = _ci_or_error(loop_bootstrap_gamma_ci, preds, d, kind, reps=200, seed=1)
+    assert want.startswith("AnalysisError:") and "lacked 2 evaluable" in want
+    assert _ci_or_error(bootstrap_gamma_ci, preds, d, kind, reps=200, seed=1) == want

@@ -13,6 +13,7 @@ from fairaudit import (
     weighted_group_error,
 )
 from fairaudit.errors import AnalysisError, DataError
+from fairaudit.costs import per_sample_losses
 from fairaudit.subgroups import cluster_cost, load_membership, outcome_enrichment
 
 
@@ -193,3 +194,74 @@ def test_load_membership_roundtrip(tmp_path):
     assert cl.descriptors == ("t0", "t1")
     with pytest.raises(DataError, match="rows"):
         load_membership(path, n_expected=5)
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args).hex()
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+
+
+def test_cell_wrappers_match_the_formulas_bit_for_bit():
+    # cluster_cost and weighted_group_error are thin wrappers over the
+    # cell cost that rank_clusters uses; their values and errors stay.
+    rng = np.random.default_rng(9)
+    n = 40
+    d = Dataset(
+        features=rng.normal(size=(n, 1)),
+        group=rng.integers(0, 2, size=n),
+        outcome=(rng.random(n) < 0.5).astype(float),
+        task=Task.BINARY,
+        column_names=("x",),
+    )
+    preds = PredictionSet(scores=np.round(rng.random(n), 2))
+    hard = Clustering(kind=ClusteringKind.HARD, assignment=rng.integers(0, 3, size=n))
+    for kind in CostKind:
+        if kind is CostKind.MSE:
+            continue
+        for a in (0, 1):
+            for c in range(3):
+                rows = np.flatnonzero((hard.assignment == c) & (d.group == a))
+                assert _value_or_error(cluster_cost, preds, d, hard, kind, a, c) == (
+                    _value_or_error(lambda: float(per_sample_losses(
+                        PredictionSet(scores=preds.scores[rows]), d.take(rows),
+                        kind, a,
+                    ).mean()))
+                )
+    q = rng.random((n, 3))
+    soft = Clustering(kind=ClusteringKind.SOFT, membership=q / q.sum(axis=1)[:, None])
+    errors = (preds.hard() != d.outcome).astype(np.float64)
+    for a in (0, 1):
+        in_group = (d.group == a).astype(np.float64)
+        for c in range(3):
+            qc = soft.membership[:, c]
+            want = float((errors * in_group * qc).sum() / float((in_group * qc).sum()))
+            assert weighted_group_error(preds, d, soft, a, c).hex() == want.hex()
+
+
+def test_cell_wrapper_errors():
+    d = build()
+    preds = PredictionSet(labels=np.zeros(d.n))
+    empty = Clustering(
+        kind=ClusteringKind.HARD, assignment=np.zeros(d.n, dtype=np.int64)
+    )
+    with pytest.raises(AnalysisError, match="cluster 1 x group 0 cell is empty"):
+        cluster_cost(preds, d, empty, CostKind.ZERO_ONE, 0, 1)
+    q = np.zeros((d.n, 2))
+    q[:, 0] = 1.0
+    soft = Clustering(kind=ClusteringKind.SOFT, membership=q)
+    with pytest.raises(AnalysisError, match="zero membership mass for group 1"):
+        weighted_group_error(preds, d, soft, 1, 1)
+    with pytest.raises(AnalysisError, match="zero-one kind only"):
+        rank_clusters(preds, d, soft, CostKind.FPR)
+    short = Clustering(kind=ClusteringKind.HARD, assignment=np.arange(d.n - 1) % 2)
+    for call in (
+        lambda: rank_clusters(preds, d, short),
+        lambda: cluster_cost(preds, d, short, CostKind.ZERO_ONE, 0, 1),
+        lambda: weighted_group_error(
+            preds, d, Clustering(kind=ClusteringKind.SOFT, membership=q[1:]), 0, 0
+        ),
+    ):
+        with pytest.raises(DataError, match="not aligned"):
+            call()
