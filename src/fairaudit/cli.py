@@ -22,18 +22,19 @@ from . import adult as adult_mod
 from . import curves as curves_mod
 from . import noise_bounds, stats, subgroups, synth
 from . import decomposition as decomp
-from .costs import CostKind, PredictionSet, discrimination_level, brier_score
+from .costs import CostKind, discrimination_level, brier_score
 from .data import (
     Dataset,
     Schema,
     Task,
     derive_seed,
     load_dataset,
+    read_key_values,
     split,
     write_dataset,
 )
 from .errors import AnalysisError, ConfigError, DataError, FairauditError
-from .learners import LearnerKind, LearnerSpec, apply_threshold, train
+from .learners import LearnerKind, LearnerSpec, score_predictions, train
 from .report import AuditReport, emit_report, write_curve_table
 
 ANALYSES = (
@@ -99,27 +100,13 @@ def parse_kinds(text: str) -> list[CostKind]:
     return kinds
 
 
-def _read_config_file(path) -> dict:
-    values = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
 def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
-    values = _read_config_file(args.config)
+    values = {
+        key.replace("-", "_"): value
+        for key, value in read_key_values(args.config, "config")
+    }
     for key, value in values.items():
         if not hasattr(args, key):
             raise ConfigError(f"config key {key!r} is not a known option")
@@ -156,18 +143,12 @@ def _trained_predictions(args, d: Dataset, seed: int):
     """Either use the score column from the data, or train the configured
     learner on a split and evaluate on the held-out part."""
     if d.score is not None:
-        labels = None
-        if d.task is Task.BINARY:
-            labels = apply_threshold(d.score, args.threshold)
-        return PredictionSet(scores=d.score, labels=labels), d
+        return score_predictions(d.score, d.task, args.threshold), d
     spec = replace(parse_learner(args.learner), seed=derive_seed(seed, "train"))
     ds = split(d, args.test_fraction, derive_seed(seed, "split"))
     model = train(spec, ds.train)
     scores = model.predict_scores(ds.test.features)
-    labels = None
-    if d.task is Task.BINARY:
-        labels = apply_threshold(scores, args.threshold)
-    return PredictionSet(scores=scores, labels=labels), ds.test
+    return score_predictions(scores, d.task, args.threshold), ds.test
 
 
 def cmd_audit(args, report: AuditReport) -> None:
@@ -217,11 +198,6 @@ def cmd_decompose(args, report: AuditReport) -> None:
         )
         om = None
         eval_set = ds.test
-        loss = (
-            decomp.Loss.ZERO_ONE
-            if d.task is Task.BINARY
-            else decomp.Loss.SQUARED
-        )
     else:
         synth_spec, gen = _synth_spec(args)
         sampler = lambda n, s: gen(synth_spec, n, s)[0]
@@ -231,11 +207,11 @@ def cmd_decompose(args, report: AuditReport) -> None:
             spec, sampler, args.t_models, args.n_train or 200,
             eval_set, derive_seed(seed, "ensemble"), threshold=args.threshold,
         )
-        loss = (
-            decomp.Loss.ZERO_ONE
-            if eval_set.task is Task.BINARY
-            else decomp.Loss.SQUARED
-        )
+    loss = (
+        decomp.Loss.ZERO_ONE
+        if eval_set.task is Task.BINARY
+        else decomp.Loss.SQUARED
+    )
     blocks = {}
     for a in sorted(set(eval_set.group.tolist())):
         blocks[str(a)] = decomp.group_decomposition(
@@ -252,9 +228,18 @@ def cmd_decompose(args, report: AuditReport) -> None:
 
 
 def cmd_curves(args, report: AuditReport) -> None:
+    try:
+        grid = [int(x) for x in args.grid.split(",") if x.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"--grid must be comma-separated integers, got {args.grid!r}"
+        ) from None
+    if not grid or min(grid) < 1:
+        raise ConfigError("--grid needs training-set sizes >= 1")
+    if args.trials < 1:
+        raise ConfigError("--trials must be >= 1")
     d = _load_data(args)
     spec = parse_learner(args.learner)
-    grid = [int(x) for x in args.grid.split(",") if x.strip()]
     kinds = parse_kinds(args.kind)
     exp = curves_mod.run_curve_experiment(
         spec, d, grid, args.trials, derive_seed(args.seed, "curves"),
@@ -286,12 +271,7 @@ def cmd_curves(args, report: AuditReport) -> None:
     for kind in kinds:
         for a in sorted(set(d.group.tolist())):
             for n, mean, count in exp.mean_costs(a, kind):
-                values = [
-                    c.cost
-                    for c in exp.cells
-                    if c.n_train == n and c.group == a
-                    and c.cost_kind == kind and c.cost is not None
-                ]
+                values = exp.trial_costs[(a, kind, n)]
                 stderr = (
                     float(np.std(values, ddof=1) / np.sqrt(len(values)))
                     if len(values) > 1
@@ -353,6 +333,8 @@ def cmd_subgroups(args, report: AuditReport) -> None:
 
 
 def cmd_test(args, report: AuditReport) -> None:
+    if args.reps < 100:
+        raise ConfigError("--reps must be >= 100")
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
     kind = parse_kinds(args.kind)[0]

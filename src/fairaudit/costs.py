@@ -89,18 +89,11 @@ def _check_applies(preds: PredictionSet, d: Dataset, kind: CostKind) -> None:
         )
 
 
-def row_losses(
-    preds: PredictionSet, d: Dataset, kind: CostKind, rows=slice(None)
+def _row_losses(
+    preds: PredictionSet, d: Dataset, kind: CostKind, rows
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Each row's loss under ``kind``, for the dataset rows ``rows``.
-
-    Returns (losses, counted, outside): ``counted`` masks the rows the cost
-    counts (None when it counts all; FPR counts Y=0 rows, FNR Y=1 rows) and
-    ``outside`` the rows whose score lies outside [0, 1] (None for a kind
-    that reads no scores).  Raises when ``kind`` does not apply to the
-    predictions and dataset.
-    """
-    _check_applies(preds, d, kind)
+    """``row_losses`` for the dataset rows ``rows``, once ``kind`` is known
+    to apply."""
     y = d.outcome[rows]
     if kind is CostKind.MSE:
         pred = (preds.scores if preds.scores is not None else preds.labels)[rows]
@@ -125,6 +118,40 @@ def row_losses(
     raise AnalysisError(f"unhandled cost kind {kind}")
 
 
+def row_losses(
+    preds: PredictionSet, d: Dataset, kind: CostKind
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Each row's loss under ``kind``.
+
+    Returns (losses, counted, outside): ``counted`` masks the rows the cost
+    counts (None when it counts all; FPR counts Y=0 rows, FNR Y=1 rows) and
+    ``outside`` the rows whose score lies outside [0, 1] (None for a kind
+    that reads no scores).  Raises when ``kind`` does not apply to the
+    predictions and dataset.
+    """
+    _check_applies(preds, d, kind)
+    return _row_losses(preds, d, kind, slice(None))
+
+
+def cost_losses(losses: tuple, rows, kind: CostKind, a: int) -> np.ndarray:
+    """The losses that the cost of group ``a`` counts among ``rows``, which
+    index ``losses``, a ``row_losses`` result.  Raises AnalysisError when
+    the cost is undefined: a score among ``rows`` lies outside [0, 1], or
+    no row has the class that FPR or FNR conditions on."""
+    values, counted, outside = losses
+    if outside is not None and outside[rows].any():
+        raise AnalysisError("scores outside [0,1]")
+    if counted is None:
+        return values[rows]
+    keep = counted[rows]
+    if not keep.any():
+        label = 0 if kind is CostKind.FPR else 1
+        raise AnalysisError(
+            f"group {a} has no Y={label} rows; {kind.value.upper()} undefined"
+        )
+    return values[rows][keep]
+
+
 def per_sample_losses(
     preds: PredictionSet, d: Dataset, kind: CostKind, a: int
 ) -> np.ndarray:
@@ -137,17 +164,12 @@ def per_sample_losses(
     rows = d.group_indices(a)
     if rows.size == 0:
         raise AnalysisError(f"group {a} has no rows in the evaluation set")
-    losses, counted, outside = row_losses(preds, d, kind, rows)
-    if outside is not None and outside.any():
-        raise AnalysisError("scores outside [0,1]")
-    if counted is None:
-        return losses
-    if not counted.any():
-        label = 0 if kind is CostKind.FPR else 1
-        raise AnalysisError(
-            f"group {a} has no Y={label} rows; {kind.value.upper()} undefined"
-        )
-    return losses[counted]
+    return cost_losses(_row_losses(preds, d, kind, rows), slice(None), kind, a)
+
+
+def sample_variance(losses: np.ndarray) -> float:
+    """Unbiased variance of ``losses``; 0.0 for a single value."""
+    return float(losses.var(ddof=1)) if losses.size > 1 else 0.0
 
 
 def group_cost(
@@ -155,9 +177,7 @@ def group_cost(
 ) -> tuple[float, int, float]:
     """Return (cost, m_a, unbiased per-sample loss variance) for group a."""
     losses = per_sample_losses(preds, d, kind, a)
-    m = losses.size
-    variance = float(losses.var(ddof=1)) if m > 1 else 0.0
-    return float(losses.mean()), m, variance
+    return float(losses.mean()), losses.size, sample_variance(losses)
 
 
 def discrimination_level(

@@ -11,13 +11,14 @@ nonlinear optimization.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .costs import CostKind, PredictionSet, per_sample_losses
+from .costs import CostKind, per_sample_losses
 from .data import Dataset, derive_seed, split, subsample
 from .errors import AnalysisError, DataError
-from .learners import LearnerSpec, apply_threshold, train
+from .learners import LearnerSpec, score_predictions, train
 
 BETA_MIN = 0.01
 BETA_MAX = 3.0
@@ -42,20 +43,23 @@ class CurveExperiment:
     seed: int
     cells: tuple[CurveCell, ...]
 
+    @cached_property
+    def trial_costs(self) -> dict[tuple[int, CostKind, int], list[float]]:
+        """The cells' costs other than None, in trial order, keyed by
+        (group, cost kind, grid size)."""
+        out = {}
+        for c in self.cells:
+            if c.cost is not None:
+                out.setdefault((c.group, c.cost_kind, c.n_train), []).append(c.cost)
+        return out
+
     def mean_costs(
         self, group: int, kind: CostKind
     ) -> list[tuple[int, float, int]]:
         """Per grid size: (n, mean cost, #trials with a value)."""
         out = []
         for n in self.n_grid:
-            values = [
-                c.cost
-                for c in self.cells
-                if c.n_train == n
-                and c.group == group
-                and c.cost_kind == kind
-                and c.cost is not None
-            ]
+            values = self.trial_costs.get((group, kind, n))
             if values:
                 out.append((n, float(np.mean(values)), len(values)))
         return out
@@ -111,13 +115,9 @@ def run_curve_experiment(
             train_full, test = ds.train, ds.test
             sub = subsample(train_full, n_train, derive_seed(trial_seed, "sub"))
             model = train(replace(spec, seed=trial_seed), sub)
-            scores = model.predict_scores(test.features)
-            if d.task.value == "binary":
-                preds = PredictionSet(
-                    scores=scores, labels=apply_threshold(scores, threshold)
-                )
-            else:
-                preds = PredictionSet(scores=scores)
+            preds = score_predictions(
+                model.predict_scores(test.features), d.task, threshold
+            )
             for kind in cost_kinds:
                 for a in range(d.n_groups):
                     try:

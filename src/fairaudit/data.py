@@ -21,6 +21,28 @@ class Task(enum.Enum):
     REGRESSION = "regression"
 
 
+def read_key_values(path, what: str) -> list[tuple[str, str]]:
+    """The stripped (key, value) pairs of a UTF-8 file of ``key=value``
+    lines, in file order, skipping blank and ``#`` lines.  Errors name the
+    file as a ``what`` file."""
+    pairs = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected key=value, got {line!r}"
+                    )
+                key, _, value = line.partition("=")
+                pairs.append((key.strip(), value.strip()))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    return pairs
+
+
 @dataclass(frozen=True)
 class Schema:
     """Column-role mapping for a CSV file.
@@ -37,22 +59,8 @@ class Schema:
 
     @staticmethod
     def from_file(path) -> "Schema":
-        """Parse a key=value schema file (UTF-8, one pair per line)."""
-        keys: dict[str, str] = {}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for lineno, raw in enumerate(fh, 1):
-                    line = raw.strip()
-                    if not line or line.startswith("#"):
-                        continue
-                    if "=" not in line:
-                        raise ConfigError(
-                            f"{path}:{lineno}: expected key=value, got {line!r}"
-                        )
-                    key, _, value = line.partition("=")
-                    keys[key.strip()] = value.strip()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read schema file {path}: {exc}") from exc
+        """Parse a key=value schema file (see ``read_key_values``)."""
+        keys = dict(read_key_values(path, "schema"))
         for required in ("group", "outcome", "task"):
             if required not in keys:
                 raise ConfigError(f"schema {path} is missing '{required}='")
@@ -187,11 +195,6 @@ def _floats(cells: list) -> np.ndarray | None:
         return None
 
 
-def _first_non_numeric(cells: list) -> int:
-    """Index of the first cell that ``_floats`` rejects."""
-    return next(i for i, cell in enumerate(cells) if _floats([cell]) is None)
-
-
 def _categories(cells: list) -> tuple[list, np.ndarray]:
     """The distinct cells sorted by code point, and each cell's index
     among them."""
@@ -221,16 +224,25 @@ def _check_missing(columns: list, linenos: list, origin: str) -> None:
         raise DataError(f"{origin}:{linenos[first]}: missing value")
 
 
-def _check_finite(
-    values: np.ndarray, cells: list, linenos: list, origin: str, role: str
-) -> None:
-    """Raise for the first record whose ``role`` value is nan or infinite."""
+def _numeric_column(
+    cells: list, linenos: list, origin: str, role: str
+) -> np.ndarray:
+    """The ``role`` column's cells as finite floats.  Raises for the first
+    record whose cell is not a number, else for the first nan or infinite
+    one, naming the record's line."""
+    values = _floats(cells)
+    if values is None:
+        i = next(i for i, cell in enumerate(cells) if _floats([cell]) is None)
+        raise DataError(
+            f"{origin}:{linenos[i]}: non-numeric {role} value {cells[i]!r}"
+        )
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = bad[0]
         raise DataError(
             f"{origin}:{linenos[i]}: non-finite {role} value {cells[i]!r}"
         )
+    return values
 
 
 def load_dataset(path, schema: Schema) -> Dataset:
@@ -307,14 +319,7 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     n = len(linenos)
     col = dict(zip(header, columns))
 
-    cells = col[schema.outcome]
-    outcome = _floats(cells)
-    if outcome is None:
-        i = _first_non_numeric(cells)
-        raise DataError(
-            f"{origin}: non-numeric outcome value {cells[i]!r} in row {i + 2}"
-        )
-    _check_finite(outcome, cells, linenos, origin, "outcome")
+    outcome = _numeric_column(col[schema.outcome], linenos, origin, "outcome")
     if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
         bad = outcome[~np.isin(outcome, (0.0, 1.0))][0]
         raise DataError(f"{origin}: binary outcome value {bad} not in {{0,1}}")
@@ -351,12 +356,7 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 
     score = None
     if schema.score is not None:
-        cells = col[schema.score]
-        score = _floats(cells)
-        if score is None:
-            bad = cells[_first_non_numeric(cells)]
-            raise DataError(f"{origin}: non-numeric score value {bad!r}")
-        _check_finite(score, cells, linenos, origin, "score")
+        score = _numeric_column(col[schema.score], linenos, origin, "score")
 
     return Dataset(
         features=features,

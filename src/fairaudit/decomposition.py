@@ -32,7 +32,7 @@ import numpy as np
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
 from .learners import LearnerSpec, apply_threshold, train
-from .stats import TestResult, two_tailed_normal_p
+from .stats import TestResult, two_sample_z
 from .synth import ConditionalOutcomeModel
 
 
@@ -371,14 +371,7 @@ def compare_models_bias_variance(
     rows1 = eval_set.group_indices(g1)
     if rows0.size == 0 or rows1.size == 0:
         raise AnalysisError("both groups must be present")
-    stat = float(u[rows0].mean() - u[rows1].mean())
-    var = (u[rows0].var(ddof=1) / rows0.size if rows0.size > 1 else 0.0) + (
-        u[rows1].var(ddof=1) / rows1.size if rows1.size > 1 else 0.0
-    )
-    if var == 0.0:
-        p = 1.0 if stat == 0.0 else 0.0
-    else:
-        p = two_tailed_normal_p(stat / np.sqrt(var))
+    stat, _, _, p = two_sample_z(u[rows0], u[rows1])
     return TestResult(
         name=f"compare_models_bias_variance[{loss.value}]",
         statistic=stat,

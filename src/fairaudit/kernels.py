@@ -1,4 +1,5 @@
-"""Hot numeric kernels: tree split search and k-NN scoring.
+"""Hot numeric kernels: tree split search, k-NN scoring and the z-scoring
+that both k-NN users apply to features first.
 
 The kernels are vectorized numpy that reproduces, bit for bit, the plain
 per-row loops they replaced (``tests/test_kernels.py`` keeps those loops
@@ -31,6 +32,16 @@ _BLOCK_CELLS = 1 << 15
 
 # A split search's result when no cut separates the node.
 _NO_SPLIT = (-1, 0.0, np.inf)
+
+
+def zscore(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns of X centred on their means and divided by their population
+    standard deviations, a zero deviation counting as 1; returns
+    (Z, mean, scale) so that new rows can be scaled alike."""
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return (X - mean) / scale, mean, scale
 
 
 def _presort(X: np.ndarray, y: np.ndarray):

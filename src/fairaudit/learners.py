@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .costs import PredictionSet
 from .data import Dataset, Task, derive_seed
 from .errors import AnalysisError, DataError
 
@@ -210,15 +211,13 @@ def _train_ridge(spec: LearnerSpec, X, y) -> RidgeModel:
 
 
 def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
+    Z, mean, scale = kernels.zscore(X)
     return KNNModel(
         kind=LearnerKind.KNN,
         task=task,
         n_features=X.shape[1],
         k=spec.k,
-        train_features=np.ascontiguousarray((X - mean) / scale),
+        train_features=np.ascontiguousarray(Z),
         train_outcome=np.ascontiguousarray(y),
         mean=mean,
         scale=scale,
@@ -316,12 +315,17 @@ def train(
     raise AnalysisError(f"unknown learner kind {spec.kind}")
 
 
-def predict_scores(model: TrainedModel, features: np.ndarray) -> np.ndarray:
-    return model.predict_scores(features)
-
-
 def apply_threshold(scores: np.ndarray, t: float = 0.5) -> np.ndarray:
     """Hard labels by the >= convention."""
     if not 0.0 <= t <= 1.0:
         raise AnalysisError(f"threshold {t} not in [0,1]")
     return (np.asarray(scores) >= t).astype(np.float64)
+
+
+def score_predictions(
+    scores: np.ndarray, task: Task, threshold: float = 0.5
+) -> PredictionSet:
+    """Scores as a PredictionSet, with hard labels at ``threshold`` for a
+    binary task."""
+    labels = apply_threshold(scores, threshold) if task is Task.BINARY else None
+    return PredictionSet(scores=scores, labels=labels)

@@ -55,10 +55,7 @@ def _group_class_stats(d: Dataset, a: int, standardize: bool):
     X = d.features[rows]
     y = d.outcome[rows]
     if standardize:
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        X = (X - mean) / scale
+        X = kernels.zscore(X)[0]
     neg = X[y == 0.0]
     pos = X[y == 1.0]
     if neg.shape[0] < 2 or pos.shape[0] < 2:
@@ -70,14 +67,15 @@ def _group_class_stats(d: Dataset, a: int, standardize: bool):
     return neg, pos, priors
 
 
-def _regularized_cov(X: np.ndarray) -> np.ndarray:
-    cov = np.cov(X, rowvar=False, ddof=1)
+def _regularized_cov(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """cov (as a k x k matrix) + lam * I with lam = 1e-3 * trace / k, or
+    1e-6 when that is not positive; and lam."""
     cov = np.atleast_2d(cov)
     k = cov.shape[0]
     lam = 1e-3 * np.trace(cov) / k
     if lam <= 0:
         lam = 1e-6
-    return cov + lam * np.eye(k)
+    return cov + lam * np.eye(k), lam
 
 
 def mahalanobis_upper(
@@ -89,15 +87,10 @@ def mahalanobis_upper(
     p1, p2 = priors
     n1, n2 = neg.shape[0], pos.shape[0]
     diff = pos.mean(axis=0) - neg.mean(axis=0)
-    pooled = (
-        (n1 - 1) * np.atleast_2d(np.cov(neg, rowvar=False, ddof=1))
-        + (n2 - 1) * np.atleast_2d(np.cov(pos, rowvar=False, ddof=1))
-    ) / (n1 + n2 - 2)
-    k = pooled.shape[0]
-    lam = 1e-3 * np.trace(pooled) / k
-    if lam <= 0:
-        lam = 1e-6
-    pooled = pooled + lam * np.eye(k)
+    pooled, lam = _regularized_cov(
+        ((n1 - 1) * np.cov(neg, rowvar=False, ddof=1)
+         + (n2 - 1) * np.cov(pos, rowvar=False, ddof=1)) / (n1 + n2 - 2)
+    )
     delta = float(diff @ np.linalg.solve(pooled, diff))
     if not math.isfinite(delta):
         raise AnalysisError("non-finite Mahalanobis distance")
@@ -123,8 +116,8 @@ def bhattacharyya_bounds(
     """
     neg, pos, priors = _group_class_stats(d, a, standardize)
     p1, p2 = priors
-    cov0 = _regularized_cov(neg)
-    cov1 = _regularized_cov(pos)
+    cov0, _ = _regularized_cov(np.cov(neg, rowvar=False, ddof=1))
+    cov1, _ = _regularized_cov(np.cov(pos, rowvar=False, ddof=1))
     avg = 0.5 * (cov0 + cov1)
     diff = pos.mean(axis=0) - neg.mean(axis=0)
     sign, logdet_avg = np.linalg.slogdet(avg)
@@ -188,10 +181,7 @@ def nn_bounds(
     X = d.features[rows]
     y = d.outcome[rows]
     if standardize:
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        X = (X - mean) / scale
+        X = kernels.zscore(X)[0]
     fold = rng.permutation(rows.size) % folds
     errors = kernels.knn_loo_fold_errors(
         np.ascontiguousarray(X),

@@ -1,6 +1,8 @@
 """Significance machinery: z-test for the discrimination level, paired
 comparison of two models' discrimination, bootstrap confidence intervals,
-one-way ANOVA, and pairwise Welch tests with Holm correction.
+one-way ANOVA, and pairwise Welch tests with Holm correction.  The gap
+test and both model comparisons (here and in ``decomposition``) share one
+two-sample z-test, ``two_sample_z``.
 
 Distribution functions (normal, Student t, F) are implemented internally
 via the error function and the regularized incomplete beta function; no
@@ -14,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostKind, PredictionSet, per_sample_losses, row_losses
+from .costs import (
+    CostKind, PredictionSet, per_sample_losses, row_losses, sample_variance,
+)
 from .data import Dataset
 from .errors import AnalysisError, DataError
 
@@ -116,6 +120,23 @@ def two_tailed_t_p(t: float, df: float) -> float:
     return min(1.0, 2.0 * t_sf(abs(t), df))
 
 
+def two_sample_z(x0: np.ndarray, x1: np.ndarray) -> tuple[float, float, float, float]:
+    """Two-tailed normal z-test of mean(x0) - mean(x1): (gap, se, z, p) with
+    se = sqrt(var0 / m0 + var1 / m1) from ``sample_variance``.  When se == 0
+    the gap is exact: z is 0 or +-inf, and p is 1 for a zero gap, else 0.
+    """
+    gap = float(x0.mean() - x1.mean())
+    se = math.sqrt(
+        sample_variance(x0) / x0.size + sample_variance(x1) / x1.size
+    )
+    if se == 0.0:
+        if gap == 0.0:
+            return gap, se, 0.0, 1.0
+        return gap, se, math.copysign(math.inf, gap), 0.0
+    z = gap / se
+    return gap, se, z, two_tailed_normal_p(z)
+
+
 # ---------------------------------------------------------------------------
 # Results
 
@@ -163,16 +184,7 @@ def gamma_z_test(
         warnings.append(
             f"small sample ({min(m0, m1)} < 30): normal approximation weak"
         )
-    gap = float(l0.mean() - l1.mean())
-    var0 = float(l0.var(ddof=1)) if m0 > 1 else 0.0
-    var1 = float(l1.var(ddof=1)) if m1 > 1 else 0.0
-    se = math.sqrt(var0 / m0 + var1 / m1)
-    if se == 0.0:
-        z = 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
-        p = 1.0 if gap == 0.0 else 0.0
-    else:
-        z = gap / se
-        p = two_tailed_normal_p(z)
+    gap, se, z, p = two_sample_z(l0, l1)
     return TestResult(
         name=f"gamma_z_test[{kind.value}]",
         statistic=z,
@@ -184,7 +196,7 @@ def gamma_z_test(
             "se": se,
             "groups": groups,
             "counts": (m0, m1),
-            "variances": (var0, var1),
+            "variances": (sample_variance(l0), sample_variance(l1)),
             "warnings": warnings,
         },
     )
@@ -220,17 +232,7 @@ def compare_discrimination_test(
     for alpha in (+1.0, -1.0):
         # Z_alpha = alpha*(gamma0^A - gamma1^A) - (gamma0^B - gamma1^B);
         # grouping per-sample terms keeps the pairing.
-        u0 = alpha * la0 - lb0
-        u1 = alpha * la1 - lb1
-        z_stat = float(u0.mean() - u1.mean())
-        var = (u0.var(ddof=1) / u0.size if u0.size > 1 else 0.0) + (
-            u1.var(ddof=1) / u1.size if u1.size > 1 else 0.0
-        )
-        se = math.sqrt(var)
-        if se == 0.0:
-            p = 1.0 if z_stat == 0.0 else 0.0
-        else:
-            p = two_tailed_normal_p(z_stat / se)
+        z_stat, _, _, p = two_sample_z(alpha * la0 - lb0, alpha * la1 - lb1)
         p_values.append(p)
         z_values.append(z_stat)
     # Intersection test: both must be unlikely.

@@ -3,7 +3,9 @@
 Hard clusterings split rows by a single feature's mean; soft clusterings
 are externally produced membership matrices (rows summing to 1, e.g.
 topic proportions).  Cluster-level cost gaps across protected groups
-identify where discrimination is concentrated.
+identify where discrimination is concentrated.  Every cell reads one
+``costs.row_losses`` pass over the evaluation rows, and
+``costs.cost_losses`` decides which of a hard cell's rows its cost counts.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostKind, PredictionSet, per_sample_losses
+from .costs import CostKind, PredictionSet, cost_losses, row_losses
 from .data import Dataset
 from .errors import AnalysisError, DataError
 
@@ -107,15 +109,6 @@ def threshold_clusterings(d: Dataset) -> list[Clustering]:
     return out
 
 
-def _restrict(d: Dataset, preds: PredictionSet, rows: np.ndarray):
-    sub = d.take(rows)
-    sub_preds = PredictionSet(
-        scores=None if preds.scores is None else preds.scores[rows],
-        labels=None if preds.labels is None else preds.labels[rows],
-    )
-    return sub, sub_preds
-
-
 def cluster_cost(
     preds: PredictionSet,
     d: Dataset,
@@ -127,7 +120,7 @@ def cluster_cost(
     """Cost of kind restricted to rows in group a and hard cluster c."""
     if cl.kind is not ClusteringKind.HARD:
         raise AnalysisError("cluster_cost requires a hard clustering")
-    return _cell_cost_and_mass(preds, d, cl, kind, a, c)[0]
+    return _cell_cost_and_mass(row_losses(preds, d, kind), d, cl, kind, a, c)[0]
 
 
 def weighted_group_error(
@@ -141,7 +134,8 @@ def weighted_group_error(
     sum_i 1[y_i != yhat_i] 1[a_i = a] q_ic / sum_i 1[a_i = a] q_ic."""
     if cl.kind is not ClusteringKind.SOFT:
         raise AnalysisError("weighted_group_error requires a soft clustering")
-    return _cell_cost_and_mass(preds, d, cl, CostKind.ZERO_ONE, a, c)[0]
+    kind = CostKind.ZERO_ONE
+    return _cell_cost_and_mass(row_losses(preds, d, kind), d, cl, kind, a, c)[0]
 
 
 def outcome_enrichment(d: Dataset, cl: Clustering, c: int) -> float:
@@ -156,27 +150,25 @@ def outcome_enrichment(d: Dataset, cl: Clustering, c: int) -> float:
     return float((d.outcome * q).sum() / total)
 
 
-def _cell_cost_and_mass(preds, d, cl, kind, a, c):
+def _cell_cost_and_mass(losses, d, cl, kind, a, c):
     """Cost of ``kind`` over the rows of group ``a`` in cluster ``c``, and
     the cell's mass: its row count, or for a soft clustering its membership
-    weight.  A soft cell's cost is always the zero-one kind's; callers check
-    ``kind``.  Raises AnalysisError when the cost is undefined."""
+    weight.  ``losses`` is the ``row_losses`` result for ``kind``; a soft
+    cell weighs the zero-one losses, so callers check ``kind``.  Raises
+    AnalysisError when the cost is undefined."""
     if cl.n != d.n:
         raise DataError("clustering not aligned with dataset")
     if cl.kind is ClusteringKind.HARD:
         rows = np.flatnonzero((cl.assignment == c) & (d.group == a))
         if rows.size == 0:
             raise AnalysisError(f"cluster {c} x group {a} cell is empty")
-        sub, sub_preds = _restrict(d, preds, rows)
-        cost = float(per_sample_losses(sub_preds, sub, kind, a).mean())
-        return cost, float(rows.size)
+        return float(cost_losses(losses, rows, kind, a).mean()), float(rows.size)
     q = cl.membership[:, c]
     in_group = (d.group == a).astype(np.float64)
     mass = float((in_group * q).sum())
     if mass <= 0.0:
         raise AnalysisError(f"zero membership mass for group {a}, cluster {c}")
-    errors = (preds.hard() != d.outcome).astype(np.float64)
-    return float((errors * in_group * q).sum() / mass), mass
+    return float((losses[0] * in_group * q).sum() / mass), mass
 
 
 def rank_clusters(
@@ -196,11 +188,12 @@ def rank_clusters(
     usable = []
     if cl.kind is ClusteringKind.SOFT and kind is not CostKind.ZERO_ONE:
         raise AnalysisError("soft clusterings support the zero-one kind only")
+    losses = row_losses(preds, d, kind)
     for c in range(cl.n_clusters):
         cell_costs = []
         for a in groups:
             try:
-                cost, mass = _cell_cost_and_mass(preds, d, cl, kind, a, c)
+                cost, mass = _cell_cost_and_mass(losses, d, cl, kind, a, c)
             except AnalysisError:
                 continue
             costs[(c, a)] = cost

@@ -210,7 +210,7 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
         value = _parse_cell(cell)
         if value is None:
             raise DataError(
-                f"{origin}: non-numeric outcome value {cell!r} in row {i + 2}"
+                f"{origin}:{linenos[i]}: non-numeric outcome value {cell!r}"
             )
         outcome[i] = value
     for i, cell in enumerate(col[schema.outcome]):
@@ -261,7 +261,9 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
         for i, cell in enumerate(col[schema.score]):
             value = _parse_cell(cell)
             if value is None:
-                raise DataError(f"{origin}: non-numeric score value {cell!r}")
+                raise DataError(
+                    f"{origin}:{linenos[i]}: non-numeric score value {cell!r}"
+                )
             score[i] = value
         for i, cell in enumerate(col[schema.score]):
             if not math.isfinite(score[i]):
@@ -459,11 +461,17 @@ def test_loader_error_messages(chunk_rows):
     assert error("sex,y,age\nM,1,\nF,0\n") == "m.csv:2: missing value"
     assert error("sex,y,age\nM,1\nF,0,\n") == "m.csv:2: expected 3 cells, got 2"
     assert error("sex,y,age\nM,1,30\nF,yes,25\n") == (
-        "m.csv: non-numeric outcome value 'yes' in row 3"
+        "m.csv:3: non-numeric outcome value 'yes'"
+    )
+    assert error("sex,y,age\nM,1,30\n\n\nF,yes,25\n") == (
+        "m.csv:5: non-numeric outcome value 'yes'"
     )
     schema = Schema(group="sex", outcome="y", task=Task.BINARY, score="s")
     assert error("sex,y,age,s\nM,1,30,0.5\nF,0,25,high\n", schema) == (
-        "m.csv: non-numeric score value 'high'"
+        "m.csv:3: non-numeric score value 'high'"
+    )
+    assert error("sex,y,age,s\nM,1,30,0.5\n\nF,0,25,high\n", schema) == (
+        "m.csv:4: non-numeric score value 'high'"
     )
 
 
@@ -486,7 +494,7 @@ def test_non_finite_outcome_and_score_rejected_with_line_numbers(chunk_rows):
     )
     # A non-numeric cell is still reported before a non-finite one.
     assert error("sex,y,age,s\nM,nan,30,0.5\nF,x,25,0.5\n") == (
-        "m.csv: non-numeric outcome value 'x' in row 3"
+        "m.csv:3: non-numeric outcome value 'x'"
     )
     # For a binary task the non-finite test comes first, with the line.
     assert error("sex,y,age\nM,1,30\nF,nan,25\n", SCHEMA) == (

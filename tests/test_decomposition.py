@@ -23,6 +23,7 @@ from fairaudit import (
 )
 from fairaudit.decomposition import GroupDecomposition, PointDecomposition
 from fairaudit.errors import AnalysisError
+from fairaudit.stats import two_tailed_normal_p
 from fairaudit.learners import LearnerSpec as LS
 from fairaudit.synth import ConditionalOutcomeModel
 
@@ -453,3 +454,60 @@ def test_class_conditional_matches_loop():
                 want = loop_class_conditional(e, d, om, a, y)
                 for name, value in want.items():
                     assert abs(getattr(got, name) - value) < 1e-12, name
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the z-test body of `compare_models_bias_variance` as it
+# read before `stats.two_sample_z` held it.
+
+
+def loop_compare_models_bias_variance(e1, e2, eval_set, loss, groups=(0, 1)):
+    g0, g1 = groups
+    y = eval_set.outcome
+
+    def point_losses(e):
+        if loss is Loss.ZERO_ONE:
+            return np.mean(e.predictions != y, axis=0)
+        return np.mean((e.predictions - y) ** 2, axis=0)
+
+    u = point_losses(e1) - point_losses(e2)
+    rows0 = eval_set.group_indices(g0)
+    rows1 = eval_set.group_indices(g1)
+    stat = float(u[rows0].mean() - u[rows1].mean())
+    var = (u[rows0].var(ddof=1) / rows0.size if rows0.size > 1 else 0.0) + (
+        u[rows1].var(ddof=1) / rows1.size if rows1.size > 1 else 0.0
+    )
+    if var == 0.0:
+        p = 1.0 if stat == 0.0 else 0.0
+    else:
+        p = two_tailed_normal_p(stat / np.sqrt(var))
+    return stat.hex(), float(p).hex(), (rows0.size, rows1.size)
+
+
+def test_compare_models_matches_the_loop_body():
+    rng = np.random.default_rng(90)
+    for trial in range(40):
+        # Groups of one row give a zero variance term.
+        m0, m1 = (1, 1) if trial == 0 else rng.integers(1, 30, size=2)
+        n = int(m0 + m1)
+        binary = trial % 2 == 0
+        task = Task.BINARY if binary else Task.REGRESSION
+        y = (rng.random(n) < 0.5).astype(float) if binary else rng.normal(size=n)
+        d = Dataset(
+            features=np.zeros((n, 1)),
+            group=np.repeat([0, 1], [int(m0), int(m1)]),
+            outcome=y,
+            task=task,
+            column_names=("x",),
+        )
+        loss = Loss.ZERO_ONE if binary else Loss.SQUARED
+        draw = (
+            (lambda: (rng.random((4, n)) < 0.5).astype(float))
+            if binary else (lambda: np.round(rng.normal(size=(4, n)), 2))
+        )
+        e1, e2 = make_ensemble(draw()), make_ensemble(draw())
+        for a, b in ((e1, e2), (e2, e1), (e1, e1)):
+            res = compare_models_bias_variance(a, b, d, loss)
+            assert (
+                res.statistic.hex(), res.p_value.hex(), res.detail["counts"]
+            ) == loop_compare_models_bias_variance(a, b, d, loss)

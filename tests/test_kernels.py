@@ -406,3 +406,28 @@ def test_split_onehot_node_800_by_10():
     labels = ((X[:, 0] + X[:, 5] + rng.random(800)) > 1.4).astype(np.float64)
     values = np.round(X[:, 5] * 2.0 + rng.normal(size=800), 2)
     _assert_both_kernels_match(X, labels, values)
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the z-scoring that the k-NN learner and the noise
+# bounds each spelled out before `kernels.zscore` held it.
+
+
+def loop_zscore(X):
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    return (X - mean) / scale, mean, scale
+
+
+def test_zscore_matches_loop_with_constant_columns():
+    rng = np.random.default_rng(31)
+    for n, k in ((1, 3), (2, 1), (7, 4), (50, 6)):
+        X = rng.normal(size=(n, k)) * rng.uniform(0.1, 100.0, size=k)
+        X[:, 0] = 3.5  # constant column: scale 1, centred to zero
+        if k > 2:
+            X[:, 2] = 0.0
+        got, want = kernels.zscore(X), loop_zscore(X)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert got[2][0] == 1.0 and not got[0][:, 0].any()

@@ -268,3 +268,22 @@ def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
     calls.clear()
     loop_grow_tree(X, y, Task.BINARY, 4)
     assert len(got) > 1 and got == calls
+
+
+def test_knn_model_z_scores_like_kernels_zscore():
+    from fairaudit import kernels
+
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(30, 3))
+    X[:, 1] = -2.0  # constant column
+    d = Dataset(
+        features=X, group=np.zeros(30, dtype=np.int64),
+        outcome=(rng.random(30) < 0.5).astype(float), task=Task.BINARY,
+        column_names=("a", "b", "c"),
+    )
+    model = train(LearnerSpec(kind=LearnerKind.KNN, k=3), d)
+    Z, mean, scale = kernels.zscore(d.features)
+    assert model.train_features.tobytes() == Z.tobytes()
+    assert model.mean.tobytes() == mean.tobytes()
+    assert model.scale.tobytes() == scale.tobytes()
+    assert scale[1] == 1.0

@@ -146,3 +146,83 @@ def test_estimate_rejects_lower_bound_above_upper():
             method=BoundMethod.NEAREST_NEIGHBOR, group=0, e_low=0.3,
             e_up=0.1, priors=(0.5, 0.5), auxiliary={},
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the Mahalanobis bound's inline ridge and the
+# Bhattacharyya bound's regularized class covariances, as they read before
+# one function returned (cov, lam) for both.
+
+
+def _loop_class_stats(d, a, standardize):
+    rows = d.group_indices(a)
+    X = d.features[rows]
+    y = d.outcome[rows]
+    if standardize:
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+        scale = np.where(scale > 0, scale, 1.0)
+        X = (X - mean) / scale
+    return X[y == 0.0], X[y == 1.0]
+
+
+def loop_mahalanobis(d, a, standardize):
+    neg, pos = _loop_class_stats(d, a, standardize)
+    n1, n2 = neg.shape[0], pos.shape[0]
+    diff = pos.mean(axis=0) - neg.mean(axis=0)
+    pooled = (
+        (n1 - 1) * np.atleast_2d(np.cov(neg, rowvar=False, ddof=1))
+        + (n2 - 1) * np.atleast_2d(np.cov(pos, rowvar=False, ddof=1))
+    ) / (n1 + n2 - 2)
+    k = pooled.shape[0]
+    lam = 1e-3 * np.trace(pooled) / k
+    if lam <= 0:
+        lam = 1e-6
+    pooled = pooled + lam * np.eye(k)
+    return float(lam).hex(), float(diff @ np.linalg.solve(pooled, diff)).hex()
+
+
+def loop_bhattacharyya_covs(d, a, standardize):
+    def regularized_cov(X):
+        cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
+        k = cov.shape[0]
+        lam = 1e-3 * np.trace(cov) / k
+        if lam <= 0:
+            lam = 1e-6
+        return cov + lam * np.eye(k)
+
+    neg, pos = _loop_class_stats(d, a, standardize)
+    return regularized_cov(neg), regularized_cov(pos)
+
+
+def test_regularization_matches_the_inline_formulas():
+    from fairaudit.noise_bounds import _regularized_cov
+
+    rng = np.random.default_rng(41)
+    cases = [gaussian_mixture(60, 1.5, seed, k=k) for seed, k in ((1, 1), (2, 3))]
+    # All-constant features: zero trace, so lam falls back to 1e-6.
+    cases.append(Dataset(
+        features=np.ones((12, 2)), group=np.zeros(12, dtype=np.int64),
+        outcome=np.tile([0.0, 1.0], 6), task=Task.BINARY, column_names=("a", "b"),
+    ))
+    # One-hot columns with a constant one: rank-deficient covariances.
+    onehot = np.eye(3)[rng.integers(0, 3, size=40)]
+    cases.append(Dataset(
+        features=np.column_stack([onehot, np.zeros(40)]),
+        group=np.zeros(40, dtype=np.int64),
+        outcome=np.tile([0.0, 1.0], 20), task=Task.BINARY,
+        column_names=("a", "b", "c", "d"),
+    ))
+    fallback = 0
+    for d in cases:
+        for standardize in (True, False):
+            est = mahalanobis_upper(d, 0, standardize)
+            lam_hex, delta_hex = loop_mahalanobis(d, 0, standardize)
+            assert float(est.auxiliary["regularization"]).hex() == lam_hex
+            assert est.auxiliary["delta"].hex() == delta_hex
+            fallback += est.auxiliary["regularization"] == 1e-6
+            neg, pos = _loop_class_stats(d, 0, standardize)
+            for X, want in zip((neg, pos), loop_bhattacharyya_covs(d, 0, standardize)):
+                cov = np.cov(X, rowvar=False, ddof=1)
+                assert _regularized_cov(cov)[0].tobytes() == want.tobytes()
+    assert fallback == 2

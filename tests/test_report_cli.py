@@ -265,6 +265,23 @@ def test_cli_decompose_rejects_out_of_range_sizes(tmp_path, flags):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["curves", "--grid", "100,abc"], ["curves", "--grid", ""],
+     ["curves", "--grid", "0,100,200"], ["curves", "--trials", 0],
+     ["test", "--reps", 5]],
+)
+def test_cli_rejects_bad_curve_and_test_options(tmp_path, synth_csv, capsys, argv):
+    data, schema, _ = synth_csv
+    out = tmp_path / "out"
+    assert run(
+        [*argv, "--seed", 6, "--data", data, "--schema", schema,
+         "--learner", "tree:max_depth=2", "--out", out]
+    ) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_subgroups_with_topics(tmp_path, synth_csv):
     data, schema, _ = synth_csv
     # build a membership file matching the evaluation split size

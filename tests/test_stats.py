@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -21,6 +23,7 @@ from fairaudit.stats import (
     normal_cdf,
     reg_inc_beta,
     t_sf,
+    two_sample_z,
     two_tailed_normal_p,
 )
 
@@ -362,3 +365,137 @@ def test_bootstrap_skip_error_matches_loop(case):
     want = _ci_or_error(loop_bootstrap_gamma_ci, preds, d, kind, reps=200, seed=1)
     assert want.startswith("AnalysisError:") and "lacked 2 evaluable" in want
     assert _ci_or_error(bootstrap_gamma_ci, preds, d, kind, reps=200, seed=1) == want
+
+
+# ---------------------------------------------------------------------------
+# Reference oracles: the two z-test bodies that `two_sample_z` now holds
+# once, as they read before it did.
+
+
+def loop_gamma_z_test(preds, d, kind, groups=(0, 1)):
+    g0, g1 = groups
+    l0 = per_sample_losses(preds, d, kind, g0)
+    l1 = per_sample_losses(preds, d, kind, g1)
+    m0, m1 = l0.size, l1.size
+    gap = float(l0.mean() - l1.mean())
+    var0 = float(l0.var(ddof=1)) if m0 > 1 else 0.0
+    var1 = float(l1.var(ddof=1)) if m1 > 1 else 0.0
+    se = math.sqrt(var0 / m0 + var1 / m1)
+    if se == 0.0:
+        z = 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+        p = 1.0 if gap == 0.0 else 0.0
+    else:
+        z = gap / se
+        p = two_tailed_normal_p(z)
+    return z, p, gap, se, (m0, m1), (var0, var1)
+
+
+def loop_compare_discrimination_test(preds_a, preds_b, d, kind, groups=(0, 1)):
+    g0, g1 = groups
+    la0 = per_sample_losses(preds_a, d, kind, g0)
+    la1 = per_sample_losses(preds_a, d, kind, g1)
+    lb0 = per_sample_losses(preds_b, d, kind, g0)
+    lb1 = per_sample_losses(preds_b, d, kind, g1)
+    p_values = []
+    z_values = []
+    for alpha in (+1.0, -1.0):
+        u0 = alpha * la0 - lb0
+        u1 = alpha * la1 - lb1
+        z_stat = float(u0.mean() - u1.mean())
+        var = (u0.var(ddof=1) / u0.size if u0.size > 1 else 0.0) + (
+            u1.var(ddof=1) / u1.size if u1.size > 1 else 0.0
+        )
+        se = math.sqrt(var)
+        if se == 0.0:
+            p = 1.0 if z_stat == 0.0 else 0.0
+        else:
+            p = two_tailed_normal_p(z_stat / se)
+        p_values.append(p)
+        z_values.append(z_stat)
+    gap_a = float(la0.mean() - la1.mean())
+    gap_b = float(lb0.mean() - lb1.mean())
+    return (
+        max(p_values), abs(abs(gap_a) - abs(gap_b)),
+        z_values[0], z_values[1], p_values[0], p_values[1], gap_a, gap_b,
+    )
+
+
+def _hexed(value):
+    if isinstance(value, tuple):
+        return tuple(_hexed(v) for v in value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    return float(value).hex()
+
+
+def _z_outcome(fn):
+    try:
+        return _hexed(fn())
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+
+
+def _z_case(rng, m0, m1, task):
+    n = m0 + m1
+    if task is Task.BINARY:
+        y = (rng.random(n) < rng.random()).astype(float)
+        scores = np.round(rng.random(n), 2)
+    else:
+        y = np.round(rng.normal(size=n), 2)
+        scores = np.round(rng.normal(size=n), 2)
+    d = Dataset(
+        features=np.zeros((n, 1)),
+        group=np.repeat([0, 1], [m0, m1]),
+        outcome=y,
+        task=task,
+        column_names=("x",),
+    )
+    return d, PredictionSet(scores=scores)
+
+
+def _gamma_z_fields(res):
+    detail = res.detail
+    return (res.statistic, res.p_value, detail["gap"], detail["se"],
+            detail["counts"], detail["variances"])
+
+
+def _compare_fields(res):
+    detail = res.detail
+    return (res.p_value, res.statistic, detail["z_plus"], detail["z_minus"],
+            detail["p_plus"], detail["p_minus"], detail["gap_a"], detail["gap_b"])
+
+
+def _z_test_cases():
+    rng = np.random.default_rng(80)
+    for trial in range(60):
+        # Sizes of 1 give a zero variance term for that group.
+        m0, m1 = (1, 1) if trial == 0 else rng.integers(1, 40, size=2)
+        task = Task.REGRESSION if trial % 5 == 0 else Task.BINARY
+        d, preds = _z_case(rng, int(m0), int(m1), task)
+        other = PredictionSet(scores=np.round(rng.permutation(preds.scores), 2))
+        yield d, preds, other
+    # se == 0: constant losses in both groups, with a zero and a non-zero gap.
+    for y0, y1 in ((np.zeros(30), np.zeros(20)), (np.ones(30), np.zeros(20)),
+                   (np.zeros(1), np.ones(1))):
+        d, preds = loss_dataset(y0, y1)
+        yield d, preds, PredictionSet(labels=np.ones(d.n))
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_z_tests_match_the_loop_bodies(kind):
+    for d, preds, other in _z_test_cases():
+        if kind.task is not d.task:
+            continue
+        assert _z_outcome(
+            lambda: _gamma_z_fields(gamma_z_test(preds, d, kind))
+        ) == _z_outcome(lambda: loop_gamma_z_test(preds, d, kind))
+        for a, b in ((preds, preds), (preds, other), (other, preds)):
+            assert _z_outcome(
+                lambda: _compare_fields(compare_discrimination_test(a, b, d, kind))
+            ) == _z_outcome(lambda: loop_compare_discrimination_test(a, b, d, kind))
+
+
+def test_two_sample_z_degenerate_cases():
+    assert two_sample_z(np.zeros(3), np.zeros(1)) == (0.0, 0.0, 0.0, 1.0)
+    assert two_sample_z(np.ones(1), np.zeros(4)) == (1.0, 0.0, math.inf, 0.0)
+    assert two_sample_z(np.zeros(2), np.ones(2)) == (-1.0, 0.0, -math.inf, 0.0)

@@ -13,7 +13,7 @@ from fairaudit import (
     weighted_group_error,
 )
 from fairaudit.errors import AnalysisError, DataError
-from fairaudit.costs import per_sample_losses
+from fairaudit.costs import per_sample_losses, row_losses
 from fairaudit.subgroups import cluster_cost, load_membership, outcome_enrichment
 
 
@@ -265,3 +265,146 @@ def test_cell_wrapper_errors():
     ):
         with pytest.raises(DataError, match="not aligned"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the cell cost as it read before the cells indexed one
+# `row_losses` pass.  A hard cell rebuilt its rows as a Dataset and a
+# PredictionSet; a soft cell computed its own zero-one errors.
+
+
+def loop_cell_cost(preds, d, cl, kind, a, c):
+    if cl.n != d.n:
+        raise DataError("clustering not aligned with dataset")
+    if cl.kind is ClusteringKind.HARD:
+        rows = np.flatnonzero((cl.assignment == c) & (d.group == a))
+        if rows.size == 0:
+            raise AnalysisError(f"cluster {c} x group {a} cell is empty")
+        sub = d.take(rows)
+        sub_preds = PredictionSet(
+            scores=None if preds.scores is None else preds.scores[rows],
+            labels=None if preds.labels is None else preds.labels[rows],
+        )
+        cost = float(per_sample_losses(sub_preds, sub, kind, a).mean())
+        return cost, float(rows.size)
+    q = cl.membership[:, c]
+    in_group = (d.group == a).astype(np.float64)
+    mass = float((in_group * q).sum())
+    if mass <= 0.0:
+        raise AnalysisError(f"zero membership mass for group {a}, cluster {c}")
+    errors = (preds.hard() != d.outcome).astype(np.float64)
+    return float((errors * in_group * q).sum() / mass), mass
+
+
+def _cell_outcome(fn):
+    try:
+        value = fn()
+    except AnalysisError as exc:
+        return f"AnalysisError: {exc}"
+    if isinstance(value, tuple):
+        return tuple(v.hex() for v in value)
+    return value.hex()
+
+
+def _cell_cases():
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        n = int(rng.integers(4, 40))
+        task = Task.REGRESSION if trial % 3 == 0 else Task.BINARY
+        if task is Task.BINARY:
+            y = (rng.random(n) < rng.random()).astype(float)
+        else:
+            y = np.round(rng.normal(size=n), 2)
+        d = Dataset(
+            features=np.zeros((n, 1)),
+            group=rng.integers(0, 2, size=n),
+            outcome=y,
+            task=task,
+            column_names=("x",),
+        )
+        scores = np.round(rng.uniform(-0.1, 1.1, size=n), 2)
+        labels = (rng.random(n) < 0.5).astype(float)
+        hard = Clustering(
+            kind=ClusteringKind.HARD, assignment=rng.integers(0, 3, size=n)
+        )
+        q = rng.random((n, 3)) * (rng.random((n, 3)) < 0.7)
+        q[:, 0] += 1e-3
+        soft = Clustering(kind=ClusteringKind.SOFT, membership=q / q.sum(axis=1)[:, None])
+        for preds in (
+            PredictionSet(scores=scores),
+            PredictionSet(scores=np.clip(scores, 0.0, 1.0)),
+            PredictionSet(labels=labels),
+            PredictionSet(scores=scores, labels=labels),
+        ):
+            yield d, preds, hard, soft
+
+
+@pytest.mark.parametrize("kind", list(CostKind))
+def test_cells_match_the_take_and_rebuild_loop(kind):
+    seen = set()
+    for d, preds, hard, soft in _cell_cases():
+        groups = sorted(set(d.group.tolist()))
+        upfront = _cell_outcome(lambda: row_losses(preds, d, kind)[0].sum())
+        want = {
+            (c, a): _cell_outcome(lambda: loop_cell_cost(preds, d, hard, kind, a, c))
+            for c in range(hard.n_clusters) for a in groups
+        }
+        seen.update(w for w in [upfront, *want.values()] if isinstance(w, str))
+        if upfront.startswith("AnalysisError"):
+            # Every cell was undefined before; the shared pass now reports
+            # why once, ahead of any empty-cell error.
+            assert all(w.startswith("AnalysisError") for w in want.values())
+            for (c, a) in want:
+                assert _cell_outcome(
+                    lambda: cluster_cost(preds, d, hard, kind, a, c)
+                ) == upfront
+            for cl in (hard, soft) if kind is CostKind.ZERO_ONE else (hard,):
+                with pytest.raises(AnalysisError) as info:
+                    rank_clusters(preds, d, cl, kind)
+                assert f"AnalysisError: {info.value}" == upfront
+            if kind is CostKind.ZERO_ONE:
+                # A soft cell on a regression task was a zero-one cost of
+                # real outcomes; it is now refused with the task error.
+                assert _cell_outcome(
+                    lambda: weighted_group_error(preds, d, soft, 0, 0)
+                ) == upfront
+            continue
+        for (c, a), w in want.items():
+            assert _cell_outcome(
+                lambda: cluster_cost(preds, d, hard, kind, a, c)
+            ) == (w if isinstance(w, str) else w[0])
+        computable = {key: w for key, w in want.items() if isinstance(w, tuple)}
+        if not computable:
+            with pytest.raises(AnalysisError, match="no cluster has a computable"):
+                rank_clusters(preds, d, hard, kind)
+            continue
+        rep = rank_clusters(preds, d, hard, kind)
+        assert {k: v.hex() for k, v in rep.costs.items()} == {
+            k: w[0] for k, w in computable.items()
+        }
+        assert {k: v.hex() for k, v in rep.masses.items()} == {
+            k: w[1] for k, w in computable.items()
+        }
+        if kind is not CostKind.ZERO_ONE:
+            continue
+        # Soft cells weigh the zero-one losses, for a binary task only.
+        want = {
+            (c, a): _cell_outcome(lambda: loop_cell_cost(preds, d, soft, kind, a, c))
+            for c in range(soft.n_clusters) for a in groups
+        }
+        for (c, a), w in want.items():
+            assert _cell_outcome(
+                lambda: weighted_group_error(preds, d, soft, a, c)
+            ) == (w if isinstance(w, str) else w[0])
+        rep = rank_clusters(preds, d, soft, kind)
+        assert {k: (v.hex(), rep.masses[k].hex()) for k, v in rep.costs.items()} == {
+            k: w for k, w in want.items() if isinstance(w, tuple)
+        }
+    # The cases reach every way a cell can be undefined.
+    assert any("cell is empty" in s for s in seen)
+    assert any(f"requires a {kind.task.value} task" in s for s in seen)
+    if kind is CostKind.FPR:
+        assert any("has no Y=0 rows" in s for s in seen)
+    if kind.needs_scores:
+        assert any("scores outside" in s for s in seen)
+        assert any("requires scores" in s for s in seen)
