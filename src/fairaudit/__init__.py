@@ -9,6 +9,7 @@ from .costs import (
     CostKind,
     GroupCostReport,
     PredictionSet,
+    apply_threshold,
     discrimination_level,
     group_cost,
     per_sample_losses,
@@ -47,7 +48,7 @@ from .decomposition import (
     point_decomposition,
 )
 from .errors import AnalysisError, ConfigError, DataError, FairauditError
-from .learners import LearnerKind, LearnerSpec, apply_threshold, train
+from .learners import LearnerKind, LearnerSpec, train
 from .noise_bounds import (
     BoundMethod,
     NoiseBoundEstimate,

@@ -2,9 +2,9 @@
 
 Subcommands: audit, decompose, curves, noise, subgroups, test, synth,
 report, prepare-adult.  A flat key=value config file may supply any long
-flag's value; explicit flags win.  All randomness derives from the single
---seed knob, and identical inputs plus seed produce a byte-identical
-report body.
+flag's value; it passes the same type and range checks as the flag, and
+explicit flags win.  All randomness derives from the single --seed knob,
+and identical inputs plus seed produce a byte-identical report body.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 analysis error.
 """
@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 analysis error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -22,7 +23,7 @@ from . import adult as adult_mod
 from . import curves as curves_mod
 from . import noise_bounds, stats, subgroups, synth
 from . import decomposition as decomp
-from .costs import CostKind, discrimination_level, brier_score
+from .costs import CostKind, brier_score, discrimination_level, sample_variance
 from .data import (
     Dataset,
     Schema,
@@ -36,18 +37,6 @@ from .data import (
 from .errors import AnalysisError, ConfigError, DataError, FairauditError
 from .learners import LearnerKind, LearnerSpec, score_predictions, train
 from .report import AuditReport, emit_report, write_curve_table
-
-ANALYSES = (
-    "audit",
-    "decompose",
-    "curves",
-    "noise",
-    "subgroups",
-    "test",
-    "synth",
-    "report",
-    "prepare-adult",
-)
 
 
 def parse_learner(text: str) -> LearnerSpec:
@@ -100,37 +89,6 @@ def parse_kinds(text: str) -> list[CostKind]:
     return kinds
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    if not getattr(args, "config", None):
-        return
-    values = {
-        key.replace("-", "_"): value
-        for key, value in read_key_values(args.config, "config")
-    }
-    for key, value in values.items():
-        if not hasattr(args, key):
-            raise ConfigError(f"config key {key!r} is not a known option")
-        current = getattr(args, key)
-        # Flags given on the command line win over the config file.
-        if key in args._explicit:
-            continue
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-            continue
-        if key == "seed" or isinstance(current, int):
-            convert = int
-        elif isinstance(current, float):
-            convert = float
-        else:
-            convert = str
-        try:
-            setattr(args, key, convert(value))
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} is not a valid {convert.__name__}"
-            ) from None
-
-
 def _load_data(args) -> Dataset:
     if not args.data:
         raise ConfigError("--data is required for this subcommand")
@@ -175,18 +133,10 @@ def _synth_spec(args):
             sigma_eps=args.sigma_eps, homoskedastic=args.homoskedastic
         )
         return spec, synth.gen_regression
-    if args.synth_kind == "discrete":
-        return synth.default_discrete_spec(), synth.gen_discrete
-    raise ConfigError(f"unknown synthetic kind {args.synth_kind!r}")
+    return synth.default_discrete_spec(), synth.gen_discrete
 
 
 def cmd_decompose(args, report: AuditReport) -> None:
-    if args.t_models < 2:
-        raise ConfigError("--t-models must be >= 2")
-    if args.n_train < 0:
-        raise ConfigError("--n-train must be >= 0")
-    if args.eval_size < 1:
-        raise ConfigError("--eval-size must be >= 1")
     seed = args.seed
     spec = parse_learner(args.learner)
     if args.data:
@@ -228,16 +178,7 @@ def cmd_decompose(args, report: AuditReport) -> None:
 
 
 def cmd_curves(args, report: AuditReport) -> None:
-    try:
-        grid = [int(x) for x in args.grid.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"--grid must be comma-separated integers, got {args.grid!r}"
-        ) from None
-    if not grid or min(grid) < 1:
-        raise ConfigError("--grid needs training-set sizes >= 1")
-    if args.trials < 1:
-        raise ConfigError("--trials must be >= 1")
+    grid = _grid_sizes(args.grid)
     d = _load_data(args)
     spec = parse_learner(args.learner)
     kinds = parse_kinds(args.kind)
@@ -271,12 +212,8 @@ def cmd_curves(args, report: AuditReport) -> None:
     for kind in kinds:
         for a in sorted(set(d.group.tolist())):
             for n, mean, count in exp.mean_costs(a, kind):
-                values = exp.trial_costs[(a, kind, n)]
-                stderr = (
-                    float(np.std(values, ddof=1) / np.sqrt(len(values)))
-                    if len(values) > 1
-                    else 0.0
-                )
+                values = np.asarray(exp.trial_costs[(a, kind, n)])
+                stderr = math.sqrt(sample_variance(values)) / math.sqrt(count)
                 fit = fits.get((a, kind))
                 fitted = fit(n) if fit else ""
                 rows.append([n, a, kind.value, mean, stderr, fitted])
@@ -285,10 +222,6 @@ def cmd_curves(args, report: AuditReport) -> None:
 
 
 def cmd_noise(args, report: AuditReport) -> None:
-    if args.k < 1:
-        raise ConfigError("--k must be >= 1")
-    if args.folds < 2:
-        raise ConfigError("--folds must be >= 2")
     d = _load_data(args)
     max_samples = args.max_nn_samples if args.max_nn_samples > 0 else None
     estimates = noise_bounds.all_bounds(
@@ -333,8 +266,6 @@ def cmd_subgroups(args, report: AuditReport) -> None:
 
 
 def cmd_test(args, report: AuditReport) -> None:
-    if args.reps < 100:
-        raise ConfigError("--reps must be >= 100")
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
     kind = parse_kinds(args.kind)[0]
@@ -402,36 +333,61 @@ def cmd_prepare_adult(args, report: AuditReport) -> None:
     )
 
 
-class _TrackingParser(argparse.ArgumentParser):
-    """Records which destinations were explicitly given, so the config
-    file only fills in unset options."""
+class _Parser(argparse.ArgumentParser):
+    """Reports every parse failure as a ConfigError (exit 2)."""
 
-    def parse_args(self, argv=None, namespace=None):
-        args = super().parse_args(argv, namespace)
-        explicit = set()
-        argv = list(sys.argv[1:] if argv is None else argv)
-        for action in self._get_all_actions():
-            for opt in action.option_strings:
-                if opt in argv or any(a.startswith(opt + "=") for a in argv):
-                    explicit.add(action.dest)
-        args._explicit = explicit
-        return args
-
-    def _get_all_actions(self):
-        actions = list(self._actions)
-        for action in self._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sub in action.choices.values():
-                    actions.extend(sub._actions)
-        return actions
+    def error(self, message):
+        raise ConfigError(message)
 
 
-def build_parser() -> _TrackingParser:
-    # No abbreviated flags: _TrackingParser records a flag as explicit only
-    # when it is spelled out, so an abbreviation would lose to the config
-    # file.
-    parser = _TrackingParser(prog="fairaudit", allow_abbrev=False)
+def _checked(convert, rule: str, ok):
+    """An argparse ``type``: ``convert`` the text, then reject a value for
+    which ``ok`` is false, naming the ``rule`` it breaks."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    # argparse names the type in "invalid int value: 'x'".
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _at_least(low: int):
+    return _checked(int, f">= {low}", lambda v: v >= low)
+
+
+def _grid_sizes(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _grid(text: str) -> str:
+    """``--grid``'s type.  The namespace keeps the text, as the report's
+    config echo shows it."""
+    try:
+        sizes = _grid_sizes(text)
+    except ValueError:
+        sizes = []
+    if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(
+            f"must be distinct comma-separated sizes >= 1, got {text!r}"
+        )
+    return text
+
+
+def build_parser() -> _Parser:
+    """The one declaration of every option: its type, default and valid
+    range.  ``parse_args`` passes config-file values through it too."""
+    # Flags must be spelled out: an abbreviation would change meaning once
+    # a new option shares its prefix.
+    parser = _Parser(prog="fairaudit", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
+    unit_open = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+    unit_closed = _checked(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
 
     def add(name):
         p = sub.add_parser(name, allow_abbrev=False)
@@ -442,47 +398,92 @@ def build_parser() -> _TrackingParser:
         p.add_argument("--out", default="fairaudit_out")
         p.add_argument("--format", default="json", choices=("json", "csv"))
         p.add_argument("--kind", default="zero_one")
-        p.add_argument("--threshold", type=float, default=0.5)
-        p.add_argument("--level", type=float, default=0.05)
+        p.add_argument("--threshold", type=unit_closed, default=0.5)
+        p.add_argument("--level", type=unit_open, default=0.05)
         p.add_argument("--learner", default="bagged_trees")
-        p.add_argument("--test-fraction", type=float, default=0.2)
+        p.add_argument("--test-fraction", type=unit_open, default=0.2)
+        return p
+
+    def add_synth(name):
+        p = add(name)
+        p.add_argument("--synth-kind", default="discrete",
+                       choices=("discrete", "regression"))
+        p.add_argument("--sigma-eps", type=positive, default=1.0)
+        p.add_argument("--homoskedastic", action="store_true")
         return p
 
     add("audit")
-    p = add("decompose")
-    p.add_argument("--t-models", type=int, default=50)
+    p = add_synth("decompose")
+    p.add_argument("--t-models", type=_at_least(2), default=50)
     p.add_argument(
-        "--n-train", type=int, default=0,
+        "--n-train", type=_at_least(0), default=0,
         help="training-set size per ensemble member; 0 means the "
         "train-split size with --data and 200 with a synthetic source",
     )
-    p.add_argument("--eval-size", type=int, default=500)
-    p.add_argument("--synth-kind", default="discrete",
-                   choices=("discrete", "regression"))
-    p.add_argument("--sigma-eps", type=float, default=1.0)
-    p.add_argument("--homoskedastic", action="store_true")
+    p.add_argument("--eval-size", type=_at_least(1), default=500)
     p = add("curves")
-    p.add_argument("--grid", default="100,200,400")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--grid", type=_grid, default="100,200,400")
+    p.add_argument("--trials", type=_at_least(1), default=10)
     p = add("noise")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--max-nn-samples", type=int, default=0)
+    p.add_argument("--k", type=_at_least(1), default=5)
+    p.add_argument("--folds", type=_at_least(2), default=5)
+    p.add_argument("--max-nn-samples", type=_at_least(0), default=0)
     p = add("subgroups")
     p.add_argument("--topics", default=None)
     p = add("test")
-    p.add_argument("--reps", type=int, default=1000)
-    p = add("synth")
-    p.add_argument("--synth-kind", default="discrete",
-                   choices=("discrete", "regression"))
-    p.add_argument("--sigma-eps", type=float, default=1.0)
-    p.add_argument("--homoskedastic", action="store_true")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--reps", type=_at_least(100), default=1000)
+    p = add_synth("synth")
+    p.add_argument("--n", type=_at_least(1), default=1000)
     add("report")
     p = add("prepare-adult")
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-schema", default=None)
     return parser
+
+
+def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
+    """The ``key=value`` lines of config file ``path`` as defaults for the
+    subcommand parser ``command``.  Each key must name one of its options;
+    the text stays text, for the option's type to convert when parsed."""
+    options = {
+        a.dest: a for a in command._actions if a.dest not in ("help", "config")
+    }
+    defaults = {}
+    for key, text in read_key_values(path, "config"):
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"config key {key!r} is not a known option")
+        value = text
+        if action.nargs == 0:  # an on/off flag such as --homoskedastic
+            value = {"1": True, "true": True, "yes": True, "0": False,
+                     "false": False, "no": False}.get(text.lower())
+            if value is None:
+                raise ConfigError(f"config key {key!r}: {text!r} is not on/off")
+        # argparse checks choices on given values only, not on defaults.
+        elif action.choices is not None and text not in action.choices:
+            raise ConfigError(
+                f"config key {key!r}: {text!r} is not one of "
+                + ", ".join(action.choices)
+            )
+        defaults[action.dest] = value
+    return defaults
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse ``argv`` (default ``sys.argv[1:]``).  A ``--config`` file's
+    values become the subcommand's defaults and the same argv is parsed
+    again, so they are converted and range-checked exactly as flags are,
+    and a flag given explicitly wins."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = parser.commands[args.command]
+        command.set_defaults(**_config_defaults(command, args.config))
+        try:
+            args = parser.parse_args(argv)
+        except ConfigError as exc:
+            raise ConfigError(f"config file {args.config}: {exc}") from None
+    return args
 
 
 COMMANDS = {
@@ -499,24 +500,20 @@ COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        _apply_config(args)
+        try:
+            args = parse_args(argv)
+        except SystemExit:  # --help has printed the usage
+            return 0
         if args.seed is None:
             raise ConfigError("--seed is mandatory (reproducibility contract)")
-        if not 0.0 < args.level < 1.0:
-            raise ConfigError("--level must be in (0, 1)")
         # The echo covers analysis inputs only; emission options (where and
         # in which format to write) must not break byte-identical reruns.
         emission_only = {"out", "format", "config"}
         config_echo = {
             k: v
             for k, v in sorted(vars(args).items())
-            if not k.startswith("_") and v is not None and k not in emission_only
+            if v is not None and k not in emission_only
         }
         report = AuditReport(config=config_echo)
         COMMANDS[args.command](args, report)

@@ -34,6 +34,13 @@ class CostKind(enum.Enum):
         return self in (CostKind.GENERALIZED_ZERO_ONE, CostKind.BRIER)
 
 
+def apply_threshold(scores: np.ndarray, t: float = 0.5) -> np.ndarray:
+    """Hard labels by the >= convention."""
+    if not 0.0 <= t <= 1.0:
+        raise AnalysisError(f"threshold {t} not in [0,1]")
+    return (np.asarray(scores) >= t).astype(np.float64)
+
+
 @dataclass(frozen=True)
 class PredictionSet:
     """One model's output on an evaluation set: scores and/or hard labels.
@@ -63,7 +70,7 @@ class PredictionSet:
         """Hard labels, thresholding scores at ``threshold`` if needed."""
         if self.labels is not None:
             return self.labels
-        return (self.scores >= threshold).astype(np.float64)
+        return apply_threshold(self.scores, threshold)
 
 
 @dataclass(frozen=True)

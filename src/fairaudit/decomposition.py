@@ -29,9 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .costs import apply_threshold
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
-from .learners import LearnerSpec, apply_threshold, train
+from .learners import LearnerSpec, train
 from .stats import TestResult, two_sample_z
 from .synth import ConditionalOutcomeModel
 

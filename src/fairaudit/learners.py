@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .costs import PredictionSet
+from .costs import PredictionSet, apply_threshold
 from .data import Dataset, Task, derive_seed
 from .errors import AnalysisError, DataError
 
@@ -313,13 +313,6 @@ def train(
     if spec.kind is LearnerKind.BAGGED_TREES:
         return _train_bagged(spec, np.ascontiguousarray(X), y, d.task)
     raise AnalysisError(f"unknown learner kind {spec.kind}")
-
-
-def apply_threshold(scores: np.ndarray, t: float = 0.5) -> np.ndarray:
-    """Hard labels by the >= convention."""
-    if not 0.0 <= t <= 1.0:
-        raise AnalysisError(f"threshold {t} not in [0,1]")
-    return (np.asarray(scores) >= t).astype(np.float64)
 
 
 def score_predictions(

@@ -5,9 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import AuditReport, emit_report
-from fairaudit.cli import parse_kinds, parse_learner, run_cli
+from fairaudit.cli import build_parser, parse_kinds, parse_learner, run_cli
 from fairaudit.costs import CostKind
 from fairaudit.errors import AnalysisError, ConfigError
 from fairaudit.learners import LearnerKind
@@ -123,7 +125,9 @@ def test_cli_audit_outputs(tmp_path, synth_csv):
 def test_cli_config_file_flag_precedence(tmp_path, synth_csv):
     data, schema, _ = synth_csv
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed=5\nkind=fnr\nlearner=tree:max_depth=2\n")
+    cfg.write_text(
+        "seed=5\nkind=fnr\nlearner=tree:max_depth=2\ntest-fraction=0.3\n"
+    )
     out1 = tmp_path / "o1"
     assert run(
         ["audit", "--config", cfg, "--data", data, "--schema", schema,
@@ -132,6 +136,16 @@ def test_cli_config_file_flag_precedence(tmp_path, synth_csv):
     doc = json.loads((out1 / "report.json").read_text())
     assert doc["config"]["seed"] == 5
     assert "group_costs.fnr" in doc["results"]
+    # the same run from flags writes the same bytes
+    out_flags = tmp_path / "o_flags"
+    assert run(
+        ["audit", "--seed", 5, "--kind", "fnr", "--learner", "tree:max_depth=2",
+         "--test-fraction", 0.3, "--data", data, "--schema", schema,
+         "--out", out_flags]
+    ) == 0
+    assert (out_flags / "report.json").read_bytes() == (
+        out1 / "report.json"
+    ).read_bytes()
     # explicit flag beats the config file
     out2 = tmp_path / "o2"
     assert run(
@@ -269,7 +283,7 @@ def test_cli_decompose_rejects_out_of_range_sizes(tmp_path, flags):
     "argv",
     [["curves", "--grid", "100,abc"], ["curves", "--grid", ""],
      ["curves", "--grid", "0,100,200"], ["curves", "--trials", 0],
-     ["test", "--reps", 5]],
+     ["test", "--reps", 5], ["curves", "--grid", "100,100,200"]],
 )
 def test_cli_rejects_bad_curve_and_test_options(tmp_path, synth_csv, capsys, argv):
     data, schema, _ = synth_csv
@@ -280,6 +294,117 @@ def test_cli_rejects_bad_curve_and_test_options(tmp_path, synth_csv, capsys, arg
     ) == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+# One out-of-range value per ranged option: (subcommand, option, value).
+OUT_OF_RANGE = [
+    ("audit", "level", "1"),
+    ("audit", "threshold", "2"),
+    ("audit", "threshold", "nan"),
+    ("audit", "test-fraction", "1.5"),
+    ("decompose", "t-models", "1"),
+    ("decompose", "n-train", "-1"),
+    ("decompose", "eval-size", "0"),
+    ("decompose", "sigma-eps", "0"),
+    ("curves", "trials", "0"),
+    ("curves", "grid", "100,100,200"),
+    ("noise", "k", "0"),
+    ("noise", "folds", "1"),
+    ("noise", "max-nn-samples", "-5"),
+    ("test", "reps", "99"),
+    ("synth", "n", "0"),
+    ("synth", "sigma-eps", "0"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,option,value", OUT_OF_RANGE)
+def test_cli_rejects_out_of_range_option(
+    tmp_path, synth_csv, capsys, source, command, option, value
+):
+    data, schema, _ = synth_csv
+    out = tmp_path / "out"
+    argv = [command, "--seed", 1, "--out", out]
+    if command not in ("decompose", "synth"):  # synth would write --data
+        argv += ["--data", data, "--schema", schema]
+    if source == "flag":
+        argv += [f"--{option}", value]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option.replace('-', '_')}={value}\n")
+        argv += ["--config", config]
+    assert run(argv) == 2
+    assert "fairaudit: config error: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["command=noise", "command=bogus", "config=x", "_explicit=1", "help=1",
+     "format=xml", "synth-kind=binary", "homoskedastic=maybe"],
+)
+def test_cli_config_key_outside_the_subcommand_is_a_config_error(
+    tmp_path, capsys, line
+):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert run(["synth", "--seed", 1, "--config", config, "--out", out]) == 2
+    assert "fairaudit: config error: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_on_off_flag_from_config(tmp_path):
+    config = tmp_path / "run.cfg"
+    for text, expected in [("yes", True), ("False", False)]:
+        config.write_text(f"synth_kind=regression\nhomoskedastic={text}\n")
+        out = tmp_path / text
+        assert run(["synth", "--seed", 1, "--config", config, "--out", out]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["homoskedastic"] is expected
+
+
+def _grid_ok(text):
+    sizes = [int(x) for x in text.split(",") if x.strip()]
+    return bool(sizes) and min(sizes) >= 1 and len(set(sizes)) == len(sizes)
+
+
+# Each ranged option's valid values, written independently of the parser.
+RANGES = {
+    ("audit", "--level"): lambda v: type(v) is float and 0 < v < 1,
+    ("audit", "--threshold"): lambda v: type(v) is float and 0 <= v <= 1,
+    ("audit", "--test-fraction"): lambda v: type(v) is float and 0 < v < 1,
+    ("decompose", "--t-models"): lambda v: type(v) is int and v >= 2,
+    ("decompose", "--n-train"): lambda v: type(v) is int and v >= 0,
+    ("decompose", "--eval-size"): lambda v: type(v) is int and v >= 1,
+    ("decompose", "--sigma-eps"): lambda v: type(v) is float and 0 < v < np.inf,
+    ("curves", "--trials"): lambda v: type(v) is int and v >= 1,
+    ("curves", "--grid"): lambda v: type(v) is str and _grid_ok(v),
+    ("noise", "--k"): lambda v: type(v) is int and v >= 1,
+    ("noise", "--folds"): lambda v: type(v) is int and v >= 2,
+    ("noise", "--max-nn-samples"): lambda v: type(v) is int and v >= 0,
+    ("test", "--reps"): lambda v: type(v) is int and v >= 100,
+    ("synth", "--n"): lambda v: type(v) is int and v >= 1,
+    ("synth", "--sigma-eps"): lambda v: type(v) is float and 0 < v < np.inf,
+}
+
+_option_text = st.one_of(
+    st.text(max_size=12),
+    st.integers(-1000, 1000).map(str),
+    st.floats().map(repr),
+    st.lists(st.integers(-5, 500).map(str), max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(option=st.sampled_from(sorted(RANGES)), text=_option_text)
+def test_ranged_option_parses_in_range_or_raises_config_error(option, text):
+    command, flag = option
+    try:
+        args = build_parser().parse_args([command, f"{flag}={text}"])
+    except ConfigError:
+        return
+    assert RANGES[option](getattr(args, flag[2:].replace("-", "_")))
 
 
 def test_cli_subgroups_with_topics(tmp_path, synth_csv):
