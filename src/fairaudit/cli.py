@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: audit, decompose, curves, noise, subgroups, test, synth,
-report, prepare-adult.  A flat key=value config file may supply any long
-flag's value; it passes the same type and range checks as the flag, and
-explicit flags win.  All randomness derives from the single --seed knob,
-and identical inputs plus seed produce a byte-identical report body.
+report, prepare-adult; each takes only the options it reads.  A flat
+key=value config file may set any of them, with the same type and range
+checks as the flag; explicit flags win.  All randomness derives from
+--seed, and identical inputs plus seed give a byte-identical report body.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 analysis error.
 """
@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -39,6 +39,11 @@ from .learners import LearnerKind, LearnerSpec, score_predictions, train
 from .report import AuditReport, emit_report, write_curve_table
 
 
+# On/off values, in any case, of a config line or a learner option.
+_ON_OFF = {"1": True, "true": True, "yes": True,
+           "0": False, "false": False, "no": False}
+
+
 def parse_learner(text: str) -> LearnerSpec:
     """Parse 'kind' or 'kind:key=value,key=value' into a LearnerSpec."""
     kind_text, _, rest = text.partition(":")
@@ -48,30 +53,29 @@ def parse_learner(text: str) -> LearnerSpec:
         raise ConfigError(f"unknown learner kind {kind_text!r}") from None
     kwargs = {}
     converters = {
-        "lam": float,
-        "penalty": str,
-        "k": int,
-        "max_depth": int,
-        "n_trees": int,
-        "feature_fraction": float,
-        "bootstrap": lambda s: s.lower() in ("1", "true", "yes"),
-        "epochs": int,
-        "step_size": float,
+        f.name: type(f.default)
+        for f in fields(LearnerSpec)
+        if f.name not in ("kind", "seed")
     }
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in converters:
                 raise ConfigError(f"unknown learner option {key!r}")
+            convert = converters[key]
             try:
-                kwargs[key] = converters[key](value.strip())
-            except ValueError:
+                kwargs[key] = (_ON_OFF[value.lower()] if convert is bool
+                               else convert(value))
+            except (KeyError, ValueError):
                 raise ConfigError(
-                    f"learner option {key}={value.strip()!r} is not a valid "
-                    f"{converters[key].__name__}"
+                    f"learner option {key}={value!r} is not a valid "
+                    f"{convert.__name__}"
                 ) from None
-    return LearnerSpec(kind=kind, **kwargs)
+    try:
+        return LearnerSpec(kind=kind, **kwargs)
+    except AnalysisError as exc:
+        raise ConfigError(f"learner {text!r}: {exc}") from None
 
 
 def parse_kinds(text: str) -> list[CostKind]:
@@ -168,8 +172,7 @@ def cmd_decompose(args, report: AuditReport) -> None:
             ensemble, eval_set, om, loss, a
         )
     report.add("decomposition", blocks)
-    costs = [b.cost for b in blocks.values()]
-    report.add("gamma_bar", max(costs) - min(costs))
+    report.add("gamma_bar", decomp.gamma_bar(blocks))
     if om is None:
         report.warn(
             "outcome model unknown: bias and noise reported as a combined "
@@ -195,14 +198,13 @@ def cmd_curves(args, report: AuditReport) -> None:
     report.add("power_law_fits", fit_block)
     gaps = {}
     for kind in kinds:
-        groups = sorted({a for (a, k) in fits if k == kind})
-        if len(groups) >= 2:
-            f0, f1 = fits[(groups[0], kind)], fits[(groups[-1], kind)]
-            gaps[kind.value] = {
-                "at_max_n": curves_mod.extrapolate_gamma(f0, f1, max(grid)),
-                "asymptotic": curves_mod.extrapolate_gamma(f0, f1, np.inf),
-            }
-            if curves_mod.extrapolation_warning(f0, np.inf):
+        kind_fits = [fit for (a, k), fit in fits.items() if k == kind]
+        if len(kind_fits) >= 2:
+            gaps[kind.value] = {}
+            for label, n in (("at_max_n", max(grid)), ("asymptotic", np.inf)):
+                fitted = [fit(n) for fit in kind_fits]
+                gaps[kind.value][label] = max(fitted) - min(fitted)
+            if curves_mod.extrapolation_warning(kind_fits[0], np.inf):
                 report.warn(
                     f"{kind.value}: asymptotic gap extrapolates beyond "
                     f"10x the fitted range and may be unreliable"
@@ -314,10 +316,8 @@ def cmd_report(args, report: AuditReport) -> None:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read report {args.data}: {exc}") from exc
-    loaded = AuditReport.from_json(text)
-    report.results = loaded.results
-    report.warnings = loaded.warnings
-    report.errors = loaded.errors
+    # The loaded report's own config and version replace this run's echo.
+    vars(report).update(vars(AuditReport.from_json(text)))
 
 
 def cmd_prepare_adult(args, report: AuditReport) -> None:
@@ -360,84 +360,84 @@ def _at_least(low: int):
 
 
 def _grid_sizes(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _grid(text: str) -> str:
-    """``--grid``'s type.  The namespace keeps the text, as the report's
-    config echo shows it."""
     try:
-        sizes = _grid_sizes(text)
+        sizes = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         sizes = []
     if not sizes or min(sizes) < 1 or len(set(sizes)) < len(sizes):
-        raise argparse.ArgumentTypeError(
-            f"must be distinct comma-separated sizes >= 1, got {text!r}"
-        )
-    return text
+        raise ConfigError("must be distinct comma-separated sizes >= 1, "
+                          f"got {text!r}")
+    return sizes
+
+
+def _parsed_text(parse):
+    """An argparse type: checks text with ``parse``, keeps it for the echo."""
+    def check(text):
+        try:
+            parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
 
 
 def build_parser() -> _Parser:
-    """The one declaration of every option: its type, default and valid
-    range.  ``parse_args`` passes config-file values through it too."""
+    """The one declaration of every option: its type, default, valid range
+    and the subcommands that read it.  Config-file values pass it too."""
+    unit_open = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+    unit_closed = _checked(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+    positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
+    trained = ("audit", "decompose", "curves", "subgroups", "test")
+    held_out = ("audit", "decompose", "subgroups", "test")
+    costed = ("audit", "curves", "subgroups", "test")
+    synthetic = ("decompose", "synth")
+    # (flag, the subcommands that read it, add_argument keywords).  Only
+    # they take it, so the config echo lists only inputs the run read.
+    options = [
+        ("--schema", ("noise", *trained), dict(default=None)),
+        ("--learner", trained,
+         dict(type=_parsed_text(parse_learner), default="bagged_trees")),
+        ("--threshold", trained, dict(type=unit_closed, default=0.5)),
+        ("--test-fraction", held_out, dict(type=unit_open, default=0.2)),
+        ("--kind", costed,
+         dict(type=_parsed_text(parse_kinds), default="zero_one")),
+        ("--level", ("test",), dict(type=unit_open, default=0.05)),
+        ("--synth-kind", synthetic,
+         dict(default="discrete", choices=("discrete", "regression"))),
+        ("--sigma-eps", synthetic, dict(type=positive, default=1.0)),
+        ("--homoskedastic", synthetic, dict(action="store_true")),
+        ("--t-models", ("decompose",), dict(type=_at_least(2), default=50)),
+        ("--n-train", ("decompose",), dict(type=_at_least(0), default=0, help=(
+            "training-set size per ensemble member; 0 means the train-split "
+            "size with --data and 200 with a synthetic source"))),
+        ("--eval-size", ("decompose",), dict(type=_at_least(1), default=500)),
+        ("--grid", ("curves",),
+         dict(type=_parsed_text(_grid_sizes), default="100,200,400")),
+        ("--trials", ("curves",), dict(type=_at_least(1), default=10)),
+        ("--k", ("noise",), dict(type=_at_least(1), default=5)),
+        ("--folds", ("noise",), dict(type=_at_least(2), default=5)),
+        ("--max-nn-samples", ("noise",), dict(type=_at_least(0), default=0)),
+        ("--topics", ("subgroups",), dict(default=None)),
+        ("--reps", ("test",), dict(type=_at_least(100), default=1000)),
+        ("--n", ("synth",), dict(type=_at_least(1), default=1000)),
+        ("--out-csv", ("prepare-adult",), dict(default=None)),
+        ("--out-schema", ("prepare-adult",), dict(default=None)),
+    ]
     # Flags must be spelled out: an abbreviation would change meaning once
     # a new option shares its prefix.
     parser = _Parser(prog="fairaudit", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
-    unit_open = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
-    unit_closed = _checked(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
-    positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
-
-    def add(name):
+    for name in COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None)
         p.add_argument("--data", default=None)
-        p.add_argument("--schema", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="fairaudit_out")
         p.add_argument("--format", default="json", choices=("json", "csv"))
-        p.add_argument("--kind", default="zero_one")
-        p.add_argument("--threshold", type=unit_closed, default=0.5)
-        p.add_argument("--level", type=unit_open, default=0.05)
-        p.add_argument("--learner", default="bagged_trees")
-        p.add_argument("--test-fraction", type=unit_open, default=0.2)
-        return p
-
-    def add_synth(name):
-        p = add(name)
-        p.add_argument("--synth-kind", default="discrete",
-                       choices=("discrete", "regression"))
-        p.add_argument("--sigma-eps", type=positive, default=1.0)
-        p.add_argument("--homoskedastic", action="store_true")
-        return p
-
-    add("audit")
-    p = add_synth("decompose")
-    p.add_argument("--t-models", type=_at_least(2), default=50)
-    p.add_argument(
-        "--n-train", type=_at_least(0), default=0,
-        help="training-set size per ensemble member; 0 means the "
-        "train-split size with --data and 200 with a synthetic source",
-    )
-    p.add_argument("--eval-size", type=_at_least(1), default=500)
-    p = add("curves")
-    p.add_argument("--grid", type=_grid, default="100,200,400")
-    p.add_argument("--trials", type=_at_least(1), default=10)
-    p = add("noise")
-    p.add_argument("--k", type=_at_least(1), default=5)
-    p.add_argument("--folds", type=_at_least(2), default=5)
-    p.add_argument("--max-nn-samples", type=_at_least(0), default=0)
-    p = add("subgroups")
-    p.add_argument("--topics", default=None)
-    p = add("test")
-    p.add_argument("--reps", type=_at_least(100), default=1000)
-    p = add_synth("synth")
-    p.add_argument("--n", type=_at_least(1), default=1000)
-    add("report")
-    p = add("prepare-adult")
-    p.add_argument("--out-csv", default=None)
-    p.add_argument("--out-schema", default=None)
+        for flag, readers, keywords in options:
+            if name in readers:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -455,8 +455,7 @@ def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
             raise ConfigError(f"config key {key!r} is not a known option")
         value = text
         if action.nargs == 0:  # an on/off flag such as --homoskedastic
-            value = {"1": True, "true": True, "yes": True, "0": False,
-                     "false": False, "no": False}.get(text.lower())
+            value = _ON_OFF.get(text.lower())
             if value is None:
                 raise ConfigError(f"config key {key!r}: {text!r} is not on/off")
         # argparse checks choices on given values only, not on defaults.

@@ -321,8 +321,9 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 
     outcome = _numeric_column(col[schema.outcome], linenos, origin, "outcome")
     if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
-        bad = outcome[~np.isin(outcome, (0.0, 1.0))][0]
-        raise DataError(f"{origin}: binary outcome value {bad} not in {{0,1}}")
+        i = np.flatnonzero(~np.isin(outcome, (0.0, 1.0)))[0]
+        raise DataError(f"{origin}:{linenos[i]}: binary outcome value "
+                        f"{outcome[i]} not in {{0,1}}")
 
     # Group column: non-negative integers map to 0..G-1 in numeric order,
     # anything else is categorical.

@@ -44,14 +44,18 @@ class LearnerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise AnalysisError("regularization weight must be >= 0")
+        if not 0.0 <= self.lam < np.inf:
+            raise AnalysisError("regularization weight must be finite and >= 0")
         if self.penalty not in ("l1", "l2"):
             raise AnalysisError(f"unknown penalty {self.penalty!r}")
         if self.k < 1 or self.max_depth < 1 or self.n_trees < 1:
             raise AnalysisError("k, max_depth, n_trees must be >= 1")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise AnalysisError("feature_fraction must be in (0, 1]")
+        if self.epochs < 1:
+            raise AnalysisError("epochs must be >= 1")
+        if not 0.0 < self.step_size < np.inf:
+            raise AnalysisError("step_size must be finite and > 0")
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

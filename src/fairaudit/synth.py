@@ -165,7 +165,7 @@ def gen_regression(
     sigma = np.asarray(spec.sigma)[a]
     x = rng.normal(mu, sigma)
     eps = rng.normal(0.0, spec.sigma_eps, size=n)
-    mean = 2.0 * x * x - 2.0 * x + 0.1
+    mean = spec.conditional_mean(x)
     y = mean + (eps if spec.homoskedastic else eps * x * x)
     d = Dataset(
         features=x[:, None],

@@ -57,8 +57,9 @@ def test_duplicate_columns_rejected():
 
 
 def test_nonbinary_outcome_rejected():
-    with pytest.raises(DataError, match="not in"):
-        _load_csv_text("sex,y,age\nM,2,30\n", SCHEMA)
+    with pytest.raises(DataError) as info:
+        _load_csv_text("sex,y,age\nM,1,30\n\nF,2,30\n", SCHEMA)
+    assert str(info.value) == "<memory>:4: binary outcome value 2.0 not in {0,1}"
 
 
 def test_ignore_and_score_columns():
@@ -218,9 +219,13 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
             raise DataError(
                 f"{origin}:{linenos[i]}: non-finite outcome value {cell!r}"
             )
-    if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
-        bad = outcome[~np.isin(outcome, (0.0, 1.0))][0]
-        raise DataError(f"{origin}: binary outcome value {bad} not in {{0,1}}")
+    if schema.task is Task.BINARY:
+        for i, value in enumerate(outcome):
+            if value not in (0.0, 1.0):
+                raise DataError(
+                    f"{origin}:{linenos[i]}: binary outcome value {value} "
+                    "not in {0,1}"
+                )
 
     raw_group = col[schema.group]
     numeric_group = [_parse_cell(c) for c in raw_group]

@@ -77,13 +77,24 @@ def test_curve_table_header(tmp_path):
     assert lines[0] == "n,group,cost_kind,mean,stderr,fitted_value"
 
 
+# Learner texts that name a kind but no usable model.
+BAD_LEARNERS = [
+    "knn:k=0", "tree:max_depth=0", "logistic:penalty=l3", "logistic:epochs=0",
+    "logistic:step_size=-1", "logistic:step_size=inf", "ridge:lam=nan",
+    "bagged_trees:bootstrap=maybe",
+]
+
+
 def test_parse_learner():
     spec = parse_learner("bagged_trees:n_trees=7,max_depth=3,bootstrap=false")
     assert spec.kind is LearnerKind.BAGGED_TREES
     assert spec.n_trees == 7 and spec.max_depth == 3 and not spec.bootstrap
     with pytest.raises(ConfigError):
         parse_learner("boosted")
-    for bad in ("knn:weird=1", "tree:max_depth=abc", "ridge:lam=x", "knn:k=2.5"):
+    assert parse_learner("bagged_trees:bootstrap=YES").bootstrap
+    assert not parse_learner("bagged_trees:bootstrap=0").bootstrap
+    for bad in ("knn:weird=1", "tree:max_depth=abc", "ridge:lam=x", "knn:k=2.5",
+                "knn:seed=3", "tree:kind=knn", *BAD_LEARNERS):
         with pytest.raises(ConfigError):
             parse_learner(bad)
     assert parse_kinds("zero_one,fpr") == [CostKind.ZERO_ONE, CostKind.FPR]
@@ -213,6 +224,24 @@ def test_cli_noise_and_test_subcommands(tmp_path, synth_csv):
 
 
 @pytest.mark.parametrize(
+    "flags", [["--kind", "bogus"], *(["--learner", bad] for bad in BAD_LEARNERS)],
+    ids="=".join,
+)
+def test_cli_rejects_bad_learner_or_kind_before_training(
+    tmp_path, synth_csv, capsys, monkeypatch, flags
+):
+    data, schema, _ = synth_csv
+    monkeypatch.setattr("fairaudit.cli.train", None)  # any training fails
+    out = tmp_path / "test"
+    assert run(
+        ["test", "--seed", 8, "--data", data, "--schema", schema,
+         "--reps", 100, "--out", out, *flags]
+    ) == 2
+    assert "fairaudit: config error: argument " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
     "flags", [["--k", 0], ["--k", -3], ["--folds", 1], ["--folds", 0]]
 )
 def test_cli_noise_rejects_bad_k_and_folds(tmp_path, synth_csv, flags):
@@ -298,7 +327,7 @@ def test_cli_rejects_bad_curve_and_test_options(tmp_path, synth_csv, capsys, arg
 
 # One out-of-range value per ranged option: (subcommand, option, value).
 OUT_OF_RANGE = [
-    ("audit", "level", "1"),
+    ("test", "level", "1"),
     ("audit", "threshold", "2"),
     ("audit", "threshold", "nan"),
     ("audit", "test-fraction", "1.5"),
@@ -354,6 +383,168 @@ def test_cli_config_key_outside_the_subcommand_is_a_config_error(
     assert not (out / "report.json").exists()
 
 
+# Options each subcommand ignores, and so rejects: (subcommand, option).
+UNREAD = [
+    *(("noise", o) for o in ("learner", "threshold", "test-fraction", "kind",
+                             "level")),
+    ("audit", "level"), ("decompose", "kind"), ("decompose", "level"),
+    ("curves", "level"), ("curves", "test-fraction"), ("subgroups", "level"),
+    *((c, o) for c in ("synth", "report", "prepare-adult")
+      for o in ("schema", "kind", "threshold", "level", "learner",
+                "test-fraction")),
+]
+VALID = {"schema": "s.txt", "kind": "zero_one", "threshold": "0.5",
+         "level": "0.05", "learner": "knn", "test-fraction": "0.2"}
+
+
+def _quick_argvs(tmp_path, synth_csv):
+    """A small run of each subcommand but ``report``: its argv after
+    --seed and --out."""
+    data, schema, _ = synth_csv
+    files = ["--data", data, "--schema", schema]
+    tree = ["--learner", "tree:max_depth=1"]
+    raw = tmp_path / "adult.data"
+    raw.write_text(
+        "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, "
+        "Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K\n"
+    )
+    return {
+        "audit": [*files, *tree],
+        "decompose": [*tree, "--t-models", 2, "--n-train", 20,
+                      "--eval-size", 20],
+        "curves": [*files, *tree, "--grid", "40,80", "--trials", 1],
+        "noise": [*files, "--max-nn-samples", 50],
+        "subgroups": [*files, *tree],
+        "test": [*files, *tree, "--reps", 100],
+        "synth": ["--n", 10],
+        "prepare-adult": ["--data", raw, "--out-csv", tmp_path / "a.csv",
+                          "--out-schema", tmp_path / "a.txt"],
+    }
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,option", UNREAD)
+def test_cli_rejects_an_option_the_subcommand_does_not_read(
+    tmp_path, synth_csv, capsys, source, command, option
+):
+    if command == "report":
+        loaded = tmp_path / "in.json"
+        loaded.write_text(AuditReport(config={}).to_json())
+        argv = ["--data", loaded]
+    else:
+        argv = _quick_argvs(tmp_path, synth_csv)[command]
+    out = tmp_path / "out"
+    argv = [command, "--seed", 1, "--out", out, *argv]
+    if source == "flag":
+        argv += [f"--{option}", VALID[option]]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option.replace('-', '_')}={VALID[option]}\n")
+        argv += ["--config", config]
+    assert run(argv) == 2
+    assert "fairaudit: config error: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+# The config echo of a run: exactly the inputs its subcommand read.
+ECHO_KEYS = {
+    "audit": "command data kind learner schema seed test_fraction threshold",
+    "decompose": "command eval_size homoskedastic learner n_train seed "
+                 "sigma_eps synth_kind t_models test_fraction threshold",
+    "curves": "command data grid kind learner schema seed threshold trials",
+    "noise": "command data folds k max_nn_samples schema seed",
+    "subgroups": "command data kind learner schema seed test_fraction "
+                 "threshold",
+    "test": "command data kind learner level reps schema seed test_fraction "
+            "threshold",
+    "synth": "command homoskedastic n seed sigma_eps synth_kind",
+    "prepare-adult": "command data out_csv out_schema seed",
+}
+
+
+def test_cli_config_echo_lists_the_inputs_each_subcommand_reads(
+    tmp_path, synth_csv
+):
+    for command, argv in _quick_argvs(tmp_path, synth_csv).items():
+        out = tmp_path / command
+        assert run([command, "--seed", 1, "--out", out, *argv]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert sorted(doc["config"]) == ECHO_KEYS[command].split(), command
+
+
+def test_cli_report_reemits_a_report_json_byte_for_byte(tmp_path, synth_csv):
+    data, schema, _ = synth_csv
+    first = tmp_path / "test"
+    assert run(
+        ["test", "--seed", 2, "--data", data, "--schema", schema,
+         "--learner", "tree:max_depth=2", "--level", 0.01, "--reps", 100,
+         "--out", first]
+    ) == 0
+    again = tmp_path / "again"
+    assert run(
+        ["report", "--seed", 1, "--data", first / "report.json", "--out", again]
+    ) == 0
+    assert (again / "report.json").read_bytes() == (
+        first / "report.json"
+    ).read_bytes()
+    csv_out = tmp_path / "csv"
+    assert run(
+        ["report", "--seed", 1, "--data", first / "report.json",
+         "--format", "csv", "--out", csv_out]
+    ) == 0
+    meta = (csv_out / "meta.csv").read_text().splitlines()
+    assert "config.learner,tree:max_depth=2" in meta
+    assert "config.level,0.01" in meta
+    assert "config.seed,2" in meta
+
+
+def test_cli_decompose_one_group_is_an_analysis_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("g,y,x\n" + "".join(
+        f"0,{i % 2},{i % 7}\n" for i in range(60)
+    ))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    out = tmp_path / "dec"
+    assert run(
+        ["decompose", "--seed", 1, "--data", data, "--schema", schema,
+         "--learner", "tree:max_depth=1", "--t-models", 2, "--out", out]
+    ) == 4
+    assert "need at least 2 groups" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_curves_gap_spans_all_groups(tmp_path):
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(600):
+        g = i % 3
+        x = rng.normal(size=2)
+        noise = (0.2, 0.4, 0.05)[g]  # the middle group is the noisiest
+        y = int((x[0] > 0) != (rng.random() < noise))
+        rows.append(f"{g},{y},{x[0]},{x[1]}\n")
+    data = tmp_path / "d.csv"
+    data.write_text("g,y,x0,x1\n" + "".join(rows))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    out = tmp_path / "curves"
+    assert run(
+        ["curves", "--seed", 3, "--data", data, "--schema", schema,
+         "--learner", "tree:max_depth=2", "--grid", "60,120,240",
+         "--trials", 2, "--out", out]
+    ) == 0
+    doc = json.loads((out / "report.json").read_text())
+    fits = [doc["results"]["power_law_fits"][f"zero_one.group{a}"]
+            for a in range(3)]
+    at_240 = [f["alpha"] * 240.0 ** -f["beta"] + f["delta"] for f in fits]
+    deltas = [f["delta"] for f in fits]
+    gap = doc["results"]["gamma_extrapolations"]["zero_one"]
+    assert gap["at_max_n"] == pytest.approx(max(at_240) - min(at_240),
+                                            abs=1e-12)
+    assert gap["asymptotic"] == pytest.approx(max(deltas) - min(deltas),
+                                              abs=1e-12)
+
+
 def test_cli_on_off_flag_from_config(tmp_path):
     config = tmp_path / "run.cfg"
     for text, expected in [("yes", True), ("False", False)]:
@@ -371,7 +562,7 @@ def _grid_ok(text):
 
 # Each ranged option's valid values, written independently of the parser.
 RANGES = {
-    ("audit", "--level"): lambda v: type(v) is float and 0 < v < 1,
+    ("test", "--level"): lambda v: type(v) is float and 0 < v < 1,
     ("audit", "--threshold"): lambda v: type(v) is float and 0 <= v <= 1,
     ("audit", "--test-fraction"): lambda v: type(v) is float and 0 < v < 1,
     ("decompose", "--t-models"): lambda v: type(v) is int and v >= 2,
@@ -435,10 +626,10 @@ def test_cli_report_reemission(tmp_path, synth_csv):
 
 
 def _config_file(tmp_path):
-    """A config file setting threshold=0.9; also a plain file to put --out
-    under."""
+    """A synth config file setting sigma-eps=0.9; also a plain file to put
+    --out under."""
     path = tmp_path / "c.cfg"
-    path.write_text("threshold=0.9\n")
+    path.write_text("sigma-eps=0.9\n")
     return path
 
 
@@ -489,20 +680,21 @@ def test_cli_non_utf8_dataset_is_a_data_error(tmp_path, capsys):
     assert "cannot read dataset" in capsys.readouterr().err
 
 
-def test_cli_rejects_abbreviated_flags(tmp_path):
+def test_cli_rejects_abbreviated_flags(tmp_path, capsys):
     cfg = _config_file(tmp_path)
-    code = run(["synth", "--seed", 0, "--config", cfg, "--thresh", 0.1,
+    code = run(["synth", "--seed", 0, "--config", cfg, "--sigma", 0.1,
                 "--out", tmp_path / "o"])
     assert code == 2
+    assert "unrecognized arguments: --sigma" in capsys.readouterr().err
 
 
 def test_cli_full_flag_beats_config_file(tmp_path):
     cfg = _config_file(tmp_path)
     out = tmp_path / "o"
-    assert run(["synth", "--seed", 0, "--config", cfg, "--threshold", 0.1,
+    assert run(["synth", "--seed", 0, "--config", cfg, "--sigma-eps", 0.1,
                 "--out", out]) == 0
     doc = json.loads((out / "report.json").read_text())
-    assert doc["config"]["threshold"] == 0.1
+    assert doc["config"]["sigma_eps"] == 0.1
 
 
 def test_cli_entry_point_installed():
@@ -527,7 +719,7 @@ def test_cli_non_utf8_schema_is_a_config_error(tmp_path, synth_csv, capsys):
 
 def test_cli_non_utf8_config_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
-    cfg.write_bytes(b"threshold=0.9\n# \xff\n")
+    cfg.write_bytes(b"sigma-eps=0.9\n# \xff\n")
     code = run(["synth", "--seed", 0, "--config", cfg, "--out", tmp_path / "o"])
     assert code == 2
     assert "cannot read config file" in capsys.readouterr().err
