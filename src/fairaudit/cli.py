@@ -23,7 +23,10 @@ from . import adult as adult_mod
 from . import curves as curves_mod
 from . import noise_bounds, stats, subgroups, synth
 from . import decomposition as decomp
-from .costs import CostKind, brier_score, discrimination_level, sample_variance
+from .costs import (
+    CostKind, brier_score, discrimination_level, empty_group_error,
+    per_sample_losses, sample_variance,
+)
 from .data import (
     Dataset,
     Schema,
@@ -93,6 +96,14 @@ def parse_kinds(text: str) -> list[CostKind]:
     return kinds
 
 
+def parse_kind(text: str) -> CostKind:
+    """Parse exactly one cost kind."""
+    kinds = parse_kinds(text)
+    if len(kinds) != 1:
+        raise ConfigError(f"takes one cost kind, got {text!r}")
+    return kinds[0]
+
+
 def _load_data(args) -> Dataset:
     if not args.data:
         raise ConfigError("--data is required for this subcommand")
@@ -113,6 +124,18 @@ def _trained_predictions(args, d: Dataset, seed: int):
     return score_predictions(scores, d.task, args.threshold), ds.test
 
 
+def _groups_with_rows(d: Dataset, report: AuditReport) -> list[int]:
+    """The declared groups that have rows in ``d``.  Per-group blocks leave
+    out every other one, with the warning ``discrimination_level`` gives."""
+    groups = []
+    for a in range(d.n_groups):
+        if d.group_indices(a).size:
+            groups.append(a)
+        else:
+            report.warn(f"group {a} skipped: {empty_group_error(a)}")
+    return groups
+
+
 def cmd_audit(args, report: AuditReport) -> None:
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
@@ -124,7 +147,7 @@ def cmd_audit(args, report: AuditReport) -> None:
     if eval_set.task is Task.BINARY and preds.scores is not None:
         briers = {
             str(a): brier_score(preds.scores, eval_set, a)
-            for a in sorted(set(eval_set.group.tolist()))
+            for a in _groups_with_rows(eval_set, report)
         }
         report.add("brier_scores", briers)
 
@@ -166,11 +189,10 @@ def cmd_decompose(args, report: AuditReport) -> None:
         if eval_set.task is Task.BINARY
         else decomp.Loss.SQUARED
     )
-    blocks = {}
-    for a in sorted(set(eval_set.group.tolist())):
-        blocks[str(a)] = decomp.group_decomposition(
-            ensemble, eval_set, om, loss, a
-        )
+    blocks = {
+        str(a): decomp.group_decomposition(ensemble, eval_set, om, loss, a)
+        for a in _groups_with_rows(eval_set, report)
+    }
     report.add("decomposition", blocks)
     report.add("gamma_bar", decomp.gamma_bar(blocks))
     if om is None:
@@ -204,15 +226,10 @@ def cmd_curves(args, report: AuditReport) -> None:
             for label, n in (("at_max_n", max(grid)), ("asymptotic", np.inf)):
                 fitted = [fit(n) for fit in kind_fits]
                 gaps[kind.value][label] = max(fitted) - min(fitted)
-            if curves_mod.extrapolation_warning(kind_fits[0], np.inf):
-                report.warn(
-                    f"{kind.value}: asymptotic gap extrapolates beyond "
-                    f"10x the fitted range and may be unreliable"
-                )
     report.add("gamma_extrapolations", gaps)
     rows = []
     for kind in kinds:
-        for a in sorted(set(d.group.tolist())):
+        for a in range(d.n_groups):
             for n, mean, count in exp.mean_costs(a, kind):
                 values = np.asarray(exp.trial_costs[(a, kind, n)])
                 stderr = math.sqrt(sample_variance(values)) / math.sqrt(count)
@@ -237,12 +254,16 @@ def cmd_noise(args, report: AuditReport) -> None:
 
 
 def cmd_subgroups(args, report: AuditReport) -> None:
+    kind = parse_kind(args.kind)
+    if args.topics and kind is not CostKind.ZERO_ONE:
+        raise ConfigError(
+            f"--topics takes --kind zero_one only, got {kind.value!r}"
+        )
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
-    kind = parse_kinds(args.kind)[0]
     if args.topics:
         cl = subgroups.load_membership(args.topics, n_expected=eval_set.n)
-        rep = subgroups.rank_clusters(preds, eval_set, cl, CostKind.ZERO_ONE)
+        rep = subgroups.rank_clusters(preds, eval_set, cl, kind)
         report.add("topic_clusters", rep)
         for w in rep.warnings:
             report.warn(w)
@@ -270,8 +291,14 @@ def cmd_subgroups(args, report: AuditReport) -> None:
 def cmd_test(args, report: AuditReport) -> None:
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
-    kind = parse_kinds(args.kind)[0]
-    result = stats.gamma_z_test(preds, eval_set, kind, level=args.level)
+    kind = parse_kind(args.kind)
+    groups = _groups_with_rows(eval_set, report)
+    if len(groups) < 2:
+        raise AnalysisError("fewer than 2 groups have evaluation rows")
+    # The z-test compares the first two groups with rows.
+    result = stats.gamma_z_test(
+        preds, eval_set, kind, level=args.level, groups=tuple(groups[:2])
+    )
     report.add("gamma_z_test", result)
     for w in result.detail.get("warnings", []):
         report.warn(w)
@@ -280,18 +307,16 @@ def cmd_test(args, report: AuditReport) -> None:
         seed=derive_seed(args.seed, "bootstrap"),
     )
     report.add("bootstrap_gamma_ci", {"low": ci[0], "high": ci[1]})
-    groups = sorted(set(eval_set.group.tolist()))
     if len(groups) > 2:
-        from .costs import per_sample_losses
-
-        losses = [
-            per_sample_losses(preds, eval_set, kind, a) for a in groups
-        ]
-        report.add("anova_f", stats.anova_f(losses, level=args.level))
-        pairwise = stats.pairwise_welch_holm(losses, level=args.level)
+        losses = {
+            a: per_sample_losses(preds, eval_set, kind, a) for a in groups
+        }
+        report.add(
+            "anova_f", stats.anova_f(list(losses.values()), level=args.level)
+        )
         report.add(
             "pairwise_welch_holm",
-            {f"{i},{j}": r for (i, j), r in sorted(pairwise.items())},
+            stats.pairwise_welch_holm(losses, level=args.level),
         )
 
 
@@ -389,7 +414,6 @@ def build_parser() -> _Parser:
     positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
     trained = ("audit", "decompose", "curves", "subgroups", "test")
     held_out = ("audit", "decompose", "subgroups", "test")
-    costed = ("audit", "curves", "subgroups", "test")
     synthetic = ("decompose", "synth")
     # (flag, the subcommands that read it, add_argument keywords).  Only
     # they take it, so the config echo lists only inputs the run read.
@@ -399,8 +423,10 @@ def build_parser() -> _Parser:
          dict(type=_parsed_text(parse_learner), default="bagged_trees")),
         ("--threshold", trained, dict(type=unit_closed, default=0.5)),
         ("--test-fraction", held_out, dict(type=unit_open, default=0.2)),
-        ("--kind", costed,
+        ("--kind", ("audit", "curves"),
          dict(type=_parsed_text(parse_kinds), default="zero_one")),
+        ("--kind", ("subgroups", "test"),
+         dict(type=_parsed_text(parse_kind), default="zero_one")),
         ("--level", ("test",), dict(type=unit_open, default=0.05)),
         ("--synth-kind", synthetic,
          dict(default="discrete", choices=("discrete", "regression"))),

@@ -85,46 +85,6 @@ class GroupCostReport:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _check_applies(preds: PredictionSet, d: Dataset, kind: CostKind) -> None:
-    if preds.n != d.n:
-        raise DataError(
-            f"predictions have {preds.n} rows but dataset has {d.n}"
-        )
-    if kind.task is not d.task:
-        raise AnalysisError(
-            f"cost kind {kind.value} requires a {kind.task.value} task"
-        )
-
-
-def _row_losses(
-    preds: PredictionSet, d: Dataset, kind: CostKind, rows
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """``row_losses`` for the dataset rows ``rows``, once ``kind`` is known
-    to apply."""
-    y = d.outcome[rows]
-    if kind is CostKind.MSE:
-        pred = (preds.scores if preds.scores is not None else preds.labels)[rows]
-        return (pred - y) ** 2, None, None
-    if kind.needs_scores:
-        if preds.scores is None:
-            raise AnalysisError(f"cost kind {kind.value} requires scores")
-        s = preds.scores[rows]
-        outside = (s < 0.0) | (s > 1.0)
-        if kind is CostKind.BRIER:
-            return (s - y) ** 2, None, outside
-        # Generalized zero-one: expected zero-one loss of a randomized
-        # classifier that accepts with probability s.
-        return y * (1.0 - s) + (1.0 - y) * s, None, outside
-    yhat = preds.hard()[rows]
-    if kind is CostKind.ZERO_ONE:
-        return (yhat != y).astype(np.float64), None, None
-    if kind is CostKind.FPR:
-        return yhat.astype(np.float64), y == 0.0, None
-    if kind is CostKind.FNR:
-        return (1.0 - yhat).astype(np.float64), y == 1.0, None
-    raise AnalysisError(f"unhandled cost kind {kind}")
-
-
 def row_losses(
     preds: PredictionSet, d: Dataset, kind: CostKind
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -136,15 +96,52 @@ def row_losses(
     that reads no scores).  Raises when ``kind`` does not apply to the
     predictions and dataset.
     """
-    _check_applies(preds, d, kind)
-    return _row_losses(preds, d, kind, slice(None))
+    if preds.n != d.n:
+        raise DataError(
+            f"predictions have {preds.n} rows but dataset has {d.n}"
+        )
+    if kind.task is not d.task:
+        raise AnalysisError(
+            f"cost kind {kind.value} requires a {kind.task.value} task"
+        )
+    y = d.outcome
+    if kind is CostKind.MSE:
+        pred = preds.scores if preds.scores is not None else preds.labels
+        return (pred - y) ** 2, None, None
+    if kind.needs_scores:
+        if preds.scores is None:
+            raise AnalysisError(f"cost kind {kind.value} requires scores")
+        s = preds.scores
+        outside = (s < 0.0) | (s > 1.0)
+        if kind is CostKind.BRIER:
+            return (s - y) ** 2, None, outside
+        # Generalized zero-one: expected zero-one loss of a randomized
+        # classifier that accepts with probability s.
+        return y * (1.0 - s) + (1.0 - y) * s, None, outside
+    yhat = preds.hard()
+    if kind is CostKind.ZERO_ONE:
+        return (yhat != y).astype(np.float64), None, None
+    if kind is CostKind.FPR:
+        return yhat.astype(np.float64), y == 0.0, None
+    if kind is CostKind.FNR:
+        return (1.0 - yhat).astype(np.float64), y == 1.0, None
+    raise AnalysisError(f"unhandled cost kind {kind}")
+
+
+def empty_group_error(a: int) -> AnalysisError:
+    """The error for declared group ``a`` when it has no evaluation rows;
+    a per-group report block that leaves the group out warns with it."""
+    return AnalysisError(f"group {a} has no rows in the evaluation set")
 
 
 def cost_losses(losses: tuple, rows, kind: CostKind, a: int) -> np.ndarray:
-    """The losses that the cost of group ``a`` counts among ``rows``, which
-    index ``losses``, a ``row_losses`` result.  Raises AnalysisError when
-    the cost is undefined: a score among ``rows`` lies outside [0, 1], or
-    no row has the class that FPR or FNR conditions on."""
+    """The losses that the cost of group ``a`` counts among ``rows``, an
+    index array into ``losses``, a ``row_losses`` result.  Raises
+    AnalysisError when the cost is undefined: ``rows`` is empty, a score
+    among them lies outside [0, 1], or no row has the class that FPR or
+    FNR conditions on."""
+    if rows.size == 0:
+        raise empty_group_error(a)
     values, counted, outside = losses
     if outside is not None and outside[rows].any():
         raise AnalysisError("scores outside [0,1]")
@@ -167,11 +164,7 @@ def per_sample_losses(
     The cost is their mean; their unbiased variance feeds the normal
     approximations of the significance tests.
     """
-    _check_applies(preds, d, kind)
-    rows = d.group_indices(a)
-    if rows.size == 0:
-        raise AnalysisError(f"group {a} has no rows in the evaluation set")
-    return cost_losses(_row_losses(preds, d, kind, rows), slice(None), kind, a)
+    return cost_losses(row_losses(preds, d, kind), d.group_indices(a), kind, a)
 
 
 def sample_variance(losses: np.ndarray) -> float:
@@ -192,8 +185,8 @@ def discrimination_level(
 ) -> GroupCostReport:
     """Per-group costs and the gap Gamma = max cost - min cost.
 
-    Groups where a class-conditional cost is undefined are excluded and
-    reported in ``skipped_groups`` with a warning.
+    A declared group with no rows, or whose cost is undefined, is excluded
+    and reported in ``skipped_groups`` with a warning.
     """
     groups, costs, counts, variances = [], [], [], []
     skipped, warnings = [], []

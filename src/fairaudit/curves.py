@@ -41,6 +41,7 @@ class CurveExperiment:
     trials: int
     holdout_fraction: float
     seed: int
+    n_groups: int
     cells: tuple[CurveCell, ...]
 
     @cached_property
@@ -141,6 +142,7 @@ def run_curve_experiment(
         trials=trials,
         holdout_fraction=holdout_fraction,
         seed=seed,
+        n_groups=d.n_groups,
         cells=tuple(cells),
     )
 
@@ -241,8 +243,7 @@ def fit_curve_experiment(
     """One fit per (group, cost kind), weighted by trial counts."""
     fits = {}
     for kind in exp.cost_kinds:
-        groups = sorted({c.group for c in exp.cells})
-        for a in groups:
+        for a in range(exp.n_groups):
             pts = exp.mean_costs(a, kind)
             if len(pts) >= 3:
                 fit = fit_power_law(pts)

@@ -87,9 +87,11 @@ class Schema:
 class Dataset:
     """An immutable audit dataset: features X, protected group A, outcome Y.
 
-    Group labels are contiguous integers 0..G-1; ``group_names`` maps them
-    back to their source values.  ``score`` optionally carries externally
-    supplied model scores aligned with the rows.
+    Group labels are integers 0..G-1 and ``group_names`` maps them back to
+    their source values.  The names declare the groups: G is their number
+    (by default ``group.max() + 1``), and a row subset keeps all G even
+    when it lacks the rows of some.  ``score`` optionally carries
+    externally supplied model scores aligned with the rows.
     """
 
     features: np.ndarray
@@ -129,6 +131,8 @@ class Dataset:
             object.__setattr__(
                 self, "group_names", tuple(str(g) for g in range(group.max() + 1))
             )
+        elif group.max() >= len(self.group_names):
+            raise DataError(f"group index {group.max()} has no group name")
         if self.score is not None:
             score = np.ascontiguousarray(self.score, dtype=np.float64)
             if score.shape != (n,):
@@ -147,14 +151,15 @@ class Dataset:
 
     @property
     def n_groups(self) -> int:
-        return int(self.group.max()) + 1
+        """The number of declared groups, with rows here or not."""
+        return len(self.group_names)
 
     def group_indices(self, a: int) -> np.ndarray:
         return np.flatnonzero(self.group == a)
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """Row subset/reordering; group relabeling is *not* performed, so
-        every group must survive in the result.
+        """Row subset/reordering.  Groups are not relabeled: the subset
+        keeps every declared group, even one it has no rows of.
 
         The rows of a validated Dataset are valid, so the subset skips the
         whole-matrix checks of ``__post_init__``; ``indices`` must be a
@@ -269,9 +274,9 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     is numeric when Python ``float()`` accepts every cell (so ``1_000``,
     ``1e3``, ``nan`` and ``inf`` are numbers); otherwise its distinct
     values, sorted by code point, become one-hot columns.  The outcome and
-    score must be numeric and finite.  A group column of non-negative
-    integers keeps their numeric order; any other group column is
-    categorical.
+    score must be numeric, and they and every numeric feature finite.  A
+    group column of non-negative integers keeps their numeric order; any
+    other group column is categorical.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -358,6 +363,14 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     score = None
     if schema.score is not None:
         score = _numeric_column(col[schema.score], linenos, origin, "score")
+    # Only a numeric column can hold nan or inf; report its first record.
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(
+            f"{origin}:{linenos[i]}: non-finite feature value "
+            f"{col[names[j]][i]!r} in column {names[j]!r}"
+        )
 
     return Dataset(
         features=features,

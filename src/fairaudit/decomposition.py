@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import apply_threshold
+from .costs import apply_threshold, empty_group_error
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
 from .learners import LearnerSpec, train
@@ -150,6 +150,22 @@ def ensemble_train(
     )
 
 
+def _losses(preds: np.ndarray, target, loss: Loss, out=None) -> np.ndarray:
+    """Each prediction's loss against ``target`` (broadcast): a mismatch
+    flag for zero-one, the squared error otherwise, written into ``out``
+    when given.  A mean over it is the mean loss either way."""
+    if loss is Loss.ZERO_ONE:
+        return preds != target
+    diff = np.subtract(preds, target, out=out)
+    return np.square(diff, out=diff)
+
+
+def _vote(p: np.ndarray) -> np.ndarray:
+    """The majority label of each vote share or probability ``p``, ties
+    toward label 0."""
+    return (p > 0.5).astype(np.float64)
+
+
 def _terms(
     e: EnsemblePredictions,
     eval_set: Dataset,
@@ -170,34 +186,35 @@ def _terms(
     # (m, T) copy, one contiguous row per point: a row mean sums in the
     # same pairwise order as the mean of that point's ensemble column.
     cols = e.predictions.T[rows]
-    col_mean = cols.mean(axis=1)
+    y_main = cols.mean(axis=1)
+    y_main = _vote(y_main) if loss is Loss.ZERO_ONE else y_main
+    # cols is this call's own copy: squared losses overwrite it rather than
+    # take a second (m, T) array.
+    variance = _losses(cols, y_main[:, None], loss, out=cols).mean(axis=1)
     if loss is Loss.ZERO_ONE:
         p1 = om.prob(X, a)
-        y_star = (p1 > 0.5).astype(np.float64)
-        y_main = (col_mean > 0.5).astype(np.float64)
+        y_star = _vote(p1)
         agree = y_main == y_star
         return PointDecomposition(
             y_star=y_star,
             y_main=y_main,
             noise=np.minimum(p1, 1.0 - p1),
             bias=(~agree).astype(np.float64),
-            variance=np.mean(cols != y_main[:, None], axis=1),
+            variance=variance,
             c_n=2.0 * np.mean(cols == y_star[:, None], axis=1) - 1.0,
             c_v=np.where(agree, 1.0, -1.0),
         )
     y_star = om.mean(X, a)
     # Python's float ** (libm pow): numpy's **2 computes x*x, which differs
     # from pow in the last bit on some inputs and would move report digits.
-    bias = np.array([d**2 for d in (col_mean - y_star).tolist()])
-    cols -= col_mean[:, None]
-    np.square(cols, out=cols)
+    bias = np.array([d**2 for d in (y_main - y_star).tolist()])
     ones = np.ones(rows.size)
     return PointDecomposition(
         y_star=y_star,
-        y_main=col_mean,
+        y_main=y_main,
         noise=om.var(X, a),
         bias=bias,
-        variance=cols.mean(axis=1),
+        variance=variance,
         c_n=ones,
         c_v=ones,
     )
@@ -230,14 +247,10 @@ def _unknown_mode(
     """Observed-label decomposition of the (T, m) predictions ``preds``
     against labels ``y``: the exact cost and the unsigned variance, with
     bias and noise merged into one residual."""
-    if loss is Loss.ZERO_ONE:
-        cost = float(np.mean(preds != y))
-        y_main = (preds.mean(axis=0) > 0.5).astype(np.float64)
-        variance_raw = float(np.mean(preds != y_main))
-    else:
-        cost = float(np.mean((preds - y) ** 2))
-        y_main = preds.mean(axis=0)
-        variance_raw = float(np.mean((preds - y_main) ** 2))
+    y_main = preds.mean(axis=0)
+    y_main = _vote(y_main) if loss is Loss.ZERO_ONE else y_main
+    cost = float(_losses(preds, y, loss).mean())
+    variance_raw = float(_losses(preds, y_main, loss).mean())
     return GroupDecomposition(
         group=a,
         cost=cost,
@@ -253,7 +266,7 @@ def _group_rows(e: EnsemblePredictions, eval_set: Dataset, a: int) -> np.ndarray
         raise DataError("ensemble not aligned with evaluation set")
     rows = eval_set.group_indices(a)
     if rows.size == 0:
-        raise AnalysisError(f"group {a} is empty in the evaluation set")
+        raise empty_group_error(a)
     return rows
 
 
@@ -320,7 +333,9 @@ def class_conditional_decomposition(
     # With the class fixed, the noise loss of y* is 1[y* != y].
     noise = float(weights @ (t.c_n * (t.y_star != float(y))))
     variance = float(weights @ (t.c_v * t.variance))
-    point_costs = np.mean(e.predictions[:, rows] != float(y), axis=0)
+    point_costs = _losses(
+        e.predictions[:, rows], float(y), Loss.ZERO_ONE
+    ).mean(axis=0)
     return GroupDecomposition(
         group=a,
         cost=float(weights @ point_costs),
@@ -359,19 +374,10 @@ def compare_models_bias_variance(
     """
     if e1.n_points != eval_set.n or e2.n_points != eval_set.n:
         raise DataError("ensembles not aligned with evaluation set")
-    g0, g1 = groups
     y = eval_set.outcome
-
-    def point_losses(e):
-        if loss is Loss.ZERO_ONE:
-            return np.mean(e.predictions != y, axis=0)
-        return np.mean((e.predictions - y) ** 2, axis=0)
-
-    u = point_losses(e1) - point_losses(e2)
-    rows0 = eval_set.group_indices(g0)
-    rows1 = eval_set.group_indices(g1)
-    if rows0.size == 0 or rows1.size == 0:
-        raise AnalysisError("both groups must be present")
+    u = (_losses(e1.predictions, y, loss).mean(axis=0)
+         - _losses(e2.predictions, y, loss).mean(axis=0))
+    rows0, rows1 = (_group_rows(e1, eval_set, g) for g in groups)
     stat, _, _, p = two_sample_z(u[rows0], u[rows1])
     return TestResult(
         name=f"compare_models_bias_variance[{loss.value}]",

@@ -27,6 +27,8 @@ def _plain(value):
     """Convert nested results into JSON-serializable plain data."""
     if isinstance(value, enum.Enum):
         return value.value
+    if isinstance(value, np.bool_):
+        return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):

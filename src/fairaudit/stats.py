@@ -217,8 +217,6 @@ def compare_discrimination_test(
     Standard errors use paired per-sample loss contributions, since both
     models are evaluated on the same sample.
     """
-    if preds_a.n != d.n or preds_b.n != d.n:
-        raise DataError("prediction sets not aligned with dataset")
     g0, g1 = groups
     la0 = per_sample_losses(preds_a, d, kind, g0)
     la1 = per_sample_losses(preds_a, d, kind, g1)
@@ -283,7 +281,7 @@ def bootstrap_gamma_ci(
     except AnalysisError:
         pass  # the cost is undefined for every group in every replicate
     else:
-        for a in sorted(set(d.group.tolist())):
+        for a in range(d.n_groups):
             member = d.group == a
             cells.append((
                 member if counted is None else member & counted,
@@ -366,21 +364,24 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def pairwise_welch_holm(
-    group_losses: list[np.ndarray], level: float = 0.05
+    group_losses, level: float = 0.05
 ) -> dict[tuple[int, int], TestResult]:
     """All pairwise Welch t-tests with Holm step-down correction.
 
+    ``group_losses`` maps each group id to its loss sample; a list keys
+    them by position.  Results are keyed by (id, id) pairs in key order.
     Substitute for a studentized-range test: conservative, and needs no
     range-distribution tables.
     """
-    samples = [np.asarray(g, dtype=np.float64) for g in group_losses]
+    if not isinstance(group_losses, dict):
+        group_losses = dict(enumerate(group_losses))
+    samples = {
+        g: np.asarray(v, dtype=np.float64) for g, v in group_losses.items()
+    }
     if len(samples) < 2:
         raise AnalysisError("need at least 2 groups")
-    pairs = [
-        (i, j)
-        for i in range(len(samples))
-        for j in range(i + 1, len(samples))
-    ]
+    ids = list(samples)
+    pairs = [(g, h) for i, g in enumerate(ids) for h in ids[i + 1:]]
     raw = {}
     for i, j in pairs:
         stat, df, p = welch_t(samples[i], samples[j])

@@ -180,7 +180,6 @@ def rank_clusters(
 ) -> ClusterReport:
     """Per-(cluster, group) costs ranked by cross-group variance of costs,
     ties broken by max-min gap, then cluster index."""
-    groups = sorted(set(d.group.tolist()))
     costs, masses = {}, {}
     gaps, variances, enrichment = {}, {}, {}
     unreliable = []
@@ -191,7 +190,7 @@ def rank_clusters(
     losses = row_losses(preds, d, kind)
     for c in range(cl.n_clusters):
         cell_costs = []
-        for a in groups:
+        for a in range(d.n_groups):
             try:
                 cost, mass = _cell_cost_and_mass(losses, d, cl, kind, a, c)
             except AnalysisError:

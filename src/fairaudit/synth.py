@@ -173,6 +173,7 @@ def gen_regression(
         outcome=y,
         task=Task.REGRESSION,
         column_names=("x",),
+        group_names=("0", "1"),
     )
     om = ConditionalOutcomeModel(
         task=Task.REGRESSION,
@@ -202,6 +203,7 @@ def gen_discrete(
         outcome=y,
         task=Task.BINARY,
         column_names=tuple(f"x={v}" for v in range(spec.n_values)),
+        group_names=tuple(str(g) for g in range(spec.n_groups)),
     )
 
     om = ConditionalOutcomeModel(

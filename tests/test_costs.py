@@ -115,6 +115,27 @@ def test_discrimination_level_skips_unevaluable_group():
     assert len(rep.warnings) == 1
 
 
+def test_discrimination_level_skips_a_declared_group_without_rows():
+    # Group 2 is declared by the full dataset but has no rows in the subset;
+    # the top group is skipped with a warning, as a middle group would be.
+    d = Dataset(
+        features=np.zeros((6, 1)),
+        group=np.array([0, 0, 1, 1, 2, 2]),
+        outcome=np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0]),
+        task=Task.BINARY,
+        column_names=("x",),
+    )
+    sub = d.take(np.arange(4))
+    assert sub.n_groups == 3
+    preds = PredictionSet(labels=np.array([1, 0, 0, 0], dtype=float))
+    rep = discrimination_level(preds, sub, CostKind.ZERO_ONE)
+    assert rep.groups == (0, 1)
+    assert rep.skipped_groups == (2,)
+    assert rep.warnings == (
+        "group 2 skipped: group 2 has no rows in the evaluation set",
+    )
+
+
 def test_gap_is_max_minus_min():
     d = Dataset(
         features=np.zeros((6, 1)),
@@ -147,6 +168,10 @@ def loop_per_sample_losses(preds, d, kind, a):
         raise AnalysisError(
             f"cost kind {kind.value} requires a {kind.task.value} task"
         )
+    # Missing scores make the kind inapplicable to every group, so they are
+    # reported before an empty group.
+    if kind.needs_scores and preds.scores is None:
+        raise AnalysisError(f"cost kind {kind.value} requires scores")
     rows = d.group_indices(a)
     if rows.size == 0:
         raise AnalysisError(f"group {a} has no rows in the evaluation set")
@@ -155,8 +180,6 @@ def loop_per_sample_losses(preds, d, kind, a):
         pred = (preds.scores if preds.scores is not None else preds.labels)[rows]
         return (pred - y) ** 2
     if kind.needs_scores:
-        if preds.scores is None:
-            raise AnalysisError(f"cost kind {kind.value} requires scores")
         s = preds.scores[rows]
         if np.any((s < 0.0) | (s > 1.0)):
             raise AnalysisError("scores outside [0,1]")

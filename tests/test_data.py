@@ -114,6 +114,30 @@ def test_split_stratified(binary_dataset):
         assert abs(in_test - round(total * 0.3)) <= 1
 
 
+def test_group_names_declare_the_groups():
+    d = Dataset(
+        features=np.zeros((3, 1)),
+        group=np.array([0, 2, 0]),
+        outcome=np.array([0.0, 1.0, 1.0]),
+        task=Task.BINARY,
+        column_names=("x",),
+        group_names=("a", "b", "c", "d"),
+    )
+    assert d.n_groups == 4
+    assert d.take(np.array([0, 2])).n_groups == 4
+    # Without names, the groups are 0..max.
+    assert Dataset(
+        features=np.zeros((2, 1)), group=np.array([0, 2]),
+        outcome=np.array([0.0, 1.0]), task=Task.BINARY, column_names=("x",),
+    ).group_names == ("0", "1", "2")
+    with pytest.raises(DataError, match="group index 2 has no group name"):
+        Dataset(
+            features=np.zeros((2, 1)), group=np.array([0, 2]),
+            outcome=np.array([0.0, 1.0]), task=Task.BINARY,
+            column_names=("x",), group_names=("a", "b"),
+        )
+
+
 def test_subsample_and_bootstrap(binary_dataset):
     s = subsample(binary_dataset, 50, seed=0)
     assert s.n == 50
@@ -156,7 +180,8 @@ def test_dataset_validation():
 
 # ---------------------------------------------------------------------------
 # Reference oracle: the per-cell loader that `_load_csv_text` replaced, plus
-# the later rule that outcome and score values be finite.  The columnar
+# the later rules that outcome, score and feature values be finite, each
+# error naming its line (a feature's also its column).  The columnar
 # loader must reproduce its arrays byte for byte and its errors word for
 # word.
 
@@ -274,6 +299,13 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
             if not math.isfinite(score[i]):
                 raise DataError(
                     f"{origin}:{linenos[i]}: non-finite score value {cell!r}"
+                )
+    for i in range(len(rows)):
+        for j, name in enumerate(names):
+            if not math.isfinite(features[i, j]):
+                raise DataError(
+                    f"{origin}:{linenos[i]}: non-finite feature value "
+                    f"{col[name][i]!r} in column {name!r}"
                 )
 
     return Dataset(
@@ -528,6 +560,26 @@ def test_numeric_column_follows_python_float():
     assert d.features[:, 0].tolist() == [1000.0, 1000.0, -0.0, 0.5]
     with pytest.raises(DataError, match="non-finite feature value"):
         _load_csv_text("sex,y,x\nM,1,nan\nF,0,1\n", SCHEMA)
+
+
+def test_non_finite_feature_names_line_and_column(chunk_rows):
+    def error(text, schema=SCHEMA):
+        with pytest.raises(DataError) as info:
+            _load_csv_text(text, schema, origin="m.csv")
+        return str(info.value)
+
+    # The first record with a non-finite cell, its leftmost such column.
+    assert error("sex,y,a,b\nM,1,1,2\n\nF,0,3, inf \nM,1,nan,-inf\n") == (
+        "m.csv:4: non-finite feature value 'inf' in column 'b'"
+    )
+    assert error("sex,y,a,b\nM,1,1,2\nF,0,nan,-inf\n") == (
+        "m.csv:3: non-finite feature value 'nan' in column 'a'"
+    )
+    # Outcome and score errors still come first.
+    scored = Schema(group="sex", outcome="y", task=Task.BINARY, score="s")
+    assert error("sex,y,a,s\nM,1,nan,0.5\nF,0,1,high\n", scored) == (
+        "m.csv:3: non-numeric score value 'high'"
+    )
 
 
 def test_numeric_group_keeps_numeric_order():

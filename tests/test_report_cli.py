@@ -52,6 +52,14 @@ def test_report_rejects_non_finite():
         rep.add("bad", {"v": float("nan")})
 
 
+def test_report_numpy_scalars_become_plain_values():
+    rep = AuditReport(config={})
+    rep.add("block", {"reject": np.float64(0.01) < 0.05, "n": np.int64(3)})
+    assert json.loads(rep.to_json())["results"]["block"] == {
+        "reject": True, "n": 3,
+    }
+
+
 def test_report_tuple_keys_and_enums():
     rep = AuditReport(config={})
     rep.add("block", {(0, 1): CostKind.FPR})
@@ -202,6 +210,9 @@ def test_cli_curves_writes_plot_table(tmp_path, synth_csv):
     doc = json.loads((out / "report.json").read_text())
     assert "power_law_fits" in doc["results"]
     assert "gamma_extrapolations" in doc["results"]
+    # Two fitted groups, yet no warning: the asymptotic gap is reported
+    # without an extrapolation warning that every fit would raise.
+    assert doc["warnings"] == []
 
 
 def test_cli_noise_and_test_subcommands(tmp_path, synth_csv):
@@ -514,6 +525,20 @@ def test_cli_decompose_one_group_is_an_analysis_error(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+def test_cli_test_one_group_is_an_analysis_error(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("g,y,x\n" + "".join(
+        f"0,{i % 2},{i % 7}\n" for i in range(60)
+    ))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    out = tmp_path / "test"
+    assert run(["test", "--seed", 1, "--data", data, "--schema", schema,
+                "--learner", "logistic", "--reps", 100, "--out", out]) == 4
+    assert "fewer than 2 groups have evaluation rows" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_curves_gap_spans_all_groups(tmp_path):
     rng = np.random.default_rng(0)
     rows = []
@@ -543,6 +568,95 @@ def test_cli_curves_gap_spans_all_groups(tmp_path):
                                             abs=1e-12)
     assert gap["asymptotic"] == pytest.approx(max(deltas) - min(deltas),
                                               abs=1e-12)
+
+
+def _rare_group_csv(tmp_path, n_groups, rare):
+    """200 rows spread over groups 0..n_groups-1 other than ``rare``, and
+    then 2 rows of ``rare``.  At --seed 2 the held-out split (20%) has no
+    row of ``rare``."""
+    rng = np.random.default_rng(0)
+    common = [g for g in range(n_groups) if g != rare]
+    rows = []
+    for i in range(202):
+        g = common[i % len(common)] if i < 200 else rare
+        x = rng.normal(size=2)
+        y = int(x[0] + 0.5 * g + rng.normal() > 0)
+        rows.append(f"{g},{y},{x[0]:.4f},{x[1]:.4f}\n")
+    data = tmp_path / "rare.csv"
+    data.write_text("g,y,x0,x1\n" + "".join(rows))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    return data, schema
+
+
+def test_cli_blocks_skip_a_top_group_missing_from_the_test_split(tmp_path):
+    data, schema = _rare_group_csv(tmp_path, n_groups=3, rare=2)
+    skipped = "group 2 skipped: group 2 has no rows in the evaluation set"
+    assert run(["audit", "--seed", 2, "--data", data, "--schema", schema,
+                "--learner", "logistic", "--kind", "zero_one,brier",
+                "--out", tmp_path / "audit"]) == 0
+    doc = json.loads((tmp_path / "audit" / "report.json").read_text())
+    assert doc["warnings"] == [skipped]
+    for kind in ("zero_one", "brier"):
+        block = doc["results"][f"group_costs.{kind}"]
+        assert block["groups"] == [0, 1]
+        assert block["skipped_groups"] == [2]
+    assert list(doc["results"]["brier_scores"]) == ["0", "1"]
+    assert run(["decompose", "--seed", 2, "--data", data, "--schema", schema,
+                "--learner", "tree:max_depth=2", "--t-models", 3,
+                "--out", tmp_path / "dec"]) == 0
+    doc = json.loads((tmp_path / "dec" / "report.json").read_text())
+    assert list(doc["results"]["decomposition"]) == ["0", "1"]
+    assert skipped in doc["warnings"]
+
+
+def test_cli_test_pairwise_keys_name_group_ids(tmp_path):
+    data, schema = _rare_group_csv(tmp_path, n_groups=4, rare=1)
+    out = tmp_path / "test"
+    assert run(["test", "--seed", 2, "--data", data, "--schema", schema,
+                "--learner", "logistic", "--reps", 200, "--out", out]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    results = doc["results"]
+    assert "group 1 skipped: group 1 has no rows in the evaluation set" in (
+        doc["warnings"]
+    )
+    assert results["gamma_z_test"]["detail"]["groups"] == [0, 2]
+    assert len(results["anova_f"]["detail"]["group_counts"]) == 3
+    pairwise = results["pairwise_welch_holm"]
+    assert sorted(pairwise) == ["0,2", "0,3", "2,3"]
+    assert pairwise["0,3"]["name"] == "welch_holm[0,3]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--kind", "fpr,zero_one"],
+        ["subgroups", "--kind", "zero_one,fpr"],
+        ["subgroups", "--kind", "fpr", "--topics", "no_such_file.csv"],
+    ],
+    ids=" ".join,
+)
+def test_cli_one_kind_commands_reject_other_kinds_before_training(
+    tmp_path, synth_csv, capsys, monkeypatch, argv
+):
+    data, schema, _ = synth_csv
+    monkeypatch.setattr("fairaudit.cli.train", None)  # any training fails
+    out = tmp_path / "o"
+    assert run([*argv, "--seed", 1, "--data", data, "--schema", schema,
+                "--out", out]) == 2
+    assert "fairaudit: config error: " in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_non_finite_feature_names_its_line_and_column(tmp_path, capsys):
+    data = tmp_path / "f.csv"
+    data.write_text("g,y,x,z\n0,1,1,2\n1,0,2,3\n0,1,inf,4\n1,0,3,5\n")
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    assert run(["audit", "--seed", 0, "--data", data, "--schema", schema,
+                "--out", tmp_path / "o"]) == 3
+    assert ("f.csv:4: non-finite feature value 'inf' in column 'x'"
+            in capsys.readouterr().err)
 
 
 def test_cli_on_off_flag_from_config(tmp_path):

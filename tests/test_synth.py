@@ -124,6 +124,18 @@ def test_generation_deterministic():
     assert not np.array_equal(d1.outcome, d3.outcome)
 
 
+def test_generators_declare_every_group_of_the_spec():
+    # A one-row draw holds one group, yet the dataset declares both.
+    for gen, spec in ((gen_discrete, default_discrete_spec()),
+                      (gen_regression, RegressionSynthSpec())):
+        drawn = set()
+        for seed in range(10):
+            d, _ = gen(spec, 1, seed=seed)
+            assert d.group_names == ("0", "1")
+            drawn.add(int(d.group[0]))
+        assert drawn == {0, 1}
+
+
 @pytest.mark.parametrize("homoskedastic", [False, True])
 def test_regression_oracle_batch_matches_scalar_formulas(homoskedastic):
     spec = RegressionSynthSpec(sigma_eps=0.7, homoskedastic=homoskedastic)
