@@ -24,8 +24,8 @@ from . import curves as curves_mod
 from . import noise_bounds, stats, subgroups, synth
 from . import decomposition as decomp
 from .costs import (
-    CostKind, brier_score, discrimination_level, empty_group_error,
-    per_sample_losses, sample_variance,
+    CostKind, brier_score, cost_losses, discrimination_level,
+    empty_group_error, row_losses, sample_variance,
 )
 from .data import (
     Dataset,
@@ -76,9 +76,17 @@ def parse_learner(text: str) -> LearnerSpec:
                     f"{convert.__name__}"
                 ) from None
     try:
-        return LearnerSpec(kind=kind, **kwargs)
+        spec = LearnerSpec(kind=kind, **kwargs)
     except AnalysisError as exc:
         raise ConfigError(f"learner {text!r}: {exc}") from None
+    read = spec.fields_read()
+    unread = [key for key in kwargs if key not in read]
+    if unread:
+        raise ConfigError(
+            f"learner {text!r} does not read {', '.join(unread)}; "
+            f"it reads {', '.join(read)}"
+        )
+    return spec
 
 
 def parse_kinds(text: str) -> list[CostKind]:
@@ -292,10 +300,30 @@ def cmd_test(args, report: AuditReport) -> None:
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
     kind = parse_kind(args.kind)
-    groups = _groups_with_rows(eval_set, report)
+    # Before any test runs, leave out each group whose cost is undefined
+    # or that has fewer than the 2 samples a test needs.
+    rows = row_losses(preds, eval_set, kind)
+    losses = {}
+    for a in range(eval_set.n_groups):
+        try:
+            la = cost_losses(rows, eval_set.group_indices(a), kind, a)
+        except AnalysisError as exc:
+            report.warn(f"group {a} skipped: {exc}")
+            continue
+        if la.size < 2:
+            report.warn(
+                f"group {a} skipped: group {a} has 1 {kind.value} sample; "
+                "a test needs at least 2"
+            )
+            continue
+        losses[a] = la
+    groups = list(losses)
     if len(groups) < 2:
-        raise AnalysisError("fewer than 2 groups have evaluation rows")
-    # The z-test compares the first two groups with rows.
+        raise AnalysisError(
+            f"fewer than 2 groups have evaluation rows that {kind.value} "
+            "can test"
+        )
+    # The z-test compares the first two groups kept.
     result = stats.gamma_z_test(
         preds, eval_set, kind, level=args.level, groups=tuple(groups[:2])
     )
@@ -304,13 +332,10 @@ def cmd_test(args, report: AuditReport) -> None:
         report.warn(w)
     ci = stats.bootstrap_gamma_ci(
         preds, eval_set, kind, reps=args.reps, level=args.level,
-        seed=derive_seed(args.seed, "bootstrap"),
+        seed=derive_seed(args.seed, "bootstrap"), groups=groups,
     )
     report.add("bootstrap_gamma_ci", {"low": ci[0], "high": ci[1]})
     if len(groups) > 2:
-        losses = {
-            a: per_sample_losses(preds, eval_set, kind, a) for a in groups
-        }
         report.add(
             "anova_f", stats.anova_f(list(losses.values()), level=args.level)
         )

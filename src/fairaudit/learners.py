@@ -1,7 +1,7 @@
 """Minimal deterministic learners: logistic regression, ridge, k-NN,
 depth-limited decision trees, and bagged trees.
 
-Every learner is a pure function of (spec, data): fixed iteration budgets,
+Every learner is a pure function of (spec, data): fixed iteration caps,
 explicit tie-breaking, and per-tree seeds derived from the spec seed.
 Scores are probabilities in [0,1] for classification and reals for
 regression.  The protected attribute is not part of the feature matrix
@@ -39,8 +39,8 @@ class LearnerSpec:
     n_trees: int = 20  # bagged trees
     feature_fraction: float = 1.0  # bagged trees
     bootstrap: bool = True  # bagged trees
-    epochs: int = 500  # logistic
-    step_size: float = 0.1  # logistic
+    epochs: int = 500  # logistic: iteration cap of either solver
+    step_size: float = 0.1  # logistic with penalty "l1"
     seed: int = 0
 
     def __post_init__(self):
@@ -57,14 +57,28 @@ class LearnerSpec:
         if not 0.0 < self.step_size < np.inf:
             raise AnalysisError("step_size must be finite and > 0")
 
+    def fields_read(self) -> tuple[str, ...]:
+        """The fields this learner reads, besides ``kind`` and ``seed``."""
+        if self.kind is LearnerKind.LOGISTIC:
+            # Only the l1 path takes gradient steps.
+            return ("lam", "penalty", "epochs") + (
+                ("step_size",) if self.penalty == "l1" else ()
+            )
+        return {
+            LearnerKind.RIDGE: ("lam",),
+            LearnerKind.KNN: ("k",),
+            LearnerKind.TREE: ("max_depth",),
+            LearnerKind.BAGGED_TREES: (
+                "max_depth", "n_trees", "feature_fraction", "bootstrap"
+            ),
+        }[self.kind]
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) cannot overflow; each branch is the form that stays exact
+    # on its side of 0.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -165,7 +179,83 @@ class BaggedModel(TrainedModel):
         return acc / len(self.trees)
 
 
-def _train_logistic(spec: LearnerSpec, X, y) -> LogisticModel:
+# Newton stops once the decrement g^T H^+ g, twice the objective's
+# predicted fall, is at rounding level for a mean log-loss near 1.
+_NEWTON_TOL = 1e-14
+# Armijo: a step of length t must lower the objective by at least
+# _ARMIJO * t * decrement (Nocedal & Wright, Numerical Optimization, 3.1).
+# After 50 halvings t = 2^-50, and the step is lost in rounding.
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 50
+# Rows per block of the Hessian product, so no full-size weighted copy of
+# X is held.
+_HESSIAN_BLOCK = 1024
+
+
+def _logistic_objective(X, y, w, b, lam):
+    """(mean log-loss + lam/2 |w|^2, margins); the intercept is not
+    penalized."""
+    z = X @ w + b
+    loss = np.logaddexp(0.0, z) - y * z
+    return float(loss.mean()) + 0.5 * lam * float(w @ w), z
+
+
+def _logistic_newton(spec: LearnerSpec, X, y):
+    """Damped Newton (IRLS; Hastie, Tibshirani & Friedman, ESL 4.4.1) on
+    the l2 objective.  Invariant to feature scale.  The Newton system is
+    solved by least squares: with lam = 0 the Hessian is singular whenever
+    a one-hot block sums to the intercept column."""
+    n, k = X.shape
+    lam = spec.lam
+    w = np.zeros(k)
+    b = 0.0
+    f, z = _logistic_objective(X, y, w, b, lam)
+    hess = np.empty((k + 1, k + 1))
+    for _ in range(spec.epochs):
+        p = _sigmoid(z)
+        r = (p - y) / n
+        grad = np.append(X.T @ r + lam * w, r.sum())
+        s = p * (1.0 - p) / n
+        hess[:k, :k] = sum(
+            X[lo:lo + _HESSIAN_BLOCK].T
+            @ (X[lo:lo + _HESSIAN_BLOCK] * s[lo:lo + _HESSIAN_BLOCK, None])
+            for lo in range(0, n, _HESSIAN_BLOCK)
+        ) + lam * np.eye(k)
+        hess[:k, k] = hess[k, :k] = X.T @ s
+        hess[k, k] = s.sum()
+        # Solved in unit-diagonal form, so the rank cut-off of lstsq does
+        # not drop the directions of small-scale features.
+        unit = np.sqrt(hess.diagonal())
+        unit[unit == 0.0] = 1.0
+        step = np.linalg.lstsq(
+            hess / np.outer(unit, unit), grad / unit, rcond=None
+        )[0] / unit
+        decrement = float(grad @ step)
+        if decrement <= _NEWTON_TOL:
+            # Here the full step needs no damping (Boyd & Vandenberghe,
+            # Convex Optimization, 9.5.3).  Taking it brings the gradient of
+            # a badly scaled column from about sqrt(decrement * H_jj) down
+            # to rounding level.
+            w = w - step[:k]
+            b = b - step[k]
+            break
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_new = w - t * step[:k]
+            b_new = b - t * step[k]
+            f_new, z_new = _logistic_objective(X, y, w_new, b_new, lam)
+            if f_new <= f - _ARMIJO * t * decrement:
+                break
+            t *= 0.5
+        if not f_new < f:
+            break
+        w, b, f, z = w_new, b_new, f_new, z_new
+    return w, b
+
+
+def _logistic_l1(spec: LearnerSpec, X, y):
+    """Proximal gradient descent with a 1/sqrt(t) step: the l1 penalty is
+    not smooth, so Newton does not apply."""
     n, k = X.shape
     w = np.zeros(k)
     b = 0.0
@@ -175,18 +265,20 @@ def _train_logistic(spec: LearnerSpec, X, y) -> LogisticModel:
         grad_common = _sigmoid(margin) - y
         grad_w = X.T @ grad_common / n
         grad_b = float(grad_common.mean())
-        if spec.penalty == "l2":
-            grad_w = grad_w + spec.lam * w
-            w = w - lr * grad_w
-        else:
-            w = w - lr * grad_w
-            # Proximal step: soft-threshold everything but the intercept.
-            w = np.sign(w) * np.maximum(np.abs(w) - lr * spec.lam, 0.0)
+        w = w - lr * grad_w
+        # Proximal step: soft-threshold everything but the intercept.
+        w = np.sign(w) * np.maximum(np.abs(w) - lr * spec.lam, 0.0)
         b = b - lr * grad_b
+    return w, b
+
+
+def _train_logistic(spec: LearnerSpec, X, y) -> LogisticModel:
+    solve = _logistic_l1 if spec.penalty == "l1" else _logistic_newton
+    w, b = solve(spec, X, y)
     return LogisticModel(
         kind=LearnerKind.LOGISTIC,
         task=Task.BINARY,
-        n_features=k,
+        n_features=X.shape[1],
         weights=w,
         intercept=b,
     )

@@ -262,8 +262,10 @@ def bootstrap_gamma_ci(
     reps: int = 1000,
     level: float = 0.05,
     seed: int = 0,
+    groups: list[int] | None = None,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval for the discrimination level Gamma.
+    """Percentile bootstrap interval for the discrimination level Gamma
+    over ``groups`` (default: every declared group).
 
     Resamples the evaluation rows; replicates where fewer than 2 groups are
     evaluable are skipped (error if more than 10% skip).
@@ -281,7 +283,7 @@ def bootstrap_gamma_ci(
     except AnalysisError:
         pass  # the cost is undefined for every group in every replicate
     else:
-        for a in range(d.n_groups):
+        for a in range(d.n_groups) if groups is None else groups:
             member = d.group == a
             cells.append((
                 member if counted is None else member & counted,

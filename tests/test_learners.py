@@ -287,3 +287,128 @@ def test_knn_model_z_scores_like_kernels_zscore():
     assert model.mean.tobytes() == mean.tobytes()
     assert model.scale.tobytes() == scale.tobytes()
     assert scale[1] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Logistic regression.  The l2 objective is the mean log-loss plus
+# lam/2 |w|^2 with the intercept unpenalized; damped Newton must reach its
+# minimum whatever the feature scale.  The l1 path keeps the proximal
+# gradient loop below, and the sigmoid the masked form below, byte for byte.
+
+
+def loop_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def loop_train_logistic_l1(X, y, lam, epochs, step_size):
+    n, k = X.shape
+    w = np.zeros(k)
+    b = 0.0
+    for t in range(1, epochs + 1):
+        lr = step_size / np.sqrt(t)
+        margin = X @ w + b
+        grad_common = loop_sigmoid(margin) - y
+        grad_w = X.T @ grad_common / n
+        grad_b = float(grad_common.mean())
+        w = w - lr * grad_w
+        w = np.sign(w) * np.maximum(np.abs(w) - lr * lam, 0.0)
+        b = b - lr * grad_b
+    return w, b
+
+
+def _logistic_data(seed, n=1000, scale=1e5, separable=False):
+    """Three normal columns, the first times ``scale``, and a 4-level
+    one-hot block, whose columns sum to the intercept column."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    onehot = np.eye(4)[rng.integers(0, 4, n)]
+    logit = x @ [1.0, -0.5, 0.3] + onehot @ [0.2, -0.4, 0.1, 0.5]
+    if separable:
+        y = (logit > 0).astype(np.float64)
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logit))).astype(np.float64)
+    X = np.hstack([x * [scale, 1.0, 1.0], onehot])
+    return Dataset(
+        features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
+        task=Task.BINARY, column_names=tuple(f"c{j}" for j in range(7)),
+    )
+
+
+def _l2_objective(X, y, w, b, lam):
+    z = X @ w + b
+    return np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * lam * (w @ w)
+
+
+def _l2_gradient(X, y, w, b, lam):
+    r = (loop_sigmoid(X @ w + b) - y) / y.size
+    return np.append(X.T @ r + lam * w, r.sum())
+
+
+def test_sigmoid_matches_masked_form_bitwise():
+    from fairaudit.learners import _sigmoid
+
+    rng = np.random.default_rng(30)
+    z = np.concatenate([
+        [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7, 745.2],
+        rng.normal(0.0, 5.0, 8000),
+        rng.normal(0.0, 300.0, 500),
+    ])
+    assert _sigmoid(z).tobytes() == loop_sigmoid(z).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_logistic_l2_reaches_a_zero_gradient_at_any_scale(lam):
+    d = _logistic_data(31)
+    model = train(LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam), d)
+    grad = _l2_gradient(d.features, d.outcome, model.weights,
+                        model.intercept, lam)
+    assert np.abs(grad).max() <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_logistic_l2_objective_matches_scipy(lam):
+    from scipy.optimize import minimize
+
+    d = _logistic_data(32, scale=1.0)
+    X, y = d.features, d.outcome
+    k = X.shape[1]
+    model = train(LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam), d)
+    res = minimize(
+        lambda v: _l2_objective(X, y, v[:k], v[k], lam),
+        np.zeros(k + 1),
+        jac=lambda v: _l2_gradient(X, y, v[:k], v[k], lam),
+        method="BFGS", options={"gtol": 1e-11, "maxiter": 10_000},
+    )
+    ours = _l2_objective(X, y, model.weights, model.intercept, lam)
+    assert abs(ours - res.fun) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e5])
+def test_logistic_l2_separable_stops_before_the_cap(scale):
+    d = _logistic_data(33, n=300, scale=scale, separable=True)
+    fits = [
+        train(LearnerSpec(kind=LearnerKind.LOGISTIC, epochs=e), d)
+        for e in (200, 500)
+    ]
+    # The same bytes under both caps: the solver stopped on its own.
+    assert fits[0].weights.tobytes() == fits[1].weights.tobytes()
+    assert fits[0].intercept == fits[1].intercept
+    assert np.all(np.isfinite(fits[0].weights))
+    margin = d.features @ fits[0].weights + fits[0].intercept
+    assert np.array_equal(margin >= 0, d.outcome == 1.0)
+
+
+@pytest.mark.parametrize("scale,lam", [(1.0, 0.0), (1.0, 0.05), (1e5, 0.01)])
+def test_logistic_l1_matches_reference_bitwise(scale, lam):
+    d = _logistic_data(34, n=400, scale=scale)
+    spec = LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam, penalty="l1",
+                       epochs=200, step_size=0.2)
+    model = train(spec, d)
+    w, b = loop_train_logistic_l1(d.features, d.outcome, lam, 200, 0.2)
+    assert model.weights.tobytes() == w.tobytes()
+    assert float.hex(float(model.intercept)) == float.hex(float(b))

@@ -85,11 +85,14 @@ def test_curve_table_header(tmp_path):
     assert lines[0] == "n,group,cost_kind,mean,stderr,fitted_value"
 
 
-# Learner texts that name a kind but no usable model.
+# Learner texts that name a kind but no usable model, or an option the
+# learner does not read (step_size only with penalty=l1).
 BAD_LEARNERS = [
     "knn:k=0", "tree:max_depth=0", "logistic:penalty=l3", "logistic:epochs=0",
-    "logistic:step_size=-1", "logistic:step_size=inf", "ridge:lam=nan",
-    "bagged_trees:bootstrap=maybe",
+    "logistic:step_size=-1,penalty=l1", "logistic:step_size=inf,penalty=l1",
+    "ridge:lam=nan", "bagged_trees:bootstrap=maybe",
+    "knn:max_depth=3,epochs=7", "logistic:k=9,n_trees=3",
+    "logistic:step_size=0.05", "ridge:penalty=l1", "tree:n_trees=3",
 ]
 
 
@@ -100,6 +103,10 @@ def test_parse_learner():
     with pytest.raises(ConfigError):
         parse_learner("boosted")
     assert parse_learner("bagged_trees:bootstrap=YES").bootstrap
+    assert parse_learner("logistic:penalty=l1,step_size=0.05").step_size == 0.05
+    with pytest.raises(ConfigError, match="does not read max_depth, epochs; "
+                       "it reads k$"):
+        parse_learner("knn:max_depth=3,epochs=7")
     assert not parse_learner("bagged_trees:bootstrap=0").bootstrap
     for bad in ("knn:weird=1", "tree:max_depth=abc", "ridge:lam=x", "knn:k=2.5",
                 "knn:seed=3", "tree:kind=knn", *BAD_LEARNERS):
@@ -608,6 +615,74 @@ def test_cli_blocks_skip_a_top_group_missing_from_the_test_split(tmp_path):
     doc = json.loads((tmp_path / "dec" / "report.json").read_text())
     assert list(doc["results"]["decomposition"]) == ["0", "1"]
     assert skipped in doc["warnings"]
+
+
+def _rare_positive_group_csv(tmp_path):
+    """400 rows of groups 0, 2 and 3, then 2 rows of group 1, both Y=1.
+    At --seed 1 the held-out split (20%) has 1 row of group 1."""
+    rng = np.random.default_rng(0)
+    rows = []
+    for i in range(402):
+        g = (0, 2, 3)[i % 3] if i < 400 else 1
+        x = rng.normal(size=2)
+        y = int(x[0] + 0.3 * g + rng.normal() > 0) if i < 400 else 1
+        rows.append(f"{g},{y},{x[0]:.4f},{x[1]:.4f}\n")
+    data = tmp_path / "rare_pos.csv"
+    data.write_text("g,y,x0,x1\n" + "".join(rows))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    return data, schema
+
+
+@pytest.mark.parametrize("kind,reason", [
+    ("fpr", "group 1 has no Y=0 rows; FPR undefined"),
+    ("zero_one", "group 1 has 1 zero_one sample; a test needs at least 2"),
+], ids=["fpr", "zero_one"])
+def test_cli_test_skips_a_group_it_cannot_test(tmp_path, kind, reason):
+    data, schema = _rare_positive_group_csv(tmp_path)
+    files = ["--seed", 1, "--data", data, "--schema", schema,
+             "--learner", "logistic", "--kind", kind]
+    assert run(["audit", *files, "--out", tmp_path / "audit"]) == 0
+    assert run(["test", *files, "--reps", 200,
+                "--out", tmp_path / "test"]) == 0
+    doc = json.loads((tmp_path / "test" / "report.json").read_text())
+    assert f"group 1 skipped: {reason}" in doc["warnings"]
+    results = doc["results"]
+    assert results["gamma_z_test"]["detail"]["groups"] == [0, 2]
+    assert len(results["anova_f"]["detail"]["group_counts"]) == 3
+    assert sorted(results["pairwise_welch_holm"]) == ["0,2", "0,3", "2,3"]
+
+
+def test_cli_logistic_audit_fits_raw_scale_features(tmp_path):
+    # Adult-shaped raw columns: capital_gain reaches about 1e5.  A fit
+    # that diverges can predict one class for everyone, so that FNR is 1
+    # and FPR 0 in every group, or the reverse.
+    rng = np.random.default_rng(5)
+    n = 1500
+    male = rng.random(n) < 0.67
+    age = np.clip(np.rint(rng.normal(38.5, 13.6, n)), 17, 90)
+    edu = np.clip(np.rint(rng.normal(10.1, 2.6, n)), 1, 16)
+    hours = np.clip(np.rint(rng.normal(40.4, 12.3, n)), 1, 99)
+    gain = np.where(rng.random(n) < 0.08,
+                    np.rint(np.exp(rng.uniform(6.0, 11.5, n))), 0)
+    logit = (-1.6 + 0.03 * (age - 38) + 0.3 * (edu - 10) + 0.6 * male
+             + 0.03 * (hours - 40) + 1.5 * (gain > 0))
+    income = rng.random(n) < 1.0 / (1.0 + np.exp(-logit))
+    data = tmp_path / "adult.csv"
+    data.write_text("age,education_num,sex,capital_gain,hours,income\n" + "".join(
+        f"{a:.0f},{e:.0f},{'Male' if m else 'Female'},{g:.0f},{h:.0f},{int(y)}\n"
+        for a, e, m, g, h, y in zip(age, edu, male, gain, hours, income)
+    ))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=sex\noutcome=income\ntask=binary\n")
+    out = tmp_path / "audit"
+    assert run(["audit", "--seed", 3, "--data", data, "--schema", schema,
+                "--learner", "logistic", "--kind", "fnr,fpr", "--out", out]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    for kind in ("fnr", "fpr"):
+        block = results[f"group_costs.{kind}"]
+        assert block["groups"] == [0, 1]
+        assert all(0.0 < cost < 1.0 for cost in block["costs"])
 
 
 def test_cli_test_pairwise_keys_name_group_ids(tmp_path):
