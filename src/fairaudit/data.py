@@ -10,6 +10,7 @@ import csv
 import enum
 import io
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -23,11 +24,11 @@ class Task(enum.Enum):
 
 def read_key_values(path, what: str) -> list[tuple[str, str]]:
     """The stripped (key, value) pairs of a UTF-8 file of ``key=value``
-    lines, in file order, skipping blank and ``#`` lines.  Errors name the
-    file as a ``what`` file."""
+    lines, in file order, skipping blank and ``#`` lines and a leading
+    byte-order mark.  Errors name the file as a ``what`` file."""
     pairs = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -255,14 +256,82 @@ def load_dataset(path, schema: Schema) -> Dataset:
 
     Categorical feature columns (any non-numeric cell) are one-hot expanded
     with categories in code-point order; column names become
-    ``<col>=<category>``.  Missing cells are rejected outright.
+    ``<col>=<category>``.  Missing cells are rejected outright.  A UTF-8
+    byte-order mark at the start of the file is dropped.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
     return _load_csv_text(text, schema, origin=str(path))
+
+
+def _split_quote_free(text: str) -> tuple[list, list, range] | None:
+    r"""The header cells, stripped cell columns and record line numbers of
+    CSV text that needs no csv parsing, or None when it may.
+
+    Text qualifies when it has no ``"``, every ``\r`` is part of a
+    ``\r\n``, no line is longer than ``csv.field_size_limit()``, and
+    every record after the header holds as many cells as the header.  Its
+    records are then its lines, ended by ``\n`` only (``str.splitlines``
+    would also end one at ``\x0b``, ``\x1c`` or ``\u2028``, which the
+    csv module keeps in a cell), and its cells the text between commas:
+    what ``csv.reader`` returns, and with every record the same width, no
+    blank record to skip and no error to report.
+    """
+    if '"' in text or text.count("\r") != text.count("\r\n"):
+        return None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    header = lines[0].split(",")
+    width = len(header)
+    body = lines[1:]
+    # With two columns or more a blank record has too few commas.
+    if width < 2 or set(map(str.count, body, repeat(","))) != {width - 1}:
+        return None
+    flat = ",".join(body).split(",")
+    columns = [list(map(str.strip, flat[j::width])) for j in range(width)]
+    return header, columns, range(2, len(body) + 2)
+
+
+def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
+    """The stripped cell columns and record line numbers of the records
+    left in ``reader``, skipping blank ones; see ``_load_csv_text`` for the
+    errors."""
+    columns = [[] for _ in range(width)]
+    linenos = []
+    chunk = []
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, 2):
+            # The header has at least two columns, so a blank record (no
+            # cell, or one blank cell) always fails the width test first.
+            if len(row) != width:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                # A missing cell in an earlier record is reported first.
+                _append_columns(columns, chunk)
+                _check_missing(columns, linenos, origin)
+                raise DataError(
+                    f"{origin}:{lineno}: expected {width} cells, got {len(row)}"
+                )
+            chunk.append(row)
+            linenos.append(lineno)
+            if len(chunk) == _CHUNK_ROWS:
+                _append_columns(columns, chunk)
+                chunk.clear()
+    except csv.Error as exc:
+        _append_columns(columns, chunk)
+        _check_missing(columns, linenos, origin)
+        raise DataError(f"{origin}:{lineno + 1}: unreadable record: {exc}") from None
+    _append_columns(columns, chunk)
+    if not linenos:
+        raise DataError(f"{origin}: no data rows")
+    return columns, linenos
 
 
 def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Dataset:
@@ -270,19 +339,30 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 
     Cells are stripped of surrounding whitespace.  Blank records are
     skipped but still count in the ``origin:lineno:`` of an error, which
-    names the first ragged record or record with an empty cell.  A column
-    is numeric when Python ``float()`` accepts every cell (so ``1_000``,
-    ``1e3``, ``nan`` and ``inf`` are numbers); otherwise its distinct
-    values, sorted by code point, become one-hot columns.  The outcome and
-    score must be numeric, and they and every numeric feature finite.  A
-    group column of non-negative integers keeps their numeric order; any
-    other group column is categorical.
+    names the first ragged or unparsable record or record with an empty
+    cell.  A column is numeric when Python ``float()`` accepts every cell
+    (so ``1_000``, ``1e3``, ``nan`` and ``inf`` are numbers); otherwise its
+    distinct values, sorted by code point, become one-hot columns.  The
+    outcome and score must be numeric, and they and every numeric feature
+    finite.  A group column of non-negative integers keeps their numeric
+    order; any other group column is categorical.
+
+    Text that ``_split_quote_free`` accepts is split in bulk; any other
+    goes through ``csv.reader``, which alone skips blank records and
+    raises record errors.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{origin}: empty file") from None
+    records = _split_quote_free(text)
+    if records is None:
+        # Header errors come before record errors.
+        reader = csv.reader(io.StringIO(text))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{origin}: empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"{origin}:1: unreadable record: {exc}") from None
+    else:
+        header, columns, linenos = records
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DataError(f"{origin}: duplicate column names in header")
@@ -296,30 +376,8 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     if not feature_cols:
         raise DataError(f"{origin}: no feature columns left under schema")
 
-    width = len(header)
-    columns = [[] for _ in header]
-    linenos = []
-    chunk = []
-    for lineno, row in enumerate(reader, 2):
-        # The header has at least two columns, so a blank record (no cell,
-        # or one blank cell) always fails the width test first.
-        if len(row) != width:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            # A missing cell in an earlier record is reported first.
-            _append_columns(columns, chunk)
-            _check_missing(columns, linenos, origin)
-            raise DataError(
-                f"{origin}:{lineno}: expected {width} cells, got {len(row)}"
-            )
-        chunk.append(row)
-        linenos.append(lineno)
-        if len(chunk) == _CHUNK_ROWS:
-            _append_columns(columns, chunk)
-            chunk.clear()
-    _append_columns(columns, chunk)
-    if not linenos:
-        raise DataError(f"{origin}: no data rows")
+    if records is None:
+        columns, linenos = _read_csv_records(reader, len(header), origin)
     _check_missing(columns, linenos, origin)
     n = len(linenos)
     col = dict(zip(header, columns))

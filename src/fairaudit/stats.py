@@ -22,6 +22,10 @@ from .costs import (
 from .data import Dataset
 from .errors import AnalysisError, DataError
 
+# Most row draws (replicates x rows) a counted bootstrap block holds at
+# once; one block of int64 indices is 256 KiB.
+_BLOCK_DRAWS = 1 << 15
+
 
 # ---------------------------------------------------------------------------
 # Distribution functions
@@ -289,22 +293,23 @@ def bootstrap_gamma_ci(
                 member if counted is None else member & counted,
                 None if outside is None else member & outside,
             ))
-    gammas = []
-    skipped = 0
-    for _ in range(reps):
-        idx = rng.integers(0, d.n, size=d.n)
-        costs = []
-        for counted_a, outside_a in cells:
-            drawn = idx[counted_a[idx]]
-            if drawn.size == 0:
-                continue
-            if outside_a is not None and outside_a[idx].any():
-                continue
-            costs.append(losses[drawn].mean())
-        if len(costs) < 2:
-            skipped += 1
-            continue
-        gammas.append(max(costs) - min(costs))
+    if cells and np.all((losses == 0.0) | (losses == 1.0)):
+        gammas = _counted_gammas(rng, losses == 1.0, cells, d.n, reps)
+    else:
+        gammas = []
+        for _ in range(reps):
+            idx = rng.integers(0, d.n, size=d.n)
+            costs = []
+            for counted_a, outside_a in cells:
+                drawn = idx[counted_a[idx]]
+                if drawn.size == 0:
+                    continue
+                if outside_a is not None and outside_a[idx].any():
+                    continue
+                costs.append(losses[drawn].mean())
+            if len(costs) >= 2:
+                gammas.append(max(costs) - min(costs))
+    skipped = reps - len(gammas)
     if skipped > 0.1 * reps:
         raise AnalysisError(
             f"{skipped}/{reps} bootstrap replicates lacked 2 evaluable groups"
@@ -312,6 +317,40 @@ def bootstrap_gamma_ci(
     lo = float(np.percentile(gammas, 100.0 * level / 2.0))
     hi = float(np.percentile(gammas, 100.0 * (1.0 - level / 2.0)))
     return lo, hi
+
+
+def _counted_gammas(rng, ones, cells, n, reps) -> np.ndarray:
+    """The gaps of the replicates that ``bootstrap_gamma_ci`` keeps when
+    every loss is 0 or 1 (``ones`` masks the 1s), drawn in blocks of
+    replicates.
+
+    One ``(m, n)`` draw gives the same indices, and leaves the generator in
+    the same state, as m draws of n.  A group's cost in a replicate is its
+    count of counted draws with loss 1 over its count of counted draws:
+    the mean of those losses, bit for bit, since a sum of 0s and 1s is
+    exact in any order.
+    """
+    gammas = []
+    rows = max(1, _BLOCK_DRAWS // n)
+    for start in range(0, reps, rows):
+        idx = rng.integers(0, n, size=(min(rows, reps - start), n))
+        drawn_ones = ones[idx]
+        high = np.full(idx.shape[0], -np.inf)
+        low = np.full(idx.shape[0], np.inf)
+        evaluable = np.zeros(idx.shape[0], dtype=np.int64)
+        for counted_a, outside_a in cells:
+            hits = counted_a[idx]
+            size = hits.sum(axis=1)
+            ok = size > 0
+            if outside_a is not None:
+                ok &= ~outside_a[idx].any(axis=1)
+            cost = (drawn_ones & hits).sum(axis=1)[ok] / size[ok]
+            high[ok] = np.maximum(high[ok], cost)
+            low[ok] = np.minimum(low[ok], cost)
+            evaluable += ok
+        kept = evaluable >= 2
+        gammas.append(high[kept] - low[kept])
+    return np.concatenate(gammas)
 
 
 def anova_f(group_losses: list[np.ndarray], level: float = 0.05) -> TestResult:

@@ -228,17 +228,27 @@ def rank_clusters(
 
 
 def load_membership(path, n_expected: int | None = None) -> Clustering:
-    """Load a soft membership matrix from CSV (columns q_0..q_{C-1})."""
+    """Load a soft membership matrix from CSV (columns q_0..q_{C-1}).
+    A leading byte-order mark is dropped and blank lines are skipped."""
+    rows = []
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [[float(cell) for cell in row] for row in reader if row]
-    except (OSError, ValueError, StopIteration) as exc:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataError(
+                        f"{path}:{reader.line_num}: ragged membership matrix: "
+                        f"expected {len(header)} cells, got {len(row)}"
+                    )
+                rows.append([float(cell) for cell in row])
+    except (OSError, ValueError, StopIteration, csv.Error) as exc:
         raise DataError(f"cannot read membership file {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no membership rows")
     q = np.asarray(rows, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != len(header):
-        raise DataError(f"{path}: ragged membership matrix")
     if n_expected is not None and q.shape[0] != n_expected:
         raise DataError(
             f"{path}: {q.shape[0]} rows but dataset has {n_expected}"

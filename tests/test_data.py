@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     Dataset,
@@ -89,6 +91,23 @@ def test_schema_from_file(tmp_path):
     p.write_text("group=sex\ntask=binary\n")
     with pytest.raises(ConfigError, match="outcome"):
         Schema.from_file(p)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    text = "sex,y,age\nM,1,30\nF,0,25\nF,1,40\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    schema_text = "group=sex\noutcome=y\ntask=binary\n"
+    plain_schema, marked_schema = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain_schema.write_text(schema_text, encoding="utf-8")
+    marked_schema.write_text(schema_text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert Schema.from_file(marked_schema) == Schema.from_file(plain_schema)
+    assert_same_dataset(
+        load_dataset(marked, Schema.from_file(marked_schema)),
+        load_dataset(plain, Schema.from_file(plain_schema)),
+    )
 
 
 def test_split_partition(binary_dataset):
@@ -199,6 +218,8 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
         header = next(reader)
     except StopIteration:
         raise DataError(f"{origin}: empty file") from None
+    except csv.Error as exc:
+        raise DataError(f"{origin}:1: unreadable record: {exc}") from None
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DataError(f"{origin}: duplicate column names in header")
@@ -214,18 +235,25 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
 
     rows = []
     linenos = []
-    for lineno, row in enumerate(reader, 2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{origin}:{lineno}: expected {len(header)} cells, got {len(row)}"
-            )
-        cells = [c.strip() for c in row]
-        if any(c == "" for c in cells):
-            raise DataError(f"{origin}:{lineno}: missing value")
-        rows.append(cells)
-        linenos.append(lineno)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, 2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{origin}:{lineno}: expected {len(header)} cells, "
+                    f"got {len(row)}"
+                )
+            cells = [c.strip() for c in row]
+            if any(c == "" for c in cells):
+                raise DataError(f"{origin}:{lineno}: missing value")
+            rows.append(cells)
+            linenos.append(lineno)
+    except csv.Error as exc:
+        raise DataError(
+            f"{origin}:{lineno + 1}: unreadable record: {exc}"
+        ) from None
     if not rows:
         raise DataError(f"{origin}: no data rows")
 
@@ -322,7 +350,8 @@ def loop_load_csv_text(text, schema, origin="<memory>"):
 @pytest.fixture(params=[None, 1, 3], ids=["default_chunk", "chunk1", "chunk3"])
 def chunk_rows(request, monkeypatch):
     """Run a test at the default chunk size and with records transposed one
-    and three at a time, so chunk boundaries fall everywhere."""
+    and three at a time, so chunk boundaries fall everywhere.  Only the
+    csv record reader transposes in chunks."""
     if request.param is not None:
         monkeypatch.setattr(data_mod, "_CHUNK_ROWS", request.param)
 
@@ -353,13 +382,19 @@ def _outcome_of(loader, text, schema):
 
 
 def assert_same_load(text, schema=SCHEMA):
+    """The loader matches the loop with quote-free text split in bulk, and
+    again with every text sent through the csv record reader."""
     want = _outcome_of(loop_load_csv_text, text, schema)
-    got = _outcome_of(_load_csv_text, text, schema)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert not isinstance(got, str), got
-    assert_same_dataset(got, want)
+    got = [_outcome_of(_load_csv_text, text, schema)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_mod, "_split_quote_free", lambda text: None)
+        got.append(_outcome_of(_load_csv_text, text, schema))
+    for outcome in got:
+        if isinstance(want, str):
+            assert outcome == want
+        else:
+            assert not isinstance(outcome, str), outcome
+            assert_same_dataset(outcome, want)
 
 
 ADULT_LEVELS = {
@@ -483,6 +518,57 @@ def test_loader_matches_loop_on_random_cells(chunk_rows):
         text = "\n".join(lines) + "\n"
         for schema in schemas:
             assert_same_load(text, schema)
+
+
+def test_split_path_takes_quote_free_text_only():
+    text = adult_text(0, n=20)
+    header, columns, linenos = data_mod._split_quote_free(text)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert header == rows[0]
+    assert columns == [[c.strip() for c in col] for col in zip(*rows[1:])]
+    assert linenos == range(2, 22)
+    assert data_mod._split_quote_free(text.replace("\n", "\r\n")) is not None
+    assert data_mod._split_quote_free(text.rstrip("\n")) is not None
+    too_long = "x" * (csv.field_size_limit() + 1)
+    declined = [
+        text.replace("Male", '"Male"'),        # a quote
+        text.replace("\n", "\r", 3),          # a lone carriage return
+        text + "\n",                           # a blank record
+        text + "1,2\n",                        # a ragged record
+        "sex,y,x\n",                           # no record
+        text.replace("age", too_long, 1),      # a line over the field limit
+    ]
+    for other in declined:
+        assert data_mod._split_quote_free(other) is None
+
+
+# Quote-free cells, from tokens some of which csv keeps inside a cell
+# where ``str.splitlines`` would end a line; a record ends in a newline,
+# a lone carriage return or nothing (running into the next).
+_CELL_TOKENS = ["0", "1", "2", "7", ".", "-", "_", "e", "nan", "inf", "a",
+                "M", "é", " ", "\t", "\r", "\x0b", "\x1c", "\u2028"]
+_quote_free_cell = st.one_of(
+    st.sampled_from(["0", "1", " 1 ", "2.5", "-7", "1e3", "1_0", "M", "\tF\x0b"]),
+    st.lists(st.sampled_from(_CELL_TOKENS), min_size=1, max_size=2).map("".join),
+)
+_quote_free_record = st.tuples(
+    st.lists(_quote_free_cell, min_size=3, max_size=3),
+    st.sampled_from(["\n", "\r\n", "\r", ""]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    header=st.sampled_from(["sex,y,x", "y, sex ,a"]),
+    end=st.sampled_from(["\n", "\r\n"]),
+    records=st.lists(_quote_free_record, min_size=1, max_size=5),
+    schema=st.sampled_from(
+        [SCHEMA, Schema(group="sex", outcome="y", task=Task.REGRESSION)]
+    ),
+)
+def test_loader_matches_loop_on_quote_free_text(header, end, records, schema):
+    text = header + end + "".join(",".join(c) + e for c, e in records)
+    assert_same_load(text, schema)
 
 
 def test_loader_error_messages(chunk_rows):

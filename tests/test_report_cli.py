@@ -734,6 +734,41 @@ def test_cli_non_finite_feature_names_its_line_and_column(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A carriage return inside an unquoted record.
+        ("g,y,x\n0,1,1\r5\n1,0,2\n0,1,3\n",
+         "d.csv:2: unreadable record: new-line character seen in unquoted field"),
+        # A cell over csv.field_size_limit() characters.
+        ("g,y,x\n0,1,1\n1,0," + "7" * 131_073 + "\n0,1,3\n",
+         "d.csv:3: unreadable record: field larger than field limit"),
+    ],
+    ids=["lone_cr", "field_limit"],
+)
+def test_cli_unreadable_csv_record_is_a_data_error(tmp_path, capsys, text, message):
+    data = tmp_path / "d.csv"
+    data.write_bytes(text.encode())
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    assert run(["audit", "--seed", 0, "--data", data, "--schema", schema,
+                "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "fairaudit: data error: " in err and message in err
+
+
+def test_cli_ragged_topics_file_is_a_data_error(tmp_path, synth_csv, capsys):
+    data, schema, _ = synth_csv
+    topics = tmp_path / "q.csv"
+    topics.write_text("q_0,q_1\n0.5,0.5\n1.0\n0.0,1.0\n")
+    assert run(["subgroups", "--seed", 9, "--data", data, "--schema", schema,
+                "--learner", "knn", "--topics", topics,
+                "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "fairaudit: data error: " in err
+    assert "q.csv:3: ragged membership matrix: expected 2 cells, got 1" in err
+
+
 def test_cli_on_off_flag_from_config(tmp_path):
     config = tmp_path / "run.cfg"
     for text, expected in [("yes", True), ("False", False)]:

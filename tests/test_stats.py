@@ -16,6 +16,7 @@ from fairaudit import (
     pairwise_welch_holm,
     welch_t,
 )
+from fairaudit import stats as stats_mod
 from fairaudit.costs import per_sample_losses
 from fairaudit.errors import AnalysisError
 from fairaudit.stats import (
@@ -365,6 +366,55 @@ def test_bootstrap_skip_error_matches_loop(case):
     want = _ci_or_error(loop_bootstrap_gamma_ci, preds, d, kind, reps=200, seed=1)
     assert want.startswith("AnalysisError:") and "lacked 2 evaluable" in want
     assert _ci_or_error(bootstrap_gamma_ci, preds, d, kind, reps=200, seed=1) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 199, 2001])
+def test_block_draw_equals_successive_draws(n):
+    # The counted bootstrap draws m replicates at once; its intervals equal
+    # the loop's only while this holds for the installed numpy.
+    block, rows = np.random.default_rng(n), np.random.default_rng(n)
+    drawn = block.integers(0, n, size=(5, n)).ravel()
+    want = np.concatenate([rows.integers(0, n, size=n) for _ in range(5)])
+    assert drawn.tobytes() == want.tobytes()
+    assert block.bit_generator.state == rows.bit_generator.state
+
+
+def _zero_one_loss_cases():
+    """(preds, dataset, kind) cases whose every loss is 0 or 1, one with
+    out-of-range scores that void a group in the replicates that draw
+    them."""
+    for sizes in ((60, 90), (80, 3, 70)):
+        for kind in (CostKind.ZERO_ONE, CostKind.FPR, CostKind.FNR):
+            d, preds = _bootstrap_case(0, sizes)
+            yield preds, d, kind
+    d, preds = _bootstrap_case(1, (50, 40, 70), with_labels=False)
+    rng = np.random.default_rng(1)
+    scores = (rng.random(d.n) < 0.5).astype(float)
+    scores[60] = 2.0 if d.outcome[60] == 1.0 else -1.0
+    yield PredictionSet(scores=scores), d, CostKind.BRIER
+    d, preds = _bootstrap_case(2, (70, 80), task=Task.REGRESSION)
+    d = Dataset(features=d.features, group=d.group, outcome=np.round(d.outcome),
+                task=Task.REGRESSION, column_names=d.column_names)
+    scores = d.outcome + rng.integers(-1, 2, d.n)
+    yield PredictionSet(scores=scores), d, CostKind.MSE
+
+
+@pytest.mark.parametrize("block_draws", [1, 7 * 150, None],
+                         ids=["1_row_blocks", "7_row_blocks", "default_blocks"])
+def test_bootstrap_counted_blocks_match_loop(monkeypatch, block_draws):
+    if block_draws is not None:
+        monkeypatch.setattr(stats_mod, "_BLOCK_DRAWS", block_draws)
+    calls = []
+    counted = stats_mod._counted_gammas
+    monkeypatch.setattr(stats_mod, "_counted_gammas",
+                        lambda *a: calls.append(1) or counted(*a))
+    cases = list(_zero_one_loss_cases())
+    for preds, d, kind in cases:
+        kw = dict(reps=150, level=0.1, seed=7)
+        assert _ci_or_error(bootstrap_gamma_ci, preds, d, kind, **kw) == (
+            _ci_or_error(loop_bootstrap_gamma_ci, preds, d, kind, **kw)
+        )
+    assert len(calls) == len(cases)
 
 
 # ---------------------------------------------------------------------------

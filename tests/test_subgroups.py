@@ -194,6 +194,9 @@ def test_load_membership_roundtrip(tmp_path):
     assert cl.descriptors == ("t0", "t1")
     with pytest.raises(DataError, match="rows"):
         load_membership(path, n_expected=5)
+    # A byte-order mark is not part of the first descriptor.
+    path.write_text(path.read_text(), encoding="utf-8-sig")
+    assert load_membership(path, n_expected=3).descriptors == ("t0", "t1")
 
 
 def _value_or_error(fn, *args):
