@@ -24,7 +24,7 @@ from . import curves as curves_mod
 from . import noise_bounds, stats, subgroups, synth
 from . import decomposition as decomp
 from .costs import (
-    CostKind, brier_score, cost_losses, discrimination_level,
+    CostKind, brier_score, cost_gap, cost_losses, discrimination_level,
     empty_group_error, row_losses, sample_variance,
 )
 from .data import (
@@ -233,7 +233,7 @@ def cmd_curves(args, report: AuditReport) -> None:
             gaps[kind.value] = {}
             for label, n in (("at_max_n", max(grid)), ("asymptotic", np.inf)):
                 fitted = [fit(n) for fit in kind_fits]
-                gaps[kind.value][label] = max(fitted) - min(fitted)
+                gaps[kind.value][label] = cost_gap(fitted)
     report.add("gamma_extrapolations", gaps)
     rows = []
     for kind in kinds:

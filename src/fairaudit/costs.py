@@ -180,6 +180,11 @@ def group_cost(
     return float(losses.mean()), losses.size, sample_variance(losses)
 
 
+def cost_gap(costs) -> float:
+    """Gamma: the largest of ``costs`` minus the smallest."""
+    return float(max(costs) - min(costs))
+
+
 def discrimination_level(
     preds: PredictionSet, d: Dataset, kind: CostKind
 ) -> GroupCostReport:
@@ -205,7 +210,7 @@ def discrimination_level(
         raise AnalysisError(
             f"fewer than 2 evaluable groups for {kind.value}"
         )
-    gap = float(max(costs) - min(costs))
+    gap = cost_gap(costs)
     return GroupCostReport(
         cost_kind=kind,
         groups=tuple(groups),

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costs import apply_threshold, empty_group_error
+from .costs import apply_threshold, cost_gap, empty_group_error
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
 from .learners import LearnerSpec, train
@@ -355,7 +355,7 @@ def gamma_bar(
     costs = [dec.cost for dec in decomps.values()]
     if len(costs) < 2:
         raise AnalysisError("need at least 2 groups")
-    return float(max(costs) - min(costs))
+    return cost_gap(costs)
 
 
 def compare_models_bias_variance(

@@ -148,22 +148,58 @@ class TreeModel(TrainedModel):
     node_right: np.ndarray = None
     node_value: np.ndarray = None
 
-    def _scores(self, features):
-        n = features.shape[0]
-        out = np.empty(n)
-        # Evaluate by pushing index sets down the tree.
-        stack = [(0, np.arange(n))]
+    def _scores(self, features, columns=None):
+        """Scores of the rows of ``features``, whose column ``columns[f]``
+        holds the tree's feature ``f`` (column ``f`` when ``columns`` is
+        None).
+
+        Row-index sets are pushed down the tree.  Each node compares its
+        feature's column view, whole at the root (which needs no index
+        set) and gathered at its rows below.  A node whose children are
+        both leaves writes its rows' values in one ``np.where``; a node
+        with one leaf child writes the leaf's value to all its rows, and
+        the rows of its other child are overwritten further down.  Only
+        leaf values are copied into the output, and a row's last write is
+        its own leaf's, so the scores are those of a per-row descent bit
+        for bit.
+        """
+        feature = self.node_feature.tolist()
+        if columns is not None:
+            feature = [-1 if f < 0 else columns[f] for f in feature]
+        threshold = self.node_threshold.tolist()
+        left = self.node_left.tolist()
+        right = self.node_right.tolist()
+        value = self.node_value.tolist()
+        out = np.empty(features.shape[0])
+        if feature[0] < 0:
+            out.fill(value[0])
+            return out
+        stack = [(0, None)]  # None: every row
         while stack:
             node, rows = stack.pop()
-            if rows.size == 0:
+            at = slice(None) if rows is None else rows
+            col = features[:, feature[node]]
+            # Fancy indexing gathers from a strided view in place; take
+            # would first copy the whole column.
+            go_right = (col if rows is None else col[rows]) >= threshold[node]
+            lo, hi = left[node], right[node]
+            if feature[lo] < 0 and feature[hi] < 0:
+                out[at] = np.where(go_right, value[hi], value[lo])
                 continue
-            feat = self.node_feature[node]
-            if feat < 0:
-                out[rows] = self.node_value[node]
-                continue
-            go_right = features[rows, feat] >= self.node_threshold[node]
-            stack.append((self.node_right[node], rows[go_right]))
-            stack.append((self.node_left[node], rows[~go_right]))
+            if feature[lo] < 0:
+                out[at] = value[lo]
+                inner = ((hi, go_right),)
+            elif feature[hi] < 0:
+                out[at] = value[hi]
+                inner = ((lo, ~go_right),)
+            else:
+                inner = ((hi, go_right), (lo, ~go_right))
+            for child, go in inner:
+                child_rows = (
+                    go.nonzero()[0] if rows is None else rows.compress(go)
+                )
+                if child_rows.size:
+                    stack.append((child, child_rows))
         return out
 
 
@@ -175,7 +211,7 @@ class BaggedModel(TrainedModel):
     def _scores(self, features):
         acc = np.zeros(features.shape[0])
         for tree, cols in zip(self.trees, self.feature_subsets):
-            acc += tree._scores(features[:, cols])
+            acc += tree._scores(features, cols.tolist())
         return acc / len(self.trees)
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import (
-    CostKind, PredictionSet, per_sample_losses, row_losses, sample_variance,
+    CostKind, PredictionSet, cost_gap, per_sample_losses, row_losses,
+    sample_variance,
 )
 from .data import Dataset
 from .errors import AnalysisError, DataError
@@ -308,7 +309,7 @@ def bootstrap_gamma_ci(
                     continue
                 costs.append(losses[drawn].mean())
             if len(costs) >= 2:
-                gammas.append(max(costs) - min(costs))
+                gammas.append(cost_gap(costs))
     skipped = reps - len(gammas)
     if skipped > 0.1 * reps:
         raise AnalysisError(

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostKind, PredictionSet, cost_losses, row_losses
+from .costs import CostKind, PredictionSet, cost_gap, cost_losses, row_losses
 from .data import Dataset
 from .errors import AnalysisError, DataError
 
@@ -49,8 +50,10 @@ class Clustering:
             if self.membership is None:
                 raise DataError("soft clustering needs a membership matrix")
             q = np.ascontiguousarray(self.membership, dtype=np.float64)
-            if q.ndim != 2 or np.any(q < 0):
-                raise DataError("membership must be a nonnegative n x C matrix")
+            if q.ndim != 2 or not np.isfinite(q).all() or np.any(q < 0):
+                raise DataError(
+                    "membership must be a finite nonnegative n x C matrix"
+                )
             sums = q.sum(axis=1)
             if np.any(np.abs(sums - 1.0) > 1e-6):
                 raise DataError("membership rows must sum to 1 (tol 1e-6)")
@@ -203,7 +206,7 @@ def rank_clusters(
         if not cell_costs:
             warnings.append(f"cluster {c} dropped: no computable cells")
             continue
-        gaps[c] = float(max(cell_costs) - min(cell_costs))
+        gaps[c] = cost_gap(cell_costs)
         variances[c] = float(np.var(cell_costs))
         enrichment[c] = outcome_enrichment(d, cl, c)
         usable.append(c)
@@ -243,7 +246,14 @@ def load_membership(path, n_expected: int | None = None) -> Clustering:
                         f"{path}:{reader.line_num}: ragged membership matrix: "
                         f"expected {len(header)} cells, got {len(row)}"
                     )
-                rows.append([float(cell) for cell in row])
+                values = [float(cell) for cell in row]
+                for cell, v in zip(row, values):
+                    if not math.isfinite(v):
+                        raise DataError(
+                            f"{path}:{reader.line_num}: non-finite "
+                            f"membership value {cell.strip()!r}"
+                        )
+                rows.append(values)
     except (OSError, ValueError, StopIteration, csv.Error) as exc:
         raise DataError(f"cannot read membership file {path}: {exc}") from exc
     if not rows:

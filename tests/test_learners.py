@@ -270,6 +270,143 @@ def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
     assert len(got) > 1 and got == calls
 
 
+# ---------------------------------------------------------------------------
+# Reference oracle for tree evaluation: each row descends from the root on
+# its own.  The evaluator that pushes index sets down the tree must give the
+# same scores byte for byte.
+
+
+def loop_tree_scores(tree, X):
+    out = np.empty(X.shape[0])
+    for i in range(X.shape[0]):
+        node = 0
+        while tree.node_feature[node] >= 0:
+            if X[i, tree.node_feature[node]] >= tree.node_threshold[node]:
+                node = tree.node_right[node]
+            else:
+                node = tree.node_left[node]
+        out[i] = tree.node_value[node]
+    return out
+
+
+def _tree_model(feature, threshold, left, right, value, n_features):
+    from fairaudit.learners import TreeModel
+
+    return TreeModel(
+        kind=LearnerKind.TREE, task=Task.REGRESSION, n_features=n_features,
+        node_feature=np.asarray(feature, dtype=np.int64),
+        node_threshold=np.asarray(threshold, dtype=np.float64),
+        node_left=np.asarray(left, dtype=np.int64),
+        node_right=np.asarray(right, dtype=np.int64),
+        node_value=np.asarray(value, dtype=np.float64),
+    )
+
+
+def _assert_scores_match_loop(tree, X):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    got = tree._scores(X)
+    assert got.shape == (X.shape[0],)
+    assert got.tobytes() == loop_tree_scores(tree, X).tobytes()
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 8])
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+def test_tree_scores_match_per_row_descent(task, max_depth):
+    from fairaudit.learners import _grow_tree
+
+    rng = np.random.default_rng(90 + max_depth)
+    for trial in range(6):
+        n = int(rng.integers(2, 400))
+        style = trial % 3
+        if style == 0:  # tied one-hot columns
+            X = rng.integers(0, 2, size=(n, 6)).astype(np.float64)
+        elif style == 1:  # rounded normals: rows on the thresholds
+            X = np.round(rng.normal(size=(n, 4)), 1)
+        else:  # all-distinct columns
+            X = rng.normal(size=(n, 3))
+        signal = X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 0.5, n)
+        if task is Task.BINARY:
+            y = (signal > 0.4).astype(np.float64)
+        else:
+            y = np.round(signal, 2)
+        tree = _grow_tree(X, y, task, max_depth)
+        assert tree.node_feature[0] >= 0
+        # Training rows, fresh rows drawn like them, and a strided view.
+        fresh = np.round(rng.normal(size=(500, X.shape[1])), 1)
+        for rows in (X, fresh, np.hstack([fresh, fresh])[:, ::2]):
+            _assert_scores_match_loop(tree, rows)
+
+
+def test_tree_scores_single_leaf():
+    tree = _tree_model([-1], [0.0], [-1], [-1], [0.375], 2)
+    X = np.arange(10.0).reshape(5, 2)
+    _assert_scores_match_loop(tree, X)
+    assert np.all(tree._scores(X) == 0.375)
+
+
+def test_tree_scores_rows_on_a_threshold_go_right():
+    # Root on feature 1 at 0.5; its left child is a leaf pair on feature 0
+    # at -1.0, and its right child a leaf.
+    tree = _tree_model(
+        [1, 0, -1, -1, -1], [0.5, -1.0, 0.0, 0.0, 0.0],
+        [1, 2, -1, -1, -1], [4, 3, -1, -1, -1],
+        [0.0, 0.0, 0.25, 0.5, 0.75], 2,
+    )
+    X = np.array([[-1.0, 0.5], [-1.0, 0.4], [-1.5, 0.4], [9.0, 0.5],
+                  [np.nextafter(-1.0, 0.0), -3.0]])
+    _assert_scores_match_loop(tree, X)
+    assert tree._scores(X).tolist() == [0.75, 0.5, 0.25, 0.75, 0.5]
+
+
+def test_tree_scores_node_whose_rows_all_go_one_way():
+    # Every row goes left at the root, so the right subtree sees no row;
+    # at node 1 every row goes right.
+    tree = _tree_model(
+        [0, 0, -1, -1, 1, -1, -1], [5.0, -5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1, 2, -1, -1, 5, -1, -1], [4, 3, -1, -1, 6, -1, -1],
+        [0.0, 0.0, 1.0, 2.0, 0.0, 3.0, 4.0], 2,
+    )
+    X = np.array([[0.0, 9.0], [1.0, -9.0], [4.5, 0.0]])
+    _assert_scores_match_loop(tree, X)
+    assert tree._scores(X).tolist() == [2.0, 2.0, 2.0]
+    # A root with one leaf child: every row reaches the leaf, or every row
+    # reaches the inner child and overwrites the leaf's value.
+    tree = _tree_model(
+        [0, -1, 1, -1, -1], [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1, -1, 3, -1, -1], [2, -1, 4, -1, -1],
+        [0.0, 1.0, 0.0, 2.0, 3.0], 2,
+    )
+    for X, want in ((-np.ones((3, 2)), 1.0), (np.ones((3, 2)), 3.0)):
+        _assert_scores_match_loop(tree, X)
+        assert tree._scores(X).tolist() == [want] * 3
+
+
+@pytest.mark.parametrize("max_depth", [1, 3])
+def test_tree_scores_zero_rows(max_depth, regression_dataset):
+    tree = train(
+        LearnerSpec(kind=LearnerKind.TREE, max_depth=max_depth),
+        regression_dataset,
+    )
+    empty = np.empty((0, regression_dataset.k))
+    _assert_scores_match_loop(tree, empty)
+    assert tree.predict_scores(empty).shape == (0,)
+
+
+def test_bagged_scores_match_per_tree_copies(binary_dataset):
+    spec = LearnerSpec(
+        kind=LearnerKind.BAGGED_TREES, n_trees=7, feature_fraction=0.5,
+        max_depth=4, seed=5,
+    )
+    model = train(spec, binary_dataset)
+    X = binary_dataset.features
+    want = np.zeros(X.shape[0])
+    for tree, cols in zip(model.trees, model.feature_subsets):
+        assert cols.size < X.shape[1]
+        want += tree._scores(np.ascontiguousarray(X[:, cols]))
+    want /= len(model.trees)
+    assert model.predict_scores(X).tobytes() == want.tobytes()
+
+
 def test_knn_model_z_scores_like_kernels_zscore():
     from fairaudit import kernels
 

@@ -769,6 +769,23 @@ def test_cli_ragged_topics_file_is_a_data_error(tmp_path, synth_csv, capsys):
     assert "q.csv:3: ragged membership matrix: expected 2 cells, got 1" in err
 
 
+def test_cli_non_finite_topics_cell_is_a_data_error(tmp_path, synth_csv, capsys):
+    # The evaluation split holds 100 of the 500 rows.  Before the check, the
+    # nan row reached the analysis and the run ended with exit 4 on a
+    # non-finite report value.
+    data, schema, _ = synth_csv
+    args = ["subgroups", "--seed", 9, "--data", data, "--schema", schema,
+            "--learner", "knn"]
+    topics = tmp_path / "q.csv"
+    topics.write_text("q_0,q_1\n" + "0.5,0.5\n" * 100)
+    assert run(args + ["--topics", topics, "--out", tmp_path / "ok"]) == 0
+    topics.write_text("q_0,q_1\nnan,1.0\n" + "0.5,0.5\n" * 99)
+    assert run(args + ["--topics", topics, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert "fairaudit: data error: " in err
+    assert "q.csv:2: non-finite membership value 'nan'" in err
+
+
 def test_cli_on_off_flag_from_config(tmp_path):
     config = tmp_path / "run.cfg"
     for text, expected in [("yes", True), ("False", False)]:

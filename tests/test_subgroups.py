@@ -99,6 +99,23 @@ def test_membership_rows_must_sum_to_one():
     assert cl.membership.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_membership_must_be_finite(bad):
+    # nan passes both the sign test and the row-sum test on its own.
+    with pytest.raises(DataError, match="finite"):
+        Clustering(
+            kind=ClusteringKind.SOFT,
+            membership=np.array([[0.5, 0.5], [bad, 1.0]]),
+        )
+
+
+def test_load_membership_names_the_line_of_a_non_finite_cell(tmp_path):
+    path = tmp_path / "q.csv"
+    path.write_text("t0,t1\n0.2,0.8\n\n0.5, inf\nnan,1.0\n")
+    with pytest.raises(DataError, match=r"q\.csv:4: non-finite membership value 'inf'"):
+        load_membership(path)
+
+
 def test_outcome_enrichment():
     d = build()
     cl = threshold_clusterings(d)[1]
