@@ -38,7 +38,9 @@ from .data import (
     write_dataset,
 )
 from .errors import AnalysisError, ConfigError, DataError, FairauditError
-from .learners import LearnerKind, LearnerSpec, score_predictions, train
+from .learners import (
+    FIELDS_READ, LearnerKind, LearnerSpec, score_predictions, train,
+)
 from .report import AuditReport, emit_report, write_curve_table
 
 
@@ -79,7 +81,7 @@ def parse_learner(text: str) -> LearnerSpec:
         spec = LearnerSpec(kind=kind, **kwargs)
     except AnalysisError as exc:
         raise ConfigError(f"learner {text!r}: {exc}") from None
-    read = spec.fields_read()
+    read = FIELDS_READ[spec.kind]
     unread = [key for key in kwargs if key not in read]
     if unread:
         raise ConfigError(
@@ -431,19 +433,23 @@ def _parsed_text(parse):
     return check
 
 
-def build_parser() -> _Parser:
+def build_parser(data: bool | None = None) -> _Parser:
     """The one declaration of every option: its type, default, valid range
-    and the subcommands that read it.  Config-file values pass it too."""
+    and the subcommands that read it.  Config-file values pass it too.
+    ``decompose`` reads some options only with ``--data`` and others only
+    without it; ``data`` picks the source whose options it takes (None:
+    both)."""
     unit_open = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
     unit_closed = _checked(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
     trained = ("audit", "decompose", "curves", "subgroups", "test")
-    held_out = ("audit", "decompose", "subgroups", "test")
-    synthetic = ("decompose", "synth")
-    # (flag, the subcommands that read it, add_argument keywords).  Only
-    # they take it, so the config echo lists only inputs the run read.
+    held_out = ("audit", "decompose/data", "subgroups", "test")
+    synthetic = ("decompose/synthetic", "synth")
+    # (flag, the subcommands that read it, add_argument keywords); a
+    # "command/source" reader takes it from that source only.  Only they
+    # take it, so the config echo lists only inputs the run read.
     options = [
-        ("--schema", ("noise", *trained), dict(default=None)),
+        ("--schema", ("noise", *held_out, "curves"), dict(default=None)),
         ("--learner", trained,
          dict(type=_parsed_text(parse_learner), default="bagged_trees")),
         ("--threshold", trained, dict(type=unit_closed, default=0.5)),
@@ -461,7 +467,8 @@ def build_parser() -> _Parser:
         ("--n-train", ("decompose",), dict(type=_at_least(0), default=0, help=(
             "training-set size per ensemble member; 0 means the train-split "
             "size with --data and 200 with a synthetic source"))),
-        ("--eval-size", ("decompose",), dict(type=_at_least(1), default=500)),
+        ("--eval-size", ("decompose/synthetic",),
+         dict(type=_at_least(1), default=500)),
         ("--grid", ("curves",),
          dict(type=_parsed_text(_grid_sizes), default="100,200,400")),
         ("--trials", ("curves",), dict(type=_at_least(1), default=10)),
@@ -479,15 +486,18 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fairaudit", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
+    sources = {None: ("data", "synthetic"), True: ("data",),
+               False: ("synthetic",)}[data]
     for name in COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
+        names = {name, *(f"{name}/{source}" for source in sources)}
         p.add_argument("--config", default=None)
         p.add_argument("--data", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="fairaudit_out")
         p.add_argument("--format", default="json", choices=("json", "csv"))
         for flag, readers, keywords in options:
-            if name in readers:
+            if names.intersection(readers):
                 p.add_argument(flag, **keywords)
     return parser
 
@@ -520,11 +530,24 @@ def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse ``argv`` (default ``sys.argv[1:]``).  A ``--config`` file's
-    values become the subcommand's defaults and the same argv is parsed
-    again, so they are converted and range-checked exactly as flags are,
-    and a flag given explicitly wins."""
-    parser = build_parser()
+    """Parse ``argv`` (default ``sys.argv[1:]``).  ``decompose`` is parsed
+    once more, taking only the options of the source the first pass found
+    (``--data`` given by flag or config, or not)."""
+    args = _parse(build_parser(), argv)
+    if args.command == "decompose":
+        source = "with --data" if args.data else "without --data"
+        try:
+            args = _parse(build_parser(data=bool(args.data)), argv)
+        except ConfigError as exc:
+            raise ConfigError(f"decompose {source}: {exc}") from None
+    return args
+
+
+def _parse(parser: _Parser, argv) -> argparse.Namespace:
+    """Parse ``argv`` with ``parser``.  A ``--config`` file's values become
+    the subcommand's defaults and the same argv is parsed again, so they
+    are converted and range-checked exactly as flags are, and a flag given
+    explicitly wins."""
     args = parser.parse_args(argv)
     if args.config:
         command = parser.commands[args.command]

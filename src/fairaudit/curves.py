@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .costs import CostKind, per_sample_losses
+from .costs import CostKind, cost_gap, per_sample_losses
 from .data import Dataset, derive_seed, split, subsample
 from .errors import AnalysisError, DataError
 from .learners import LearnerSpec, score_predictions, train
@@ -259,12 +259,7 @@ def extrapolate_gamma(fit_0: PowerLawFit, fit_1: PowerLawFit, n) -> float:
         and fit_0.cost_kind != fit_1.cost_kind
     ):
         raise AnalysisError("fits have different cost kinds")
-    return abs(fit_0(n) - fit_1(n))
-
-
-def extrapolation_warning(fit: PowerLawFit, n) -> bool:
-    """Flag extrapolations far beyond the fitted range (n > 10 * n_max)."""
-    return bool(np.isinf(n) or n > 10 * fit.n_max)
+    return cost_gap((fit_0(n), fit_1(n)))
 
 
 def power_law_critical_point(

@@ -11,6 +11,7 @@ unless ``include_group`` is set at training time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +30,28 @@ class LearnerKind(enum.Enum):
     BAGGED_TREES = "bagged_trees"
 
 
+# The LearnerSpec fields each kind reads, besides ``kind`` and ``seed``.
+FIELDS_READ = {
+    LearnerKind.LOGISTIC: ("lam", "penalty"),
+    LearnerKind.RIDGE: ("lam",),
+    LearnerKind.KNN: ("k",),
+    LearnerKind.TREE: ("max_depth",),
+    LearnerKind.BAGGED_TREES: (
+        "max_depth", "n_trees", "feature_fraction", "bootstrap"
+    ),
+}
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     kind: LearnerKind
-    lam: float = 0.0
-    penalty: str = "l2"  # logistic only: "l1" or "l2"
+    lam: float = 0.0  # logistic / ridge: penalty weight
+    penalty: str = "l2"  # logistic: "l2" or "l1"
     k: int = 5  # knn
     max_depth: int = 4  # tree / bagged trees
     n_trees: int = 20  # bagged trees
     feature_fraction: float = 1.0  # bagged trees
     bootstrap: bool = True  # bagged trees
-    epochs: int = 500  # logistic: iteration cap of either solver
-    step_size: float = 0.1  # logistic with penalty "l1"
     seed: int = 0
 
     def __post_init__(self):
@@ -52,26 +63,6 @@ class LearnerSpec:
             raise AnalysisError("k, max_depth, n_trees must be >= 1")
         if not 0.0 < self.feature_fraction <= 1.0:
             raise AnalysisError("feature_fraction must be in (0, 1]")
-        if self.epochs < 1:
-            raise AnalysisError("epochs must be >= 1")
-        if not 0.0 < self.step_size < np.inf:
-            raise AnalysisError("step_size must be finite and > 0")
-
-    def fields_read(self) -> tuple[str, ...]:
-        """The fields this learner reads, besides ``kind`` and ``seed``."""
-        if self.kind is LearnerKind.LOGISTIC:
-            # Only the l1 path takes gradient steps.
-            return ("lam", "penalty", "epochs") + (
-                ("step_size",) if self.penalty == "l1" else ()
-            )
-        return {
-            LearnerKind.RIDGE: ("lam",),
-            LearnerKind.KNN: ("k",),
-            LearnerKind.TREE: ("max_depth",),
-            LearnerKind.BAGGED_TREES: (
-                "max_depth", "n_trees", "feature_fraction", "bootstrap"
-            ),
-        }[self.kind]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -215,9 +206,11 @@ class BaggedModel(TrainedModel):
         return acc / len(self.trees)
 
 
-# Newton stops once the decrement g^T H^+ g, twice the objective's
-# predicted fall, is at rounding level for a mean log-loss near 1.
+# Newton stops once the decrement, the fall of the objective that a full
+# step predicts to first order (g^T H^+ g for l2), is at rounding level
+# for a mean log-loss near 1, or once the line search cannot lower it.
 _NEWTON_TOL = 1e-14
+_MAX_NEWTON_STEPS = 500
 # Armijo: a step of length t must lower the objective by at least
 # _ARMIJO * t * decrement (Nocedal & Wright, Numerical Optimization, 3.1).
 # After 50 halvings t = 2^-50, and the step is lost in rounding.
@@ -226,47 +219,88 @@ _MAX_HALVINGS = 50
 # Rows per block of the Hessian product, so no full-size weighted copy of
 # X is held.
 _HESSIAN_BLOCK = 1024
+# Coordinate descent on the l1 Newton quadratic stops once a sweep moves
+# no coordinate j by more than _SWEEP_TOL / sqrt(H_jj).
+_SWEEP_TOL = 1e-15
+_MAX_SWEEPS = 1000
 
 
-def _logistic_objective(X, y, w, b, lam):
-    """(mean log-loss + lam/2 |w|^2, margins); the intercept is not
-    penalized."""
+def _logistic_objective(X, y, w, b, lam, l1):
+    """(mean log-loss + lam |w|_1 or lam/2 |w|^2, margins); the intercept
+    is not penalized."""
     z = X @ w + b
     loss = np.logaddexp(0.0, z) - y * z
-    return float(loss.mean()) + 0.5 * lam * float(w @ w), z
+    penalty = lam * float(np.abs(w).sum()) if l1 else 0.5 * lam * float(w @ w)
+    return float(loss.mean()) + penalty, z
+
+
+def _l1_newton_step(hess, grad, w, lam):
+    """The step s (intercept last) minimizing the Newton model
+    -grad.s + s.hess.s/2 + lam |w - s[:-1]|_1: the intercept's part in
+    closed form (weighted centering), the weights' by cyclic coordinate
+    descent with soft-thresholding (glmnet: Friedman, Hastie & Tibshirani,
+    J. Stat. Softw. 2010), which does not depend on feature scale."""
+    k = w.size
+    lever = hess[:k, k] / hess[k, k]
+    quad = hess[:k, :k] - np.outer(hess[:k, k], lever)
+    lin = (grad[:k] - grad[k] * lever).tolist()
+    weights, step, qs = w.tolist(), [0.0] * k, np.zeros(k)  # qs = quad @ step
+    for _ in range(_MAX_SWEEPS):
+        moved = 0.0
+        for j, a in enumerate(quad.diagonal().tolist()):
+            if a > 0.0:  # 0 for a zero column, or < 0 by rounding
+                z = weights[j] - step[j] + (qs.item(j) - lin[j]) / a
+                new = weights[j] - math.copysign(max(abs(z) - lam / a, 0.0), z)
+                if new != step[j]:
+                    qs += quad[j] * (new - step[j])
+                    moved = max(moved, abs(new - step[j]) * math.sqrt(a))
+                    step[j] = new
+        if moved <= _SWEEP_TOL:
+            break
+    step = np.array(step)
+    return np.append(step, (grad[k] - hess[k, :k] @ step) / hess[k, k])
 
 
 def _logistic_newton(spec: LearnerSpec, X, y):
     """Damped Newton (IRLS; Hastie, Tibshirani & Friedman, ESL 4.4.1) on
-    the l2 objective.  Invariant to feature scale.  The Newton system is
-    solved by least squares: with lam = 0 the Hessian is singular whenever
-    a one-hot block sums to the intercept column."""
+    the mean log-loss plus the penalty; invariant to feature scale.  For
+    l2, lam * I joins the Hessian and the Newton system is solved by least
+    squares, as with lam = 0 it is singular whenever a one-hot block sums
+    to the intercept column.  For l1 the step minimizes the Newton model
+    plus the penalty: proximal Newton (Lee, Sun & Saunders, SIAM J. Optim.
+    2014)."""
     n, k = X.shape
-    lam = spec.lam
-    w = np.zeros(k)
-    b = 0.0
-    f, z = _logistic_objective(X, y, w, b, lam)
+    lam, l1 = spec.lam, spec.penalty == "l1"
+    ridge = 0.0 if l1 else lam
+    w, b = np.zeros(k), 0.0
+    f, z = _logistic_objective(X, y, w, b, lam, l1)
     hess = np.empty((k + 1, k + 1))
-    for _ in range(spec.epochs):
+    for _ in range(_MAX_NEWTON_STEPS):
         p = _sigmoid(z)
         r = (p - y) / n
-        grad = np.append(X.T @ r + lam * w, r.sum())
+        grad = np.append(X.T @ r + ridge * w, r.sum())
         s = p * (1.0 - p) / n
         hess[:k, :k] = sum(
             X[lo:lo + _HESSIAN_BLOCK].T
             @ (X[lo:lo + _HESSIAN_BLOCK] * s[lo:lo + _HESSIAN_BLOCK, None])
             for lo in range(0, n, _HESSIAN_BLOCK)
-        ) + lam * np.eye(k)
+        ) + ridge * np.eye(k)
         hess[:k, k] = hess[k, :k] = X.T @ s
         hess[k, k] = s.sum()
-        # Solved in unit-diagonal form, so the rank cut-off of lstsq does
-        # not drop the directions of small-scale features.
-        unit = np.sqrt(hess.diagonal())
-        unit[unit == 0.0] = 1.0
-        step = np.linalg.lstsq(
-            hess / np.outer(unit, unit), grad / unit, rcond=None
-        )[0] / unit
-        decrement = float(grad @ step)
+        if l1:
+            step = _l1_newton_step(hess, grad, w, lam)
+            # The penalty's fall joins that of the smooth part.
+            decrement = float(grad @ step) + lam * float(
+                np.abs(w).sum() - np.abs(w - step[:k]).sum())
+        else:
+            # Solved in unit-diagonal form, so the rank cut-off of lstsq
+            # does not drop the directions of small-scale features.
+            unit = np.sqrt(hess.diagonal())
+            unit[unit == 0.0] = 1.0
+            step = np.linalg.lstsq(
+                hess / np.outer(unit, unit), grad / unit, rcond=None
+            )[0] / unit
+            decrement = float(grad @ step)
         if decrement <= _NEWTON_TOL:
             # Here the full step needs no damping (Boyd & Vandenberghe,
             # Convex Optimization, 9.5.3).  Taking it brings the gradient of
@@ -279,7 +313,7 @@ def _logistic_newton(spec: LearnerSpec, X, y):
         for _ in range(_MAX_HALVINGS):
             w_new = w - t * step[:k]
             b_new = b - t * step[k]
-            f_new, z_new = _logistic_objective(X, y, w_new, b_new, lam)
+            f_new, z_new = _logistic_objective(X, y, w_new, b_new, lam, l1)
             if f_new <= f - _ARMIJO * t * decrement:
                 break
             t *= 0.5
@@ -287,37 +321,6 @@ def _logistic_newton(spec: LearnerSpec, X, y):
             break
         w, b, f, z = w_new, b_new, f_new, z_new
     return w, b
-
-
-def _logistic_l1(spec: LearnerSpec, X, y):
-    """Proximal gradient descent with a 1/sqrt(t) step: the l1 penalty is
-    not smooth, so Newton does not apply."""
-    n, k = X.shape
-    w = np.zeros(k)
-    b = 0.0
-    for t in range(1, spec.epochs + 1):
-        lr = spec.step_size / np.sqrt(t)
-        margin = X @ w + b
-        grad_common = _sigmoid(margin) - y
-        grad_w = X.T @ grad_common / n
-        grad_b = float(grad_common.mean())
-        w = w - lr * grad_w
-        # Proximal step: soft-threshold everything but the intercept.
-        w = np.sign(w) * np.maximum(np.abs(w) - lr * spec.lam, 0.0)
-        b = b - lr * grad_b
-    return w, b
-
-
-def _train_logistic(spec: LearnerSpec, X, y) -> LogisticModel:
-    solve = _logistic_l1 if spec.penalty == "l1" else _logistic_newton
-    w, b = solve(spec, X, y)
-    return LogisticModel(
-        kind=LearnerKind.LOGISTIC,
-        task=Task.BINARY,
-        n_features=X.shape[1],
-        weights=w,
-        intercept=b,
-    )
 
 
 def _train_ridge(spec: LearnerSpec, X, y) -> RidgeModel:
@@ -433,7 +436,9 @@ def train(
     if spec.kind is LearnerKind.LOGISTIC:
         if d.task is not Task.BINARY:
             raise AnalysisError("logistic regression requires a binary task")
-        return _train_logistic(spec, X, y)
+        w, b = _logistic_newton(spec, X, y)
+        return LogisticModel(kind=LearnerKind.LOGISTIC, task=Task.BINARY,
+                             n_features=X.shape[1], weights=w, intercept=b)
     if spec.kind is LearnerKind.RIDGE:
         if d.task is not Task.REGRESSION:
             raise AnalysisError("ridge requires a regression task")

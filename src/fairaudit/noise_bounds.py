@@ -170,14 +170,15 @@ def nn_bounds(
     if d.task is not Task.BINARY:
         raise AnalysisError("noise bounds require a binary task")
     rows = d.group_indices(a)
-    if rows.size < folds:
-        raise AnalysisError(
-            f"group {a} has {rows.size} rows; needs >= {folds} for "
-            f"{folds}-fold cross validation"
-        )
+    n_rows = rows.size
     rng = np.random.default_rng(seed)
     if max_samples is not None and rows.size > max_samples:
         rows = rows[np.sort(rng.choice(rows.size, size=max_samples, replace=False))]
+    if rows.size < folds:
+        raise AnalysisError(
+            f"group {a} uses {rows.size} of its {n_rows} rows; needs >= "
+            f"{folds} for {folds}-fold cross validation"
+        )
     X = d.features[rows]
     y = d.outcome[rows]
     if standardize:

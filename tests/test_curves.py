@@ -15,7 +15,6 @@ from fairaudit import (
     power_law_crossings,
     run_curve_experiment,
 )
-from fairaudit.curves import extrapolation_warning
 from fairaudit.errors import AnalysisError
 from fairaudit.synth import default_discrete_spec, gen_discrete
 
@@ -92,9 +91,6 @@ def test_fit_curve_experiment_and_extrapolation():
     f0, f1 = fits[(0, CostKind.ZERO_ONE)], fits[(1, CostKind.ZERO_ONE)]
     gap_inf = extrapolate_gamma(f0, f1, np.inf)
     assert gap_inf == pytest.approx(abs(f0.delta - f1.delta))
-    assert extrapolation_warning(f0, np.inf)
-    assert extrapolation_warning(f0, 10 * f0.n_max + 1)
-    assert not extrapolation_warning(f0, 2 * f0.n_max)
 
 
 def test_critical_point_formula():

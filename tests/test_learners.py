@@ -21,7 +21,7 @@ def test_logistic_learns_separable():
         features=x, group=np.zeros(n, dtype=np.int64), outcome=y,
         task=Task.BINARY, column_names=("a", "b"),
     )
-    model = train(LearnerSpec(kind=LearnerKind.LOGISTIC, epochs=300), d)
+    model = train(LearnerSpec(kind=LearnerKind.LOGISTIC), d)
     acc = (apply_threshold(model.predict_scores(x)) == y).mean()
     assert acc > 0.95
 
@@ -427,10 +427,10 @@ def test_knn_model_z_scores_like_kernels_zscore():
 
 
 # ---------------------------------------------------------------------------
-# Logistic regression.  The l2 objective is the mean log-loss plus
-# lam/2 |w|^2 with the intercept unpenalized; damped Newton must reach its
-# minimum whatever the feature scale.  The l1 path keeps the proximal
-# gradient loop below, and the sigmoid the masked form below, byte for byte.
+# Logistic regression.  The objective is the mean log-loss plus lam/2 |w|^2
+# (l2) or lam |w|_1 (l1), with the intercept unpenalized; damped Newton must
+# reach its minimum whatever the feature scale.  The sigmoid keeps the
+# masked form below byte for byte.
 
 
 def loop_sigmoid(z):
@@ -440,22 +440,6 @@ def loop_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def loop_train_logistic_l1(X, y, lam, epochs, step_size):
-    n, k = X.shape
-    w = np.zeros(k)
-    b = 0.0
-    for t in range(1, epochs + 1):
-        lr = step_size / np.sqrt(t)
-        margin = X @ w + b
-        grad_common = loop_sigmoid(margin) - y
-        grad_w = X.T @ grad_common / n
-        grad_b = float(grad_common.mean())
-        w = w - lr * grad_w
-        w = np.sign(w) * np.maximum(np.abs(w) - lr * lam, 0.0)
-        b = b - lr * grad_b
-    return w, b
 
 
 def _logistic_data(seed, n=1000, scale=1e5, separable=False):
@@ -484,6 +468,22 @@ def _l2_objective(X, y, w, b, lam):
 def _l2_gradient(X, y, w, b, lam):
     r = (loop_sigmoid(X @ w + b) - y) / y.size
     return np.append(X.T @ r + lam * w, r.sum())
+
+
+def _l1_objective(X, y, w, b, lam):
+    z = X @ w + b
+    return np.mean(np.logaddexp(0.0, z) - y * z) + lam * np.abs(w).sum()
+
+
+def _l1_optimality_gap(X, y, w, b, lam):
+    """The largest distance of 0 from the subdifferential of the l1
+    objective: |g_j + lam sign(w_j)| where w_j != 0, max(|g_j| - lam, 0)
+    where w_j = 0, and |g| for the intercept."""
+    g = _l2_gradient(X, y, w, b, 0.0)
+    gw = g[:-1]
+    return max(float(np.where(w != 0.0, np.abs(gw + lam * np.sign(w)),
+                              np.maximum(np.abs(gw) - lam, 0.0)).max()),
+               abs(float(g[-1])))
 
 
 def test_sigmoid_matches_masked_form_bitwise():
@@ -526,12 +526,14 @@ def test_logistic_l2_objective_matches_scipy(lam):
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e5])
-def test_logistic_l2_separable_stops_before_the_cap(scale):
+def test_logistic_l2_separable_stops_before_the_cap(scale, monkeypatch):
+    from fairaudit import learners
+
     d = _logistic_data(33, n=300, scale=scale, separable=True)
-    fits = [
-        train(LearnerSpec(kind=LearnerKind.LOGISTIC, epochs=e), d)
-        for e in (200, 500)
-    ]
+    fits = []
+    for cap in (200, 500):
+        monkeypatch.setattr(learners, "_MAX_NEWTON_STEPS", cap)
+        fits.append(train(LearnerSpec(kind=LearnerKind.LOGISTIC), d))
     # The same bytes under both caps: the solver stopped on its own.
     assert fits[0].weights.tobytes() == fits[1].weights.tobytes()
     assert fits[0].intercept == fits[1].intercept
@@ -540,12 +542,67 @@ def test_logistic_l2_separable_stops_before_the_cap(scale):
     assert np.array_equal(margin >= 0, d.outcome == 1.0)
 
 
-@pytest.mark.parametrize("scale,lam", [(1.0, 0.0), (1.0, 0.05), (1e5, 0.01)])
-def test_logistic_l1_matches_reference_bitwise(scale, lam):
-    d = _logistic_data(34, n=400, scale=scale)
-    spec = LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam, penalty="l1",
-                       epochs=200, step_size=0.2)
-    model = train(spec, d)
-    w, b = loop_train_logistic_l1(d.features, d.outcome, lam, 200, 0.2)
-    assert model.weights.tobytes() == w.tobytes()
-    assert float.hex(float(model.intercept)) == float.hex(float(b))
+@pytest.mark.parametrize("lam", [0.001, 0.01, 0.1])
+def test_logistic_l1_is_subgradient_optimal_at_raw_scale(lam):
+    # A column of about 1e5 and a one-hot block that sums to the intercept
+    # column.
+    d = _logistic_data(34, scale=1e5)
+    model = train(
+        LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam, penalty="l1"), d
+    )
+    gap = _l1_optimality_gap(d.features, d.outcome, model.weights,
+                             model.intercept, lam)
+    assert gap <= 1e-8
+
+
+def test_logistic_l1_with_a_zero_and_a_constant_column():
+    # Neither column can move the fit: the zero column has no curvature,
+    # and the constant one none beyond the intercept's.
+    d = _logistic_data(37)
+    X = np.hstack([d.features, np.zeros((d.n, 1)), np.full((d.n, 1), 37.0)])
+    d = Dataset(features=X, group=d.group, outcome=d.outcome, task=Task.BINARY,
+                column_names=tuple(f"c{j}" for j in range(9)))
+    model = train(
+        LearnerSpec(kind=LearnerKind.LOGISTIC, lam=0.01, penalty="l1"), d
+    )
+    assert model.weights[-2:].tolist() == [0.0, 0.0]
+    assert _l1_optimality_gap(X, d.outcome, model.weights, model.intercept,
+                              0.01) <= 1e-8
+
+
+@pytest.mark.parametrize("lam", [0.001, 0.01, 0.1])
+def test_logistic_l1_objective_no_worse_than_scipy(lam):
+    # L-BFGS-B on w = u - v, u, v >= 0.  It can stop short of the minimum
+    # on raw-scale columns, so only a fit above it fails.
+    from scipy.optimize import minimize
+
+    d = _logistic_data(35, scale=1e5)
+    X, y = d.features, d.outcome
+    k = X.shape[1]
+
+    def fun(v):
+        w, b = v[:k] - v[k:2 * k], v[2 * k]
+        g = _l2_gradient(X, y, w, b, 0.0)
+        return (_l1_objective(X, y, w, b, lam),
+                np.concatenate([g[:k] + lam, lam - g[:k], g[k:]]))
+
+    res = minimize(fun, np.zeros(2 * k + 1), jac=True, method="L-BFGS-B",
+                   bounds=[(0.0, None)] * (2 * k) + [(None, None)],
+                   options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000})
+    model = train(
+        LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam, penalty="l1"), d
+    )
+    ours = _l1_objective(X, y, model.weights, model.intercept, lam)
+    assert ours <= res.fun + 1e-9
+
+
+def test_every_learner_field_is_read():
+    # A LearnerSpec field that no learner reads would be an option that
+    # parses and does nothing.
+    from dataclasses import fields
+
+    from fairaudit.learners import FIELDS_READ
+
+    read = {name for names in FIELDS_READ.values() for name in names}
+    assert set(FIELDS_READ) == set(LearnerKind)
+    assert read == {f.name for f in fields(LearnerSpec)} - {"kind", "seed"}

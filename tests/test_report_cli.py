@@ -86,13 +86,18 @@ def test_curve_table_header(tmp_path):
 
 
 # Learner texts that name a kind but no usable model, or an option the
-# learner does not read (step_size only with penalty=l1).
+# learner does not read.
 BAD_LEARNERS = [
-    "knn:k=0", "tree:max_depth=0", "logistic:penalty=l3", "logistic:epochs=0",
-    "logistic:step_size=-1,penalty=l1", "logistic:step_size=inf,penalty=l1",
-    "ridge:lam=nan", "bagged_trees:bootstrap=maybe",
-    "knn:max_depth=3,epochs=7", "logistic:k=9,n_trees=3",
-    "logistic:step_size=0.05", "ridge:penalty=l1", "tree:n_trees=3",
+    "knn:k=0", "tree:max_depth=0", "logistic:penalty=l3", "ridge:lam=nan",
+    "bagged_trees:bootstrap=maybe", "knn:max_depth=3,n_trees=7",
+    "logistic:k=9,n_trees=3", "ridge:penalty=l1", "tree:n_trees=3",
+]
+# Options no learner has: the solver's iteration cap and step size are
+# not settable.
+UNKNOWN_LEARNER_OPTIONS = [
+    "logistic:epochs=0", "logistic:step_size=-1,penalty=l1",
+    "logistic:step_size=inf,penalty=l1", "knn:epochs=7",
+    "logistic:step_size=0.05", "logistic:penalty=l1,step_size=0.05",
 ]
 
 
@@ -103,10 +108,15 @@ def test_parse_learner():
     with pytest.raises(ConfigError):
         parse_learner("boosted")
     assert parse_learner("bagged_trees:bootstrap=YES").bootstrap
-    assert parse_learner("logistic:penalty=l1,step_size=0.05").step_size == 0.05
-    with pytest.raises(ConfigError, match="does not read max_depth, epochs; "
+    assert parse_learner("logistic:penalty=l1,lam=0.05").lam == 0.05
+    with pytest.raises(ConfigError, match="does not read max_depth, n_trees; "
                        "it reads k$"):
-        parse_learner("knn:max_depth=3,epochs=7")
+        parse_learner("knn:max_depth=3,n_trees=7")
+    for text in UNKNOWN_LEARNER_OPTIONS:
+        key = "epochs" if "epochs" in text else "step_size"
+        with pytest.raises(ConfigError,
+                           match=f"^unknown learner option '{key}'$"):
+            parse_learner(text)
     assert not parse_learner("bagged_trees:bootstrap=0").bootstrap
     for bad in ("knn:weird=1", "tree:max_depth=abc", "ridge:lam=x", "knn:k=2.5",
                 "knn:seed=3", "tree:kind=knn", *BAD_LEARNERS):
@@ -242,7 +252,9 @@ def test_cli_noise_and_test_subcommands(tmp_path, synth_csv):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--kind", "bogus"], *(["--learner", bad] for bad in BAD_LEARNERS)],
+    "flags", [["--kind", "bogus"], *(
+        ["--learner", bad] for bad in (*BAD_LEARNERS, *UNKNOWN_LEARNER_OPTIONS)
+    )],
     ids="=".join,
 )
 def test_cli_rejects_bad_learner_or_kind_before_training(
@@ -269,6 +281,21 @@ def test_cli_noise_rejects_bad_k_and_folds(tmp_path, synth_csv, flags):
         ["noise", "--seed", 7, "--data", data, "--schema", schema,
          "--out", out, *flags]
     ) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_cli_noise_row_cap_below_folds_is_an_analysis_error(
+    tmp_path, synth_csv, capsys
+):
+    # The fold count is checked against the rows left after the cap.
+    data, schema, _ = synth_csv
+    argv = ["noise", "--seed", 7, "--data", data, "--schema", schema]
+    assert run([*argv, "--max-nn-samples", 6, "--out", tmp_path / "ok"]) == 0
+    out = tmp_path / "noise"
+    assert run([*argv, "--max-nn-samples", 1, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert "fairaudit: analysis error: group 0 uses 1 of its " in err
+    assert "needs >= 5 for 5-fold cross validation" in err
     assert not (out / "report.json").exists()
 
 
@@ -468,7 +495,7 @@ def test_cli_rejects_an_option_the_subcommand_does_not_read(
 ECHO_KEYS = {
     "audit": "command data kind learner schema seed test_fraction threshold",
     "decompose": "command eval_size homoskedastic learner n_train seed "
-                 "sigma_eps synth_kind t_models test_fraction threshold",
+                 "sigma_eps synth_kind t_models threshold",
     "curves": "command data grid kind learner schema seed threshold trials",
     "noise": "command data folds k max_nn_samples schema seed",
     "subgroups": "command data kind learner schema seed test_fraction "
@@ -488,6 +515,57 @@ def test_cli_config_echo_lists_the_inputs_each_subcommand_reads(
         assert run([command, "--seed", 1, "--out", out, *argv]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert sorted(doc["config"]) == ECHO_KEYS[command].split(), command
+
+
+# decompose reads the generator's options only without --data and the
+# split's only with it: (the source, an option of the other one, a value;
+# None for an on/off flag).
+OTHER_SOURCE = [
+    ("data", "synth-kind", "regression"), ("data", "sigma-eps", "5"),
+    ("data", "homoskedastic", None), ("data", "eval-size", "7"),
+    ("synthetic", "test-fraction", "0.3"), ("synthetic", "schema", "s.txt"),
+]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("source,option,value", OTHER_SOURCE)
+def test_cli_decompose_rejects_an_option_of_the_other_source(
+    tmp_path, synth_csv, capsys, given, source, option, value
+):
+    data, schema, _ = synth_csv
+    out = tmp_path / "dec"
+    argv = ["decompose", "--seed", 1, "--learner", "tree:max_depth=1",
+            "--t-models", 2, "--n-train", 20, "--out", out]
+    if source == "data":
+        argv += ["--data", data, "--schema", schema]
+    if given == "flag":
+        argv += [f"--{option}"] + ([] if value is None else [value])
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{option}={'yes' if value is None else value}\n")
+        argv += ["--config", config]
+    assert run(argv) == 2
+    side = "with" if source == "data" else "without"
+    assert (f"fairaudit: config error: decompose {side} --data: "
+            in capsys.readouterr().err)
+    assert not (out / "report.json").exists()
+
+
+def test_cli_decompose_echoes_the_options_of_its_source(tmp_path, synth_csv):
+    # --data given in the config file picks the source as the flag does.
+    data, schema, _ = synth_csv
+    config = tmp_path / "run.cfg"
+    config.write_text(f"data={data}\nschema={schema}\n")
+    argv = ["decompose", "--seed", 1, "--config", config, "--learner",
+            "tree:max_depth=1", "--t-models", 2, "--n-train", 20]
+    out = tmp_path / "dec"
+    assert run([*argv, "--out", out]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert sorted(doc["config"]) == (
+        "command data learner n_train schema seed t_models test_fraction "
+        "threshold".split()
+    )
+    assert run([*argv, "--eval-size", 7, "--out", tmp_path / "o"]) == 2
 
 
 def test_cli_report_reemits_a_report_json_byte_for_byte(tmp_path, synth_csv):
@@ -653,10 +731,11 @@ def test_cli_test_skips_a_group_it_cannot_test(tmp_path, kind, reason):
     assert sorted(results["pairwise_welch_holm"]) == ["0,2", "0,3", "2,3"]
 
 
-def test_cli_logistic_audit_fits_raw_scale_features(tmp_path):
+def _audit_raw_scale_features(tmp_path, learner):
     # Adult-shaped raw columns: capital_gain reaches about 1e5.  A fit
     # that diverges can predict one class for everyone, so that FNR is 1
-    # and FPR 0 in every group, or the reverse.
+    # and FPR 0 in every group, or the reverse, or err on more rows than a
+    # coin would.
     rng = np.random.default_rng(5)
     n = 1500
     male = rng.random(n) < 0.67
@@ -677,12 +756,22 @@ def test_cli_logistic_audit_fits_raw_scale_features(tmp_path):
     schema.write_text("group=sex\noutcome=income\ntask=binary\n")
     out = tmp_path / "audit"
     assert run(["audit", "--seed", 3, "--data", data, "--schema", schema,
-                "--learner", "logistic", "--kind", "fnr,fpr", "--out", out]) == 0
+                "--learner", learner, "--kind", "fnr,fpr,zero_one",
+                "--out", out]) == 0
     results = json.loads((out / "report.json").read_text())["results"]
     for kind in ("fnr", "fpr"):
         block = results[f"group_costs.{kind}"]
         assert block["groups"] == [0, 1]
         assert all(0.0 < cost < 1.0 for cost in block["costs"])
+    assert all(cost < 0.5 for cost in results["group_costs.zero_one"]["costs"])
+
+
+def test_cli_logistic_audit_fits_raw_scale_features(tmp_path):
+    _audit_raw_scale_features(tmp_path, "logistic")
+
+
+def test_cli_l1_logistic_audit_fits_raw_scale_features(tmp_path):
+    _audit_raw_scale_features(tmp_path, "logistic:penalty=l1,lam=0.01")
 
 
 def test_cli_test_pairwise_keys_name_group_ids(tmp_path):
