@@ -433,12 +433,16 @@ def _parsed_text(parse):
     return check
 
 
-def build_parser(data: bool | None = None) -> _Parser:
+def build_parser(
+    data: bool | None = None, command: str | None = None
+) -> _Parser:
     """The one declaration of every option: its type, default, valid range
     and the subcommands that read it.  Config-file values pass it too.
     ``decompose`` reads some options only with ``--data`` and others only
     without it; ``data`` picks the source whose options it takes (None:
-    both)."""
+    both).  Only ``command`` gets its options (None: every subcommand); the
+    others are declared by name, so the usage and the message for an
+    unknown subcommand still list them all."""
     unit_open = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
     unit_closed = _checked(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
@@ -490,6 +494,8 @@ def build_parser(data: bool | None = None) -> _Parser:
                False: ("synthetic",)}[data]
     for name in COMMANDS:
         p = sub.add_parser(name, allow_abbrev=False)
+        if command not in (None, name):
+            continue
         names = {name, *(f"{name}/{source}" for source in sources)}
         p.add_argument("--config", default=None)
         p.add_argument("--data", default=None)
@@ -530,14 +536,21 @@ def _config_defaults(command: argparse.ArgumentParser, path) -> dict:
 
 
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse ``argv`` (default ``sys.argv[1:]``).  ``decompose`` is parsed
-    once more, taking only the options of the source the first pass found
-    (``--data`` given by flag or config, or not)."""
-    args = _parse(build_parser(), argv)
+    """Parse ``argv`` (default ``sys.argv[1:]``).  Only the subcommand it
+    names gets its options declared.  ``decompose`` is parsed once more,
+    taking only the options of the source the first pass found (``--data``
+    given by flag or config, or not)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so the first token that
+    # names a subcommand is the one argparse runs.
+    command = next((token for token in argv if token in COMMANDS), None)
+    args = _parse(build_parser(command=command), argv)
     if args.command == "decompose":
         source = "with --data" if args.data else "without --data"
         try:
-            args = _parse(build_parser(data=bool(args.data)), argv)
+            args = _parse(
+                build_parser(data=bool(args.data), command="decompose"), argv
+            )
         except ConfigError as exc:
             raise ConfigError(f"decompose {source}: {exc}") from None
     return args

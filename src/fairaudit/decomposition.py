@@ -12,10 +12,12 @@ gamma_a = N_a + B_a + V_a where the noise and variance terms carry their
 sign factors c_n and c_v.
 
 The terms are computed as arrays over a group's points: one batched
-outcome-model query per group gives y* and the noise, and the ensemble
-columns of those points (an (m, T) slice of the prediction matrix) give
-y_main, c_n, c_v, the bias and the variance.  ``point_decomposition`` is
-the one-point case of the same function.
+outcome-model query per group gives y* and the noise.  Under zero-one
+loss every other term follows from each point's vote count, how many of
+the T models predict 1 (Domingos, "A Unified Bias-Variance Decomposition
+and its Applications", ICML 2000); under squared loss from the points'
+ensemble columns (an (m, T) copy of the prediction matrix).
+``point_decomposition`` is the one-point case of the same function.
 
 When the conditional outcome distribution is unknown, y* is unavailable:
 only the (unsigned) variance is reported exactly, together with a
@@ -25,14 +27,16 @@ combined bias+noise residual.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
 from .costs import apply_threshold, cost_gap, empty_group_error
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
-from .learners import LearnerSpec, train
+from .learners import COLUMN_READERS, LearnerSpec, train
 from .stats import TestResult, two_sample_z
 from .synth import ConditionalOutcomeModel
 
@@ -129,6 +133,10 @@ def ensemble_train(
     if t_models < 2:
         raise AnalysisError("ensemble needs T >= 2 models")
     predictions = np.empty((t_models, eval_set.n))
+    features = eval_set.features
+    if spec.kind in COLUMN_READERS:
+        # One column-major copy serves every model's column reads.
+        features = np.asfortranarray(features)
     fresh = callable(source)
     for t in range(t_models):
         trial_seed = derive_seed(seed, "ensemble", t)
@@ -137,7 +145,7 @@ def ensemble_train(
         else:
             train_set = bootstrap_resample(source, n_train, trial_seed)
         model = train(replace(spec, seed=trial_seed), train_set)
-        scores = model.predict_scores(eval_set.features)
+        scores = model.predict_scores(features)
         if eval_set.task is Task.BINARY:
             scores = apply_threshold(scores, threshold)
         predictions[t] = scores
@@ -150,12 +158,9 @@ def ensemble_train(
     )
 
 
-def _losses(preds: np.ndarray, target, loss: Loss, out=None) -> np.ndarray:
-    """Each prediction's loss against ``target`` (broadcast): a mismatch
-    flag for zero-one, the squared error otherwise, written into ``out``
-    when given.  A mean over it is the mean loss either way."""
-    if loss is Loss.ZERO_ONE:
-        return preds != target
+def _squared_errors(preds: np.ndarray, target, out=None) -> np.ndarray:
+    """Each prediction's squared error against ``target`` (broadcast),
+    written into ``out`` when given."""
     diff = np.subtract(preds, target, out=out)
     return np.square(diff, out=diff)
 
@@ -164,6 +169,44 @@ def _vote(p: np.ndarray) -> np.ndarray:
     """The majority label of each vote share or probability ``p``, ties
     toward label 0."""
     return (p > 0.5).astype(np.float64)
+
+
+def _check_zero_one(values, what: str) -> None:
+    values = np.asarray(values)
+    if (np.count_nonzero(values == 1.0) + np.count_nonzero(values == 0.0)
+            != values.size):
+        raise AnalysisError(f"zero-one loss needs 0/1 {what}")
+
+
+def _vote_counts(labels: np.ndarray) -> np.ndarray:
+    """How many of the T models vote 1 at each point of the (T, m) 0/1
+    ``labels``: one column sum, an exact integer in float64, so a mismatch
+    count derived from it over T equals the mean of that point's mismatch
+    flags bit for bit."""
+    _check_zero_one(labels, "predictions")
+    return labels.sum(axis=0)
+
+
+def _misses(votes: np.ndarray, label, t: int) -> np.ndarray:
+    """How many of the T votes differ from each point's 0/1 ``label``."""
+    return np.where(label == 1.0, t - votes, votes)
+
+
+def _zero_one_terms(votes: np.ndarray, t: int, p1: np.ndarray):
+    """Zero-one terms of points with ``votes`` out of ``t`` and
+    P(Y=1|x) ``p1``: y* and y_main are majority labels with ties toward 0."""
+    y_main = _vote(votes / t)
+    y_star = _vote(p1)
+    agree = y_main == y_star
+    return PointDecomposition(
+        y_star=y_star,
+        y_main=y_main,
+        noise=np.minimum(p1, 1.0 - p1),
+        bias=(~agree).astype(np.float64),
+        variance=_misses(votes, y_main, t) / t,
+        c_n=2.0 * ((t - _misses(votes, y_star, t)) / t) - 1.0,
+        c_v=np.where(agree, 1.0, -1.0),
+    )
 
 
 def _terms(
@@ -176,38 +219,31 @@ def _terms(
 ) -> PointDecomposition:
     """Exact terms of the points ``rows`` (all in group ``a``) as arrays.
 
-    Zero-one: y* and y_main are majority labels with ties toward 0, and
-    every term is a vote count over T.  Squared: y* is E[Y|x,a] and the
-    noise is Var[Y|x,a].  Each point's arithmetic runs in the order a
-    computation on its own column alone would use, so these entries equal
-    the point's ``point_decomposition`` terms bit for bit.
+    Zero-one: every term but the noise is a vote count over T.  Squared:
+    y* is E[Y|x,a] and the noise is Var[Y|x,a].  Each point's arithmetic
+    runs in the order a computation on its own column alone would use, so
+    these entries equal the point's ``point_decomposition`` terms bit for
+    bit.
     """
     X = eval_set.features[rows]
+    if loss is Loss.ZERO_ONE:
+        votes = _vote_counts(e.predictions[:, rows])
+        return _zero_one_terms(votes, e.n_models, om.prob(X, a))
     # (m, T) copy, one contiguous row per point: a row mean sums in the
     # same pairwise order as the mean of that point's ensemble column.
     cols = e.predictions.T[rows]
     y_main = cols.mean(axis=1)
-    y_main = _vote(y_main) if loss is Loss.ZERO_ONE else y_main
-    # cols is this call's own copy: squared losses overwrite it rather than
-    # take a second (m, T) array.
-    variance = _losses(cols, y_main[:, None], loss, out=cols).mean(axis=1)
-    if loss is Loss.ZERO_ONE:
-        p1 = om.prob(X, a)
-        y_star = _vote(p1)
-        agree = y_main == y_star
-        return PointDecomposition(
-            y_star=y_star,
-            y_main=y_main,
-            noise=np.minimum(p1, 1.0 - p1),
-            bias=(~agree).astype(np.float64),
-            variance=variance,
-            c_n=2.0 * np.mean(cols == y_star[:, None], axis=1) - 1.0,
-            c_v=np.where(agree, 1.0, -1.0),
-        )
+    # cols is this call's own copy: the squared errors overwrite it rather
+    # than take a second (m, T) array.
+    variance = _squared_errors(cols, y_main[:, None], out=cols).mean(axis=1)
     y_star = om.mean(X, a)
-    # Python's float ** (libm pow): numpy's **2 computes x*x, which differs
-    # from pow in the last bit on some inputs and would move report digits.
-    bias = np.array([d**2 for d in (y_main - y_star).tolist()])
+    # libm pow, as Python's float ** calls it: numpy's **2 computes x*x,
+    # which differs from pow in the last bit on some inputs and would move
+    # report digits.
+    bias = np.fromiter(
+        map(math.pow, (y_main - y_star).tolist(), repeat(2.0)),
+        np.float64, rows.size,
+    )
     ones = np.ones(rows.size)
     return PointDecomposition(
         y_star=y_star,
@@ -247,17 +283,25 @@ def _unknown_mode(
     """Observed-label decomposition of the (T, m) predictions ``preds``
     against labels ``y``: the exact cost and the unsigned variance, with
     bias and noise merged into one residual."""
-    y_main = preds.mean(axis=0)
-    y_main = _vote(y_main) if loss is Loss.ZERO_ONE else y_main
-    cost = float(_losses(preds, y, loss).mean())
-    variance_raw = float(_losses(preds, y_main, loss).mean())
+    t, m = preds.shape
+    if loss is Loss.ZERO_ONE:
+        _check_zero_one(y, "labels")
+        votes = _vote_counts(preds)
+        # Mismatch totals are exact integers, as in a mean of (T, m) flags.
+        cost = float(_misses(votes, y, t).sum()) / (t * m)
+        variance_raw = float(
+            _misses(votes, _vote(votes / t), t).sum()) / (t * m)
+    else:
+        cost = float(_squared_errors(preds, y).mean())
+        variance_raw = float(
+            _squared_errors(preds, preds.mean(axis=0)).mean())
     return GroupDecomposition(
         group=a,
         cost=cost,
         mode="unknown",
         variance_raw=variance_raw,
         bias_noise_residual=cost - variance_raw,
-        n_points=preds.shape[1],
+        n_points=m,
     )
 
 
@@ -321,21 +365,19 @@ def class_conditional_decomposition(
             )
         return _unknown_mode(e.predictions[:, sub], float(y), Loss.ZERO_ONE, a)
 
-    weights = om.prob(eval_set.features[rows], a)
-    if y == 0:
-        weights = 1.0 - weights
+    p1 = om.prob(eval_set.features[rows], a)
+    weights = p1 if y == 1 else 1.0 - p1
     total = weights.sum()
     if total <= 0.0:
         raise AnalysisError(f"group {a} has zero mass on class {y}")
     weights = weights / total
 
-    t = _terms(e, eval_set, om, Loss.ZERO_ONE, rows, a)
+    votes = _vote_counts(e.predictions[:, rows])
+    t = _zero_one_terms(votes, e.n_models, p1)
     # With the class fixed, the noise loss of y* is 1[y* != y].
     noise = float(weights @ (t.c_n * (t.y_star != float(y))))
     variance = float(weights @ (t.c_v * t.variance))
-    point_costs = _losses(
-        e.predictions[:, rows], float(y), Loss.ZERO_ONE
-    ).mean(axis=0)
+    point_costs = _misses(votes, float(y), e.n_models) / e.n_models
     return GroupDecomposition(
         group=a,
         cost=float(weights @ point_costs),
@@ -358,6 +400,14 @@ def gamma_bar(
     return cost_gap(costs)
 
 
+def _point_losses(e: EnsemblePredictions, y, loss: Loss) -> np.ndarray:
+    """Each point's loss against ``y``, averaged over the T models."""
+    if loss is Loss.ZERO_ONE:
+        t = e.n_models
+        return _misses(_vote_counts(e.predictions), y, t) / t
+    return _squared_errors(e.predictions, y).mean(axis=0)
+
+
 def compare_models_bias_variance(
     e1: EnsemblePredictions,
     e2: EnsemblePredictions,
@@ -375,8 +425,9 @@ def compare_models_bias_variance(
     if e1.n_points != eval_set.n or e2.n_points != eval_set.n:
         raise DataError("ensembles not aligned with evaluation set")
     y = eval_set.outcome
-    u = (_losses(e1.predictions, y, loss).mean(axis=0)
-         - _losses(e2.predictions, y, loss).mean(axis=0))
+    if loss is Loss.ZERO_ONE:
+        _check_zero_one(y, "labels")
+    u = _point_losses(e1, y, loss) - _point_losses(e2, y, loss)
     rows0, rows1 = (_group_rows(e1, eval_set, g) for g in groups)
     stat, _, _, p = two_sample_z(u[rows0], u[rows1])
     return TestResult(

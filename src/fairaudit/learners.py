@@ -42,6 +42,11 @@ FIELDS_READ = {
 }
 
 
+# Kinds whose models read the features one column at a time (a tree's
+# descent), and so score fastest on a column-major copy.
+COLUMN_READERS = frozenset({LearnerKind.TREE, LearnerKind.BAGGED_TREES})
+
+
 @dataclass(frozen=True)
 class LearnerSpec:
     kind: LearnerKind
@@ -79,15 +84,18 @@ class TrainedModel:
     n_features: int
 
     def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        features = np.ascontiguousarray(features, dtype=np.float64)
+        """Scores of the rows of ``features``, in either memory layout;
+        the bytes do not depend on it."""
+        features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise DataError(
                 f"expected {self.n_features} feature columns, "
                 f"got shape {features.shape}"
             )
         scores = self._scores(features)
-        if self.task is Task.BINARY and not np.all(
-            (scores >= 0.0) & (scores <= 1.0)
+        # A NaN fails both comparisons.
+        if self.task is Task.BINARY and scores.size and not (
+            scores.min() >= 0.0 and scores.max() <= 1.0
         ):
             raise AnalysisError("binary scores must lie in [0, 1]")
         return scores
@@ -102,6 +110,8 @@ class LogisticModel(TrainedModel):
     intercept: float = 0.0
 
     def _scores(self, features):
+        # Row-major: a matrix-vector product's bits depend on the layout.
+        features = np.ascontiguousarray(features)
         return _sigmoid(features @ self.weights + self.intercept)
 
 
@@ -111,6 +121,8 @@ class RidgeModel(TrainedModel):
     intercept: float = 0.0
 
     def _scores(self, features):
+        # Row-major: a matrix-vector product's bits depend on the layout.
+        features = np.ascontiguousarray(features)
         return features @ self.weights + self.intercept
 
 
@@ -200,6 +212,8 @@ class BaggedModel(TrainedModel):
     feature_subsets: tuple = ()
 
     def _scores(self, features):
+        # Every tree reads whole columns: one column-major copy serves all.
+        features = np.asfortranarray(features)
         acc = np.zeros(features.shape[0])
         for tree, cols in zip(self.trees, self.feature_subsets):
             acc += tree._scores(features, cols.tolist())

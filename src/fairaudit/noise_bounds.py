@@ -179,6 +179,13 @@ def nn_bounds(
             f"group {a} uses {rows.size} of its {n_rows} rows; needs >= "
             f"{folds} for {folds}-fold cross validation"
         )
+    # The largest fold holds ceil(n / folds) rows; its votes draw on the rest.
+    trained_on = rows.size - math.ceil(rows.size / folds)
+    if k > trained_on:
+        raise AnalysisError(
+            f"group {a}: k={k} exceeds the {trained_on} rows a fold trains "
+            f"on ({rows.size} rows used, {folds} folds)"
+        )
     X = d.features[rows]
     y = d.outcome[rows]
     if standardize:

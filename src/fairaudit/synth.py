@@ -10,7 +10,9 @@ decomposition queries it once per group rather than once per point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -99,9 +101,11 @@ class RegressionSynthSpec:
         x = np.asarray(x, dtype=np.float64)
         if self.homoskedastic:
             return np.full(x.shape, self.sigma_eps**2)
-        # Python's float ** (libm pow), not numpy's vectorized power, which
-        # differs from it in the last bit on some inputs.
-        fourth = np.array([v**4 for v in x.ravel().tolist()]).reshape(x.shape)
+        # libm pow, as Python's float ** calls it, not numpy's vectorized
+        # power, which differs from it in the last bit on some inputs.
+        fourth = np.fromiter(
+            map(math.pow, x.ravel().tolist(), repeat(4.0)), np.float64, x.size
+        ).reshape(x.shape)
         return self.sigma_eps**2 * fourth
 
 

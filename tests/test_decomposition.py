@@ -511,3 +511,162 @@ def test_compare_models_matches_the_loop_body():
             assert (
                 res.statistic.hex(), res.p_value.hex(), res.detail["counts"]
             ) == loop_compare_models_bias_variance(a, b, d, loss)
+
+
+# ---------------------------------------------------------------------------
+# Zero-one terms come from per-point vote counts.  The references below
+# count mismatch flags point by point, as the (T, m) flag means did.
+
+
+def loop_unknown_mode_zero_one(preds, labels):
+    """(cost, variance_raw) from per-point mismatch counts over T * m."""
+    t, m = preds.shape
+    cost = variance = 0
+    for i in range(m):
+        column = preds[:, i]
+        y_main = 1.0 if column.mean() > 0.5 else 0.0
+        cost += int(np.count_nonzero(column != labels[i]))
+        variance += int(np.count_nonzero(column != y_main))
+    return cost / (t * m), variance / (t * m)
+
+
+def loop_class_conditional_known(e, eval_set, om, a, y):
+    """The known-mode class-conditional sums over per-point loop terms, in
+    the weighted-sum order of the array code."""
+    rows = eval_set.group_indices(a)
+    p1 = om.prob(eval_set.features[rows], a)
+    weights = p1 if y == 1 else 1.0 - p1
+    weights = weights / weights.sum()
+    points = [loop_point(e, int(i), eval_set, om, Loss.ZERO_ONE) for i in rows]
+    noise = [p.c_n * (1.0 if p.y_star != y else 0.0) for p in points]
+    costs = [float(np.mean(e.predictions[:, int(i)] != y)) for i in rows]
+    return dict(
+        cost=float(weights @ np.array(costs)),
+        noise=float(weights @ np.array(noise)),
+        bias=float(weights @ np.array([p.bias for p in points])),
+        variance=float(weights @ np.array([p.c_v * p.variance for p in points])),
+    )
+
+
+def labelled_binary_case(rng, t, groups):
+    """``random_binary_case`` with random observed 0/1 outcomes."""
+    e, d, om = random_binary_case(rng, t, groups)
+    d = Dataset(
+        features=d.features, group=d.group,
+        outcome=(rng.random(d.n) < 0.5).astype(np.float64),
+        task=Task.BINARY, column_names=d.column_names,
+    )
+    return e, d, om
+
+
+def assert_unknown_matches_loop(got, preds, labels):
+    cost, variance = loop_unknown_mode_zero_one(preds, labels)
+    assert (got.mode, got.n_points) == ("unknown", preds.shape[1])
+    assert got.cost.hex() == cost.hex()
+    assert got.variance_raw.hex() == variance.hex()
+    assert got.bias_noise_residual.hex() == (cost - variance).hex()
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 7, 10, 50])
+def test_zero_one_unknown_mode_matches_loop(t):
+    rng = np.random.default_rng(100 + t)
+    for n in (1, 2, 9, 40):
+        e, d, _ = labelled_binary_case(rng, t, [0] * (n - 1) + [1])
+        for a in (0, 1):
+            rows = d.group_indices(a)
+            if rows.size == 0:
+                continue
+            got = group_decomposition(e, d, None, Loss.ZERO_ONE, a)
+            assert_unknown_matches_loop(
+                got, e.predictions[:, rows], d.outcome[rows]
+            )
+            for y in (0, 1):
+                sub = rows[d.outcome[rows] == y]
+                if sub.size == 0:
+                    continue
+                got = class_conditional_decomposition(e, d, None, a, y)
+                assert_unknown_matches_loop(
+                    got, e.predictions[:, sub], np.full(sub.size, float(y))
+                )
+
+
+@pytest.mark.parametrize("t", [2, 3, 4, 7, 10])
+def test_class_conditional_known_mode_matches_loop_bitwise(t):
+    rng = np.random.default_rng(110 + t)
+    for n in (2, 9, 40):
+        e, d, om = random_binary_case(rng, t, [0] * (n - 1) + [1])
+        for a in (0, 1):
+            p1 = om.prob(d.features[d.group_indices(a)], a)
+            for y in (0, 1):
+                if (p1 if y == 1 else 1.0 - p1).sum() == 0.0:
+                    continue  # no mass on class y
+                got = class_conditional_decomposition(e, d, om, a, y)
+                want = loop_class_conditional_known(e, d, om, a, y)
+                for name, value in want.items():
+                    assert getattr(got, name).hex() == value.hex(), name
+                assert got.variance_raw.hex() == want["variance"].hex()
+
+
+@pytest.mark.parametrize("t1,t2", [(2, 4), (3, 3), (4, 10), (7, 2)])
+def test_compare_models_zero_one_matches_the_loop_body_with_ties(t1, t2):
+    rng = np.random.default_rng(120 + t1 + t2)
+    n = 31
+    d = Dataset(
+        features=np.zeros((n, 1)),
+        group=np.repeat([0, 1], [13, n - 13]),
+        outcome=(rng.random(n) < 0.5).astype(np.float64),
+        task=Task.BINARY,
+        column_names=("x",),
+    )
+    e1, e2 = (
+        make_ensemble((rng.random((t, n)) < 0.5).astype(np.float64))
+        for t in (t1, t2)
+    )
+    for e in (e1, e2):
+        if e.n_models % 2 == 0:  # a vote tie at every fifth point
+            e.predictions[:, ::5] = np.repeat(
+                [1.0, 0.0], e.n_models // 2
+            )[:, None]
+    res = compare_models_bias_variance(e1, e2, d, Loss.ZERO_ONE)
+    assert (
+        res.statistic.hex(), res.p_value.hex(), res.detail["counts"]
+    ) == loop_compare_models_bias_variance(e1, e2, d, Loss.ZERO_ONE)
+
+
+def _zero_one_calls(e, d, om):
+    return [
+        lambda: group_decomposition(e, d, om, Loss.ZERO_ONE, 0),
+        lambda: group_decomposition(e, d, None, Loss.ZERO_ONE, 0),
+        lambda: point_decomposition(e, 0, d, om, Loss.ZERO_ONE),
+        lambda: class_conditional_decomposition(e, d, om, 0, 1),
+        lambda: class_conditional_decomposition(e, d, None, 0, 0),
+        lambda: compare_models_bias_variance(e, e, d, Loss.ZERO_ONE),
+    ]
+
+
+@pytest.mark.parametrize("call", range(6))
+def test_zero_one_rejects_a_prediction_that_is_not_a_label(call):
+    d, om = tiny_binary(3, [0.9, 0.2, 0.5], [0, 0, 1])
+    preds = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    for bad in (0.5, np.nan, 2.0, -1.0):
+        broken = preds.copy()
+        broken[1, 0] = bad
+        with pytest.raises(AnalysisError, match="0/1 predictions"):
+            _zero_one_calls(make_ensemble(broken), d, om)[call]()
+    # -0.0 is a 0 label.
+    ok = preds.copy()
+    ok[1, 0] = -0.0
+    _zero_one_calls(make_ensemble(ok), d, om)[call]()
+
+
+def test_zero_one_unknown_mode_rejects_labels_that_are_not_0_1():
+    d = Dataset(
+        features=np.eye(3), group=np.zeros(3, dtype=np.int64),
+        outcome=np.array([0.0, 1.0, 0.5]), task=Task.REGRESSION,
+        column_names=("a", "b", "c"),
+    )
+    e = make_ensemble([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(AnalysisError, match="0/1 labels"):
+        group_decomposition(e, d, None, Loss.ZERO_ONE, 0)
+    with pytest.raises(AnalysisError, match="0/1 labels"):
+        compare_models_bias_variance(e, e, d, Loss.ZERO_ONE, groups=(0, 0))

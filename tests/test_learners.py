@@ -167,6 +167,12 @@ def test_binary_scores_outside_unit_interval_raise():
     assert model.predict_scores(np.array([[0.25]]))[0] == 0.5
     with pytest.raises(AnalysisError, match=r"\[0, 1\]"):
         model.predict_scores(np.array([[1.0]]))
+    # The end points pass, no rows pass, and a NaN score fails.
+    assert model.predict_scores(np.array([[0.0], [0.5]])).tolist() == [0.0, 1.0]
+    assert model.predict_scores(np.empty((0, 1))).shape == (0,)
+    for bad in ([[-0.25], [0.25]], [[0.25], [np.nan]], [[np.inf]]):
+        with pytest.raises(AnalysisError, match=r"\[0, 1\]"):
+            model.predict_scores(np.array(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -606,3 +612,38 @@ def test_every_learner_field_is_read():
     read = {name for names in FIELDS_READ.values() for name in names}
     assert set(FIELDS_READ) == set(LearnerKind)
     assert read == {f.name for f in fields(LearnerSpec)} - {"kind", "seed"}
+
+
+LAYOUT_SPECS = [
+    LearnerSpec(kind=LearnerKind.TREE, max_depth=5),
+    LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=5, max_depth=4,
+                feature_fraction=0.5, seed=3),
+    LearnerSpec(kind=LearnerKind.KNN, k=7),
+    LearnerSpec(kind=LearnerKind.LOGISTIC, lam=0.01, penalty="l2"),
+    LearnerSpec(kind=LearnerKind.LOGISTIC, lam=0.01, penalty="l1"),
+    LearnerSpec(kind=LearnerKind.RIDGE, lam=0.1),
+]
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda s: s.kind.value)
+def test_predict_scores_do_not_depend_on_memory_layout(spec):
+    # Tree ensembles are scored on a column-major copy; a matrix-vector
+    # product gives other bits on one, so the linear models read rows.
+    rng = np.random.default_rng(33)
+    n, k = 600, 9
+    X = rng.normal(size=(n, k)) * rng.uniform(0.1, 50.0, size=k)
+    regression = spec.kind is LearnerKind.RIDGE
+    signal = X @ rng.normal(size=k)
+    y = signal if regression else (signal > 0).astype(np.float64)
+    d = Dataset(
+        features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
+        task=Task.REGRESSION if regression else Task.BINARY,
+        column_names=tuple(f"x{j}" for j in range(k)),
+    )
+    model = train(spec, d)
+    queries = rng.normal(size=(n, k)) * 20.0
+    want = model.predict_scores(np.ascontiguousarray(queries)).tobytes()
+    strided_rows = np.repeat(queries, 2, axis=0)[::2]
+    strided_cols = np.asfortranarray(np.hstack([queries, queries]))[:, :k]
+    for layout in (np.asfortranarray(queries), strided_rows, strided_cols):
+        assert model.predict_scores(layout).tobytes() == want

@@ -100,6 +100,24 @@ def test_nn_bounds_deterministic_and_subsampled():
     assert a.auxiliary["n_used"] == 800
 
 
+@pytest.mark.parametrize(
+    "n_used,folds", [(6, 5), (10, 5), (11, 5), (20, 3), (7, 7), (40, 2)]
+)
+def test_nn_bounds_k_at_most_the_rows_each_fold_trains_on(n_used, folds):
+    # The largest fold holds ceil(n / folds) rows and votes from the rest.
+    d = gaussian_mixture(300, 1.5, 6)
+    largest = -(-n_used // folds)
+    k = n_used - largest
+    kw = dict(folds=folds, seed=3, max_samples=n_used)
+    assert nn_bounds(d, 0, k=k, **kw).auxiliary["k"] == k
+    with pytest.raises(AnalysisError) as info:
+        nn_bounds(d, 0, k=k + 1, **kw)
+    assert str(info.value) == (
+        f"group 0: k={k + 1} exceeds the {k} rows a fold trains on "
+        f"({n_used} rows used, {folds} folds)"
+    )
+
+
 def test_degenerate_one_hot_features_handled():
     # rank-deficient one-hot features: regularization must keep the
     # covariance invertible

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import AuditReport, emit_report
-from fairaudit.cli import build_parser, parse_kinds, parse_learner, run_cli
+from fairaudit.cli import (
+    COMMANDS, build_parser, parse_kinds, parse_learner, run_cli,
+)
 from fairaudit.costs import CostKind
 from fairaudit.errors import AnalysisError, ConfigError
 from fairaudit.learners import LearnerKind
@@ -284,13 +287,33 @@ def test_cli_noise_rejects_bad_k_and_folds(tmp_path, synth_csv, flags):
     assert not (out / "report.json").exists()
 
 
+def test_cli_noise_k_above_the_rows_a_fold_trains_on_is_an_analysis_error(
+    tmp_path, synth_csv, capsys
+):
+    # Six rows in 5 folds: the fold of two rows votes from the other four.
+    data, schema, _ = synth_csv
+    argv = ["noise", "--seed", 7, "--data", data, "--schema", schema,
+            "--max-nn-samples", 6]
+    assert run([*argv, "--k", 4, "--out", tmp_path / "ok"]) == 0
+    for k in (5, 50):
+        out = tmp_path / f"k{k}"
+        assert run([*argv, "--k", k, "--out", out]) == 4
+        assert (
+            f"fairaudit: analysis error: group 0: k={k} exceeds the 4 rows a "
+            "fold trains on (6 rows used, 5 folds)"
+        ) in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+
 def test_cli_noise_row_cap_below_folds_is_an_analysis_error(
     tmp_path, synth_csv, capsys
 ):
-    # The fold count is checked against the rows left after the cap.
+    # The fold count is checked against the rows left after the cap.  Six
+    # rows in 5 folds train each fold on 4 or 5, enough for k = 4.
     data, schema, _ = synth_csv
     argv = ["noise", "--seed", 7, "--data", data, "--schema", schema]
-    assert run([*argv, "--max-nn-samples", 6, "--out", tmp_path / "ok"]) == 0
+    ok = ["--max-nn-samples", 6, "--k", 4, "--out", tmp_path / "ok"]
+    assert run([*argv, *ok]) == 0
     out = tmp_path / "noise"
     assert run([*argv, "--max-nn-samples", 1, "--out", out]) == 4
     err = capsys.readouterr().err
@@ -1025,6 +1048,33 @@ def test_cli_full_flag_beats_config_file(tmp_path):
                 "--out", out]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["config"]["sigma_eps"] == 0.1
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_cli_help_lists_the_options_of_its_subcommand(command, capsys):
+    # Only the named subcommand gets its options declared; its help must
+    # still list every one that the full declaration gives it.
+    argv = ["--help"] if command is None else [command, "--help"]
+    assert run_cli(argv) == 0
+    text = capsys.readouterr().out
+    if command is None:
+        assert all(name in text for name in COMMANDS)
+        return
+    assert text.startswith(f"usage: fairaudit {command} ")
+    full = build_parser().commands[command]
+    flags = [s for a in full._actions for s in a.option_strings]
+    assert "--seed" in flags
+    for flag in flags:
+        assert re.search(rf"(?<![\w-]){flag}(?![\w-])", text), flag
+
+
+def test_cli_unknown_subcommand_lists_every_subcommand(capsys):
+    assert run_cli(["bogus", "--seed", "1"]) == 2
+    choices = ", ".join(f"'{name}'" for name in COMMANDS)
+    assert (
+        "fairaudit: config error: argument command: invalid choice: 'bogus' "
+        f"(choose from {choices})"
+    ) in capsys.readouterr().err
 
 
 def test_cli_entry_point_installed():
