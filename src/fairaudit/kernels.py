@@ -11,14 +11,24 @@ to the lower row index.  The k-NN kernels take query rows in blocks of at
 most ``_BLOCK_CELLS`` distance cells, so their memory stays flat however
 many rows a group has.
 
-Split search scores only the cuts between distinct values of a feature,
-the only cuts a split can take.  The running sums still run over every
-sorted row and are read at those cuts; a node with no such cut returns
-before any scoring, and a node whose every cut is one (all-distinct
-columns) scores the full arrays without gathering.
+Split search works on value bins: each column's distinct values in
+ascending order, numbered column by column (``bin_table``).  A node passes
+its rows' (rows, features) bin codes and the table; a tree's nodes, or a
+forest's trees, share one table built by one argsort per column.  The
+Gini kernel counts rows and positives per bin with ``np.bincount`` and
+scores the cuts between consecutive non-empty bins of a feature; its
+counts are exact integers, so the scores equal the loop's.  The variance
+kernel sorts the codes, which orders the rows as a stable sort of the
+values does, and keeps the in-order running sums.  Called without a
+table, either kernel bins its matrix first.  A threshold is the midpoint
+of the values on either side of the cut, or the upper value where the
+midpoint would not separate them; rows go right when their value is at
+least the threshold.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,18 +54,83 @@ def zscore(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (X - mean) / scale, mean, scale
 
 
-def _presort(X: np.ndarray, y: np.ndarray):
-    """Each feature's values and labels in stable ascending order, as
-    (features, rows) arrays, and the cuts between distinct values: their
-    flat indices into the (features, rows - 1) cut grid in feature-major
-    order, or None when every cut separates two distinct values."""
+class Bins(NamedTuple):
+    """A bin table: each column's distinct values in ascending order, the
+    bins numbered column by column.  ``feature`` holds each bin's column
+    among the columns of the codes the table serves, and -1 for a column
+    they leave out."""
+
+    values: np.ndarray
+    feature: np.ndarray
+
+    def select(self, cols: np.ndarray) -> "Bins":
+        """The table served to codes that keep only the columns ``cols``
+        (ascending), numbered 0, 1, ... in that order."""
+        local = np.full(self.feature.max() + 1, -1, dtype=np.intp)
+        local[cols] = np.arange(cols.size)
+        return Bins(self.values, local[self.feature])
+
+
+def bin_table(X: np.ndarray) -> tuple[np.ndarray, Bins]:
+    """The bin codes of X's cells, as an (n, k) intp array, and their
+    table.  Equal values share a bin, 0.0 and -0.0 included.  The codes do
+    not depend on the order of ties, so one unstable argsort per column
+    builds them."""
     n, k = X.shape
     columns = np.ascontiguousarray(X.T)
-    order = np.argsort(columns, axis=1, kind="stable")
+    order = columns.argsort(axis=1)
     xs = columns.ravel()[order + np.arange(0, n * k, n)[:, None]]
-    distinct = xs[:, :-1] != xs[:, 1:]
+    first = np.empty((k, n), dtype=bool)
+    first[:, :1] = True
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
+    first = first.ravel()
+    rank = first.cumsum()
+    rank -= 1
+    codes = np.empty(n * k, dtype=np.intp)
+    # Row i's code for column j sits at i * k + j.
+    order *= k
+    order += np.arange(k)[:, None]
+    codes[order.ravel()] = rank
+    starts = first.nonzero()[0]
+    return codes.reshape(n, k), Bins(xs.ravel()[starts], starts // n)
+
+
+def compact_bins(codes: np.ndarray, bins: Bins) -> tuple[np.ndarray, Bins]:
+    """The codes renumbered over only the bins they use, and the table of
+    those bins, in the same order."""
+    used = np.zeros(bins.values.size, dtype=bool)
+    used[codes] = True
+    renumber = used.cumsum()
+    renumber -= 1
+    keep = used.nonzero()[0]
+    return renumber[codes], Bins(bins.values[keep], bins.feature[keep])
+
+
+def _threshold(lo: float, hi: float) -> float:
+    """The threshold of a cut between the values lo < hi: their midpoint
+    when it lies in (lo, hi], else hi.  Between adjacent doubles the
+    midpoint can round onto lo, and the sum of two huge values can
+    overflow; either would put every row on one side."""
+    mid = 0.5 * (lo + hi)
+    return mid if lo < mid <= hi else hi
+
+
+def _presort(codes: np.ndarray, y: np.ndarray):
+    """Each feature's codes and labels in stable ascending order of the
+    codes, as (features, rows) arrays, and the cuts between distinct
+    codes: their flat indices into the (features, rows - 1) cut grid in
+    feature-major order, or None when every cut separates two distinct
+    codes."""
+    n = codes.shape[0]
+    # code * n + row is unique, so sorting it, stably or not, orders the
+    # rows as a stable sort of the codes does.
+    keys = np.multiply(codes.T, n, order="C")
+    keys += np.arange(n)
+    keys.sort(axis=1)
+    cs, rows = np.divmod(keys, n)
+    distinct = cs[:, :-1] != cs[:, 1:]
     cuts = None if distinct.all() else distinct.ravel().nonzero()[0]
-    return xs, y[order], cuts
+    return cs, y[rows], cuts
 
 
 def _at_cuts(running: np.ndarray, cuts):
@@ -67,10 +142,10 @@ def _at_cuts(running: np.ndarray, cuts):
     return running.ravel()[cuts + feat], pos + 1
 
 
-def _first_best(score: np.ndarray, xs: np.ndarray, cuts):
-    """The cut a feature-major scan keeps when it accepts a cut only if
-    ``score < best - 1e-12``: ties go to the lowest feature, then the
-    lowest threshold.  ``score`` holds only cuts between distinct values.
+def _first_best(score: np.ndarray) -> tuple[int, float]:
+    """The index of the cut a scan in ``score``'s order keeps when it
+    accepts a cut only if ``score < best - 1e-12``, and its score; -1 when
+    it keeps none.  Ties go to the earliest cut.
 
     Every accepted cut scores below all cuts scanned before it, so only
     those strict running-minimum records are scanned here.
@@ -82,45 +157,66 @@ def _first_best(score: np.ndarray, xs: np.ndarray, cuts):
     for at, s in zip(records.tolist(), score[records].tolist()):
         if s < best - 1e-12:
             best_at, best = at, s
-    if best_at < 0:
-        return _NO_SPLIT
-    if cuts is not None:
-        best_at = int(cuts[best_at])
-    feat, pos = divmod(best_at, xs.shape[1] - 1)
-    return feat, 0.5 * (xs[feat, pos] + xs[feat, pos + 1]), best
+    return best_at, best
 
 
-def best_split_gini(X, y):
+def best_split_gini(codes, y, bins=None):
     """Best axis-aligned split of a classification node by Gini impurity.
 
-    Returns (feature, threshold, weighted_impurity); feature == -1 when no
-    split separates the node.  Ties break toward the lowest feature index,
-    then the lowest threshold.
+    ``codes`` holds the node's rows as bin codes into ``bins``; with
+    ``bins`` None it is the node's feature matrix, binned here.  ``y``
+    holds 0/1 labels.  Returns (feature, threshold, weighted_impurity);
+    feature == -1 when no split separates the node.  Ties break toward the
+    lowest feature index, then the lowest threshold.
+
+    Rows and positives are counted per bin.  A cut lies between two
+    consecutive non-empty bins of a feature; every row has one bin per
+    feature, so the counts left of a cut on feature f are running sums
+    over the bins minus f times the node's totals, exact integers.
     """
-    n = X.shape[0]
+    n, k = codes.shape
     if n < 2:
         return _NO_SPLIT
-    xs, ys, cuts = _presort(X, y)
-    if cuts is not None and cuts.size == 0:
+    if bins is None:
+        codes, bins = bin_table(codes)
+    size = bins.values.size
+    count = np.bincount(codes.ravel(), minlength=size)
+    positive = y == 1.0
+    total_pos = int(positive.sum())
+    pos = np.bincount(codes.compress(positive, axis=0).ravel(), minlength=size)
+    filled = count.nonzero()[0]
+    feat = bins.feature[filled]
+    cut = (feat[1:] == feat[:-1]).nonzero()[0]
+    if cut.size == 0:
         return _NO_SPLIT
-    total_pos = y.cumsum()[-1]
-    left_pos, n_l = _at_cuts(ys.cumsum(axis=1), cuts)
+    f = feat[cut]
+    n_l = count[filled].cumsum()[cut] - n * f
+    left_pos = pos[filled].cumsum()[cut] - total_pos * f
     n_r = n - n_l
     p_l = left_pos / n_l
     p_r = (total_pos - left_pos) / n_r
     score = n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)
-    return _first_best(score, xs, cuts)
+    at, best = _first_best(score)
+    if at < 0:
+        return _NO_SPLIT
+    lo, hi = bins.values[filled[cut[at] : cut[at] + 2]].tolist()
+    return int(f[at]), _threshold(lo, hi), best
 
 
-def best_split_var(X, y):
+def best_split_var(codes, y, bins=None):
     """Best split of a regression node by weighted within-child variance.
 
-    Same contract and tie-breaking as best_split_gini.
+    Same arguments, contract and tie-breaking as best_split_gini, but any
+    real ``y``.  Sorting the codes gives the stable order of the values,
+    as equal codes mean equal values; the running sums add the sorted
+    rows in order.
     """
-    n = X.shape[0]
+    n = codes.shape[0]
     if n < 2:
         return _NO_SPLIT
-    xs, ys, cuts = _presort(X, y)
+    if bins is None:
+        codes, bins = bin_table(codes)
+    cs, ys, cuts = _presort(codes, y)
     if cuts is not None and cuts.size == 0:
         return _NO_SPLIT
     total_sum = y.cumsum()[-1]
@@ -133,7 +229,14 @@ def best_split_var(X, y):
     score = (left_sq - left_sum * left_sum / n_l) + (
         right_sq - right_sum * right_sum / n_r
     )
-    return _first_best(score, xs, cuts)
+    at, best = _first_best(score)
+    if at < 0:
+        return _NO_SPLIT
+    if cuts is not None:
+        at = int(cuts[at])
+    feat, pos = divmod(at, n - 1)
+    lo, hi = bins.values[cs[feat, pos : pos + 2]].tolist()
+    return feat, _threshold(lo, hi), best
 
 
 def _blocks(n_rows: int, n_cols: int):

@@ -373,11 +373,15 @@ def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
     )
 
 
-def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
+def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
+    """A tree grown on the rows of the feature matrix X, or, with ``bins``,
+    on X as the bin codes of its rows into that table."""
+    if bins is None:
+        X, bins = kernels.bin_table(X)
     feature, threshold, left, right, value = [], [], [], [], []
 
-    def build(Xn: np.ndarray, yn: np.ndarray, depth: int) -> int:
-        # Xn, yn are this node's rows, sliced once from the parent's.
+    def build(codes: np.ndarray, yn: np.ndarray, bins, depth: int) -> int:
+        # codes, yn are this node's rows, sliced once from the parent's.
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
@@ -389,20 +393,27 @@ def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
         # Looked up on the module at each node, so a wrapper installed on
         # ``kernels`` sees every call.
         if task is Task.BINARY:
-            feat, thresh, _ = kernels.best_split_gini(Xn, yn)
+            # The Gini kernel scans every bin of its table, so a node with
+            # fewer cells than bins gets a table of its own bins.
+            if bins.values.size > codes.size:
+                codes, bins = kernels.compact_bins(codes, bins)
+            feat, thresh, _ = kernels.best_split_gini(codes, yn, bins)
         else:
-            feat, thresh, _ = kernels.best_split_var(Xn, yn)
+            feat, thresh, _ = kernels.best_split_var(codes, yn, bins)
         if feat < 0:
             return node
-        go_right = Xn[:, feat] >= thresh
+        # By value, not by code: the threshold need not be a bin's value.
+        go_right = bins.values[codes[:, feat]] >= thresh
         go_left = ~go_right
         feature[node] = int(feat)
         threshold[node] = float(thresh)
-        left[node] = build(Xn[go_left], yn[go_left], depth + 1)
-        right[node] = build(Xn[go_right], yn[go_right], depth + 1)
+        left[node] = build(codes.compress(go_left, axis=0),
+                           yn.compress(go_left), bins, depth + 1)
+        right[node] = build(codes.compress(go_right, axis=0),
+                            yn.compress(go_right), bins, depth + 1)
         return node
 
-    build(X, y, 0)
+    build(X, y, bins, 0)
     return TreeModel(
         kind=LearnerKind.TREE,
         task=task,
@@ -418,13 +429,25 @@ def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
 def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> BaggedModel:
     n, k = X.shape
     n_feats = max(1, int(np.ceil(spec.feature_fraction * k)))
+    # One bin table serves every tree: each takes its rows and columns of
+    # the codes.
+    codes, bins = kernels.bin_table(X)
+    every = np.arange(k)
     trees = []
     subsets = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
         rows = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-        cols = np.sort(rng.choice(k, size=n_feats, replace=False))
-        trees.append(_grow_tree(X[np.ix_(rows, cols)], y[rows], task, spec.max_depth))
+        if n_feats == k:
+            # The column draw is the tree's last, so skipping it changes
+            # no other draw.
+            cols, tree_codes, tree_bins = every, codes[rows], bins
+        else:
+            cols = np.sort(rng.choice(k, size=n_feats, replace=False))
+            tree_codes, tree_bins = codes[np.ix_(rows, cols)], bins.select(cols)
+        trees.append(
+            _grow_tree(tree_codes, y[rows], task, spec.max_depth, tree_bins)
+        )
         subsets.append(cols)
     return BaggedModel(
         kind=LearnerKind.BAGGED_TREES,
@@ -460,9 +483,9 @@ def train(
     if spec.kind is LearnerKind.KNN:
         return _train_knn(spec, X, y, d.task)
     if spec.kind is LearnerKind.TREE:
-        return _grow_tree(np.ascontiguousarray(X), y, d.task, spec.max_depth)
+        return _grow_tree(X, y, d.task, spec.max_depth)
     if spec.kind is LearnerKind.BAGGED_TREES:
-        return _train_bagged(spec, np.ascontiguousarray(X), y, d.task)
+        return _train_bagged(spec, X, y, d.task)
     raise AnalysisError(f"unknown learner kind {spec.kind}")
 
 

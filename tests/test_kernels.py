@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import kernels
 
@@ -116,7 +118,9 @@ def loop_best_split_gini(X, y):
             if score < best_score - 1e-12:
                 best_score = score
                 best_feat = j
-                best_thresh = 0.5 * (x_here + x_next)
+                lo, hi = float(x_here), float(x_next)
+                mid = 0.5 * (lo + hi)
+                best_thresh = mid if lo < mid <= hi else hi
     return best_feat, best_thresh, best_score
 
 
@@ -152,7 +156,9 @@ def loop_best_split_var(X, y):
             if score < best_score - 1e-12:
                 best_score = score
                 best_feat = j
-                best_thresh = 0.5 * (x_here + x_next)
+                lo, hi = float(x_here), float(x_next)
+                mid = 0.5 * (lo + hi)
+                best_thresh = mid if lo < mid <= hi else hi
     return best_feat, best_thresh, best_score
 
 
@@ -406,6 +412,72 @@ def test_split_onehot_node_800_by_10():
     labels = ((X[:, 0] + X[:, 5] + rng.random(800)) > 1.4).astype(np.float64)
     values = np.round(X[:, 5] * 2.0 + rng.normal(size=800), 2)
     _assert_both_kernels_match(X, labels, values)
+
+
+# ---------------------------------------------------------------------------
+# Split search on a bin table: any rows and columns of a table's codes, and
+# a table compacted to the bins they use, split as the values do alone.
+
+NEXT_TO_ONE = float(np.nextafter(1.0, 2.0))
+CELLS = (-1.5, -0.0, 0.0, 0.5, 1.0, NEXT_TO_ONE, 1e308, 1.7e308)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_split_kernels_on_a_table_match_the_kernels_alone(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    k = data.draw(st.integers(1, 4), label="k")
+    cell = st.sampled_from(CELLS)
+    X = np.array(data.draw(st.lists(cell, min_size=n * k, max_size=n * k)))
+    X = X.reshape(n, k)
+    codes, bins = kernels.bin_table(X)
+    rows = np.array(data.draw(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    cols = np.array(sorted(data.draw(
+        st.sets(st.integers(0, k - 1), min_size=1), label="cols")))
+    labels = np.array(data.draw(st.lists(
+        st.sampled_from((0.0, 1.0)), min_size=rows.size, max_size=rows.size)))
+    values = np.array(data.draw(st.lists(
+        st.sampled_from((-2.0, 0.0, 0.25, 3.0)),
+        min_size=rows.size, max_size=rows.size)))
+    node = codes[np.ix_(rows, cols)]
+    tables = [(node, bins.select(cols))]
+    tables.append(kernels.compact_bins(*tables[0]))
+    alone = X[np.ix_(rows, cols)]
+    for node_codes, node_bins in tables:
+        assert _split_hex(
+            kernels.best_split_gini(node_codes, labels, node_bins)
+        ) == _split_hex(kernels.best_split_gini(alone, labels))
+        assert _split_hex(
+            kernels.best_split_var(node_codes, values, node_bins)
+        ) == _split_hex(kernels.best_split_var(alone, values))
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, NEXT_TO_ONE), (1e308, 1.7e308)])
+def test_split_threshold_between_adjacent_or_huge_values(lo, hi):
+    # The midpoint rounds onto lo, or overflows to inf; either would send
+    # every row to one side, so the threshold is hi.
+    X = np.array([[lo], [hi], [lo], [hi]])
+    y = np.array([0.0, 1.0, 0.0, 1.0])
+    for kernel, loop in ((kernels.best_split_gini, loop_best_split_gini),
+                         (kernels.best_split_var, loop_best_split_var)):
+        feat, thresh, _ = kernel(X, y)
+        assert (feat, thresh) == (0, hi)
+        assert _split_hex(kernel(X, y)) == _split_hex(loop(X, y))
+
+
+def test_bin_table_numbers_distinct_values_column_by_column():
+    X = np.array([[2.0, -0.0], [1.0, 5.0], [2.0, 0.0], [-3.0, 5.0]])
+    codes, bins = kernels.bin_table(X)
+    assert bins.values.tolist() == [-3.0, 1.0, 2.0, 0.0, 5.0]
+    assert bins.feature.tolist() == [0, 0, 0, 1, 1]
+    assert codes.tolist() == [[2, 3], [1, 4], [2, 3], [0, 4]]
+    second = bins.select(np.array([1]))
+    assert second.feature.tolist() == [-1, -1, -1, 0, 0]
+    # Rows 1 and 3 of the second column use only the bin of 5.0.
+    compact, table = kernels.compact_bins(codes[[1, 3]][:, [1]], second)
+    assert compact.tolist() == [[0], [0]]
+    assert table.values.tolist() == [5.0] and table.feature.tolist() == [0]
 
 
 # ---------------------------------------------------------------------------

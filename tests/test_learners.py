@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -261,9 +263,9 @@ def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
     calls = []
     real = kernels.best_split_gini
 
-    def counting(X, y):
+    def counting(X, y, *table):
         calls.append(X.shape)
-        return real(X, y)
+        return real(X, y, *table)
 
     monkeypatch.setattr(kernels, "best_split_gini", counting)
     rng = np.random.default_rng(3)
@@ -274,6 +276,92 @@ def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
     calls.clear()
     loop_grow_tree(X, y, Task.BINARY, 4)
     assert len(got) > 1 and got == calls
+
+
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, float(np.nextafter(1.0, 2.0))),  # the midpoint rounds onto lo
+    (1e308, 1.7e308),  # the midpoint's sum overflows
+])
+def test_tree_splits_between_adjacent_or_huge_values(task, lo, hi):
+    # A threshold that sent every row to one side would grow an empty
+    # child with a NaN value, again at each depth, and fit nothing.
+    X = np.array([[lo], [hi]] * 4)
+    y = np.array([0.0, 1.0] * 4)
+    d = Dataset(features=X, group=np.zeros(8, dtype=np.int64), outcome=y,
+                task=task, column_names=("x",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train(LearnerSpec(kind=LearnerKind.TREE, max_depth=4), d)
+        scores = model.predict_scores(X)
+    assert not np.isnan(model.node_value).any()
+    assert model.node_feature.tolist() == [0, -1, -1]
+    assert scores.tolist() == y.tolist()
+
+
+def _bagged_dataset(task, n=300, k=6):
+    rng = np.random.default_rng(70)
+    X = np.column_stack([
+        rng.integers(0, 2, size=(n, 2)).astype(np.float64),  # tied one-hot
+        np.round(rng.normal(size=(n, 2)), 1),  # ties and signed zeros
+        rng.normal(size=(n, k - 4)),  # all distinct
+    ])
+    signal = X[:, 0] + X[:, 2] + 0.5 * X[:, 4] + rng.normal(0, 0.5, n)
+    y = (signal > 0.6).astype(np.float64) if task is Task.BINARY else np.round(signal, 2)
+    return Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
+                   task=task, column_names=tuple(f"x{j}" for j in range(k)))
+
+
+@pytest.mark.parametrize("feature_fraction", [0.5, 1.0])
+@pytest.mark.parametrize("bootstrap", [True, False])
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+def test_bagged_trees_equal_trees_grown_one_at_a_time(task, bootstrap,
+                                                     feature_fraction):
+    # One bin table serves the forest; each tree must still be the one the
+    # reference grows on its own copy of its rows and columns.  A tree with
+    # every column skips the column draw, which is its last.
+    from fairaudit.data import derive_seed
+
+    d = _bagged_dataset(task)
+    spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=6, max_depth=5,
+                       feature_fraction=feature_fraction, bootstrap=bootstrap,
+                       seed=9)
+    model = train(spec, d)
+    X, y = d.features, d.outcome
+    n_feats = int(np.ceil(feature_fraction * d.k))
+    for t, (tree, cols) in enumerate(zip(model.trees, model.feature_subsets)):
+        rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
+        rows = rng.integers(0, d.n, size=d.n) if bootstrap else np.arange(d.n)
+        want_cols = np.sort(rng.choice(d.k, size=n_feats, replace=False))
+        assert cols.tolist() == want_cols.tolist()
+        want = loop_grow_tree(X[np.ix_(rows, cols)], y[rows], task, spec.max_depth)
+        assert _tree_arrays(tree) == tuple(a.tobytes() for a in want)
+
+
+@pytest.mark.parametrize("feature_fraction", [1.0, 0.3])
+def test_gini_search_scans_no_more_bins_than_node_cells(monkeypatch, feature_fraction):
+    # On all-distinct columns the forest's table has a bin per cell; deep
+    # nodes must search a table compacted to their own bins.
+    from fairaudit import kernels
+
+    sizes = []
+    real = kernels.best_split_gini
+
+    def recording(codes, y, bins):
+        sizes.append((bins.values.size, codes.size))
+        return real(codes, y, bins)
+
+    monkeypatch.setattr(kernels, "best_split_gini", recording)
+    rng = np.random.default_rng(71)
+    n, k = 500, 10
+    X = rng.normal(size=(n, k))
+    y = ((X[:, 0] + X[:, 1] + rng.normal(0, 0.7, n)) > 0).astype(np.float64)
+    d = Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
+                task=Task.BINARY, column_names=tuple(f"x{j}" for j in range(k)))
+    train(LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=2, max_depth=8,
+                      feature_fraction=feature_fraction), d)
+    assert len(sizes) > 50
+    assert all(n_bins <= cells for n_bins, cells in sizes)
 
 
 # ---------------------------------------------------------------------------
