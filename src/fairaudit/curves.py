@@ -251,15 +251,14 @@ def fit_curve_experiment(
     return fits
 
 
-def extrapolate_gamma(fit_0: PowerLawFit, fit_1: PowerLawFit, n) -> float:
-    """|fit_0(n) - fit_1(n)|; n = inf gives the asymptotic gap |d0 - d1|."""
-    if (
-        fit_0.cost_kind is not None
-        and fit_1.cost_kind is not None
-        and fit_0.cost_kind != fit_1.cost_kind
-    ):
+def extrapolate_gamma(fits, n) -> float:
+    """The gap of the groups' fitted costs at training size n, the largest
+    of ``fits`` at n minus the smallest; n = inf gives the gap of their
+    asymptotes.  Every fit that names a cost kind must name the same one."""
+    kinds = {fit.cost_kind for fit in fits} - {None}
+    if len(kinds) > 1:
         raise AnalysisError("fits have different cost kinds")
-    return cost_gap((fit_0(n), fit_1(n)))
+    return cost_gap([fit(n) for fit in fits])
 
 
 def power_law_critical_point(

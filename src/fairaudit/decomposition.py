@@ -36,7 +36,7 @@ import numpy as np
 from .costs import apply_threshold, cost_gap, empty_group_error
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
-from .learners import COLUMN_READERS, LearnerSpec, train
+from .learners import TREE_KINDS, LearnerSpec, threshold_cells, train
 from .stats import TestResult, two_sample_z
 from .synth import ConditionalOutcomeModel
 
@@ -129,26 +129,46 @@ def ensemble_train(
     n_train) or a callable ``sampler(n, seed) -> Dataset`` drawing fresh
     training sets.  Per-trial seeds derive from (seed, trial), so results
     do not depend on execution order.
+
+    Tree kinds train all T models first, then score each only on one row
+    per cell of the ensemble's split grid (``learners.threshold_cells``).
+    A cell holds the rows that fall on the same side of every split
+    threshold of every tree, so they reach the same leaves: one row's
+    score is each of its rows' score bit for bit, and one gather writes a
+    model's row of predictions.  Other kinds score every evaluation row as
+    each model is trained, so only one model (a k-NN model holds its
+    training set) is alive at a time.
     """
     if t_models < 2:
         raise AnalysisError("ensemble needs T >= 2 models")
     predictions = np.empty((t_models, eval_set.n))
-    features = eval_set.features
-    if spec.kind in COLUMN_READERS:
-        # One column-major copy serves every model's column reads.
-        features = np.asfortranarray(features)
     fresh = callable(source)
-    for t in range(t_models):
+
+    def trained(t):
         trial_seed = derive_seed(seed, "ensemble", t)
         if fresh:
             train_set = source(n_train, trial_seed)
         else:
             train_set = bootstrap_resample(source, n_train, trial_seed)
-        model = train(replace(spec, seed=trial_seed), train_set)
-        scores = model.predict_scores(features)
+        return train(replace(spec, seed=trial_seed), train_set)
+
+    def recorded(scores):
         if eval_set.task is Task.BINARY:
-            scores = apply_threshold(scores, threshold)
-        predictions[t] = scores
+            return apply_threshold(scores, threshold)
+        return scores
+
+    if spec.kind in TREE_KINDS:
+        models = [trained(t) for t in range(t_models)]
+        cells, rows = threshold_cells(eval_set.features, models)
+        # The trees read whole columns: a column-major copy of the rows.
+        features = np.asfortranarray(eval_set.features[rows])
+        for t, model in enumerate(models):
+            np.take(recorded(model.predict_scores(features)), cells,
+                    out=predictions[t])
+    else:
+        for t in range(t_models):
+            predictions[t] = recorded(
+                trained(t).predict_scores(eval_set.features))
     return EnsemblePredictions(
         predictions=predictions,
         spec=spec,

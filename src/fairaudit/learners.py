@@ -42,9 +42,10 @@ FIELDS_READ = {
 }
 
 
-# Kinds whose models read the features one column at a time (a tree's
-# descent), and so score fastest on a column-major copy.
-COLUMN_READERS = frozenset({LearnerKind.TREE, LearnerKind.BAGGED_TREES})
+# Kinds whose models are trees: a row's score depends only on which side of
+# each split threshold it falls (see ``threshold_cells``), and the models
+# read the features one column at a time, so score fastest column-major.
+TREE_KINDS = frozenset({LearnerKind.TREE, LearnerKind.BAGGED_TREES})
 
 
 @dataclass(frozen=True)
@@ -83,16 +84,21 @@ class TrainedModel:
     task: Task
     n_features: int
 
-    def predict_scores(self, features: np.ndarray) -> np.ndarray:
-        """Scores of the rows of ``features``, in either memory layout;
-        the bytes do not depend on it."""
+    def checked_features(self, features: np.ndarray) -> np.ndarray:
+        """``features`` as float64, once it is known to have this model's
+        columns."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise DataError(
                 f"expected {self.n_features} feature columns, "
                 f"got shape {features.shape}"
             )
-        scores = self._scores(features)
+        return features
+
+    def predict_scores(self, features: np.ndarray) -> np.ndarray:
+        """Scores of the rows of ``features``, in either memory layout;
+        the bytes do not depend on it."""
+        scores = self._scores(self.checked_features(features))
         # A NaN fails both comparisons.
         if self.task is Task.BINARY and scores.size and not (
             scores.min() >= 0.0 and scores.max() <= 1.0
@@ -218,6 +224,92 @@ class BaggedModel(TrainedModel):
         for tree, cols in zip(self.trees, self.feature_subsets):
             acc += tree._scores(features, cols.tolist())
         return acc / len(self.trees)
+
+
+def _splits(model: TrainedModel):
+    """(columns, thresholds) of the splits of each tree of a tree model,
+    with a bagged tree's columns mapped through its feature subset."""
+    if isinstance(model, TreeModel):
+        trees, subsets = (model,), (None,)
+    elif isinstance(model, BaggedModel):
+        trees, subsets = model.trees, model.feature_subsets
+    else:
+        raise AnalysisError(
+            f"{model.kind.value} models have no split thresholds")
+    for tree, cols in zip(trees, subsets):
+        inner = tree.node_feature >= 0
+        feature = tree.node_feature[inner]
+        if cols is not None:
+            feature = cols[feature]
+        yield feature, tree.node_threshold[inner]
+
+
+# Cell keys stay below 2^62, inside int64: before a column whose radix
+# would carry the span of the keys past it, they are renumbered densely.
+_KEY_LIMIT = 1 << 62
+
+
+def _densify(key: np.ndarray, span: int):
+    """The keys (each in [0, span)) renumbered 0, 1, ... in key order, and
+    the count of distinct keys: through a table over the span when it is
+    at most a few times the row count, else by sorting."""
+    if 0 < span <= 4 * key.size:
+        seen = np.zeros(span, dtype=bool)
+        seen[key] = True
+        number = seen.cumsum()
+        number -= 1
+        return number[key], int(number[-1]) + 1
+    distinct, dense = np.unique(key, return_inverse=True)
+    return dense, distinct.size
+
+
+def threshold_cells(features: np.ndarray, models):
+    """The cells of the rows of ``features`` under the split grid of the
+    tree models ``models``: (cell of each row, one row of each cell).
+
+    Two rows share a cell when they fall on the same side of every split
+    threshold of every tree of every model, so each tree sends them to the
+    same leaf and each model gives them the same score bit for bit.  A
+    column's rank ``searchsorted(cuts, x, side="right")`` counts its
+    distinct thresholds t <= x, so ``x >= t`` holds exactly when the rank
+    passes t's index (-0.0 and 0.0 compare equal both ways; NaN fails
+    every comparison and takes rank 0, as a value below every cut does).
+    A cell numbers one vector of ranks, through a mixed-radix key over the
+    split columns.  Raises AnalysisError for a model that is not a tree.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    for model in models:
+        model.checked_features(features)
+    splits = [split for model in models for split in _splits(model)]
+    columns = np.concatenate([c for c, _ in splits] + [np.zeros(0, np.int64)])
+    thresholds = np.concatenate([t for _, t in splits] + [np.zeros(0)])
+    # The distinct (column, threshold) pairs, by column then threshold;
+    # -0.0 and 0.0 sort together and compare equal, so they are one cut.
+    # (A bare np.unique would import numpy.ma, about 1 MB and 10 ms.)
+    order = np.lexsort((thresholds, columns))
+    columns, thresholds = columns[order], thresholds[order]
+    distinct = np.ones(columns.size, dtype=bool)
+    distinct[1:] = (columns[1:] != columns[:-1]) | (
+        thresholds[1:] != thresholds[:-1])
+    columns, thresholds = columns[distinct], thresholds[distinct]
+    starts = np.flatnonzero(np.diff(columns, prepend=-1)).tolist()
+    key = np.zeros(features.shape[0], dtype=np.int64)
+    span = 1  # every key is below span
+    for lo, hi in zip(starts, starts[1:] + [columns.size]):
+        f, cuts = columns[lo], thresholds[lo:hi]
+        radix = cuts.size + 1
+        if span * radix > _KEY_LIMIT:
+            key, span = _densify(key, span)
+        x = features[:, f]
+        rank = np.searchsorted(cuts, x, side="right")
+        rank[np.isnan(x)] = 0
+        key *= radix
+        key += rank
+        span *= radix
+    cells, count = _densify(key, span)
+    rows = np.empty(count, dtype=np.intp)
+    rows[cells] = np.arange(cells.size)  # any row of a cell serves
+    return cells, rows
 
 
 # Newton stops once the decrement, the fall of the objective that a full

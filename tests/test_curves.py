@@ -89,8 +89,28 @@ def test_fit_curve_experiment_and_extrapolation():
     fits = fit_curve_experiment(exp)
     assert set(fits) == {(0, CostKind.ZERO_ONE), (1, CostKind.ZERO_ONE)}
     f0, f1 = fits[(0, CostKind.ZERO_ONE)], fits[(1, CostKind.ZERO_ONE)]
-    gap_inf = extrapolate_gamma(f0, f1, np.inf)
+    gap_inf = extrapolate_gamma([f0, f1], np.inf)
     assert gap_inf == pytest.approx(abs(f0.delta - f1.delta))
+
+
+def test_extrapolate_gamma_spans_every_fit_of_one_kind():
+    from dataclasses import replace
+
+    fits = [
+        PowerLawFit(alpha=a, beta=b, delta=c, rss=0, n_min=10, n_max=100,
+                    cost_kind=CostKind.ZERO_ONE, group=g)
+        for g, (a, b, c) in enumerate([(2.0, 0.5, 0.1), (1.0, 1.0, 0.3),
+                                       (4.0, 0.8, 0.2)])
+    ]
+    at = [fit(100.0) for fit in fits]
+    assert extrapolate_gamma(fits, 100.0) == max(at) - min(at)
+    assert extrapolate_gamma(fits, np.inf) == 0.3 - 0.1
+    # A fit without a cost kind joins any kind.
+    assert extrapolate_gamma(fits[:2] + [replace(fits[2], cost_kind=None)],
+                             np.inf) == 0.3 - 0.1
+    with pytest.raises(AnalysisError, match="different cost kinds"):
+        extrapolate_gamma(fits[:2] + [replace(fits[2], cost_kind=CostKind.FPR)],
+                          100.0)
 
 
 def test_critical_point_formula():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,10 @@ from fairaudit import (
     group_decomposition,
     point_decomposition,
     RegressionSynthSpec,
+    apply_threshold,
+    bootstrap_resample,
+    derive_seed,
+    train,
 )
 from fairaudit.decomposition import GroupDecomposition, PointDecomposition
 from fairaudit.errors import AnalysisError
@@ -670,3 +676,177 @@ def test_zero_one_unknown_mode_rejects_labels_that_are_not_0_1():
         group_decomposition(e, d, None, Loss.ZERO_ONE, 0)
     with pytest.raises(AnalysisError, match="0/1 labels"):
         compare_models_bias_variance(e, e, d, Loss.ZERO_ONE, groups=(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# Per-cell scoring of tree ensembles.  The reference trains each trial as
+# `ensemble_train` documents and scores every evaluation row with the
+# model's own `predict_scores`; the ensemble must equal it byte for byte.
+
+# Training values on a grid whose cuts lie at 0.0 (between -1 and 1), 1.5
+# and 2.5; the evaluation rows hold those cuts exactly, and -0.0.
+GRID = np.array([-1.0, 1.0, 2.0, 3.0])
+EVAL_VALUES = np.array([-1.0, 1.0, 2.0, 3.0, 0.0, -0.0, 1.5, 2.5, -2.0, 0.7])
+
+
+def _grid_dataset(n, seed, task, k=4, constant=False):
+    rng = np.random.default_rng(seed)
+    x = rng.choice(GRID, size=(n, k))
+    signal = x[:, 0] + (x[:, 1] >= 1.5) - 0.5 * x[:, 2]
+    if task is Task.BINARY:
+        y = (signal + rng.normal(size=n) > 0.5).astype(np.float64)
+    else:
+        y = signal + rng.normal(scale=0.3, size=n)
+    if constant:
+        y[:] = y[0]
+    return Dataset(
+        features=x, group=(rng.random(n) < 0.5).astype(np.int64), outcome=y,
+        task=task, column_names=tuple(f"x{j}" for j in range(k)),
+    )
+
+
+def _grid_eval(task, k=4, n=300):
+    d = _grid_dataset(n, 99, task, k)
+    x = np.random.default_rng(98).choice(EVAL_VALUES, size=(n, k))
+    x[:EVAL_VALUES.size] = EVAL_VALUES[:, None]  # every value in every column
+    return Dataset(features=x, group=d.group, outcome=d.outcome, task=task,
+                   column_names=d.column_names)
+
+
+def reference_ensemble(spec, source, t_models, n_train, eval_set, seed,
+                       threshold=0.5):
+    """Each trial's model, and its predictions on every evaluation row."""
+    models, rows = [], []
+    for t in range(t_models):
+        trial_seed = derive_seed(seed, "ensemble", t)
+        if callable(source):
+            train_set = source(n_train, trial_seed)
+        else:
+            train_set = bootstrap_resample(source, n_train, trial_seed)
+        model = train(replace(spec, seed=trial_seed), train_set)
+        scores = model.predict_scores(eval_set.features)
+        if eval_set.task is Task.BINARY:
+            scores = apply_threshold(scores, threshold)
+        models.append(model)
+        rows.append(scores)
+    return models, np.array(rows)
+
+
+def split_thresholds(model):
+    """{column: set of thresholds} over every split of a tree model."""
+    if model.kind is LearnerKind.TREE:
+        trees, subsets = [model], [np.arange(model.n_features)]
+    else:
+        trees, subsets = model.trees, model.feature_subsets
+    out = {}
+    for tree, cols in zip(trees, subsets):
+        for f, t in zip(tree.node_feature.tolist(), tree.node_threshold.tolist()):
+            if f >= 0:
+                out.setdefault(int(cols[f]), set()).add(t)
+    return out
+
+
+def _all_thresholds(models):
+    merged = {}
+    for model in models:
+        for f, ts in split_thresholds(model).items():
+            merged.setdefault(f, set()).update(ts)
+    return merged
+
+
+TREE_KIND_LIST = [LearnerKind.TREE, LearnerKind.BAGGED_TREES]
+
+
+@pytest.mark.parametrize("feature_fraction", [0.5, 1.0])
+@pytest.mark.parametrize("fresh", [False, True], ids=["bootstrap", "fresh"])
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+@pytest.mark.parametrize("kind", TREE_KIND_LIST)
+def test_ensemble_train_matches_per_row_scoring(kind, task, fresh,
+                                                feature_fraction):
+    spec = LS(kind=kind, max_depth=3, n_trees=4,
+              feature_fraction=feature_fraction)
+    if fresh:
+        source = lambda n, s: _grid_dataset(n, s, task)
+    else:
+        source = _grid_dataset(400, 5, task)
+    eval_set = _grid_eval(task)
+    e = ensemble_train(spec, source, 6, 150, eval_set, seed=17)
+    models, want = reference_ensemble(spec, source, 6, 150, eval_set, 17)
+    assert e.predictions.tobytes() == want.tobytes()
+    # The edge cases are reached: a split at 0.0, which the evaluation
+    # rows meet as 0.0 and -0.0, and another they meet exactly.
+    thresholds = set().union(*_all_thresholds(models).values())
+    assert 0.0 in thresholds
+    assert thresholds & {1.5, 2.5}
+
+
+@pytest.mark.parametrize("kind", TREE_KIND_LIST)
+def test_ensemble_train_with_models_that_never_split(kind):
+    spec = LS(kind=kind, max_depth=3, n_trees=3)
+    eval_set = _grid_eval(Task.REGRESSION)
+    # Every model a single leaf: one cell.
+    flat = lambda n, s: _grid_dataset(n, s, Task.REGRESSION, constant=True)
+    e = ensemble_train(spec, flat, 4, 100, eval_set, seed=3)
+    models, want = reference_ensemble(spec, flat, 4, 100, eval_set, 3)
+    assert _all_thresholds(models) == {}
+    assert e.predictions.tobytes() == want.tobytes()
+    # Leaf-only models beside models that split.
+    mixed = lambda n, s: _grid_dataset(
+        n, s, Task.REGRESSION, constant=s % 2 == 0)
+    e = ensemble_train(spec, mixed, 8, 100, eval_set, seed=3)
+    models, want = reference_ensemble(spec, mixed, 8, 100, eval_set, 3)
+    assert {bool(split_thresholds(m)) for m in models} == {False, True}
+    assert e.predictions.tobytes() == want.tobytes()
+
+
+def test_ensemble_train_re_densifies_wide_cell_keys(monkeypatch):
+    from fairaudit import learners
+
+    k = 16
+
+    def source(n, s):
+        rng = np.random.default_rng(s)
+        x = rng.normal(size=(n, k))
+        return Dataset(
+            features=x, group=np.zeros(n, dtype=np.int64),
+            outcome=x.sum(axis=1) + rng.normal(size=n), task=Task.REGRESSION,
+            column_names=tuple(f"x{j}" for j in range(k)),
+        )
+
+    eval_set = source(500, 1)
+    spec = LS(kind=LearnerKind.BAGGED_TREES, max_depth=6, n_trees=8,
+              feature_fraction=0.5)
+    densified = []
+    real = learners._densify
+
+    def counted(key, span):
+        densified.append(span)
+        return real(key, span)
+
+    monkeypatch.setattr(learners, "_densify", counted)
+    e = ensemble_train(spec, source, 3, 300, eval_set, seed=5)
+    models, want = reference_ensemble(spec, source, 3, 300, eval_set, 5)
+    radix_product = 1
+    for ts in _all_thresholds(models).values():
+        radix_product *= len(ts) + 1
+    assert radix_product > 2**62
+    # At least once before a column would overflow the key, then at the end.
+    assert len(densified) >= 2
+    assert e.predictions.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", [LearnerKind.KNN, LearnerKind.LOGISTIC])
+def test_non_tree_ensembles_score_every_row(kind, monkeypatch):
+    from fairaudit import decomposition, learners
+
+    def forbidden(*args):
+        raise AssertionError("threshold_cells called for a non-tree kind")
+
+    monkeypatch.setattr(learners, "threshold_cells", forbidden)
+    monkeypatch.setattr(decomposition, "threshold_cells", forbidden)
+    spec = LS(kind=kind, k=7)
+    source = lambda n, s: _grid_dataset(n, s, Task.BINARY)
+    eval_set = _grid_eval(Task.BINARY)
+    e = ensemble_train(spec, source, 4, 120, eval_set, seed=8)
+    _, want = reference_ensemble(spec, source, 4, 120, eval_set, 8)
+    assert e.predictions.tobytes() == want.tobytes()

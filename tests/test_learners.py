@@ -1,10 +1,14 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     AnalysisError,
+    DataError,
     Dataset,
     LearnerKind,
     LearnerSpec,
@@ -12,6 +16,7 @@ from fairaudit import (
     apply_threshold,
     train,
 )
+from fairaudit.learners import threshold_cells
 
 
 def test_logistic_learns_separable():
@@ -735,3 +740,105 @@ def test_predict_scores_do_not_depend_on_memory_layout(spec):
     strided_cols = np.asfortranarray(np.hstack([queries, queries]))[:, :k]
     for layout in (np.asfortranarray(queries), strided_rows, strided_cols):
         assert model.predict_scores(layout).tobytes() == want
+
+
+# ---------------------------------------------------------------------------
+# Cells of a tree ensemble's split grid (`learners.threshold_cells`).
+
+# Values with ties, both zeros and cuts between adjacent grid points.
+CELL_GRID = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+
+
+def _splits_of(model):
+    """(column, threshold) of every split of every tree of a tree model."""
+    if model.kind is LearnerKind.TREE:
+        trees, subsets = [model], [np.arange(model.n_features)]
+    else:
+        trees, subsets = model.trees, model.feature_subsets
+    return [
+        (int(cols[f]), t)
+        for tree, cols in zip(trees, subsets)
+        for f, t in zip(tree.node_feature.tolist(), tree.node_threshold.tolist())
+        if f >= 0
+    ]
+
+
+def _cell_case(seed):
+    """Tree models trained on grid data, and evaluation rows that hold
+    their thresholds exactly, grid values, NaN and continuous values."""
+    rng = np.random.default_rng(seed)
+    n, k = 80, int(rng.integers(1, 5))
+    task = Task.BINARY if rng.random() < 0.5 else Task.REGRESSION
+    models = []
+    for _ in range(int(rng.integers(1, 4))):
+        x = rng.choice(CELL_GRID, size=(n, k))
+        x[rng.random((n, k)) < 0.2] = 0.25
+        signal = x @ rng.normal(size=k) + rng.normal(scale=0.5, size=n)
+        y = (signal > 0).astype(np.float64) if task is Task.BINARY else signal
+        d = Dataset(features=x, group=np.zeros(n, dtype=np.int64), outcome=y,
+                    task=task, column_names=tuple(f"x{j}" for j in range(k)))
+        kind = LearnerKind.TREE if rng.random() < 0.5 else LearnerKind.BAGGED_TREES
+        models.append(train(LearnerSpec(
+            kind=kind, max_depth=int(rng.integers(1, 5)), n_trees=3,
+            feature_fraction=float(rng.choice([0.5, 1.0])),
+            seed=int(rng.integers(1000)),
+        ), d))
+    thresholds = [t for m in models for _, t in _splits_of(m)] or [0.0]
+    pool = np.concatenate([CELL_GRID, thresholds, [np.nan]])
+    m = int(rng.integers(0, 60))
+    X = rng.choice(pool, size=(m, k))
+    X[rng.random((m, k)) < 0.2] = 0.1  # between grid points
+    return X, models
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_threshold_cells_rows_of_a_cell_take_every_split_alike(seed):
+    X, models = _cell_case(seed)
+    cells, rows = threshold_cells(X, models)
+    m = X.shape[0]
+    assert cells.shape == (m,) and set(cells.tolist()) == set(range(rows.size))
+    assert (cells[rows] == np.arange(rows.size)).all()
+    splits = [s for model in models for s in _splits_of(model)]
+    for col, thr in splits:
+        side = X[:, col] >= thr
+        assert (side == side[rows][cells]).all()
+    distinct = {}
+    for col, thr in splits:
+        distinct.setdefault(col, set()).add(thr)
+    bound = math.prod(len(ts) + 1 for ts in distinct.values())
+    assert rows.size <= min(m, bound)
+    # Hence each model scores a cell's row as each of its rows, bit for bit.
+    for model in models:
+        whole = model.predict_scores(X)
+        assert whole.tobytes() == model.predict_scores(X[rows])[cells].tobytes()
+
+
+def test_threshold_cells_checks_kind_and_width(binary_dataset):
+    X = binary_dataset.features
+    knn = train(LearnerSpec(kind=LearnerKind.KNN), binary_dataset)
+    with pytest.raises(AnalysisError, match="no split thresholds"):
+        threshold_cells(X, [knn])
+    tree = train(LearnerSpec(kind=LearnerKind.TREE), binary_dataset)
+    with pytest.raises(DataError, match="feature columns"):
+        threshold_cells(X[:, :2], [tree])
+    # No model, or no split: every row in one cell.
+    for models in ([], [_tree_model([-1], [0.0], [-1], [-1], [0.3], 3)]):
+        cells, rows = threshold_cells(X, models)
+        assert rows.size == 1 and not cells.any()
+    cells, rows = threshold_cells(X[:0], [tree])
+    assert cells.size == 0 and rows.size == 0
+
+
+def test_threshold_cells_merge_signed_zero_cuts_and_rank_nan_lowest():
+    # Cuts at -0.0 and 0.0 are one cut: x >= -0.0 and x >= 0.0 agree for
+    # every x.  NaN fails both, as -1 does.
+    trees = [_tree_model([0, -1, -1], [t, 0.0, 0.0], [1, -1, -1],
+                         [2, -1, -1], [0.0, 1.0, 2.0], 1)
+             for t in (-0.0, 0.0)]
+    X = np.array([[-0.0], [0.0], [1.0], [-1.0], [np.nan]])
+    cells, rows = threshold_cells(X, trees)
+    assert cells.tolist() == [1, 1, 1, 0, 0] and rows.size == 2
+    for tree in trees:
+        assert (tree.predict_scores(X)
+                == tree.predict_scores(X[rows])[cells]).all()
