@@ -11,13 +11,18 @@ holds to machine precision, and group costs satisfy
 gamma_a = N_a + B_a + V_a where the noise and variance terms carry their
 sign factors c_n and c_v.
 
-The terms are computed as arrays over a group's points: one batched
-outcome-model query per group gives y* and the noise.  Under zero-one
-loss every other term follows from each point's vote count, how many of
-the T models predict 1 (Domingos, "A Unified Bias-Variance Decomposition
-and its Applications", ICML 2000); under squared loss from the points'
-ensemble columns (an (m, T) copy of the prediction matrix).
-``point_decomposition`` is the one-point case of the same function.
+An ensemble keeps its predictions per cell: a (T, C) table and each
+evaluation row's column in it (``EnsemblePredictions``).  Rows of a tree
+ensemble that share a cell of its split grid share a column; other kinds
+give every row its own.  The terms are computed as arrays over a group's
+points: one batched outcome-model query per group gives y* and the noise.
+Under zero-one loss every other term follows from each point's vote
+count, how many of the T models predict 1 (Domingos, "A Unified
+Bias-Variance Decomposition and its Applications", ICML 2000): one
+column sum of the table, gathered to the rows.  Under squared loss the
+main prediction and the variance are means over the table columns of the
+group's cells, gathered likewise.  ``point_decomposition`` is the
+one-point case of the same function.
 
 When the conditional outcome distribution is unknown, y* is unavailable:
 only the (unsigned) variance is reported exactly, together with a
@@ -48,30 +53,52 @@ class Loss(enum.Enum):
 
 @dataclass(frozen=True)
 class EnsemblePredictions:
-    """T x n prediction matrix over a fixed evaluation set.
+    """Predictions of T models over a fixed evaluation set, kept per cell.
 
-    Hard labels for zero-one analyses, reals for squared loss.
+    ``table`` is (T, C): column c holds each model's prediction for the
+    evaluation rows of cell c, and ``cells`` (n,) gives each row's column.
+    A tree ensemble's cells are those of its split grid
+    (``learners.threshold_cells``); other kinds give each row its own
+    column, the default ``cells = arange(C)``.  Hard labels for zero-one
+    analyses, reals for squared loss.
     """
 
-    predictions: np.ndarray
+    table: np.ndarray
     spec: LearnerSpec
     n_train: int
     source: str  # "fresh_draws" or "bootstrap"
     seed: int
+    cells: np.ndarray | None = None
 
     def __post_init__(self):
-        preds = np.ascontiguousarray(self.predictions, dtype=np.float64)
-        object.__setattr__(self, "predictions", preds)
-        if preds.ndim != 2 or preds.shape[0] < 2:
-            raise DataError("ensemble needs a T x n matrix with T >= 2")
+        table = np.ascontiguousarray(self.table, dtype=np.float64)
+        if table.ndim != 2 or table.shape[0] < 2:
+            raise DataError("ensemble needs a T x C table with T >= 2")
+        cells = np.asarray(
+            np.arange(table.shape[1]) if self.cells is None else self.cells)
+        if cells.ndim != 1 or cells.dtype.kind not in "iu" or (
+            cells.size
+            and not 0 <= cells.min() <= cells.max() < table.shape[1]
+        ):
+            raise DataError("ensemble cells must index the table's columns")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "cells", cells)
+
+    @property
+    def predictions(self) -> np.ndarray:
+        """The (T, n) matrix of every row's predictions, built on each call
+        and read-only: the ensemble holds the table, not this matrix."""
+        preds = self.table[:, self.cells]
+        preds.flags.writeable = False
+        return preds
 
     @property
     def n_models(self) -> int:
-        return self.predictions.shape[0]
+        return self.table.shape[0]
 
     @property
     def n_points(self) -> int:
-        return self.predictions.shape[1]
+        return self.cells.size
 
 
 @dataclass(frozen=True)
@@ -134,14 +161,13 @@ def ensemble_train(
     per cell of the ensemble's split grid (``learners.threshold_cells``).
     A cell holds the rows that fall on the same side of every split
     threshold of every tree, so they reach the same leaves: one row's
-    score is each of its rows' score bit for bit, and one gather writes a
-    model's row of predictions.  Other kinds score every evaluation row as
-    each model is trained, so only one model (a k-NN model holds its
-    training set) is alive at a time.
+    score is each of its rows' score bit for bit, and it fills the cell's
+    column of the table.  Other kinds score every evaluation row, one
+    column each, as each model is trained, so only one model (a k-NN
+    model holds its training set) is alive at a time.
     """
     if t_models < 2:
         raise AnalysisError("ensemble needs T >= 2 models")
-    predictions = np.empty((t_models, eval_set.n))
     fresh = callable(source)
 
     def trained(t):
@@ -162,19 +188,21 @@ def ensemble_train(
         cells, rows = threshold_cells(eval_set.features, models)
         # The trees read whole columns: a column-major copy of the rows.
         features = np.asfortranarray(eval_set.features[rows])
+        table = np.empty((t_models, rows.size))
         for t, model in enumerate(models):
-            np.take(recorded(model.predict_scores(features)), cells,
-                    out=predictions[t])
+            table[t] = recorded(model.predict_scores(features))
     else:
+        cells = None
+        table = np.empty((t_models, eval_set.n))
         for t in range(t_models):
-            predictions[t] = recorded(
-                trained(t).predict_scores(eval_set.features))
+            table[t] = recorded(trained(t).predict_scores(eval_set.features))
     return EnsemblePredictions(
-        predictions=predictions,
+        table=table,
         spec=spec,
         n_train=n_train,
         source="fresh_draws" if fresh else "bootstrap",
         seed=seed,
+        cells=cells,
     )
 
 
@@ -198,13 +226,24 @@ def _check_zero_one(values, what: str) -> None:
         raise AnalysisError(f"zero-one loss needs 0/1 {what}")
 
 
-def _vote_counts(labels: np.ndarray) -> np.ndarray:
-    """How many of the T models vote 1 at each point of the (T, m) 0/1
-    ``labels``: one column sum, an exact integer in float64, so a mismatch
-    count derived from it over T equals the mean of that point's mismatch
-    flags bit for bit."""
-    _check_zero_one(labels, "predictions")
-    return labels.sum(axis=0)
+def _vote_counts(e: EnsemblePredictions, rows=slice(None)) -> np.ndarray:
+    """How many of the T models vote 1 at each of the points ``rows``: one
+    column sum of ``e``'s 0/1 table, gathered to the rows.  A count is an
+    exact integer in float64, so a mismatch count derived from it over T
+    equals the mean of that point's mismatch flags bit for bit."""
+    _check_zero_one(e.table, "predictions")
+    return e.table.sum(axis=0)[e.cells[rows]]
+
+
+def _used_cells(e: EnsemblePredictions, rows: np.ndarray):
+    """The distinct cells of ``rows`` in ascending order, and the index of
+    each row's cell among them."""
+    cells = e.cells[rows]
+    used = np.zeros(e.table.shape[1], dtype=bool)
+    used[cells] = True
+    index = used.cumsum()
+    index -= 1
+    return np.flatnonzero(used), index[cells]
 
 
 def _misses(votes: np.ndarray, label, t: int) -> np.ndarray:
@@ -240,22 +279,25 @@ def _terms(
     """Exact terms of the points ``rows`` (all in group ``a``) as arrays.
 
     Zero-one: every term but the noise is a vote count over T.  Squared:
-    y* is E[Y|x,a] and the noise is Var[Y|x,a].  Each point's arithmetic
-    runs in the order a computation on its own column alone would use, so
-    these entries equal the point's ``point_decomposition`` terms bit for
-    bit.
+    y* is E[Y|x,a] and the noise is Var[Y|x,a]; y_main and the variance
+    are taken once per cell and gathered to the rows.  Each point's
+    arithmetic runs in the order a computation on its own column alone
+    would use, so these entries equal the point's ``point_decomposition``
+    terms bit for bit.
     """
     X = eval_set.features[rows]
     if loss is Loss.ZERO_ONE:
-        votes = _vote_counts(e.predictions[:, rows])
+        votes = _vote_counts(e, rows)
         return _zero_one_terms(votes, e.n_models, om.prob(X, a))
-    # (m, T) copy, one contiguous row per point: a row mean sums in the
-    # same pairwise order as the mean of that point's ensemble column.
-    cols = e.predictions.T[rows]
+    used, index = _used_cells(e, rows)
+    # One contiguous row per cell: a row mean sums in the same pairwise
+    # order as the mean of a point's ensemble column.
+    cols = e.table.T[used]
     y_main = cols.mean(axis=1)
     # cols is this call's own copy: the squared errors overwrite it rather
-    # than take a second (m, T) array.
+    # than take a second array.
     variance = _squared_errors(cols, y_main[:, None], out=cols).mean(axis=1)
+    y_main, variance = y_main[index], variance[index]
     y_star = om.mean(X, a)
     # libm pow, as Python's float ** calls it: numpy's **2 computes x*x,
     # which differs from pow in the last bit on some inputs and would move
@@ -298,23 +340,25 @@ def point_decomposition(
 
 
 def _unknown_mode(
-    preds: np.ndarray, y, loss: Loss, a: int
+    e: EnsemblePredictions, rows: np.ndarray, y, loss: Loss, a: int
 ) -> GroupDecomposition:
-    """Observed-label decomposition of the (T, m) predictions ``preds``
-    against labels ``y``: the exact cost and the unsigned variance, with
-    bias and noise merged into one residual."""
-    t, m = preds.shape
+    """Observed-label decomposition of the predictions at ``rows`` against
+    labels ``y``: the exact cost and the unsigned variance, with bias and
+    noise merged into one residual."""
+    t, m = e.n_models, rows.size
     if loss is Loss.ZERO_ONE:
         _check_zero_one(y, "labels")
-        votes = _vote_counts(preds)
+        votes = _vote_counts(e, rows)
         # Mismatch totals are exact integers, as in a mean of (T, m) flags.
         cost = float(_misses(votes, y, t).sum()) / (t * m)
         variance_raw = float(
             _misses(votes, _vote(votes / t), t).sum()) / (t * m)
     else:
+        # The (T, m) matrix itself: these means sum over all of it.
+        preds = e.table[:, e.cells[rows]]
         cost = float(_squared_errors(preds, y).mean())
         variance_raw = float(
-            _squared_errors(preds, preds.mean(axis=0)).mean())
+            _squared_errors(preds, preds.mean(axis=0), out=preds).mean())
     return GroupDecomposition(
         group=a,
         cost=cost,
@@ -344,9 +388,7 @@ def group_decomposition(
     """Group-weighted decomposition; ``om=None`` selects unknown mode."""
     rows = _group_rows(e, eval_set, a)
     if om is None:
-        return _unknown_mode(
-            e.predictions[:, rows], eval_set.outcome[rows], loss, a
-        )
+        return _unknown_mode(e, rows, eval_set.outcome[rows], loss, a)
     t = _terms(e, eval_set, om, loss, rows, a)
     return GroupDecomposition(
         group=a,
@@ -383,7 +425,7 @@ def class_conditional_decomposition(
             raise AnalysisError(
                 f"group {a} has no observed Y={y} rows"
             )
-        return _unknown_mode(e.predictions[:, sub], float(y), Loss.ZERO_ONE, a)
+        return _unknown_mode(e, sub, float(y), Loss.ZERO_ONE, a)
 
     p1 = om.prob(eval_set.features[rows], a)
     weights = p1 if y == 1 else 1.0 - p1
@@ -392,7 +434,7 @@ def class_conditional_decomposition(
         raise AnalysisError(f"group {a} has zero mass on class {y}")
     weights = weights / total
 
-    votes = _vote_counts(e.predictions[:, rows])
+    votes = _vote_counts(e, rows)
     t = _zero_one_terms(votes, e.n_models, p1)
     # With the class fixed, the noise loss of y* is 1[y* != y].
     noise = float(weights @ (t.c_n * (t.y_star != float(y))))
@@ -424,8 +466,10 @@ def _point_losses(e: EnsemblePredictions, y, loss: Loss) -> np.ndarray:
     """Each point's loss against ``y``, averaged over the T models."""
     if loss is Loss.ZERO_ONE:
         t = e.n_models
-        return _misses(_vote_counts(e.predictions), y, t) / t
-    return _squared_errors(e.predictions, y).mean(axis=0)
+        return _misses(_vote_counts(e), y, t) / t
+    # Column means of the (T, n) matrix itself, in its summation order.
+    preds = e.table[:, e.cells]
+    return _squared_errors(preds, y, out=preds).mean(axis=0)
 
 
 def compare_models_bias_variance(

@@ -340,21 +340,32 @@ def _logistic_objective(X, y, w, b, lam, l1):
     return float(loss.mean()) + penalty, z
 
 
-def _l1_newton_step(hess, grad, w, lam):
-    """The step s (intercept last) minimizing the Newton model
-    -grad.s + s.hess.s/2 + lam |w - s[:-1]|_1: the intercept's part in
-    closed form (weighted centering), the weights' by cyclic coordinate
-    descent with soft-thresholding (glmnet: Friedman, Hastie & Tibshirani,
-    J. Stat. Softw. 2010), which does not depend on feature scale."""
+def _l1_newton_step(X, s, r, hess, grad, w, lam):
+    """The step d (intercept last) minimizing the Newton model
+    -grad.d + d.H.d/2 + lam |w - d[:-1]|_1 at residuals ``r`` and curvature
+    weights ``s``, so grad = (X^T r, sum r) and the intercept row of H is
+    ``hess[k]`` = (X^T s, sum s): the intercept's part in closed form, the
+    weights' by cyclic coordinate descent with soft-thresholding (glmnet:
+    Friedman, Hastie & Tibshirani, J. Stat. Softw. 2010), which does not
+    depend on feature scale.
+
+    Solving out the intercept leaves the weights the Newton model of the
+    columns centered on their s-weighted means, built here from those
+    centered columns: its algebraic equal H_ww - h h^T / h_bb cancels away
+    the digits of a column far from 0."""
     k = w.size
-    lever = hess[:k, k] / hess[k, k]
-    quad = hess[:k, :k] - np.outer(hess[:k, k], lever)
-    lin = (grad[:k] - grad[k] * lever).tolist()
+    lever = hess[:k, k] / hess[k, k]  # the weighted column means
+    quad, lin = np.zeros((k, k)), np.zeros(k)
+    for lo in range(0, X.shape[0], _HESSIAN_BLOCK):
+        centered = X[lo:lo + _HESSIAN_BLOCK] - lever
+        quad += centered.T @ (centered * s[lo:lo + _HESSIAN_BLOCK, None])
+        lin += centered.T @ r[lo:lo + _HESSIAN_BLOCK]
+    lin = lin.tolist()
     weights, step, qs = w.tolist(), [0.0] * k, np.zeros(k)  # qs = quad @ step
     for _ in range(_MAX_SWEEPS):
         moved = 0.0
         for j, a in enumerate(quad.diagonal().tolist()):
-            if a > 0.0:  # 0 for a zero column, or < 0 by rounding
+            if a > 0.0:  # 0 for a zero column
                 z = weights[j] - step[j] + (qs.item(j) - lin[j]) / a
                 new = weights[j] - math.copysign(max(abs(z) - lam / a, 0.0), z)
                 if new != step[j]:
@@ -386,19 +397,19 @@ def _logistic_newton(spec: LearnerSpec, X, y):
         r = (p - y) / n
         grad = np.append(X.T @ r + ridge * w, r.sum())
         s = p * (1.0 - p) / n
-        hess[:k, :k] = sum(
-            X[lo:lo + _HESSIAN_BLOCK].T
-            @ (X[lo:lo + _HESSIAN_BLOCK] * s[lo:lo + _HESSIAN_BLOCK, None])
-            for lo in range(0, n, _HESSIAN_BLOCK)
-        ) + ridge * np.eye(k)
         hess[:k, k] = hess[k, :k] = X.T @ s
         hess[k, k] = s.sum()
         if l1:
-            step = _l1_newton_step(hess, grad, w, lam)
+            step = _l1_newton_step(X, s, r, hess, grad, w, lam)
             # The penalty's fall joins that of the smooth part.
             decrement = float(grad @ step) + lam * float(
                 np.abs(w).sum() - np.abs(w - step[:k]).sum())
         else:
+            hess[:k, :k] = sum(
+                X[lo:lo + _HESSIAN_BLOCK].T
+                @ (X[lo:lo + _HESSIAN_BLOCK] * s[lo:lo + _HESSIAN_BLOCK, None])
+                for lo in range(0, n, _HESSIAN_BLOCK)
+            ) + ridge * np.eye(k)
             # Solved in unit-diagonal form, so the rank cut-off of lstsq
             # does not drop the directions of small-scale features.
             unit = np.sqrt(hess.diagonal())
@@ -452,6 +463,10 @@ def _train_ridge(spec: LearnerSpec, X, y) -> RidgeModel:
 
 
 def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
+    if spec.k > X.shape[0]:
+        raise AnalysisError(
+            f"k-NN: k={spec.k} exceeds the {X.shape[0]} training rows"
+        )
     Z, mean, scale = kernels.zscore(X)
     return KNNModel(
         kind=LearnerKind.KNN,

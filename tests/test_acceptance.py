@@ -139,7 +139,7 @@ def test_criterion_3_zero_noise_gap_and_bayes_optimal():
         ]
     )
     bayes = EnsemblePredictions(
-        predictions=np.tile(y_star, (50, 1)),
+        table=np.tile(y_star, (50, 1)),
         spec=LearnerSpec(kind=LearnerKind.TREE),
         n_train=0,
         source="fresh_draws",

@@ -28,7 +28,7 @@ from fairaudit import (
     train,
 )
 from fairaudit.decomposition import GroupDecomposition, PointDecomposition
-from fairaudit.errors import AnalysisError
+from fairaudit.errors import AnalysisError, DataError
 from fairaudit.stats import two_tailed_normal_p
 from fairaudit.learners import LearnerSpec as LS
 from fairaudit.synth import ConditionalOutcomeModel
@@ -36,7 +36,7 @@ from fairaudit.synth import ConditionalOutcomeModel
 
 def make_ensemble(preds):
     return EnsemblePredictions(
-        predictions=np.asarray(preds, dtype=np.float64),
+        table=np.asarray(preds, dtype=np.float64),
         spec=LS(kind=LearnerKind.TREE),
         n_train=10,
         source="fresh_draws",
@@ -244,7 +244,7 @@ def test_compare_models_detects_difference():
     )
     # constant-0 predictor as the bad model
     bad = EnsemblePredictions(
-        predictions=np.zeros((5, d.n)),
+        table=np.zeros((5, d.n)),
         spec=LS(kind=LearnerKind.TREE),
         n_train=10,
         source="fresh_draws",
@@ -624,15 +624,17 @@ def test_compare_models_zero_one_matches_the_loop_body_with_ties(t1, t2):
         task=Task.BINARY,
         column_names=("x",),
     )
-    e1, e2 = (
-        make_ensemble((rng.random((t, n)) < 0.5).astype(np.float64))
-        for t in (t1, t2)
-    )
-    for e in (e1, e2):
-        if e.n_models % 2 == 0:  # a vote tie at every fifth point
-            e.predictions[:, ::5] = np.repeat(
-                [1.0, 0.0], e.n_models // 2
-            )[:, None]
+    ensembles = []
+    for t in (t1, t2):
+        preds = (rng.random((t, n)) < 0.5).astype(np.float64)
+        if t % 2 == 0:  # a vote tie at every fifth point
+            preds[:, ::5] = np.repeat([1.0, 0.0], t // 2)[:, None]
+        ensembles.append(make_ensemble(preds))
+    e1, e2 = ensembles
+    for e in ensembles:
+        if e.n_models % 2 == 0:
+            tied = 2 * e.predictions.sum(axis=0) == e.n_models
+            assert tied[::5].all()
     res = compare_models_bias_variance(e1, e2, d, Loss.ZERO_ONE)
     assert (
         res.statistic.hex(), res.p_value.hex(), res.detail["counts"]
@@ -850,3 +852,146 @@ def test_non_tree_ensembles_score_every_row(kind, monkeypatch):
     e = ensemble_train(spec, source, 4, 120, eval_set, seed=8)
     _, want = reference_ensemble(spec, source, 4, 120, eval_set, 8)
     assert e.predictions.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# An ensemble keeps one table column per cell.  Every entry point must give
+# the bits of an ensemble with a column per row, built from the (T, n)
+# matrix that the cells expand to.
+
+
+def _bits(value):
+    """A result with every float replaced by its hex form."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if hasattr(value, "__dataclass_fields__"):
+        return _bits(vars(value))
+    return value
+
+
+def _outcome(call):
+    try:
+        return _bits(call())
+    except AnalysisError as exc:
+        return repr(exc)
+
+
+@st.composite
+def cell_cases(draw):
+    t = draw(st.integers(2, 8))  # even T gives vote ties
+    c = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 10))
+    cells = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    groups = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    binary = draw(st.booleans())
+    if binary:
+        values = st.sampled_from([0.0, 1.0])
+        probs = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+        row_draws = (probs, st.sampled_from([0.0, 1.0]))
+    else:
+        values = st.floats(-1e3, 1e3)
+        row_draws = (st.floats(-1e3, 1e3), st.floats(0.0, 10.0),
+                     st.floats(-1e3, 1e3))
+    tables = [
+        np.array(draw(st.lists(values, min_size=t * c, max_size=t * c)))
+        .reshape(t, c)
+        for _ in range(2)
+    ]
+    rows = [draw(st.lists(s, min_size=n, max_size=n)) for s in row_draws]
+    return binary, tables, np.array(cells), np.array(groups), rows
+
+
+def _row_case(binary, groups, rows):
+    """The evaluation set and outcome model of a drawn case: one one-hot
+    row per point, so the model's per-row values are a lookup."""
+    n = groups.size
+    outcome = np.array(rows[-1])
+    d = Dataset(
+        features=np.eye(n), group=groups, outcome=outcome,
+        task=Task.BINARY if binary else Task.REGRESSION,
+        column_names=tuple(f"x{i}" for i in range(n)),
+    )
+    lookup = lambda values: (lambda X, a: np.asarray(values)[np.argmax(X, axis=1)])
+    if binary:
+        om = ConditionalOutcomeModel(task=Task.BINARY, _prob=lookup(rows[0]))
+    else:
+        om = ConditionalOutcomeModel(
+            task=Task.REGRESSION, _mean=lookup(rows[0]), _var=lookup(rows[1]))
+    return d, om
+
+
+def _entry_points(e, other, d, om, binary):
+    loss = Loss.ZERO_ONE if binary else Loss.SQUARED
+    calls = [lambda: compare_models_bias_variance(e, other, d, loss)]
+    for a in (0, 1):
+        calls += [lambda a=a: group_decomposition(e, d, om, loss, a),
+                  lambda a=a: group_decomposition(e, d, None, loss, a)]
+        if binary:
+            calls += [
+                lambda a=a, y=y, m=m: class_conditional_decomposition(e, d, m, a, y)
+                for y in (0, 1) for m in (om, None)
+            ]
+    calls += [lambda i=i: point_decomposition(e, i, d, om, loss)
+              for i in range(d.n)]
+    return [_outcome(call) for call in calls]
+
+
+def _table_ensemble(table, cells=None):
+    return EnsemblePredictions(
+        table=table, spec=LS(kind=LearnerKind.TREE), n_train=10,
+        source="fresh_draws", seed=0, cells=cells,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_cases())
+def test_cell_tables_match_their_expanded_matrix_bitwise(case):
+    binary, tables, cells, groups, rows = case
+    d, om = _row_case(binary, groups, rows)
+    by_cell = [_table_ensemble(table, cells) for table in tables]
+    by_row = [make_ensemble(e.predictions) for e in by_cell]
+    assert by_row[0].table.shape == (tables[0].shape[0], cells.size)
+    assert _entry_points(*by_cell, d, om, binary) == _entry_points(
+        *by_row, d, om, binary)
+    if not binary:  # no loop reference covers the unknown squared cost
+        for a in (0, 1):
+            rows = d.group_indices(a)
+            if rows.size:
+                got = group_decomposition(by_cell[0], d, None, Loss.SQUARED, a)
+                sq = (by_row[0].table[:, rows] - d.outcome[rows]) ** 2
+                assert got.cost.hex() == float(sq.mean()).hex()
+
+
+def test_ensemble_cells_must_index_the_table():
+    table = np.zeros((3, 2))
+    for bad in ([0, 2], [-1, 0], [[0, 1]], [0.0, 1.0]):
+        with pytest.raises(DataError, match="cells"):
+            _table_ensemble(table, np.array(bad))
+    e = _table_ensemble(table, np.array([1, 1, 0]))
+    assert e.n_points == 3 and e.predictions.shape == (3, 3)
+    with pytest.raises(ValueError):
+        e.predictions[0, 0] = 1.0  # read-only: the table is the state
+
+
+def test_tree_ensemble_never_holds_a_row_by_model_matrix():
+    import tracemalloc
+
+    spec = default_discrete_spec()
+    t, n = 50, 40_000
+    eval_set, om = gen_discrete(spec, n, seed=1)
+    sampler = lambda m, s: gen_discrete(spec, m, s)[0]
+    tracemalloc.start()
+    try:
+        e = ensemble_train(LS(kind=LearnerKind.TREE, max_depth=3), sampler,
+                           t, 200, eval_set, seed=2)
+        for a in (0, 1):
+            group_decomposition(e, eval_set, om, Loss.ZERO_ONE, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The bytes of one (T, n) float64 matrix.
+    assert peak < t * n * 8

@@ -654,6 +654,34 @@ def test_logistic_l1_is_subgradient_optimal_at_raw_scale(lam):
     assert gap <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [0.001, 0.01, 0.1])
+def test_logistic_l1_on_a_column_far_from_zero(lam):
+    # Column 0 near 1e7 puts the intercept near -1e7 w_0.  One float64 step
+    # of it moves the raw column-0 gradient by about 3e-5, so the raw gap
+    # of the test above would measure that spacing, not the solver.  Held
+    # instead: the intercept is within one step of its optimum, and the
+    # weights are optimal on the centered columns.  An intercept eliminated
+    # through H_ww - h h^T / h_bb loses 14 digits of the column's curvature
+    # here and misses both, by up to 2 steps and 1e-6.
+    d = _logistic_data(34, scale=1.0)
+    X = d.features + np.eye(7)[0] * 1e7
+    y = d.outcome
+    train_set = Dataset(features=X, group=d.group, outcome=y, task=Task.BINARY,
+                        column_names=d.column_names)
+    model = train(
+        LearnerSpec(kind=LearnerKind.LOGISTIC, lam=lam, penalty="l1"),
+        train_set,
+    )
+    w, b = model.weights, model.intercept
+    p = loop_sigmoid(X @ w + b)
+    r = (p - y) / y.size
+    assert abs(r.sum()) <= np.mean(p * (1.0 - p)) * np.spacing(abs(b))
+    gw = (X - X.mean(axis=0)).T @ r
+    gap = np.where(w != 0.0, np.abs(gw + lam * np.sign(w)),
+                   np.maximum(np.abs(gw) - lam, 0.0)).max()
+    assert gap <= 1e-9
+
+
 def test_logistic_l1_with_a_zero_and_a_constant_column():
     # Neither column can move the fit: the zero column has no curvature,
     # and the constant one none beyond the intercept's.

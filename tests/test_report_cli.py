@@ -305,6 +305,29 @@ def test_cli_noise_k_above_the_rows_a_fold_trains_on_is_an_analysis_error(
         assert not (out / "report.json").exists()
 
 
+def test_cli_knn_k_above_the_training_rows_is_an_analysis_error(
+    tmp_path, synth_csv, capsys
+):
+    # audit holds out 100 of the 500 rows and trains on 400; decompose
+    # trains each model on --n-train synthetic rows.
+    data, schema, _ = synth_csv
+    audit = ["audit", "--seed", 3, "--data", data, "--schema", schema]
+    decompose = ["decompose", "--seed", 3, "--synth-kind", "discrete",
+                 "--n-train", 3, "--eval-size", 50]
+    for argv, rows in ((audit, 400), (decompose, 3)):
+        ok = tmp_path / f"{argv[0]}-ok"
+        assert run([*argv, "--learner", f"knn:k={rows}", "--out", ok]) == 0
+        assert (ok / "report.json").exists()
+        for k in (rows + 1, 500):
+            out = tmp_path / f"{argv[0]}-k{k}"
+            assert run([*argv, "--learner", f"knn:k={k}", "--out", out]) == 4
+            assert (
+                f"fairaudit: analysis error: k-NN: k={k} exceeds the {rows} "
+                "training rows"
+            ) in capsys.readouterr().err
+            assert not (out / "report.json").exists()
+
+
 def test_cli_noise_row_cap_below_folds_is_an_analysis_error(
     tmp_path, synth_csv, capsys
 ):
