@@ -44,35 +44,43 @@ def convert_adult(raw_path, out_csv_path, out_schema_path) -> int:
     """Convert a raw UCI adult file to canonical CSV + schema.
 
     Returns the number of rows written (rows with missing fields are
-    dropped).
+    dropped).  Nothing is written when the raw file cannot be read or has
+    no usable row.
     """
-    kept = 0
     try:
-        raw = open(raw_path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(raw_path, "r", encoding="utf-8") as raw:
+            lines = raw.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {raw_path}: {exc}") from exc
-    with raw, open(out_csv_path, "w", encoding="utf-8", newline="") as out:
-        writer = csv.writer(out)
-        header = [c for c in RAW_COLUMNS if c not in ("fnlwgt", "income")]
-        writer.writerow(header + ["outcome"])
-        for line in raw:
-            line = line.strip()
-            if not line or line.startswith("|"):
-                continue
-            fields = [f.strip().rstrip(".") for f in line.split(",")]
-            if len(fields) != len(RAW_COLUMNS):
-                continue
-            if "?" in fields:
-                continue
-            record = dict(zip(RAW_COLUMNS, fields))
-            outcome = "1" if record["income"] == ">50K" else "0"
-            writer.writerow([record[c] for c in header] + [outcome])
-            kept += 1
-    if kept == 0:
+    header = [c for c in RAW_COLUMNS if c not in ("fnlwgt", "income")]
+    rows = []
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("|"):
+            continue
+        fields = [f.strip().rstrip(".") for f in line.split(",")]
+        if len(fields) != len(RAW_COLUMNS):
+            continue
+        if "?" in fields:
+            continue
+        record = dict(zip(RAW_COLUMNS, fields))
+        outcome = "1" if record["income"] == ">50K" else "0"
+        rows.append([record[c] for c in header] + [outcome])
+    if not rows:
         raise DataError(f"{raw_path}: no usable rows")
-    with open(out_schema_path, "w", encoding="utf-8") as fh:
-        fh.write("group=sex\noutcome=outcome\ntask=binary\n")
-    return kept
+    try:
+        with open(out_csv_path, "w", encoding="utf-8", newline="") as out:
+            writer = csv.writer(out)
+            writer.writerow(header + ["outcome"])
+            writer.writerows(rows)
+    except OSError as exc:
+        raise DataError(f"cannot write {out_csv_path}: {exc}") from exc
+    try:
+        with open(out_schema_path, "w", encoding="utf-8") as fh:
+            fh.write("group=sex\noutcome=outcome\ntask=binary\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {out_schema_path}: {exc}") from exc
+    return len(rows)
 
 
 def adult_schema() -> Schema:

@@ -10,7 +10,6 @@ import csv
 import enum
 import io
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -210,6 +209,13 @@ def _categories(cells: list) -> tuple[list, np.ndarray]:
     return cats, codes
 
 
+# Both record readers return each column in one form: the stripped text
+# of each of its distinct raw cells (``cells``, in no set order; cells that
+# differed only in whitespace strip to the same text), and each record's
+# index among them (``codes``).  A record's cell is ``cells[codes[i]]``.
+# Only a categorical column needs its distinct texts, in code-point order,
+# which ``_categories(cells)`` gives.
+
 # Records are transposed into columns in chunks of this many rows, so that
 # the csv module's per-row lists die young: with ten thousand live lists
 # the cyclic garbage collector took about a fifth of a load's time.
@@ -225,30 +231,35 @@ def _append_columns(columns: list, rows: list) -> None:
 def _check_missing(columns: list, linenos: list, origin: str) -> None:
     """Raise ``missing value`` for the first record with an empty cell;
     ``linenos`` holds each record's line number in the file."""
-    first = min((cells.index("") for cells in columns if "" in cells), default=None)
-    if first is not None:
-        raise DataError(f"{origin}:{linenos[first]}: missing value")
+    first = [
+        np.argmax(np.isin(codes, [i for i, cell in enumerate(cells) if not cell]))
+        for cells, codes in columns if "" in cells
+    ]
+    if first:
+        raise DataError(f"{origin}:{linenos[min(first)]}: missing value")
 
 
 def _numeric_column(
-    cells: list, linenos: list, origin: str, role: str
+    column: tuple, linenos: list, origin: str, role: str
 ) -> np.ndarray:
     """The ``role`` column's cells as finite floats.  Raises for the first
     record whose cell is not a number, else for the first nan or infinite
     one, naming the record's line."""
+    cells, codes = column
     values = _floats(cells)
     if values is None:
-        i = next(i for i, cell in enumerate(cells) if _floats([cell]) is None)
+        bad = np.array([_floats([cell]) is None for cell in cells])
+        i = np.argmax(bad[codes])
         raise DataError(
-            f"{origin}:{linenos[i]}: non-numeric {role} value {cells[i]!r}"
+            f"{origin}:{linenos[i]}: non-numeric {role} value {cells[codes[i]]!r}"
         )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        i = bad[0]
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = np.argmax(~finite[codes])
         raise DataError(
-            f"{origin}:{linenos[i]}: non-finite {role} value {cells[i]!r}"
+            f"{origin}:{linenos[i]}: non-finite {role} value {cells[codes[i]]!r}"
         )
-    return values
+    return values[codes]
 
 
 def load_dataset(path, schema: Schema) -> Dataset:
@@ -267,40 +278,115 @@ def load_dataset(path, schema: Schema) -> Dataset:
     return _load_csv_text(text, schema, origin=str(path))
 
 
-def _split_quote_free(text: str) -> tuple[list, list, range] | None:
-    r"""The header cells, stripped cell columns and record line numbers of
-    CSV text that needs no csv parsing, or None when it may.
+# _KEEP[k] keeps the first k bytes of a little-endian 8-byte word.
+_KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# An odd multiplier (2**64 over the golden ratio) that mixes the words of
+# a long cell's key into one hash.
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
-    Text qualifies when it has no ``"``, every ``\r`` is part of a
-    ``\r\n``, no line is longer than ``csv.field_size_limit()``, and
+
+def _factorize_columns(
+    data: bytes, starts: np.ndarray, lengths: np.ndarray
+) -> list:
+    """The column form of each column of the cells ``data[s:s + l]``, for
+    ``s`` and ``l`` in matching columns of ``starts`` and ``lengths``,
+    decoding and stripping each distinct cell once.
+
+    ``data`` is UTF-8 with no NUL byte, followed by eight more bytes.  A
+    cell's key is its bytes zero-padded to whole 8-byte words, so two
+    cells share a key exactly when they share their bytes.
+    """
+    # Word i of ``words`` is the eight bytes from byte i on.
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    first_words = words[starts] & _KEEP[np.minimum(lengths, 8)]
+    columns = []
+    for j in range(starts.shape[1]):
+        begin, length = starts[:, j], lengths[:, j]
+        # A word that starts past its cell's end is masked out whole, so
+        # it is read from the cell's end instead.
+        keys = [first_words[:, j]] + [
+            words[begin + np.minimum(length, w)] & _KEEP[np.clip(length - w, 0, 8)]
+            for w in range(8, int(length.max()), 8)
+        ]
+        # Order the records by a hash of their key words, then number each
+        # run of equal keys.  Equal keys hash alike, so each key's records
+        # form one run, unless a hash collision interleaves two keys: then
+        # a key gets several numbers, which the column form allows.
+        hashed = keys[0]
+        for key in keys[1:]:
+            hashed = hashed * _MIX ^ key
+        order = np.argsort(hashed)
+        same = np.ones(order.size - 1, dtype=bool)
+        for key in keys:
+            sorted_key = key[order]
+            same &= sorted_key[1:] == sorted_key[:-1]
+        new = np.concatenate(([True], ~same))
+        inverse = np.empty(order.size, dtype=np.int64)
+        inverse[order] = np.cumsum(new) - 1
+        first = order[new]
+        cells = [
+            data[a:a + n].decode().strip()
+            for a, n in zip(begin[first].tolist(), length[first].tolist())
+        ]
+        columns.append((cells, inverse))
+    return columns
+
+
+def _split_quote_free(text: str) -> tuple[list, list, range] | None:
+    r"""The header cells, columns and record line numbers of CSV text that
+    needs no csv parsing, or None when it may.
+
+    Text qualifies when it has no ``"`` and no NUL, every ``\r`` is part
+    of a ``\r\n``, no line is longer than ``csv.field_size_limit()``, and
     every record after the header holds as many cells as the header.  Its
     records are then its lines, ended by ``\n`` only (``str.splitlines``
     would also end one at ``\x0b``, ``\x1c`` or ``\u2028``, which the
     csv module keeps in a cell), and its cells the text between commas:
     what ``csv.reader`` returns, and with every record the same width, no
-    blank record to skip and no error to report.
+    blank record to skip and no error to report.  The cells are found in
+    the UTF-8 bytes of the text and factorized by ``_factorize_columns``,
+    which needs the text free of NUL.
     """
-    if '"' in text or text.count("\r") != text.count("\r\n"):
+    if '"' in text or "\0" in text:
         return None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    header = lines[0].split(",")
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    data = text.encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    buf = np.frombuffer(data, dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    newline = buf[seps] == ord("\n")
+    header = data[:data.index(b"\n")].decode().split(",")
     width = len(header)
-    body = lines[1:]
-    # With two columns or more a blank record has too few commas.
-    if width < 2 or set(map(str.count, body, repeat(","))) != {width - 1}:
+    # Every line ends at its width-th separator, a newline, and no other
+    # separator is one (the text ends in a newline, so a short last record
+    # adds one too many); with two columns or more a blank record has too
+    # few commas.
+    n = seps.size // width - 1
+    if (width < 2 or n < 1 or np.count_nonzero(newline) != n + 1
+            or not newline[width - 1::width].all()):
         return None
-    flat = ",".join(body).split(",")
-    columns = [list(map(str.strip, flat[j::width])) for j in range(width)]
-    return header, columns, range(2, len(body) + 2)
+    # A line of more bytes than the limit may still have few enough
+    # characters.
+    limit = csv.field_size_limit()
+    if np.diff(seps[width - 1::width], prepend=-1).max() - 1 > limit and (
+        max(map(len, text.split("\n"))) > limit
+    ):
+        return None
+    starts = seps[width - 1:-1] + 1
+    lengths = seps[width:] - starts
+    columns = _factorize_columns(
+        data + bytes(8), starts.reshape(n, width), lengths.reshape(n, width)
+    )
+    return header, columns, range(2, n + 2)
 
 
 def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
-    """The stripped cell columns and record line numbers of the records
-    left in ``reader``, skipping blank ones; see ``_load_csv_text`` for the
+    """The columns and record line numbers of the records left in
+    ``reader``, skipping blank ones; see ``_load_csv_text`` for the
     errors."""
     columns = [[] for _ in range(width)]
     linenos = []
@@ -315,7 +401,7 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
                     continue
                 # A missing cell in an earlier record is reported first.
                 _append_columns(columns, chunk)
-                _check_missing(columns, linenos, origin)
+                _check_missing(list(map(_categories, columns)), linenos, origin)
                 raise DataError(
                     f"{origin}:{lineno}: expected {width} cells, got {len(row)}"
                 )
@@ -326,12 +412,12 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
                 chunk.clear()
     except csv.Error as exc:
         _append_columns(columns, chunk)
-        _check_missing(columns, linenos, origin)
+        _check_missing(list(map(_categories, columns)), linenos, origin)
         raise DataError(f"{origin}:{lineno + 1}: unreadable record: {exc}") from None
     _append_columns(columns, chunk)
     if not linenos:
         raise DataError(f"{origin}: no data rows")
-    return columns, linenos
+    return list(map(_categories, columns)), linenos
 
 
 def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Dataset:
@@ -347,9 +433,11 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     finite.  A group column of non-negative integers keeps their numeric
     order; any other group column is categorical.
 
-    Text that ``_split_quote_free`` accepts is split in bulk; any other
-    goes through ``csv.reader``, which alone skips blank records and
-    raises record errors.
+    Both record readers return each column as the stripped text of its
+    distinct cells and a code per record, so every rule above parses each
+    distinct cell once.  Text that ``_split_quote_free`` accepts is
+    factorized from its bytes; any other goes through ``csv.reader``,
+    which alone skips blank records and raises record errors.
     """
     records = _split_quote_free(text)
     if records is None:
@@ -390,44 +478,56 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 
     # Group column: non-negative integers map to 0..G-1 in numeric order,
     # anything else is categorical.
-    values = _floats(col[schema.group])
+    cells, codes = col[schema.group]
+    values = _floats(cells)
     if values is not None and np.all(
         np.isfinite(values) & (values >= 0) & (values == np.floor(values))
     ):
-        present, group = np.unique(values, return_inverse=True)
+        present, inverse = np.unique(values, return_inverse=True)
+        group = inverse[codes]
         group_names = tuple(str(int(v)) for v in present.tolist())
     else:
-        cats, group = _categories(col[schema.group])
+        cats, remap = _categories(cells)
+        group = remap[codes]
         group_names = tuple(cats)
 
     # Features: numeric columns pass through, categorical are one-hot.
-    blocks: list[np.ndarray] = []
     names: list[str] = []
+    blocks = []  # (first feature column, values per cell or None, codes)
+    non_finite = []  # (first such record, name) per numeric column
     for name in feature_cols:
-        values = _floats(col[name])
-        if values is not None:
-            names.append(name)
-            blocks.append(values[:, None])
-        else:
-            cats, codes = _categories(col[name])
+        cells, codes = col[name]
+        values = _floats(cells)
+        if values is None:
+            cats, remap = _categories(cells)
+            blocks.append((len(names), None, remap[codes]))
             names.extend(f"{name}={cat}" for cat in cats)
-            blocks.append(codes[:, None] == np.arange(len(cats)))
-    features = np.empty((n, len(names)))
-    j = 0
-    for block in blocks:
-        features[:, j:j + block.shape[1]] = block
-        j += block.shape[1]
+        else:
+            blocks.append((len(names), values, codes))
+            names.append(name)
+            finite = np.isfinite(values)
+            if not finite.all():
+                non_finite.append((np.argmax(~finite[codes]), name))
+    features = np.zeros((n, len(names)))
+    flat = features.reshape(-1)
+    row_starts = np.arange(n) * len(names)
+    for j, values, codes in blocks:
+        if values is None:
+            flat[row_starts + j + codes] = 1.0
+        else:
+            features[:, j] = values[codes]
 
     score = None
     if schema.score is not None:
         score = _numeric_column(col[schema.score], linenos, origin, "score")
-    # Only a numeric column can hold nan or inf; report its first record.
-    bad = np.argwhere(~np.isfinite(features))
-    if bad.size:
-        i, j = bad[0]
+    # Report the first record with a nan or infinite feature, at its
+    # leftmost such column (``min`` keeps the first of equal records).
+    if non_finite:
+        i, name = min(non_finite, key=lambda bad: bad[0])
+        cells, codes = col[name]
         raise DataError(
             f"{origin}:{linenos[i]}: non-finite feature value "
-            f"{col[names[j]][i]!r} in column {names[j]!r}"
+            f"{cells[codes[i]]!r} in column {name!r}"
         )
 
     return Dataset(
@@ -451,12 +551,15 @@ def write_dataset(d: Dataset, path) -> None:
             if d.score is not None:
                 header.append("score")
             writer.writerow(header)
-            for i in range(d.n):
-                row = [str(int(d.group[i])), repr(float(d.outcome[i]))]
-                row += [repr(float(v)) for v in d.features[i]]
-                if d.score is not None:
-                    row.append(repr(float(d.score[i])))
-                writer.writerow(row)
+            # Python floats from ``tolist`` give the same ``repr`` as numpy
+            # scalars, without a scalar object per cell.
+            columns = [d.group.tolist(), d.outcome.tolist(), d.features.tolist()]
+            if d.score is not None:
+                columns.append(d.score.tolist())
+            for group, outcome, features, *score in zip(*columns):
+                writer.writerow(
+                    [str(group), repr(outcome), *map(repr, features), *map(repr, score)]
+                )
     except OSError as exc:
         raise DataError(f"cannot write dataset {path}: {exc}") from exc
 

@@ -83,6 +83,48 @@ def test_roundtrip(tmp_path, binary_dataset):
     np.testing.assert_array_equal(d2.outcome, binary_dataset.outcome)
 
 
+def _loop_write_dataset(d, path):
+    """The per-cell writer that ``write_dataset`` replaced."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["group", "outcome"] + list(d.column_names)
+        if d.score is not None:
+            header.append("score")
+        writer.writerow(header)
+        for i in range(d.n):
+            row = [str(int(d.group[i])), repr(float(d.outcome[i]))]
+            row += [repr(float(v)) for v in d.features[i]]
+            if d.score is not None:
+                row.append(repr(float(d.score[i])))
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_write_dataset_matches_per_cell_loop(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e308, 0.1, 1.0 / 3.0])
+
+    def values(*shape):
+        # Magnitudes from subnormal to near the largest double.
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        pick = rng.random(shape) < 0.3
+        x[pick] = rng.choice(special, size=int(pick.sum()))
+        return x
+
+    n, k = 60, 5
+    d = Dataset(
+        features=values(n, k),
+        group=rng.integers(0, 3, n),
+        outcome=values(n),
+        task=Task.REGRESSION,
+        column_names=("a", "job=x,y", "c", "d", "e"),
+        score=values(n) if seed % 2 else None,
+    )
+    write_dataset(d, tmp_path / "new.csv")
+    _loop_write_dataset(d, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 def test_schema_from_file(tmp_path):
     p = tmp_path / "schema.txt"
     p.write_text("# comment\ngroup=sex\noutcome=y\ntask=binary\nignore=id,zip\n")
@@ -373,28 +415,31 @@ def assert_same_dataset(got, want):
     assert got.group_names == want.group_names
 
 
-def _outcome_of(loader, text, schema):
+def _outcome_of(loader, text, schema, origin="t.csv"):
     """The loaded Dataset, or the text of the DataError it raised."""
     try:
-        return loader(text, schema, origin="t.csv")
+        return loader(text, schema, origin=origin)
     except DataError as exc:
         return f"DataError: {exc}"
+
+
+def assert_same_outcome(got, want):
+    """The same Dataset, or the same DataError text."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert_same_dataset(got, want)
 
 
 def assert_same_load(text, schema=SCHEMA):
     """The loader matches the loop with quote-free text split in bulk, and
     again with every text sent through the csv record reader."""
     want = _outcome_of(loop_load_csv_text, text, schema)
-    got = [_outcome_of(_load_csv_text, text, schema)]
+    assert_same_outcome(_outcome_of(_load_csv_text, text, schema), want)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(data_mod, "_split_quote_free", lambda text: None)
-        got.append(_outcome_of(_load_csv_text, text, schema))
-    for outcome in got:
-        if isinstance(want, str):
-            assert outcome == want
-        else:
-            assert not isinstance(outcome, str), outcome
-            assert_same_dataset(outcome, want)
+        assert_same_outcome(_outcome_of(_load_csv_text, text, schema), want)
 
 
 ADULT_LEVELS = {
@@ -465,6 +510,7 @@ def test_loader_matches_loop_on_adult_shaped_text(seed, chunk_rows):
         "sex,y\nM,1\n",
         "sex,y,x\nM,1,1\nF,0\n",
         "sex,y,x\nM,1,1\nF,0,1,2\n",
+        "sex,y,x\nM,1,1\nF,0\n1\n",
         "sex,y,x\nM,1, \nF,0\n",
         "sex,y,x\nM,1\nF,0,\n",
         "sex,y,x\nM,1,1\n\nF,,2\n",
@@ -525,7 +571,12 @@ def test_split_path_takes_quote_free_text_only():
     header, columns, linenos = data_mod._split_quote_free(text)
     rows = list(csv.reader(io.StringIO(text)))
     assert header == rows[0]
-    assert columns == [[c.strip() for c in col] for col in zip(*rows[1:])]
+    # Each column is the stripped text of its distinct cells and a code
+    # per record.
+    for (cells, codes), raw in zip(columns, zip(*rows[1:])):
+        assert codes.dtype == np.int64
+        assert [cells[code] for code in codes] == [cell.strip() for cell in raw]
+        assert len(cells) == len(set(raw))
     assert linenos == range(2, 22)
     assert data_mod._split_quote_free(text.replace("\n", "\r\n")) is not None
     assert data_mod._split_quote_free(text.rstrip("\n")) is not None
@@ -535,11 +586,83 @@ def test_split_path_takes_quote_free_text_only():
         text.replace("\n", "\r", 3),          # a lone carriage return
         text + "\n",                           # a blank record
         text + "1,2\n",                        # a ragged record
+        text + "1,2,3,4,5,6\n7\n",             # two, with seven cells in all
+        text + "1,2,3,4,5,6",                  # a short last record
+        "x\n1\n\n2\n",                          # one column and a blank record
         "sex,y,x\n",                           # no record
         text.replace("age", too_long, 1),      # a line over the field limit
+        text.replace("Male", "Ma\0le", 1),     # a NUL, which keys cannot see
     ]
     for other in declined:
         assert data_mod._split_quote_free(other) is None
+    # A line of more bytes than the limit, but not more characters.
+    wide = "é" * (csv.field_size_limit() // 2 + 1)
+    assert data_mod._split_quote_free(text.replace("age", wide, 1)) is not None
+
+
+def _cells_text(cells, other=None):
+    """A text whose ``x`` column holds ``cells`` and whose ``z`` column
+    holds ``other`` (by default the cells reversed)."""
+    other = cells[::-1] if other is None else other
+    lines = ["sex,y,x,z"]
+    lines += [
+        f"{'MF'[i % 2]},{i % 2},{x},{z}" for i, (x, z) in enumerate(zip(cells, other))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_LONG = "abcdefghijklmnopqrstuvwxy"  # 25 bytes
+_CELL_CASES = {
+    "lengths": [_LONG[:k] for k in (1, 7, 8, 9, 15, 16, 17, 25)] * 2,
+    "shared_prefixes": [_LONG[:8] + "1", _LONG[:8] + "2", _LONG[:8],
+                        _LONG[:16] + "X", _LONG[:16], _LONG[:16] + "XY",
+                        _LONG[:16] + "Y", _LONG[:8] + "1"],
+    "numeric_lengths": ["1234567", "12345678", "123456789", "1" * 15,
+                        "1" * 16, "1" * 17, "0." + "1" * 23, "1234567"],
+    "utf8": ["é", "ééééé", "aéééé", "日本語", "日本語日本", "😀x", "x😀",
+             "Ω" * 9, "é"],
+    "strip_to_same": ["a", " a", "a\t", "b", "\ta ", "a"],
+    "padded_long": [_LONG[:16], " " + _LONG[:16], _LONG[:16] + " ", _LONG[:17]],
+    "signed_zeros": ["-0", "0", "0.0", "-0.0", "0", "-0"],
+    "numeric_group_spellings": ["2", "2.0", " 2", "0", "0e0", "-0"],
+    "shared_suffixes": [w + _LONG[8:k] for k in (9, 16, 17, 25)
+                        for w in ("abcdefgh", "ABCDEFGH", " bcdefgh", "abcdefgh")],
+}
+
+
+@pytest.mark.parametrize("mix", [None, 0, 1])
+@pytest.mark.parametrize("case", sorted(_CELL_CASES))
+def test_loader_matches_loop_on_cell_bytes(case, mix, monkeypatch):
+    """Also with a hash of a long cell's key that is its last word (mix
+    0) or the xor of its words (mix 1), so that cells which differ in
+    other words collide."""
+    if mix is not None:
+        monkeypatch.setattr(data_mod, "_MIX", np.uint64(mix))
+    cells = _CELL_CASES[case]
+    assert data_mod._split_quote_free(_cells_text(cells)) is not None
+    assert_same_load(_cells_text(cells))
+    # The same cells as groups, which may be numeric or categorical.
+    text = _cells_text(cells).replace("sex,y,x,z", "x,y,sex,z", 1)
+    assert_same_load(text)
+    assert_same_load(text.replace("\n", "\r\n"))
+
+
+def test_loader_matches_loop_on_nearly_distinct_numeric_column():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=400) * 10.0 ** rng.integers(-5, 6, 400)
+    cells = [repr(v) for v in values.tolist()]
+    cells[::50] = ["1"] * len(cells[::50])
+    text = _cells_text(cells, [f"{v:.3f}" for v in values.tolist()])
+    assert_same_load(text)
+    d = _load_csv_text(text, SCHEMA)
+    assert d.column_names == ("x", "z")
+
+
+def test_nul_text_goes_through_the_csv_reader():
+    text = "sex,y,x\nM,1,a\nF,0,a\0\nM,0,b\n"
+    assert data_mod._split_quote_free(text) is None
+    assert_same_load(text)
+    assert _load_csv_text(text, SCHEMA).column_names == ("x=a", "x=a\x00", "x=b")
 
 
 # Quote-free cells, from tokens some of which csv keeps inside a cell
@@ -569,6 +692,66 @@ _quote_free_record = st.tuples(
 def test_loader_matches_loop_on_quote_free_text(header, end, records, schema):
     text = header + end + "".join(",".join(c) + e for c, e in records)
     assert_same_load(text, schema)
+
+
+# Byte tokens for whole files: a byte-order mark, bytes that are not
+# UTF-8 (alone or cutting a two-byte character short), NUL, carriage
+# returns, quotes and separators, and cells that parse.
+_BYTE_TOKENS = [b"\xef\xbb\xbf", b"\xff", b"\xc3", "é".encode(), "日".encode(),
+                b"\x00", b"\r", b"\n", b"\r\n", b'"', b",", b" ", b"\t", b"\x0b",
+                b"0", b"1", b"2.5", b"-0", b"nan", b"a", b"M", b"F"]
+_clean_cell = st.sampled_from([b"0", b"1", b"0", b"1", b" 1 ", b"2.5", b"-0",
+                               b"a", b"M", b"F\t", "é".encode()])
+_byte_cell = st.one_of(
+    _clean_cell, _clean_cell, _clean_cell,
+    st.lists(st.sampled_from(_BYTE_TOKENS), max_size=3).map(b"".join),
+)
+_byte_record = st.tuples(
+    st.integers(3, 4).flatmap(lambda k: st.lists(_byte_cell, min_size=k, max_size=k))
+    | st.lists(_byte_cell, max_size=5),
+    st.sampled_from([b"\n", b"\n", b"\r\n", b"\r", b""]),
+).map(lambda record: b",".join(record[0]) + record[1])
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "d.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    head=st.sampled_from([b"", b"\xef\xbb\xbf", b"sex,y,x\n", b"sex,y,x\n",
+                          b"sex,y,x\r\n", b"\xef\xbb\xbfsex,y,x\n", b"y,sex,x,z\n"]),
+    body=st.one_of(
+        st.binary(max_size=40),
+        st.lists(st.sampled_from(_BYTE_TOKENS), max_size=40).map(b"".join),
+        st.lists(_byte_record, min_size=1, max_size=6).map(b"".join),
+        st.lists(_byte_record, min_size=1, max_size=6).map(b"".join),
+    ),
+    schema=st.sampled_from(
+        [SCHEMA, Schema(group="sex", outcome="y", task=Task.REGRESSION)]
+    ),
+)
+def test_load_dataset_on_arbitrary_bytes(fuzz_path, head, body, schema):
+    """Any file loads as the loop loads its text, or raises DataError."""
+    fuzz_path.write_bytes(head + body)
+    try:
+        got = load_dataset(fuzz_path, schema)
+    except DataError as exc:
+        got = f"DataError: {exc}"
+    try:
+        text = (head + body).decode("utf-8-sig")
+    except UnicodeDecodeError:
+        assert got.startswith(f"DataError: cannot read dataset {fuzz_path}: ")
+        return
+    try:
+        want = _outcome_of(loop_load_csv_text, text, schema, origin=str(fuzz_path))
+    except OverflowError:
+        # The loop cannot hold a group number past int64; see
+        # test_numeric_group_keeps_numeric_order.
+        assert not isinstance(got, str)
+        return
+    assert_same_outcome(got, want)
 
 
 def test_loader_error_messages(chunk_rows):

@@ -1056,6 +1056,38 @@ def test_cli_non_utf8_dataset_is_a_data_error(tmp_path, capsys):
     assert "cannot read dataset" in capsys.readouterr().err
 
 
+_ADULT_LINE = (
+    "39, State-gov, 77516, Bachelors, 13, Never-married, Adm-clerical, "
+    "Not-in-family, White, Male, 2174, 0, 40, United-States, <=50K\n"
+)
+
+
+def test_cli_prepare_adult_non_utf8_raw_file_is_a_data_error(tmp_path, capsys):
+    raw = tmp_path / "adult.data"
+    raw.write_bytes(_ADULT_LINE.encode() + b"50, Priv\xe9, 1\n")
+    code = run(["prepare-adult", "--seed", 0, "--data", raw,
+                "--out-csv", tmp_path / "a.csv", "--out-schema", tmp_path / "a.txt",
+                "--out", tmp_path / "o"])
+    assert code == 3
+    assert f"cannot read {raw}" in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("missing", ["out-csv", "out-schema"])
+def test_cli_prepare_adult_output_under_a_missing_directory_is_a_data_error(
+    tmp_path, capsys, missing
+):
+    raw = tmp_path / "adult.data"
+    raw.write_text(_ADULT_LINE)
+    paths = {"out-csv": tmp_path / "a.csv", "out-schema": tmp_path / "a.txt"}
+    paths[missing] = tmp_path / "no_dir" / paths[missing].name
+    code = run(["prepare-adult", "--seed", 0, "--data", raw,
+                "--out-csv", paths["out-csv"], "--out-schema", paths["out-schema"],
+                "--out", tmp_path / "o"])
+    assert code == 3
+    assert f"cannot write {paths[missing]}" in capsys.readouterr().err
+
+
 def test_cli_rejects_abbreviated_flags(tmp_path, capsys):
     cfg = _config_file(tmp_path)
     code = run(["synth", "--seed", 0, "--config", cfg, "--sigma", 0.1,
