@@ -200,6 +200,14 @@ def _floats(cells: list) -> np.ndarray | None:
         return None
 
 
+def _factorize(cells: list) -> tuple[list, np.ndarray]:
+    """The distinct cells in first-seen order, and each cell's index among
+    them: the column form of a column of stripped cells."""
+    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.int64, count=len(cells))
+    return list(index), codes
+
+
 def _categories(cells: list) -> tuple[list, np.ndarray]:
     """The distinct cells sorted by code point, and each cell's index
     among them."""
@@ -210,11 +218,12 @@ def _categories(cells: list) -> tuple[list, np.ndarray]:
 
 
 # Both record readers return each column in one form: the stripped text
-# of each of its distinct raw cells (``cells``, in no set order; cells that
-# differed only in whitespace strip to the same text), and each record's
-# index among them (``codes``).  A record's cell is ``cells[codes[i]]``.
-# Only a categorical column needs its distinct texts, in code-point order,
-# which ``_categories(cells)`` gives.
+# of each of its distinct raw cells (``cells``, in no set order, and with
+# repeats where cells differed only in whitespace or a reader numbered one
+# cell twice), and each record's index among them (``codes``).  A
+# record's cell is ``cells[codes[i]]``.  Only a categorical column needs
+# its distinct texts, in code-point order, which ``_categories(cells)``
+# gives.
 
 # Records are transposed into columns in chunks of this many rows, so that
 # the csv module's per-row lists die young: with ten thousand live lists
@@ -228,13 +237,10 @@ def _append_columns(columns: list, rows: list) -> None:
         column.extend(map(str.strip, cells))
 
 
-def _check_missing(columns: list, linenos: list, origin: str) -> None:
-    """Raise ``missing value`` for the first record with an empty cell;
+def _check_missing(first: list, linenos: list, origin: str) -> None:
+    """Raise ``missing value`` for the earliest record in ``first``, which
+    holds the first record with an empty cell of each column that has one;
     ``linenos`` holds each record's line number in the file."""
-    first = [
-        np.argmax(np.isin(codes, [i for i, cell in enumerate(cells) if not cell]))
-        for cells, codes in columns if "" in cells
-    ]
     if first:
         raise DataError(f"{origin}:{linenos[min(first)]}: missing value")
 
@@ -285,6 +291,80 @@ _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
+# Cells of more bytes than this are numbered by a dict of their bytes:
+# ``_number_cells`` takes one step of a Python loop per 8 bytes of the
+# longest cell it is given.
+_WORD_CELL = 64
+
+
+def _masked_words(words, begin, length, w):
+    """The word at byte ``w`` of each cell, masked to the cell's end;
+    every cell is longer than ``w`` bytes, or ``w`` is 0."""
+    return words[begin + w] & _KEEP[np.minimum(length - w, 8)]
+
+
+def _number_cells(words, begin, length) -> tuple[np.ndarray, np.ndarray]:
+    """A number for each of the cells at ``begin`` of ``length`` bytes
+    (at most ``_WORD_CELL``), and the first cell with each number.
+
+    A cell's key is its bytes zero-padded to whole 8-byte words, so two
+    cells share a key exactly when they share their bytes.  The cells are
+    ordered by a hash of their keys and each run of equal keys numbered.
+    Equal keys hash alike, so each key's cells form one run, unless a hash
+    collision interleaves two keys: then a key gets several numbers, which
+    the column form allows.  Each word pass reads only the cells that
+    reach that word, so the work is linear in the cells' bytes.
+    """
+    hashed = _masked_words(words, begin, length, 0)
+    rows = np.flatnonzero(length > 8)
+    for w in range(8, _WORD_CELL, 8):
+        if not rows.size:
+            break
+        hashed[rows] = hashed[rows] * _MIX ^ _masked_words(
+            words, begin[rows], length[rows], w
+        )
+        rows = rows[length[rows] > w + 8]
+    order = np.argsort(hashed)
+    sorted_hash = hashed[order]
+    sorted_begin, sorted_length = begin[order], length[order]
+    same = (sorted_hash[1:] == sorted_hash[:-1]) & (
+        sorted_length[1:] == sorted_length[:-1]
+    )
+    # A cell of one word is its hash; longer neighbours compare word by word.
+    pairs = np.flatnonzero(same & (sorted_length[1:] > 8))
+    for w in range(0, _WORD_CELL, 8):
+        if not pairs.size:
+            break
+        length_w = sorted_length[pairs]
+        equal = _masked_words(words, sorted_begin[pairs], length_w, w) == (
+            _masked_words(words, sorted_begin[pairs + 1], length_w, w)
+        )
+        same[pairs[~equal]] = False
+        pairs = pairs[equal & (length_w > w + 8)]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = ~same
+    numbers = np.empty(order.size, dtype=np.int64)
+    numbers[order] = np.cumsum(new) - 1
+    return numbers, order[new]
+
+
+def _decode_cells(buf: np.ndarray, begin: np.ndarray, length: np.ndarray) -> list:
+    """The stripped text of the UTF-8 cells at ``begin`` of ``length``
+    bytes of ``buf``, none of which holds a comma, decoded in one piece:
+    each cell is gathered with the separator byte after it, which becomes
+    a comma to split on."""
+    ends = np.cumsum(length + 1)
+    gather = np.arange(ends[-1]) + np.repeat(begin - (ends - length - 1), length + 1)
+    joined = buf[gather]
+    joined[ends - 1] = ord(",")
+    cells = joined[:-1].tobytes().decode().split(",")
+    # Only a byte up to the space or past ASCII can be part of whitespace,
+    # so a column of neither is stripped already.
+    if joined.min() <= ord(" ") or joined.max() >= 0x80:
+        return list(map(str.strip, cells))
+    return cells
+
+
 def _factorize_columns(
     data: bytes, starts: np.ndarray, lengths: np.ndarray
 ) -> list:
@@ -292,43 +372,33 @@ def _factorize_columns(
     ``s`` and ``l`` in matching columns of ``starts`` and ``lengths``,
     decoding and stripping each distinct cell once.
 
-    ``data`` is UTF-8 with no NUL byte, followed by eight more bytes.  A
-    cell's key is its bytes zero-padded to whole 8-byte words, so two
-    cells share a key exactly when they share their bytes.
+    ``data`` is UTF-8 with no NUL byte, followed by eight more bytes, and
+    every cell is followed by a separator byte.
     """
+    buf = np.frombuffer(data, dtype=np.uint8)
     # Word i of ``words`` is the eight bytes from byte i on.
     words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    first_words = words[starts] & _KEEP[np.minimum(lengths, 8)]
     columns = []
     for j in range(starts.shape[1]):
         begin, length = starts[:, j], lengths[:, j]
-        # A word that starts past its cell's end is masked out whole, so
-        # it is read from the cell's end instead.
-        keys = [first_words[:, j]] + [
-            words[begin + np.minimum(length, w)] & _KEEP[np.clip(length - w, 0, 8)]
-            for w in range(8, int(length.max()), 8)
-        ]
-        # Order the records by a hash of their key words, then number each
-        # run of equal keys.  Equal keys hash alike, so each key's records
-        # form one run, unless a hash collision interleaves two keys: then
-        # a key gets several numbers, which the column form allows.
-        hashed = keys[0]
-        for key in keys[1:]:
-            hashed = hashed * _MIX ^ key
-        order = np.argsort(hashed)
-        same = np.ones(order.size - 1, dtype=bool)
-        for key in keys:
-            sorted_key = key[order]
-            same &= sorted_key[1:] == sorted_key[:-1]
-        new = np.concatenate(([True], ~same))
-        inverse = np.empty(order.size, dtype=np.int64)
-        inverse[order] = np.cumsum(new) - 1
-        first = order[new]
-        cells = [
-            data[a:a + n].decode().strip()
-            for a, n in zip(begin[first].tolist(), length[first].tolist())
-        ]
-        columns.append((cells, inverse))
+        long = length > _WORD_CELL
+        if not long.any():
+            codes, first = _number_cells(words, begin, length)
+            columns.append((_decode_cells(buf, begin[first], length[first]), codes))
+            continue
+        short, rows = np.flatnonzero(~long), np.flatnonzero(long)
+        codes = np.empty(begin.size, dtype=np.int64)
+        codes[short], first = _number_cells(words, begin[short], length[short])
+        first = short[first]
+        index = {}
+        codes[rows] = first.size + np.fromiter(
+            (index.setdefault(data[a:a + n], len(index))
+             for a, n in zip(begin[rows].tolist(), length[rows].tolist())),
+            dtype=np.int64, count=rows.size,
+        )
+        cells = _decode_cells(buf, begin[first], length[first]) if first.size else []
+        cells += map(str.strip, b"\n".join(index).decode().split("\n"))
+        columns.append((cells, codes))
     return columns
 
 
@@ -392,6 +462,13 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
     linenos = []
     chunk = []
     lineno = 1
+
+    def check_missing():
+        """Report a missing cell in the records read so far, which comes
+        before a record error."""
+        _append_columns(columns, chunk)
+        _check_missing([c.index("") for c in columns if "" in c], linenos, origin)
+
     try:
         for lineno, row in enumerate(reader, 2):
             # The header has at least two columns, so a blank record (no
@@ -399,9 +476,7 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
             if len(row) != width:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                # A missing cell in an earlier record is reported first.
-                _append_columns(columns, chunk)
-                _check_missing(list(map(_categories, columns)), linenos, origin)
+                check_missing()
                 raise DataError(
                     f"{origin}:{lineno}: expected {width} cells, got {len(row)}"
                 )
@@ -411,13 +486,12 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
                 _append_columns(columns, chunk)
                 chunk.clear()
     except csv.Error as exc:
-        _append_columns(columns, chunk)
-        _check_missing(list(map(_categories, columns)), linenos, origin)
+        check_missing()
         raise DataError(f"{origin}:{lineno + 1}: unreadable record: {exc}") from None
     _append_columns(columns, chunk)
     if not linenos:
         raise DataError(f"{origin}: no data rows")
-    return list(map(_categories, columns)), linenos
+    return list(map(_factorize, columns)), linenos
 
 
 def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Dataset:
@@ -466,7 +540,11 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 
     if records is None:
         columns, linenos = _read_csv_records(reader, len(header), origin)
-    _check_missing(columns, linenos, origin)
+    _check_missing(
+        [np.argmax(np.isin(codes, [i for i, cell in enumerate(cells) if not cell]))
+         for cells, codes in columns if "" in cells],
+        linenos, origin,
+    )
     n = len(linenos)
     col = dict(zip(header, columns))
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -612,6 +613,8 @@ def _cells_text(cells, other=None):
 
 
 _LONG = "abcdefghijklmnopqrstuvwxy"  # 25 bytes
+# 130 bytes, past the cells that word keys number (64 bytes).
+_PAST_WORDS = "".join(chr(ord("A") + i % 26) + str(i % 10) for i in range(65))
 _CELL_CASES = {
     "lengths": [_LONG[:k] for k in (1, 7, 8, 9, 15, 16, 17, 25)] * 2,
     "shared_prefixes": [_LONG[:8] + "1", _LONG[:8] + "2", _LONG[:8],
@@ -627,6 +630,21 @@ _CELL_CASES = {
     "numeric_group_spellings": ["2", "2.0", " 2", "0", "0e0", "-0"],
     "shared_suffixes": [w + _LONG[8:k] for k in (9, 16, 17, 25)
                         for w in ("abcdefgh", "ABCDEFGH", " bcdefgh", "abcdefgh")],
+    # Cells that share their first and last words, with middle words
+    # swapped (so that the xor of their words is the same) or changed.
+    "shared_ends": [_LONG[:8] + m + _LONG[8:16] for m in
+                    ("11111111" "22222222", "22222222" "11111111",
+                     "11111111" "22222222", "11111111" "2222222X")]
+                   + [_PAST_WORDS[:24] + m + _PAST_WORDS[:24] for m in
+                      ("33333333" "44444444", "44444444" "33333333")],
+    # Cells on both sides of the word keys' 64 bytes, some of which strip
+    # to the same text across that line.
+    "around_word_cells": [_PAST_WORDS[:k] for k in (63, 64, 65, 72, 130, 64, 65)]
+                         + [" " + _PAST_WORDS[:64], _PAST_WORDS[:64] + "\t",
+                            _PAST_WORDS[:64] + "é", "1", "1" * 70],
+    "past_word_cells": [_PAST_WORDS[:65], _PAST_WORDS[1:100], _PAST_WORDS[:65],
+                        " " + _PAST_WORDS[:65], "9" * 65, "9" * 64 + "8",
+                        "9" * 65],
 }
 
 
@@ -656,6 +674,24 @@ def test_loader_matches_loop_on_nearly_distinct_numeric_column():
     assert_same_load(text)
     d = _load_csv_text(text, SCHEMA)
     assert d.column_names == ("x", "z")
+
+
+def test_one_long_cell_loads_in_memory_linear_in_the_text():
+    """One 100 KB cell among thousands of short ones: no record is keyed
+    to the length of its column's longest cell."""
+    cells = [f"c{i % 5}" for i in range(3000)]
+    cells[7] = "z" * 100_000
+    text = _cells_text(cells, [str(i % 7) for i in range(3000)])
+    assert data_mod._split_quote_free(text) is not None
+    tracemalloc.start()
+    try:
+        d = _load_csv_text(text, SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * len(text)
+    assert d.column_names[5:] == ("x=" + cells[7], "z")
+    assert_same_load(text)
 
 
 def test_nul_text_goes_through_the_csv_reader():
