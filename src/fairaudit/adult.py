@@ -87,17 +87,16 @@ def adult_schema() -> Schema:
     return Schema(group="sex", outcome="outcome", task=Task.BINARY)
 
 
-def load_adult(csv_path=None) -> Dataset:
-    """Load a prepared Adult CSV (from convert_adult).
+def load_adult() -> Dataset:
+    """Load the prepared Adult CSV (from convert_adult) named by
+    FAIRAUDIT_ADULT_CSV.
 
-    Without an explicit path, reads the location from FAIRAUDIT_ADULT_CSV.
     Group 0 is Female, group 1 is Male (lexicographic category order).
     """
-    if csv_path is None:
-        csv_path = os.environ.get(ADULT_ENV_VAR)
-        if not csv_path:
-            raise DataError(
-                f"no Adult CSV path given and {ADULT_ENV_VAR} is unset; "
-                "run `fairaudit prepare-adult` on the raw UCI file first"
-            )
+    csv_path = os.environ.get(ADULT_ENV_VAR)
+    if not csv_path:
+        raise DataError(
+            f"{ADULT_ENV_VAR} is unset; run `fairaudit prepare-adult` on "
+            "the raw UCI file first"
+        )
     return load_dataset(csv_path, adult_schema())

@@ -298,6 +298,19 @@ def cmd_subgroups(args, report: AuditReport) -> None:
         report.add("feature_threshold_clusters", summary)
 
 
+def _finite_statistic(report: AuditReport, result: stats.TestResult):
+    """``result`` as the report gives it: an infinite statistic, from an
+    exact gap (no variance to scale it by), becomes None with a warning;
+    its p-value and ``reject`` stand."""
+    if math.isfinite(result.statistic):
+        return result
+    report.warn(
+        f"{result.name}: statistic {result.statistic} from samples without "
+        "variance, reported as null"
+    )
+    return replace(result, statistic=None)
+
+
 def cmd_test(args, report: AuditReport) -> None:
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
@@ -329,7 +342,7 @@ def cmd_test(args, report: AuditReport) -> None:
     result = stats.gamma_z_test(
         preds, eval_set, kind, level=args.level, groups=tuple(groups[:2])
     )
-    report.add("gamma_z_test", result)
+    report.add("gamma_z_test", _finite_statistic(report, result))
     for w in result.detail.get("warnings", []):
         report.warn(w)
     ci = stats.bootstrap_gamma_ci(
@@ -338,13 +351,12 @@ def cmd_test(args, report: AuditReport) -> None:
     )
     report.add("bootstrap_gamma_ci", {"low": ci[0], "high": ci[1]})
     if len(groups) > 2:
-        report.add(
-            "anova_f", stats.anova_f(list(losses.values()), level=args.level)
-        )
-        report.add(
-            "pairwise_welch_holm",
-            stats.pairwise_welch_holm(losses, level=args.level),
-        )
+        anova = stats.anova_f(list(losses.values()), level=args.level)
+        report.add("anova_f", _finite_statistic(report, anova))
+        pairwise = stats.pairwise_welch_holm(losses, level=args.level)
+        report.add("pairwise_welch_holm", {
+            pair: _finite_statistic(report, r) for pair, r in pairwise.items()
+        })
 
 
 def cmd_synth(args, report: AuditReport) -> None:

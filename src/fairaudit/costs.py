@@ -66,11 +66,11 @@ class PredictionSet:
         arr = self.scores if self.scores is not None else self.labels
         return arr.shape[0]
 
-    def hard(self, threshold: float = 0.5) -> np.ndarray:
-        """Hard labels, thresholding scores at ``threshold`` if needed."""
+    def hard(self) -> np.ndarray:
+        """Hard labels, thresholding scores at 0.5 if needed."""
         if self.labels is not None:
             return self.labels
-        return apply_threshold(self.scores, threshold)
+        return apply_threshold(self.scores, 0.5)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,12 @@ from .learners import LearnerSpec, score_predictions, train
 
 BETA_MIN = 0.01
 BETA_MAX = 3.0
+# Share of the rows each trial of a curve experiment holds out for testing.
+HOLDOUT_FRACTION = 0.2
+# Bisection stops once its bracket is this narrow relative to max(1, |x|),
+# or after this many halvings.
+_BISECT_TOL = 1e-10
+_BISECT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -39,7 +45,6 @@ class CurveExperiment:
     cost_kinds: tuple[CostKind, ...]
     n_grid: tuple[int, ...]
     trials: int
-    holdout_fraction: float
     seed: int
     n_groups: int
     cells: tuple[CurveCell, ...]
@@ -90,20 +95,18 @@ def run_curve_experiment(
     trials: int,
     seed: int,
     cost_kinds=(CostKind.ZERO_ONE,),
-    holdout_fraction: float = 0.2,
     threshold: float = 0.5,
 ) -> CurveExperiment:
-    """Repeated sample splitting: per (size, trial) hold out a test split,
-    subsample the training rows, train, and record each group cost.
+    """Repeated sample splitting: per (size, trial) hold out a test split
+    of ``HOLDOUT_FRACTION`` of the rows, subsample the training rows,
+    train, and record each group cost.
 
     Missing group/class cells are recorded as None, not failures.
     """
     n_grid = tuple(sorted(int(n) for n in n_grid))
     if trials < 1:
         raise AnalysisError("trials must be >= 1")
-    if holdout_fraction < 0.2:
-        raise AnalysisError("at least 20% of the data must be held out")
-    budget = int(np.floor(d.n * (1.0 - holdout_fraction)))
+    budget = int(np.floor(d.n * (1.0 - HOLDOUT_FRACTION)))
     if max(n_grid) > budget:
         raise AnalysisError(
             f"grid size {max(n_grid)} exceeds the training budget {budget}"
@@ -112,7 +115,7 @@ def run_curve_experiment(
     for n_train in n_grid:
         for trial in range(trials):
             trial_seed = derive_seed(seed, "curve", n_train, trial)
-            ds = split(d, holdout_fraction, trial_seed)
+            ds = split(d, HOLDOUT_FRACTION, trial_seed)
             train_full, test = ds.train, ds.test
             sub = subsample(train_full, n_train, derive_seed(trial_seed, "sub"))
             model = train(replace(spec, seed=trial_seed), sub)
@@ -140,7 +143,6 @@ def run_curve_experiment(
         cost_kinds=tuple(cost_kinds),
         n_grid=n_grid,
         trials=trials,
-        holdout_fraction=holdout_fraction,
         seed=seed,
         n_groups=d.n_groups,
         cells=tuple(cells),
@@ -287,12 +289,12 @@ def power_law_critical_point(
     return float(ratio ** (-1.0 / b))
 
 
-def _bisect(func, lo, hi, tol=1e-10, max_iter=200):
+def _bisect(func, lo, hi):
     flo = func(lo)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         fmid = func(mid)
-        if fmid == 0.0 or (hi - lo) <= tol * max(1.0, abs(mid)):
+        if fmid == 0.0 or (hi - lo) <= _BISECT_TOL * max(1.0, abs(mid)):
             return mid
         if (flo < 0) != (fmid < 0):
             hi = mid

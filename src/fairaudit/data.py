@@ -651,41 +651,17 @@ def canonical_schema(d: Dataset) -> Schema:
     )
 
 
-def split(
-    d: Dataset,
-    test_fraction: float,
-    seed: int,
-    stratify_by_group: bool = False,
-) -> DataSplit:
-    """Deterministic train/test split.
-
-    Stratified mode preserves per-group proportions within +-1 row.
-    """
+def split(d: Dataset, test_fraction: float, seed: int) -> DataSplit:
+    """Deterministic train/test split of a random permutation of the
+    rows."""
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction {test_fraction} not in (0,1)")
     n_test = int(round(d.n * test_fraction))
     n_test = min(max(n_test, 1), d.n - 1)
     rng = np.random.default_rng(seed)
-    if stratify_by_group:
-        test_parts = []
-        train_parts = []
-        for a in range(d.n_groups):
-            rows = d.group_indices(a)
-            if rows.size < 2:
-                raise DataError(
-                    f"group {a} has {rows.size} row(s); cannot stratify"
-                )
-            t = int(round(rows.size * test_fraction))
-            t = min(max(t, 1), rows.size - 1)
-            perm = rng.permutation(rows.size)
-            test_parts.append(rows[perm[:t]])
-            train_parts.append(rows[perm[t:]])
-        test_idx = np.sort(np.concatenate(test_parts))
-        train_idx = np.sort(np.concatenate(train_parts))
-    else:
-        perm = rng.permutation(d.n)
-        test_idx = np.sort(perm[:n_test])
-        train_idx = np.sort(perm[n_test:])
+    perm = rng.permutation(d.n)
+    test_idx = np.sort(perm[:n_test])
+    train_idx = np.sort(perm[n_test:])
     if train_idx.size + test_idx.size != d.n:
         raise DataError("split lost or repeated rows")
     if np.intersect1d(train_idx, test_idx).size:

@@ -38,6 +38,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import kernels
 from .costs import apply_threshold, cost_gap, empty_group_error
 from .data import Dataset, Task, bootstrap_resample, derive_seed
 from .errors import AnalysisError, DataError
@@ -235,17 +236,6 @@ def _vote_counts(e: EnsemblePredictions, rows=slice(None)) -> np.ndarray:
     return e.table.sum(axis=0)[e.cells[rows]]
 
 
-def _used_cells(e: EnsemblePredictions, rows: np.ndarray):
-    """The distinct cells of ``rows`` in ascending order, and the index of
-    each row's cell among them."""
-    cells = e.cells[rows]
-    used = np.zeros(e.table.shape[1], dtype=bool)
-    used[cells] = True
-    index = used.cumsum()
-    index -= 1
-    return np.flatnonzero(used), index[cells]
-
-
 def _misses(votes: np.ndarray, label, t: int) -> np.ndarray:
     """How many of the T votes differ from each point's 0/1 ``label``."""
     return np.where(label == 1.0, t - votes, votes)
@@ -289,7 +279,7 @@ def _terms(
     if loss is Loss.ZERO_ONE:
         votes = _vote_counts(e, rows)
         return _zero_one_terms(votes, e.n_models, om.prob(X, a))
-    used, index = _used_cells(e, rows)
+    index, used = kernels.renumber_dense(e.cells[rows], e.table.shape[1])
     # One contiguous row per cell: a row mean sums in the same pairwise
     # order as the mean of a point's ensemble column.
     cols = e.table.T[used]

@@ -95,15 +95,22 @@ def bin_table(X: np.ndarray) -> tuple[np.ndarray, Bins]:
     return codes.reshape(n, k), Bins(xs.ravel()[starts], starts // n)
 
 
+def renumber_dense(values: np.ndarray, span: int):
+    """``values``, integers in [0, span), renumbered 0, 1, ... in
+    ascending order, and the distinct values in that order: through a
+    table over the span."""
+    used = np.zeros(span, dtype=bool)
+    used[values] = True
+    number = used.cumsum()
+    number -= 1
+    return number[values], used.nonzero()[0]
+
+
 def compact_bins(codes: np.ndarray, bins: Bins) -> tuple[np.ndarray, Bins]:
     """The codes renumbered over only the bins they use, and the table of
     those bins, in the same order."""
-    used = np.zeros(bins.values.size, dtype=bool)
-    used[codes] = True
-    renumber = used.cumsum()
-    renumber -= 1
-    keep = used.nonzero()[0]
-    return renumber[codes], Bins(bins.values[keep], bins.feature[keep])
+    codes, keep = renumber_dense(codes, bins.values.size)
+    return codes, Bins(bins.values[keep], bins.feature[keep])
 
 
 def _threshold(lo: float, hi: float) -> float:
@@ -279,7 +286,7 @@ def knn_scores(train_X, train_y, test_X, k):
     return out
 
 
-def knn_loo_fold_errors(X, y, fold, k, n_folds):
+def knn_loo_fold_errors(X, y, fold, k):
     """Cross-validated k-NN misclassification indicators.
 
     For each row, neighbors are searched among rows of the *other* folds;

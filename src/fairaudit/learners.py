@@ -4,8 +4,8 @@ depth-limited decision trees, and bagged trees.
 Every learner is a pure function of (spec, data): fixed iteration caps,
 explicit tie-breaking, and per-tree seeds derived from the spec seed.
 Scores are probabilities in [0,1] for classification and reals for
-regression.  The protected attribute is not part of the feature matrix
-unless ``include_group`` is set at training time.
+regression.  The protected attribute is never part of the feature
+matrix.
 """
 
 from __future__ import annotations
@@ -254,11 +254,8 @@ def _densify(key: np.ndarray, span: int):
     the count of distinct keys: through a table over the span when it is
     at most a few times the row count, else by sorting."""
     if 0 < span <= 4 * key.size:
-        seen = np.zeros(span, dtype=bool)
-        seen[key] = True
-        number = seen.cumsum()
-        number -= 1
-        return number[key], int(number[-1]) + 1
+        dense, distinct = kernels.renumber_dense(key, span)
+        return dense, distinct.size
     distinct, dense = np.unique(key, return_inverse=True)
     return dense, distinct.size
 
@@ -565,17 +562,12 @@ def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> BaggedModel:
     )
 
 
-def train(
-    spec: LearnerSpec, d: Dataset, include_group: bool = False
-) -> TrainedModel:
-    """Train a model on a dataset; deterministic given (spec, data)."""
+def train(spec: LearnerSpec, d: Dataset) -> TrainedModel:
+    """Train a model on a dataset's features; deterministic given (spec,
+    data)."""
     if d.n == 0:
         raise DataError("cannot train on an empty dataset")
     X = d.features
-    if include_group:
-        onehot = np.zeros((d.n, d.n_groups))
-        onehot[np.arange(d.n), d.group] = 1.0
-        X = np.hstack([X, onehot])
     y = d.outcome
     if spec.kind is LearnerKind.LOGISTIC:
         if d.task is not Task.BINARY:

@@ -2,8 +2,8 @@
 nearest-neighbor (Cover-Hart) estimates.
 
 All bounds are computed within one protected group, with the binary
-outcome playing the role of the class label.  Features are z-scored by
-default (fit on the group's rows); covariances are ridge-regularized with
+outcome playing the role of the class label.  Features are always
+z-scored on the group's own rows; covariances are ridge-regularized with
 lambda = 1e-3 * trace / k, which is necessary on one-hot-expanded,
 rank-deficient feature matrices.
 """
@@ -46,16 +46,14 @@ class NoiseBoundEstimate:
             )
 
 
-def _group_class_stats(d: Dataset, a: int, standardize: bool):
+def _group_class_stats(d: Dataset, a: int):
     if d.task is not Task.BINARY:
         raise AnalysisError("noise bounds require a binary task")
     rows = d.group_indices(a)
     if rows.size == 0:
         raise AnalysisError(f"group {a} has no rows")
-    X = d.features[rows]
+    X = kernels.zscore(d.features[rows])[0]
     y = d.outcome[rows]
-    if standardize:
-        X = kernels.zscore(X)[0]
     neg = X[y == 0.0]
     pos = X[y == 1.0]
     if neg.shape[0] < 2 or pos.shape[0] < 2:
@@ -78,12 +76,10 @@ def _regularized_cov(cov: np.ndarray) -> tuple[np.ndarray, float]:
     return cov + lam * np.eye(k), lam
 
 
-def mahalanobis_upper(
-    d: Dataset, a: int, standardize: bool = True
-) -> NoiseBoundEstimate:
+def mahalanobis_upper(d: Dataset, a: int) -> NoiseBoundEstimate:
     """Upper bound 2 p1 p2 / (1 + p1 p2 * Delta) from the Mahalanobis
     distance between class means under a pooled covariance."""
-    neg, pos, priors = _group_class_stats(d, a, standardize)
+    neg, pos, priors = _group_class_stats(d, a)
     p1, p2 = priors
     n1, n2 = neg.shape[0], pos.shape[0]
     diff = pos.mean(axis=0) - neg.mean(axis=0)
@@ -105,16 +101,14 @@ def mahalanobis_upper(
     )
 
 
-def bhattacharyya_bounds(
-    d: Dataset, a: int, standardize: bool = True
-) -> NoiseBoundEstimate:
+def bhattacharyya_bounds(d: Dataset, a: int) -> NoiseBoundEstimate:
     """Gaussian-assumption Bhattacharyya distance bounds.
 
     B = (1/8) * dmu' Sbar^-1 dmu + (1/2) ln(det Sbar / sqrt(det S0 det S1)),
     rho = exp(-B); E_up = sqrt(p1 p2) rho,
     E_low = (1 - sqrt(1 - 4 p1 p2 rho^2)) / 2.
     """
-    neg, pos, priors = _group_class_stats(d, a, standardize)
+    neg, pos, priors = _group_class_stats(d, a)
     p1, p2 = priors
     cov0, _ = _regularized_cov(np.cov(neg, rowvar=False, ddof=1))
     cov1, _ = _regularized_cov(np.cov(pos, rowvar=False, ddof=1))
@@ -158,7 +152,6 @@ def nn_bounds(
     k: int = 5,
     folds: int = 5,
     seed: int = 0,
-    standardize: bool = True,
     max_samples: int | None = None,
 ) -> NoiseBoundEstimate:
     """Cross-validated k-NN error within group a, with the Cover-Hart
@@ -186,17 +179,14 @@ def nn_bounds(
             f"group {a}: k={k} exceeds the {trained_on} rows a fold trains "
             f"on ({rows.size} rows used, {folds} folds)"
         )
-    X = d.features[rows]
+    X = kernels.zscore(d.features[rows])[0]
     y = d.outcome[rows]
-    if standardize:
-        X = kernels.zscore(X)[0]
     fold = rng.permutation(rows.size) % folds
     errors = kernels.knn_loo_fold_errors(
         np.ascontiguousarray(X),
         np.ascontiguousarray(y),
         np.ascontiguousarray(fold, dtype=np.int64),
         k,
-        folds,
     )
     eps = float(errors.mean())
     e_up = min(eps, 0.5)
@@ -213,15 +203,15 @@ def nn_bounds(
 
 def all_bounds(
     d: Dataset, k: int = 5, folds: int = 5, seed: int = 0,
-    standardize: bool = True, max_samples: int | None = None,
+    max_samples: int | None = None,
 ) -> list[NoiseBoundEstimate]:
     """All three methods for every group."""
     out = []
     for a in range(d.n_groups):
-        out.append(mahalanobis_upper(d, a, standardize))
-        out.append(bhattacharyya_bounds(d, a, standardize))
+        out.append(mahalanobis_upper(d, a))
+        out.append(bhattacharyya_bounds(d, a))
         out.append(
             nn_bounds(d, a, k=k, folds=folds, seed=seed,
-                      standardize=standardize, max_samples=max_samples)
+                      max_samples=max_samples)
         )
     return out

@@ -125,19 +125,26 @@ def two_tailed_t_p(t: float, df: float) -> float:
     return min(1.0, 2.0 * t_sf(abs(t), df))
 
 
+def _exact_gap(gap: float) -> tuple[float, float]:
+    """(statistic, p) of a two-sample test whose standard error is 0: the
+    gap is exact, so the statistic is 0 or +-inf with the gap's sign, and
+    p is 1 for a zero gap, else 0."""
+    if gap == 0.0:
+        return 0.0, 1.0
+    return math.copysign(math.inf, gap), 0.0
+
+
 def two_sample_z(x0: np.ndarray, x1: np.ndarray) -> tuple[float, float, float, float]:
     """Two-tailed normal z-test of mean(x0) - mean(x1): (gap, se, z, p) with
-    se = sqrt(var0 / m0 + var1 / m1) from ``sample_variance``.  When se == 0
-    the gap is exact: z is 0 or +-inf, and p is 1 for a zero gap, else 0.
+    se = sqrt(var0 / m0 + var1 / m1) from ``sample_variance``; when se == 0,
+    (z, p) is ``_exact_gap(gap)``.
     """
     gap = float(x0.mean() - x1.mean())
     se = math.sqrt(
         sample_variance(x0) / x0.size + sample_variance(x1) / x1.size
     )
     if se == 0.0:
-        if gap == 0.0:
-            return gap, se, 0.0, 1.0
-        return gap, se, math.copysign(math.inf, gap), 0.0
+        return (gap, se, *_exact_gap(gap))
     z = gap / se
     return gap, se, z, two_tailed_normal_p(z)
 
@@ -390,7 +397,10 @@ def anova_f(group_losses: list[np.ndarray], level: float = 0.05) -> TestResult:
 
 
 def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Welch two-sample t statistic, Welch-Satterthwaite df, and p-value."""
+    """Welch two-sample t statistic of mean(x) - mean(y),
+    Welch-Satterthwaite df, and p-value; with no variance in either
+    sample, (t, p) is ``_exact_gap`` of the mean difference, and df is
+    m_x + m_y - 2."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 2 or y.size < 2:
@@ -398,25 +408,23 @@ def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     vx = x.var(ddof=1) / x.size
     vy = y.var(ddof=1) / y.size
     if vx + vy == 0.0:
-        stat = 0.0 if x.mean() == y.mean() else math.inf
-        return stat, float(x.size + y.size - 2), 1.0 if stat == 0.0 else 0.0
+        stat, p = _exact_gap(float(x.mean() - y.mean()))
+        return stat, float(x.size + y.size - 2), p
     stat = float((x.mean() - y.mean()) / math.sqrt(vx + vy))
     df = (vx + vy) ** 2 / (vx**2 / (x.size - 1) + vy**2 / (y.size - 1))
     return stat, float(df), two_tailed_t_p(stat, df)
 
 
 def pairwise_welch_holm(
-    group_losses, level: float = 0.05
+    group_losses: dict, level: float = 0.05
 ) -> dict[tuple[int, int], TestResult]:
     """All pairwise Welch t-tests with Holm step-down correction.
 
-    ``group_losses`` maps each group id to its loss sample; a list keys
-    them by position.  Results are keyed by (id, id) pairs in key order.
-    Substitute for a studentized-range test: conservative, and needs no
-    range-distribution tables.
+    ``group_losses`` maps each group id to its loss sample.  Results are
+    keyed by (id, id) pairs in key order.  Substitute for a
+    studentized-range test: conservative, and needs no range-distribution
+    tables.
     """
-    if not isinstance(group_losses, dict):
-        group_losses = dict(enumerate(group_losses))
     samples = {
         g: np.asarray(v, dtype=np.float64) for g, v in group_losses.items()
     }

@@ -179,10 +179,10 @@ def rank_clusters(
     d: Dataset,
     cl: Clustering,
     kind: CostKind = CostKind.ZERO_ONE,
-    min_cell_mass: float = MIN_CELL_MASS,
 ) -> ClusterReport:
     """Per-(cluster, group) costs ranked by cross-group variance of costs,
-    ties broken by max-min gap, then cluster index."""
+    ties broken by max-min gap, then cluster index; a cell of mass below
+    ``MIN_CELL_MASS`` is flagged."""
     costs, masses = {}, {}
     gaps, variances, enrichment = {}, {}, {}
     unreliable = []
@@ -201,7 +201,7 @@ def rank_clusters(
             costs[(c, a)] = cost
             masses[(c, a)] = mass
             cell_costs.append(cost)
-            if mass < min_cell_mass:
+            if mass < MIN_CELL_MASS:
                 unreliable.append((c, a))
         if not cell_costs:
             warnings.append(f"cluster {c} dropped: no computable cells")
@@ -215,7 +215,7 @@ def rank_clusters(
     order = sorted(usable, key=lambda c: (-variances[c], -gaps[c], c))
     if unreliable:
         warnings.append(
-            f"{len(unreliable)} cell(s) below mass threshold {min_cell_mass}"
+            f"{len(unreliable)} cell(s) below mass threshold {MIN_CELL_MASS}"
         )
     return ClusterReport(
         cost_kind=kind,

@@ -152,7 +152,7 @@ def test_gap_is_max_minus_min():
 
 def test_hard_threshold_convention():
     preds = PredictionSet(scores=np.array([0.5, 0.49]))
-    np.testing.assert_array_equal(preds.hard(0.5), [1.0, 0.0])
+    np.testing.assert_array_equal(preds.hard(), [1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,6 @@ def test_curve_experiment_budget_guard():
     lspec = LearnerSpec(kind=LearnerKind.TREE)
     with pytest.raises(AnalysisError, match="budget"):
         run_curve_experiment(lspec, d, [190], 2, seed=0)
-    with pytest.raises(AnalysisError, match="held out"):
-        run_curve_experiment(lspec, d, [50], 2, seed=0, holdout_fraction=0.1)
 
 
 def test_fit_curve_experiment_and_extrapolation():

@@ -168,14 +168,6 @@ def test_split_deterministic(binary_dataset):
     assert not np.array_equal(a.test_indices, c.test_indices)
 
 
-def test_split_stratified(binary_dataset):
-    ds = split(binary_dataset, 0.3, seed=1, stratify_by_group=True)
-    for a in range(binary_dataset.n_groups):
-        total = int((binary_dataset.group == a).sum())
-        in_test = int((ds.test.group == a).sum())
-        assert abs(in_test - round(total * 0.3)) <= 1
-
-
 def test_group_names_declare_the_groups():
     d = Dataset(
         features=np.zeros((3, 1)),

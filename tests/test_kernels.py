@@ -72,7 +72,7 @@ def test_knn_loo_excludes_own_fold():
     X = np.vstack([np.zeros((6, 1)), np.ones((6, 1))])
     y = np.array([0.0] * 6 + [1.0] * 6)
     fold = np.array([0, 0, 0, 1, 1, 1] * 2, dtype=np.int64)
-    err = kernels.knn_loo_fold_errors(X, y, fold, 3, 2)
+    err = kernels.knn_loo_fold_errors(X, y, fold, 3)
     assert err.shape == (12,)
     assert err.mean() == 0.0  # other-fold rows of the same cluster dominate
 
@@ -82,7 +82,7 @@ def test_knn_loo_tie_breaks_to_zero():
     X = np.zeros((4, 1))
     y = np.array([0.0, 1.0, 0.0, 1.0])
     fold = np.array([0, 0, 1, 1], dtype=np.int64)
-    err = kernels.knn_loo_fold_errors(X, y, fold, 2, 2)
+    err = kernels.knn_loo_fold_errors(X, y, fold, 2)
     # prediction is 0 everywhere: errors exactly on y=1 rows
     np.testing.assert_array_equal(err, [0.0, 1.0, 0.0, 1.0])
 
@@ -184,7 +184,7 @@ def loop_knn_scores(train_X, train_y, test_X, k):
     return out
 
 
-def loop_knn_loo_fold_errors(X, y, fold, k, n_folds):
+def loop_knn_loo_fold_errors(X, y, fold, k):
     n = X.shape[0]
     dim = X.shape[1]
     err = np.empty(n)
@@ -334,8 +334,8 @@ def test_knn_loo_fold_errors_match_loop(style, block_cells):
         n_folds = int(rng.integers(1, 6))  # one fold: no row has neighbours
         fold = rng.permutation(n) % n_folds
         k = int(rng.integers(1, 70))
-        assert _hex(kernels.knn_loo_fold_errors(X, y, fold, k, n_folds)) == _hex(
-            loop_knn_loo_fold_errors(X, y, fold, k, n_folds)
+        assert _hex(kernels.knn_loo_fold_errors(X, y, fold, k)) == _hex(
+            loop_knn_loo_fold_errors(X, y, fold, k)
         )
 
 

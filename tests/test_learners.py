@@ -145,14 +145,6 @@ def test_task_checks(binary_dataset, regression_dataset):
         train(LearnerSpec(kind=LearnerKind.RIDGE), binary_dataset)
 
 
-def test_include_group_changes_fit(binary_dataset):
-    spec = LearnerSpec(kind=LearnerKind.TREE, max_depth=4)
-    without = train(spec, binary_dataset)
-    with_g = train(spec, binary_dataset, include_group=True)
-    assert with_g.n_features == binary_dataset.k + binary_dataset.n_groups
-    assert without.n_features == binary_dataset.k
-
-
 def test_spec_validation():
     with pytest.raises(AnalysisError):
         LearnerSpec(kind=LearnerKind.KNN, k=0)

@@ -56,7 +56,7 @@ def test_mahalanobis_separable_goes_to_zero():
 
 def test_mahalanobis_matches_formula():
     d = gaussian_mixture(2000, 2.0, 1)
-    est = mahalanobis_upper(d, 0, standardize=False)
+    est = mahalanobis_upper(d, 0)
     p1, p2 = est.priors
     delta = est.auxiliary["delta"]
     assert est.e_up == pytest.approx(2 * p1 * p2 / (1 + p1 * p2 * delta))
@@ -70,7 +70,7 @@ def test_bhattacharyya_1d_frozen_example():
     e_up = 0.5 * rho
     e_low = 0.5 * (1 - np.sqrt(1 - rho**2))
     d = gaussian_mixture(100_000, 2.0, 2, k=1)
-    est = bhattacharyya_bounds(d, 0, standardize=False)
+    est = bhattacharyya_bounds(d, 0)
     assert est.e_up == pytest.approx(e_up, abs=0.01)
     assert est.e_low == pytest.approx(e_low, abs=0.01)
     assert est.e_low <= est.e_up
@@ -79,7 +79,7 @@ def test_bhattacharyya_1d_frozen_example():
 def test_bhattacharyya_brackets_bayes_error():
     for delta in (1.0, 2.0, 3.0):
         d = gaussian_mixture(60_000, delta, 3)
-        est = bhattacharyya_bounds(d, 0, standardize=False)
+        est = bhattacharyya_bounds(d, 0)
         bayes = analytic_bayes_error(delta)
         assert est.e_low - 0.01 <= bayes <= est.e_up + 0.01
 
@@ -172,20 +172,19 @@ def test_estimate_rejects_lower_bound_above_upper():
 # one function returned (cov, lam) for both.
 
 
-def _loop_class_stats(d, a, standardize):
+def _loop_class_stats(d, a):
     rows = d.group_indices(a)
     X = d.features[rows]
     y = d.outcome[rows]
-    if standardize:
-        mean = X.mean(axis=0)
-        scale = X.std(axis=0)
-        scale = np.where(scale > 0, scale, 1.0)
-        X = (X - mean) / scale
+    mean = X.mean(axis=0)
+    scale = X.std(axis=0)
+    scale = np.where(scale > 0, scale, 1.0)
+    X = (X - mean) / scale
     return X[y == 0.0], X[y == 1.0]
 
 
-def loop_mahalanobis(d, a, standardize):
-    neg, pos = _loop_class_stats(d, a, standardize)
+def loop_mahalanobis(d, a):
+    neg, pos = _loop_class_stats(d, a)
     n1, n2 = neg.shape[0], pos.shape[0]
     diff = pos.mean(axis=0) - neg.mean(axis=0)
     pooled = (
@@ -200,7 +199,7 @@ def loop_mahalanobis(d, a, standardize):
     return float(lam).hex(), float(diff @ np.linalg.solve(pooled, diff)).hex()
 
 
-def loop_bhattacharyya_covs(d, a, standardize):
+def loop_bhattacharyya_covs(d, a):
     def regularized_cov(X):
         cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
         k = cov.shape[0]
@@ -209,7 +208,7 @@ def loop_bhattacharyya_covs(d, a, standardize):
             lam = 1e-6
         return cov + lam * np.eye(k)
 
-    neg, pos = _loop_class_stats(d, a, standardize)
+    neg, pos = _loop_class_stats(d, a)
     return regularized_cov(neg), regularized_cov(pos)
 
 
@@ -233,14 +232,13 @@ def test_regularization_matches_the_inline_formulas():
     ))
     fallback = 0
     for d in cases:
-        for standardize in (True, False):
-            est = mahalanobis_upper(d, 0, standardize)
-            lam_hex, delta_hex = loop_mahalanobis(d, 0, standardize)
-            assert float(est.auxiliary["regularization"]).hex() == lam_hex
-            assert est.auxiliary["delta"].hex() == delta_hex
-            fallback += est.auxiliary["regularization"] == 1e-6
-            neg, pos = _loop_class_stats(d, 0, standardize)
-            for X, want in zip((neg, pos), loop_bhattacharyya_covs(d, 0, standardize)):
-                cov = np.cov(X, rowvar=False, ddof=1)
-                assert _regularized_cov(cov)[0].tobytes() == want.tobytes()
-    assert fallback == 2
+        est = mahalanobis_upper(d, 0)
+        lam_hex, delta_hex = loop_mahalanobis(d, 0)
+        assert float(est.auxiliary["regularization"]).hex() == lam_hex
+        assert est.auxiliary["delta"].hex() == delta_hex
+        fallback += est.auxiliary["regularization"] == 1e-6
+        neg, pos = _loop_class_stats(d, 0)
+        for X, want in zip((neg, pos), loop_bhattacharyya_covs(d, 0)):
+            cov = np.cov(X, rowvar=False, ddof=1)
+            assert _regularized_cov(cov)[0].tobytes() == want.tobytes()
+    assert fallback == 1

@@ -777,6 +777,45 @@ def test_cli_test_skips_a_group_it_cannot_test(tmp_path, kind, reason):
     assert sorted(results["pairwise_welch_holm"]) == ["0,2", "0,3", "2,3"]
 
 
+@pytest.mark.parametrize("third", ["random", "label"])
+def test_cli_test_reports_an_exact_gap_as_a_null_statistic(tmp_path, third):
+    # Group 0's score is its label and group 1's the flipped label, so their
+    # zero-one losses are all 0 and all 1: an exact gap, with no variance to
+    # scale it, whose z and Welch t are -inf.  Group 2 scores at random, or
+    # by its label, when no group's losses vary and the ANOVA F is inf too.
+    rng = np.random.default_rng(0)
+    rows = []
+    for g in range(3):
+        for i in range(40):
+            y = i % 2
+            score = (y, 1 - y, rng.uniform() if third == "random" else y)[g]
+            rows.append(f"{g},{y},{rng.normal():.4f},{score}\n")
+    data = tmp_path / "exact.csv"
+    data.write_text("g,y,x,score\n" + "".join(rows))
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\nscore=score\n")
+    files = ["--seed", 0, "--data", data, "--schema", schema]
+    assert run(["audit", *files, "--out", tmp_path / "audit"]) == 0
+    assert run(["test", *files, "--reps", 200, "--out", tmp_path / "test"]) == 0
+    doc = json.loads((tmp_path / "test" / "report.json").read_text())
+    results = doc["results"]
+    pairwise = results["pairwise_welch_holm"]
+    exact = [results["gamma_z_test"], pairwise["0,1"]]
+    if third == "label":
+        exact += [results["anova_f"], pairwise["1,2"]]
+        assert pairwise["0,2"]["statistic"] == 0.0
+    else:
+        assert results["anova_f"]["statistic"] > 0.0
+        assert pairwise["0,2"]["statistic"] < 0.0
+    for result in exact:
+        assert result["statistic"] is None
+        assert result["p_value"] == 0.0 and result["reject"] is True
+        assert any(w.startswith(f"{result['name']}: statistic ")
+                   and w.endswith(" from samples without variance, "
+                                  "reported as null")
+                   for w in doc["warnings"])
+
+
 def _audit_raw_scale_features(tmp_path, learner):
     # Adult-shaped raw columns: capital_gain reaches about 1e5.  A fit
     # that diverges can predict one class for everyone, so that FNR is 1

@@ -116,3 +116,110 @@ def test_every_export_is_used_by_another_module_or_allowlisted():
     }
     assert exported and names
     assert unreferenced == set(UNREFERENCED_EXPORTS)
+
+
+# Defaulted parameters that no call in the package sets, each kept on
+# purpose.  Input forms the package never passes are kept for the same
+# reason, though this syntactic gate cannot see them: the split kernels'
+# unbinned matrices (``bins=None``), which the kernel tests feed to their
+# loop references; ``fit_power_law``'s 2-tuples and the outcome models'
+# 1-D rows, which the acceptance tests use.
+_ITEM_4 = "paired model comparison, ROADMAP item 4"
+UNSET_PARAMETERS = {
+    ("compare_discrimination_test", "level"): _ITEM_4,
+    ("compare_discrimination_test", "groups"): _ITEM_4,
+    ("compare_models_bias_variance", "level"): _ITEM_4,
+    ("compare_models_bias_variance", "groups"): _ITEM_4,
+    ("homoskedastic_noise_gap", "groups"): "oracle of acceptance criterion 3",
+    ("run_cli", "argv"): "the entry point reads sys.argv when called bare",
+}
+
+
+def _functions():
+    """(module, function node, 1 for a method's ``self`` or ``cls`` else 0)
+    for every function the package defines, nested ones included."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {
+            fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not any(getattr(d, "id", None) == "staticmethod"
+                        for d in fn.decorator_list)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                yield path.stem, node, int(node in methods)
+
+
+def _calls_by_name():
+    """Every call in the package, keyed by the name it calls: ``f(...)``
+    and ``x.f(...)`` both call ``f``."""
+    calls = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, name, position):
+    """Whether ``call`` may pass the parameter ``name``: by keyword, by
+    ``**``, or by position (``position`` counts the caller's arguments;
+    None for keyword-only) or ``*``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(
+        isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def test_every_defaulted_parameter_is_set_by_the_package_or_allowlisted():
+    calls = _calls_by_name()
+    unset = set()
+    for _, fn, bound in _functions():
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = [
+            (arg.arg, i - bound)
+            for i, arg in enumerate(positional)
+            if i >= len(positional) - len(a.defaults)
+        ] + [
+            (arg.arg, None)
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults)
+            if default is not None
+        ]
+        for name, position in defaulted:
+            if not any(_sets(call, name, position)
+                       for call in calls.get(fn.name, ())):
+                unset.add((fn.name, name))
+    assert calls
+    assert unset == set(UNSET_PARAMETERS)
+
+
+def _is_stub(fn):
+    """An interface method whose body, past its docstring, only raises
+    NotImplementedError."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return len(body) == 1 and isinstance(body[0], ast.Raise) and (
+        getattr(body[0].exc, "id", None) == "NotImplementedError")
+
+
+def test_every_parameter_is_read_by_its_function():
+    unread = []
+    functions = list(_functions())
+    for module, fn, bound in functions:
+        if _is_stub(fn):
+            continue
+        a = fn.args
+        params = (a.posonlyargs + a.args)[bound:] + a.kwonlyargs + [
+            arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        read = {
+            node.id for stmt in fn.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name)
+        }
+        unread += [f"{module}.{fn.name}:{arg.arg}" for arg in params
+                   if arg.arg not in read]
+    assert functions
+    assert unread == []

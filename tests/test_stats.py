@@ -193,10 +193,21 @@ def test_welch_matches_scipy():
     assert p == pytest.approx(ref.pvalue, abs=1e-10)
 
 
+def test_welch_exact_gap_follows_the_z_test_rule():
+    # With no variance in either sample the gap is exact: both tests give
+    # the same statistic, signed as mean(x) - mean(y), and p-value.
+    for x, y in [(np.zeros(3), np.ones(3)), (np.ones(3), np.zeros(2)),
+                 (np.full(2, 0.5), np.full(4, 0.5))]:
+        stat, df, p = welch_t(x, y)
+        assert (stat, p) == two_sample_z(x, y)[2:]
+        assert df == x.size + y.size - 2
+    assert welch_t(np.zeros(3), np.ones(3))[0] == -math.inf
+
+
 def test_holm_adjustment_properties():
     rng = np.random.default_rng(9)
     groups = [rng.normal(loc, 1.0, 60) for loc in (0.0, 0.0, 1.0)]
-    results = pairwise_welch_holm(groups)
+    results = pairwise_welch_holm(dict(enumerate(groups)))
     assert set(results) == {(0, 1), (0, 2), (1, 2)}
     for pair, res in results.items():
         assert res.p_value >= res.detail["p_raw"]  # adjustment never shrinks
