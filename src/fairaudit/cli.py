@@ -7,6 +7,10 @@ checks as the flag; explicit flags win.  All randomness derives from
 --seed, and identical inputs plus seed give a byte-identical report body.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 analysis error.
+
+The module imports only the layers that parsing, loading data and
+emitting a report need; each subcommand imports its analysis modules,
+so one ``fairaudit`` process loads only the modules its subcommand runs.
 """
 
 from __future__ import annotations
@@ -19,10 +23,6 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from . import adult as adult_mod
-from . import curves as curves_mod
-from . import noise_bounds, stats, subgroups, synth
-from . import decomposition as decomp
 from .costs import (
     CostKind, brier_score, cost_losses, discrimination_level,
     empty_group_error, row_losses, sample_variance,
@@ -165,6 +165,8 @@ def cmd_audit(args, report: AuditReport) -> None:
 def _synth_spec(args):
     """The synthetic spec named by ``--synth-kind`` and its generator
     ``gen(spec, n, seed) -> (Dataset, ConditionalOutcomeModel)``."""
+    from . import synth
+
     if args.synth_kind == "regression":
         spec = synth.RegressionSynthSpec(
             sigma_eps=args.sigma_eps, homoskedastic=args.homoskedastic
@@ -174,6 +176,8 @@ def _synth_spec(args):
 
 
 def cmd_decompose(args, report: AuditReport) -> None:
+    from . import decomposition as decomp
+
     seed = args.seed
     spec = parse_learner(args.learner)
     if args.data:
@@ -213,6 +217,8 @@ def cmd_decompose(args, report: AuditReport) -> None:
 
 
 def cmd_curves(args, report: AuditReport) -> None:
+    from . import curves as curves_mod
+
     grid = _grid_sizes(args.grid)
     d = _load_data(args)
     spec = parse_learner(args.learner)
@@ -251,6 +257,8 @@ def cmd_curves(args, report: AuditReport) -> None:
 
 
 def cmd_noise(args, report: AuditReport) -> None:
+    from . import noise_bounds
+
     d = _load_data(args)
     max_samples = args.max_nn_samples if args.max_nn_samples > 0 else None
     estimates = noise_bounds.all_bounds(
@@ -264,6 +272,8 @@ def cmd_noise(args, report: AuditReport) -> None:
 
 
 def cmd_subgroups(args, report: AuditReport) -> None:
+    from . import subgroups
+
     kind = parse_kind(args.kind)
     if args.topics and kind is not CostKind.ZERO_ONE:
         raise ConfigError(
@@ -298,10 +308,10 @@ def cmd_subgroups(args, report: AuditReport) -> None:
         report.add("feature_threshold_clusters", summary)
 
 
-def _finite_statistic(report: AuditReport, result: stats.TestResult):
-    """``result`` as the report gives it: an infinite statistic, from an
-    exact gap (no variance to scale it by), becomes None with a warning;
-    its p-value and ``reject`` stand."""
+def _finite_statistic(report: AuditReport, result):
+    """``result``, a ``stats.TestResult``, as the report gives it: an
+    infinite statistic, from an exact gap (no variance to scale it by),
+    becomes None with a warning; its p-value and ``reject`` stand."""
     if math.isfinite(result.statistic):
         return result
     report.warn(
@@ -312,6 +322,8 @@ def _finite_statistic(report: AuditReport, result: stats.TestResult):
 
 
 def cmd_test(args, report: AuditReport) -> None:
+    from . import stats
+
     d = _load_data(args)
     preds, eval_set = _trained_predictions(args, d, args.seed)
     kind = parse_kind(args.kind)
@@ -360,6 +372,8 @@ def cmd_test(args, report: AuditReport) -> None:
 
 
 def cmd_synth(args, report: AuditReport) -> None:
+    from . import synth
+
     spec, gen = _synth_spec(args)
     d, _ = gen(spec, args.n, derive_seed(args.seed, "synth"))
     bayes = synth.exact_bayes(spec)
@@ -385,6 +399,8 @@ def cmd_report(args, report: AuditReport) -> None:
 
 
 def cmd_prepare_adult(args, report: AuditReport) -> None:
+    from . import adult as adult_mod
+
     if not args.data or not args.out_csv or not args.out_schema:
         raise ConfigError(
             "prepare-adult needs --data <raw adult.data> --out-csv <csv> "

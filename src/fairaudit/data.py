@@ -664,7 +664,10 @@ def split(d: Dataset, test_fraction: float, seed: int) -> DataSplit:
     train_idx = np.sort(perm[n_test:])
     if train_idx.size + test_idx.size != d.n:
         raise DataError("split lost or repeated rows")
-    if np.intersect1d(train_idx, test_idx).size:
+    # Both halves are sorted, so a test row that is also a train row sits
+    # where searchsorted would insert it into the train half.
+    at = np.minimum(np.searchsorted(train_idx, test_idx), train_idx.size - 1)
+    if (train_idx[at] == test_idx).any():
         raise DataError("split put rows in both train and test")
     return DataSplit(
         train=d.take(train_idx),

@@ -242,7 +242,7 @@ def compare_discrimination_test(
     for alpha in (+1.0, -1.0):
         # Z_alpha = alpha*(gamma0^A - gamma1^A) - (gamma0^B - gamma1^B);
         # grouping per-sample terms keeps the pairing.
-        z_stat, _, _, p = two_sample_z(alpha * la0 - lb0, alpha * la1 - lb1)
+        _, _, z_stat, p = two_sample_z(alpha * la0 - lb0, alpha * la1 - lb1)
         p_values.append(p)
         z_values.append(z_stat)
     # Intersection test: both must be unlikely.

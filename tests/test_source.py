@@ -1,7 +1,15 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import fairaudit
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fairaudit"
 
@@ -98,13 +106,7 @@ def _referenced_names(path):
 
 
 def test_every_export_is_used_by_another_module_or_allowlisted():
-    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    exported = {
-        alias.asname or alias.name: node.module
-        for node in init.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    }
+    exported = fairaudit._HOME
     names = {
         path.stem: _referenced_names(path)
         for path in SRC.glob("*.py") if path.stem != "__init__"
@@ -116,6 +118,139 @@ def test_every_export_is_used_by_another_module_or_allowlisted():
     }
     assert exported and names
     assert unreferenced == set(UNREFERENCED_EXPORTS)
+
+
+# The package's exports: 70 names and the 12 submodules that an eager
+# ``__init__`` once bound, which ``dir()`` swept into ``__all__``.
+EXPORTED_NAMES = {
+    "AnalysisError", "AuditReport", "BoundMethod", "ClusterReport",
+    "Clustering", "ClusteringKind", "ConditionalOutcomeModel", "ConfigError",
+    "CostKind", "DataError", "DataSplit", "Dataset", "DiscreteSynthSpec",
+    "EnsemblePredictions", "FairauditError", "GroupCostReport",
+    "GroupDecomposition", "LearnerKind", "LearnerSpec", "Loss",
+    "NoiseBoundEstimate", "PointDecomposition", "PowerLawFit", "PredictionSet",
+    "RegressionSynthSpec", "Schema", "Task", "TestResult", "all_bounds",
+    "anova_f", "apply_threshold", "bhattacharyya_bounds", "bootstrap_gamma_ci",
+    "bootstrap_resample", "class_conditional_decomposition",
+    "compare_discrimination_test", "compare_models_bias_variance",
+    "cover_hart_lower", "default_discrete_spec", "derive_seed",
+    "discrimination_level", "emit_report", "ensemble_train", "exact_bayes",
+    "extrapolate_gamma", "fit_curve_experiment", "fit_power_law", "gamma_bar",
+    "gamma_z_test", "gen_discrete", "gen_regression", "group_cost",
+    "group_decomposition", "load_dataset", "mahalanobis_upper", "nn_bounds",
+    "pairwise_welch_holm", "per_sample_losses", "point_decomposition",
+    "power_law_critical_point", "power_law_crossings", "rank_clusters",
+    "run_curve_experiment", "split", "subsample", "threshold_clusterings",
+    "train", "weighted_group_error", "welch_t", "write_dataset",
+}
+EXPORTED_MODULES = {
+    "costs", "curves", "data", "decomposition", "errors", "kernels",
+    "learners", "noise_bounds", "report", "stats", "subgroups", "synth",
+}
+
+
+def test_package_exports_the_same_names():
+    assert len(EXPORTED_NAMES) == 70 and len(fairaudit.__all__) == 82
+    assert set(fairaudit.__all__) == EXPORTED_NAMES | EXPORTED_MODULES
+    assert set(fairaudit._HOME) == EXPORTED_NAMES
+    assert set(dir(fairaudit)) >= set(fairaudit.__all__)
+
+
+def test_every_export_resolves_to_the_object_its_home_module_defines():
+    for name, home in fairaudit._HOME.items():
+        module = importlib.import_module(f"fairaudit.{home}")
+        assert getattr(fairaudit, name) is vars(module)[name], name
+    for name in EXPORTED_MODULES:
+        assert getattr(fairaudit, name) is sys.modules[f"fairaudit.{name}"]
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from fairaudit import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(fairaudit.__all__)
+    assert namespace["split"] is sys.modules["fairaudit.data"].split
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fairaudit.no_such_name
+    # A submodule outside the exports still imports by name.
+    from fairaudit import adult
+
+    assert adult is sys.modules["fairaudit.adult"]
+
+
+# Run in a fresh interpreter: prints the package modules it loaded after
+# importing ``fairaudit.cli`` and, given arguments, after ``run_cli`` on them.
+_LOADED = """
+import json, sys
+from fairaudit import cli
+code = cli.run_cli(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(
+    m for m in sys.modules if m.split(".")[0] == "fairaudit")]))
+"""
+
+
+def _loaded_modules(*argv):
+    """The ``fairaudit`` modules a fresh process loads to run ``argv``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, *map(str, argv)], env=env,
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0, done.stderr
+    return {m.removeprefix("fairaudit.") for m in modules}
+
+
+def test_each_subcommand_imports_only_the_modules_it_runs(tmp_path):
+    assert _loaded_modules() == {
+        "fairaudit", "cli", "costs", "data", "errors", "kernels", "learners",
+        "report",
+    }
+    data, schema = tmp_path / "synth.csv", tmp_path / "schema.txt"
+    schema.write_text("group=group\noutcome=outcome\ntask=binary\n")
+    loaded = _loaded_modules("synth", "--seed", 0, "--n", 200, "--data", data,
+                             "--out", tmp_path / "synth")
+    assert "synth" in loaded
+    assert not loaded & {"decomposition", "curves", "noise_bounds", "stats",
+                         "subgroups", "adult"}
+    loaded = _loaded_modules("noise", "--seed", 0, "--data", data, "--schema",
+                             schema, "--out", tmp_path / "noise")
+    assert "noise_bounds" in loaded
+    assert not loaded & {"decomposition", "curves", "stats", "subgroups",
+                         "synth", "adult"}
+    loaded = _loaded_modules(
+        "decompose", "--seed", 0, "--synth-kind", "discrete", "--learner",
+        "tree:max_depth=2", "--t-models", 2, "--n-train", 50, "--eval-size",
+        50, "--out", tmp_path / "decompose",
+    )
+    assert "decomposition" in loaded
+    assert not loaded & {"curves", "noise_bounds", "subgroups", "adult"}
+
+
+def test_only_cli_imports_inside_functions():
+    # A subcommand defers its analysis modules so a process loads only what
+    # it runs; the pattern stays in ``cli``, and there names modules only.
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                names_modules = (
+                    isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is None
+                    and all(a.name in modules for a in node.names)
+                )
+                if path.stem != "cli" or not names_modules:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert modules
+    assert found == []
 
 
 # Defaulted parameters that no call in the package sets, each kept on

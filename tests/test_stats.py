@@ -462,15 +462,17 @@ def loop_compare_discrimination_test(preds_a, preds_b, d, kind, groups=(0, 1)):
     for alpha in (+1.0, -1.0):
         u0 = alpha * la0 - lb0
         u1 = alpha * la1 - lb1
-        z_stat = float(u0.mean() - u1.mean())
+        gap = float(u0.mean() - u1.mean())
         var = (u0.var(ddof=1) / u0.size if u0.size > 1 else 0.0) + (
             u1.var(ddof=1) / u1.size if u1.size > 1 else 0.0
         )
         se = math.sqrt(var)
         if se == 0.0:
-            p = 1.0 if z_stat == 0.0 else 0.0
+            z_stat = 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+            p = 1.0 if gap == 0.0 else 0.0
         else:
-            p = two_tailed_normal_p(z_stat / se)
+            z_stat = gap / se
+            p = two_tailed_normal_p(z_stat)
         p_values.append(p)
         z_values.append(z_stat)
     gap_a = float(la0.mean() - la1.mean())
@@ -554,6 +556,23 @@ def test_z_tests_match_the_loop_bodies(kind):
             assert _z_outcome(
                 lambda: _compare_fields(compare_discrimination_test(a, b, d, kind))
             ) == _z_outcome(lambda: loop_compare_discrimination_test(a, b, d, kind))
+
+
+def test_compare_discrimination_reports_z_scores_not_gaps():
+    rng = np.random.default_rng(5)
+    d, preds = loss_dataset((rng.random(80) < 0.3).astype(float),
+                            (rng.random(60) < 0.5).astype(float))
+    other = PredictionSet(labels=(rng.random(d.n) < 0.5).astype(float))
+    kind = CostKind.ZERO_ONE
+    la0, la1, lb0, lb1 = (per_sample_losses(p, d, kind, a)
+                          for p in (preds, other) for a in (0, 1))
+    detail = compare_discrimination_test(preds, other, d, kind).detail
+    z_plus = two_sample_z(la0 - lb0, la1 - lb1)[2]
+    z_minus = two_sample_z(-la0 - lb0, -la1 - lb1)[2]
+    assert detail["z_plus"].hex() == z_plus.hex()
+    assert detail["z_minus"].hex() == z_minus.hex()
+    # A z-score, not the paired mean difference it scales.
+    assert z_plus != two_sample_z(la0 - lb0, la1 - lb1)[0]
 
 
 def test_two_sample_z_degenerate_cases():
