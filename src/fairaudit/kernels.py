@@ -12,18 +12,28 @@ most ``_BLOCK_CELLS`` distance cells, so their memory stays flat however
 many rows a group has.
 
 Split search works on value bins: each column's distinct values in
-ascending order, numbered column by column (``bin_table``).  A node passes
-its rows' (rows, features) bin codes and the table; a tree's nodes, or a
-forest's trees, share one table built by one argsort per column.  The
-Gini kernel counts rows and positives per bin with ``np.bincount`` and
-scores the cuts between consecutive non-empty bins of a feature; its
-counts are exact integers, so the scores equal the loop's.  The variance
-kernel sorts the codes, which orders the rows as a stable sort of the
-values does, and keeps the in-order running sums.  Called without a
-table, either kernel bins its matrix first.  A threshold is the midpoint
-of the values on either side of the cut, or the upper value where the
-midpoint would not separate them; rows go right when their value is at
-least the threshold.
+ascending order, numbered column by column (``bin_table``).  A tree's
+nodes, or a forest's trees, share one table built by one argsort per
+column, and pass their rows as (rows, features) bin codes into it.
+
+The Gini kernel searches many nodes at once: a whole level of the trees
+a forest grows together, each row tagged with its node and weighted by
+how often its tree drew it, or one node of a single tree.  One
+``np.bincount`` counts the rows of each (node, bin, label) key, and the
+cuts between consecutive non-empty bins of a column are scored from
+running sums over those counts.  The counts are exact integers, so each
+node's scores, and the cut its scan keeps, equal the per-node loop's.
+While a table over every key would hold at most ``_TABLE_PER_CELL``
+entries per cell counted, it is used as is; past that (all-distinct
+columns, deep levels) the keys are first densified to the ones that
+occur (``densify``), so no table grows with nodes times bins.
+The variance kernel searches one node: it sorts the codes, which orders
+the rows as a stable sort of the values does, and keeps the in-order
+running sums, so a tree's regression nodes are searched one at a time.
+Called without a table, either kernel bins its matrix first.  A threshold
+is the midpoint of the values on either side of the cut, or the upper
+value where the midpoint would not separate them; rows go right when
+their value is at least the threshold.
 """
 
 from __future__ import annotations
@@ -43,6 +53,11 @@ _BLOCK_CELLS = 1 << 15
 # A split search's result when no cut separates the node.
 _NO_SPLIT = (-1, 0.0, np.inf)
 
+# The Gini kernel counts into a table over every (node, bin, label) key
+# while it has at most this many entries per cell of the codes; past that
+# it densifies the keys first.
+_TABLE_PER_CELL = 4
+
 
 def zscore(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns of X centred on their means and divided by their population
@@ -56,19 +71,10 @@ def zscore(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 class Bins(NamedTuple):
     """A bin table: each column's distinct values in ascending order, the
-    bins numbered column by column.  ``feature`` holds each bin's column
-    among the columns of the codes the table serves, and -1 for a column
-    they leave out."""
+    bins numbered column by column, and each bin's column."""
 
     values: np.ndarray
     feature: np.ndarray
-
-    def select(self, cols: np.ndarray) -> "Bins":
-        """The table served to codes that keep only the columns ``cols``
-        (ascending), numbered 0, 1, ... in that order."""
-        local = np.full(self.feature.max() + 1, -1, dtype=np.intp)
-        local[cols] = np.arange(cols.size)
-        return Bins(self.values, local[self.feature])
 
 
 def bin_table(X: np.ndarray) -> tuple[np.ndarray, Bins]:
@@ -106,11 +112,14 @@ def renumber_dense(values: np.ndarray, span: int):
     return number[values], used.nonzero()[0]
 
 
-def compact_bins(codes: np.ndarray, bins: Bins) -> tuple[np.ndarray, Bins]:
-    """The codes renumbered over only the bins they use, and the table of
-    those bins, in the same order."""
-    codes, keep = renumber_dense(codes, bins.values.size)
-    return codes, Bins(bins.values[keep], bins.feature[keep])
+def densify(key: np.ndarray, span: int):
+    """The keys (each in [0, span)) renumbered 0, 1, ... in key order, and
+    the distinct keys in that order: through a table over the span when it
+    is at most a few times the key count, else by sorting."""
+    if 0 < span <= 4 * key.size:
+        return renumber_dense(key, span)
+    distinct, dense = np.unique(key, return_inverse=True)
+    return dense, distinct
 
 
 def _threshold(lo: float, hi: float) -> float:
@@ -149,74 +158,210 @@ def _at_cuts(running: np.ndarray, cuts):
     return running.ravel()[cuts + feat], pos + 1
 
 
-def _first_best(score: np.ndarray) -> tuple[int, float]:
+def _scan(score: np.ndarray) -> int:
     """The index of the cut a scan in ``score``'s order keeps when it
-    accepts a cut only if ``score < best - 1e-12``, and its score; -1 when
-    it keeps none.  Ties go to the earliest cut.
+    accepts a cut only if ``score < best - 1e-12``; -1 when it keeps none.
+    Ties go to the earliest cut.
 
-    Every accepted cut scores below all cuts scanned before it, so only
-    those strict running-minimum records are scanned here.
+    Every accepted cut scores below all cuts scanned before it (NaN
+    aside), so only those strict running-minimum records are scanned here.
     """
-    score = score.ravel()
-    before = np.concatenate(([np.inf], np.fmin.accumulate(score)[:-1]))
+    before = np.fmin.accumulate(np.concatenate(([np.inf], score[:-1])))
     records = (score < before).nonzero()[0]
     best_at, best = -1, np.inf
     for at, s in zip(records.tolist(), score[records].tolist()):
         if s < best - 1e-12:
             best_at, best = at, s
-    return best_at, best
+    return best_at
 
 
-def best_split_gini(codes, y, bins=None):
-    """Best axis-aligned split of a classification node by Gini impurity.
+def _first_best(score: np.ndarray, seg: np.ndarray, n_segs: int) -> np.ndarray:
+    """For each of ``n_segs`` segments, the index into ``score`` of the cut
+    that ``_scan`` keeps over that segment's scores, or -1; ``seg`` holds
+    each cut's segment, in ascending order.
 
-    ``codes`` holds the node's rows as bin codes into ``bins``; with
-    ``bins`` None it is the node's feature matrix, binned here.  ``y``
-    holds 0/1 labels.  Returns (feature, threshold, weighted_impurity);
-    feature == -1 when no split separates the node.  Ties break toward the
-    lowest feature index, then the lowest threshold.
-
-    Rows and positives are counted per bin.  A cut lies between two
-    consecutive non-empty bins of a feature; every row has one bin per
-    feature, so the counts left of a cut on feature f are running sums
-    over the bins minus f times the node's totals, exact integers.
+    The scan keeps a segment's first lowest score (NaN aside) unless a
+    cut before it scores within 1e-12 above it; only segments with such a
+    near tie are scanned.
     """
-    n, k = codes.shape
-    if n < 2:
-        return _NO_SPLIT
+    at = np.full(n_segs, -1, dtype=np.intp)
+    if score.size == 0:
+        return at
+    first = np.empty(score.size, dtype=bool)
+    first[0] = True
+    np.not_equal(seg[1:], seg[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    rank = first.cumsum()
+    rank -= 1
+    low = np.fmin.reduceat(score, starts)[rank]
+    index = np.arange(score.size)
+    lowest = np.minimum.reduceat(
+        np.where(score == low, index, score.size), starts)
+    at[seg[starts]] = np.where(lowest < score.size, lowest, -1)
+    near = (score - 1e-12 <= low) & (index < lowest[rank])
+    if near.any():
+        ends = np.append(starts[1:], score.size)
+        for r in np.unique(rank[near]).tolist():
+            found = _scan(score[starts[r]:ends[r]])
+            at[seg[starts[r]]] = -1 if found < 0 else starts[r] + found
+    return at
+
+
+class GiniSplits(NamedTuple):
+    """Each node's best Gini split, as arrays over the nodes: the column
+    of the codes (-1 where no cut separates the node), the threshold, the
+    weighted impurity (inf with no split), and the weighted counts of the
+    rows and of the positive rows sent left."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    score: np.ndarray
+    n_left: np.ndarray
+    pos_left: np.ndarray
+
+
+def best_splits_gini(codes, y, bins=None, node=None, weight=None) -> GiniSplits:
+    """Best axis-aligned split by Gini impurity of each of a set of
+    classification nodes, all searched at once.
+
+    ``codes`` holds the rows as bin codes into ``bins``; with ``bins``
+    None it is a feature matrix, binned here.  Row i, labelled y[i] in
+    {0, 1}, belongs to node ``node[i]`` (node 0 for every row when
+    ``node`` is None) and counts ``weight[i]`` times (once when ``weight``
+    is None); each node in 0 .. max(node) must hold a row.  Ties break
+    toward the lowest feature index, then the lowest threshold.
+
+    One ``np.bincount`` counts the weighted rows of each (label, node,
+    bin) key.  A cut lies between two consecutive non-empty bins of one
+    column in a node, and the rows left of it are a running sum over
+    those bins, an exact integer, so every score is the per-row loop's.
+    The table holds every key while it has at most ``_TABLE_PER_CELL``
+    entries per cell of the codes; past that the keys are densified
+    first.
+
+    With ``node`` None, a single tree's search, the per-node bookkeeping
+    (node totals, node keys, per-node corrections and scans) reduces to
+    scalars and one ``_scan``.  Taking the general form there instead
+    costs about 1.7 times as much per call, enough to slow a session of
+    shallow single trees by a tenth.
+    """
+    n_rows, k = codes.shape
     if bins is None:
         codes, bins = bin_table(codes)
     size = bins.values.size
-    count = np.bincount(codes.ravel(), minlength=size)
     positive = y == 1.0
-    total_pos = int(positive.sum())
-    pos = np.bincount(codes.compress(positive, axis=0).ravel(), minlength=size)
-    filled = count.nonzero()[0]
-    feat = bins.feature[filled]
-    cut = (feat[1:] == feat[:-1]).nonzero()[0]
+    if node is None:
+        n_nodes, node_key = 1, None
+        n_total = n_rows if weight is None else weight.sum()
+        total_pos = (np.count_nonzero(positive) if weight is None
+                     else weight[positive].sum())
+    else:
+        n_nodes, node_key = int(node.max()) + 1, node * size
+        totals = np.bincount(2 * node + positive, weight, minlength=2 * n_nodes)
+        total_pos = totals[1::2]
+        n_total = totals[0::2] + total_pos
+    span = n_nodes * size
+    cell_weight = None if weight is None else np.repeat(weight, k)
+    # Keys label * span + node * size + bin, or, densified, label * (keys
+    # that occur) + the (node, bin) key's rank among them.
+    row_key = positive.astype(np.intp)
+    if 2 * span <= _TABLE_PER_CELL * codes.size:
+        row_key *= span
+        if node is not None:
+            row_key += node_key
+        key, filled = codes + row_key[:, None], None
+    else:
+        pair = codes if node is None else codes + node_key[:, None]
+        key, filled = densify(pair.ravel(), span)
+        span = filled.size
+        key = key.reshape(codes.shape)
+        row_key *= span
+        key += row_key[:, None]
+    table = np.bincount(key.ravel(), cell_weight, minlength=2 * span)
+    count, pos = table[:span] + table[span:], table[span:]
+    if filled is None:
+        filled = count.nonzero()[0]
+        count, pos = count[filled], pos[filled]
+    # ``count`` and ``pos`` hold the rows and positive rows of each (node,
+    # bin) that holds a row, in key order: node by node, column by column,
+    # value by value.  A run is one column of one node; every node has one
+    # run per column of the codes, each holding all of its rows.
+    if node is None:
+        bin_of = filled
+        run = bins.feature[bin_of]
+    else:
+        node_of, bin_of = np.divmod(filled, size)
+        run = bins.feature[bin_of] + node_of * size
+    same = run[1:] == run[:-1]
+    cut = same.nonzero()[0]
     if cut.size == 0:
-        return _NO_SPLIT
-    f = feat[cut]
-    n_l = count[filled].cumsum()[cut] - n * f
-    left_pos = pos[filled].cumsum()[cut] - total_pos * f
-    n_r = n - n_l
+        return _no_splits(n_nodes, table.dtype)
+    # A new run starts between each two consecutive entries except at a
+    # cut, so the cut after entry i lies in run i - (cuts before it):
+    # column ``f`` of its node.  The rows left of it are the running count
+    # less the rows of each earlier node, once per column, and of its own
+    # node, once per earlier column; likewise the positive rows.
+    f = cut - np.arange(cut.size)
+    n_l = count.cumsum()[cut]
+    left_pos = pos.cumsum()[cut]
+    if node is None:
+        n_l -= n_total * f
+        left_pos -= total_pos * f
+    else:
+        nd = node_of[cut]
+        f -= nd * k
+        n_l -= k * (n_total.cumsum() - n_total)[nd] + n_total[nd] * f
+        left_pos -= k * (total_pos.cumsum() - total_pos)[nd] + total_pos[nd] * f
+        n_total, total_pos = n_total[nd], total_pos[nd]
+    n_r = n_total - n_l
     p_l = left_pos / n_l
     p_r = (total_pos - left_pos) / n_r
     score = n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)
-    at, best = _first_best(score)
-    if at < 0:
-        return _NO_SPLIT
-    lo, hi = bins.values[filled[cut[at] : cut[at] + 2]].tolist()
-    return int(f[at]), _threshold(lo, hi), best
+    if node is None:
+        at = _scan(score)
+        if at < 0:
+            return _no_splits(1, table.dtype)
+        lo, hi = bins.values[bin_of[cut[at]:cut[at] + 2]].tolist()
+        at = slice(at, at + 1)
+        return GiniSplits(f[at], np.array([_threshold(lo, hi)]), score[at],
+                          n_l[at], left_pos[at])
+    at = _first_best(score, nd, n_nodes)
+    found = (at >= 0).nonzero()[0]
+    at = at[found]
+    c = cut[at]
+    out = _no_splits(n_nodes, table.dtype)
+    out.feature[found] = f[at]
+    out.threshold[found] = [
+        _threshold(lo, hi) for lo, hi in zip(
+            bins.values[bin_of[c]].tolist(), bins.values[bin_of[c + 1]].tolist())
+    ]
+    out.score[found] = score[at]
+    out.n_left[found] = n_l[at]
+    out.pos_left[found] = left_pos[at]
+    return out
+
+
+def _no_splits(n_nodes: int, dtype) -> GiniSplits:
+    """GiniSplits of ``n_nodes`` nodes that no cut separates."""
+    feature = np.empty(n_nodes, dtype=np.intp)
+    feature.fill(-1)
+    score = np.empty(n_nodes)
+    score.fill(np.inf)
+    return GiniSplits(feature, np.zeros(n_nodes), score,
+                      np.zeros(n_nodes, dtype=dtype), np.zeros(n_nodes, dtype=dtype))
 
 
 def best_split_var(codes, y, bins=None):
     """Best split of a regression node by weighted within-child variance.
 
-    Same arguments, contract and tie-breaking as best_split_gini, but any
-    real ``y``.  Sorting the codes gives the stable order of the values,
-    as equal codes mean equal values; the running sums add the sorted
-    rows in order.
+    ``codes`` holds the node's rows as bin codes into ``bins``; with
+    ``bins`` None it is the node's feature matrix, binned here.  ``y``
+    holds any real labels.  Returns (feature, threshold, score); feature
+    == -1 when no split separates the node.  Ties break toward the lowest
+    feature index, then the lowest threshold.
+
+    Sorting the codes gives the stable order of the values, as equal codes
+    mean equal values; the running sums add the sorted rows in order.
     """
     n = codes.shape[0]
     if n < 2:
@@ -236,9 +381,11 @@ def best_split_var(codes, y, bins=None):
     score = (left_sq - left_sum * left_sum / n_l) + (
         right_sq - right_sum * right_sum / n_r
     )
-    at, best = _first_best(score)
+    score = score.ravel()
+    at = _scan(score)
     if at < 0:
         return _NO_SPLIT
+    best = float(score[at])
     if cuts is not None:
         at = int(cuts[at])
     feat, pos = divmod(at, n - 1)

@@ -249,17 +249,6 @@ def _splits(model: TrainedModel):
 _KEY_LIMIT = 1 << 62
 
 
-def _densify(key: np.ndarray, span: int):
-    """The keys (each in [0, span)) renumbered 0, 1, ... in key order, and
-    the count of distinct keys: through a table over the span when it is
-    at most a few times the row count, else by sorting."""
-    if 0 < span <= 4 * key.size:
-        dense, distinct = kernels.renumber_dense(key, span)
-        return dense, distinct.size
-    distinct, dense = np.unique(key, return_inverse=True)
-    return dense, distinct.size
-
-
 def threshold_cells(features: np.ndarray, models):
     """The cells of the rows of ``features`` under the split grid of the
     tree models ``models``: (cell of each row, one row of each cell).
@@ -296,15 +285,16 @@ def threshold_cells(features: np.ndarray, models):
         f, cuts = columns[lo], thresholds[lo:hi]
         radix = cuts.size + 1
         if span * radix > _KEY_LIMIT:
-            key, span = _densify(key, span)
+            key, distinct = kernels.densify(key, span)
+            span = distinct.size
         x = features[:, f]
         rank = np.searchsorted(cuts, x, side="right")
         rank[np.isnan(x)] = 0
         key *= radix
         key += rank
         span *= radix
-    cells, count = _densify(key, span)
-    rows = np.empty(count, dtype=np.intp)
+    cells, distinct = kernels.densify(key, span)
+    rows = np.empty(distinct.size, dtype=np.intp)
     rows[cells] = np.arange(cells.size)  # any row of a cell serves
     return cells, rows
 
@@ -479,45 +469,61 @@ def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
 
 def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
     """A tree grown on the rows of the feature matrix X, or, with ``bins``,
-    on X as the bin codes of its rows into that table."""
+    on X as the bin codes of its rows into that table.  Nodes are numbered
+    in preorder: a node, then its left subtree, then its right."""
     if bins is None:
         X, bins = kernels.bin_table(X)
+    binary = task is Task.BINARY
     feature, threshold, left, right, value = [], [], [], [], []
-
-    def build(codes: np.ndarray, yn: np.ndarray, bins, depth: int) -> int:
-        # codes, yn are this node's rows, sliced once from the parent's.
+    # A node's rows (codes and labels, sliced once from the parent's), its
+    # depth, the child list and parent that take its index, and, for a
+    # binary leaf, its row count and label sum in place of its rows.  The
+    # right child is pushed first, so the left subtree is numbered first.
+    stack = [(X, y, 0, left, -1, None)]
+    while stack:
+        codes, yn, depth, link, parent, counts = stack.pop()
         node = len(feature)
+        if parent >= 0:
+            link[parent] = node
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(float(yn.sum() / yn.size))  # bit-equal to yn.mean()
-        if depth >= max_depth or yn.size < 2 or (yn == yn[0]).all():
-            return node
+        n, total = (yn.size, yn.sum()) if counts is None else counts
+        value.append(float(total / n))  # bit-equal to yn.mean()
+        if depth >= max_depth or n < 2:
+            continue
+        # 0/1 labels sum exactly: a node is pure when they sum to 0 or n.
+        if (total == 0.0 or total == n) if binary else (yn == yn[0]).all():
+            continue
         # Looked up on the module at each node, so a wrapper installed on
         # ``kernels`` sees every call.
-        if task is Task.BINARY:
-            # The Gini kernel scans every bin of its table, so a node with
-            # fewer cells than bins gets a table of its own bins.
-            if bins.values.size > codes.size:
-                codes, bins = kernels.compact_bins(codes, bins)
-            feat, thresh, _ = kernels.best_split_gini(codes, yn, bins)
+        if binary:
+            split = kernels.best_splits_gini(codes, yn, bins)
+            feat, thresh = int(split.feature[0]), float(split.threshold[0])
         else:
             feat, thresh, _ = kernels.best_split_var(codes, yn, bins)
         if feat < 0:
-            return node
+            continue
+        feature[node] = int(feat)
+        threshold[node] = float(thresh)
+        # Children at the depth limit are leaves.  A binary leaf's value
+        # follows from the counts of the search (0/1 labels sum exactly).
+        inner = depth + 1 < max_depth
+        if binary and not inner:
+            n_left, pos_left = split.n_left[0], split.pos_left[0]
+            stack.append((None, None, depth + 1, right, node,
+                          (n - n_left, total - pos_left)))
+            stack.append((None, None, depth + 1, left, node,
+                          (n_left, pos_left)))
+            continue
         # By value, not by code: the threshold need not be a bin's value.
         go_right = bins.values[codes[:, feat]] >= thresh
         go_left = ~go_right
-        feature[node] = int(feat)
-        threshold[node] = float(thresh)
-        left[node] = build(codes.compress(go_left, axis=0),
-                           yn.compress(go_left), bins, depth + 1)
-        right[node] = build(codes.compress(go_right, axis=0),
-                            yn.compress(go_right), bins, depth + 1)
-        return node
-
-    build(X, y, bins, 0)
+        stack.append((codes.compress(go_right, axis=0) if inner else None,
+                      yn.compress(go_right), depth + 1, right, node, None))
+        stack.append((codes.compress(go_left, axis=0) if inner else None,
+                      yn.compress(go_left), depth + 1, left, node, None))
     return TreeModel(
         kind=LearnerKind.TREE,
         task=task,
@@ -530,35 +536,179 @@ def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
     )
 
 
+# Most (drawn row, column) cells of the binary trees of a bagged forest that
+# grow together.  A level holds about 20 bytes per cell (codes, count keys
+# and row weights), so a group's memory stays flat however many trees the
+# forest has.
+_GROUP_CELLS = 1 << 16
+
+
+def _grow_forest(codes, bins, y, draws, max_depth: int) -> list:
+    """Binary trees grown together, one per (rows, cols) draw, each equal
+    byte for byte to ``_grow_tree`` on ``codes[rows][:, cols]``.
+
+    The trees grow level by level: one ``kernels.best_splits_gini`` call
+    searches every node of the level, its rows being each tree's distinct
+    drawn rows weighted by how often the tree drew them.  A node's counts
+    are exact integers, so its value, its purity and its children's counts
+    come from the kernel's counts.  The levels are then renumbered into
+    the preorder ``_grow_tree`` gives its nodes.
+    """
+    n = codes.shape[0]
+    n_trees = len(draws)
+    drawn = np.bincount(
+        np.concatenate([t * n + rows for t, (rows, _) in enumerate(draws)]),
+        minlength=n_trees * n)
+    sample = drawn.nonzero()[0]
+    weight = drawn[sample].astype(np.float64)
+    tree, row = np.divmod(sample, n)
+    cols = np.stack([c for _, c in draws])
+    if cols.shape[1] == codes.shape[1]:  # every tree has every column
+        cells = codes[row]
+    else:
+        cells = codes[row[:, None], cols[tree]]
+    label = y[row]
+    node = tree  # each row's node among those of the current depth
+    node_n = np.full(n_trees, n)
+    node_pos = np.bincount(tree, weight * label, minlength=n_trees)
+    # Per depth: each node's value, feature, threshold and whether it
+    # splits; the children of the depth's splitting nodes, left then
+    # right, are the next depth's nodes in order.
+    levels = []
+    while True:
+        value = node_pos / node_n
+        feature = np.full(value.size, -1, dtype=np.int64)
+        threshold = np.zeros(value.size)
+        splits = np.zeros(value.size, dtype=bool)
+        levels.append((value, feature, threshold, splits))
+        if len(levels) > max_depth:
+            break
+        grows = (node_n >= 2) & (node_pos > 0) & (node_pos < node_n)
+        slot = np.where(grows, grows.cumsum() - 1, -1)
+        slot = np.where(node >= 0, slot[node], -1)
+        kept = slot >= 0
+        if not kept.all():
+            if not kept.any():
+                break
+            slot, cells = slot[kept], cells.compress(kept, axis=0)
+            label, weight = label[kept], weight[kept]
+        found = kernels.best_splits_gini(cells, label, bins, slot, weight)
+        front = grows.nonzero()[0]
+        did = found.feature >= 0
+        if not did.any():
+            break
+        parent = front[did]
+        splits[parent] = True
+        feature[parent] = found.feature[did]
+        threshold[parent] = found.threshold[did]
+        n_left, pos_left = found.n_left[did], found.pos_left[did]
+        children_n = np.empty(2 * parent.size)
+        children_n[0::2] = n_left
+        children_n[1::2] = node_n[parent] - n_left
+        children_pos = np.empty(2 * parent.size)
+        children_pos[0::2] = pos_left
+        children_pos[1::2] = node_pos[parent] - pos_left
+        node_n, node_pos = children_n, children_pos
+        if len(levels) == max_depth:
+            continue  # the children are leaves at the depth limit
+        # By value, not by code, as ``_grow_tree`` splits: the value of each
+        # row's code in its node's split column, read from the flat codes.
+        at = found.feature[slot]
+        at += np.arange(0, cells.size, cells.shape[1])
+        go_right = bins.values[cells.ravel()[at]] >= found.threshold[slot]
+        # Rows of a node that does not split get a negative node.
+        node = np.where(did, did.cumsum() - 1, -1)[slot] * 2 + go_right
+    return _preorder_trees(levels, n_trees, cols.shape[1])
+
+
+def _preorder_trees(levels, n_trees: int, n_features: int) -> list:
+    """The TreeModels of trees stored by depth (see ``_grow_forest``), the
+    roots being the first depth's nodes, with each tree's nodes numbered
+    in preorder."""
+    # Subtree sizes, from the deepest level up.
+    sizes = [None] * len(levels)
+    below = None
+    for d in range(len(levels) - 1, -1, -1):
+        splits = levels[d][3]
+        size = np.ones(splits.size, dtype=np.int64)
+        if below is not None:
+            size[splits] += below.reshape(-1, 2).sum(axis=1)
+        sizes[d] = below = size
+    # Preorder positions within each tree, from the roots down: a left
+    # child follows its parent, a right child follows its left sibling's
+    # subtree.
+    tree, pre = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
+    offset = np.concatenate(([0], sizes[0].cumsum()))
+    total = int(offset[-1])
+    node_feature = np.empty(total, dtype=np.int64)
+    node_threshold = np.empty(total)
+    node_value = np.empty(total)
+    node_left = np.full(total, -1, dtype=np.int64)
+    node_right = np.full(total, -1, dtype=np.int64)
+    for d, (value, feature, threshold, splits) in enumerate(levels):
+        at = offset[tree] + pre
+        node_feature[at] = feature
+        node_threshold[at] = threshold
+        node_value[at] = value
+        if not splits.any():
+            break
+        left = pre[splits] + 1
+        right = left + sizes[d + 1][0::2]
+        node_left[at[splits]] = left
+        node_right[at[splits]] = right
+        tree = np.repeat(tree[splits], 2)
+        pre = np.column_stack((left, right)).ravel()
+    return [
+        TreeModel(
+            kind=LearnerKind.TREE, task=Task.BINARY, n_features=n_features,
+            node_feature=node_feature[lo:hi],
+            node_threshold=node_threshold[lo:hi],
+            node_left=node_left[lo:hi], node_right=node_right[lo:hi],
+            node_value=node_value[lo:hi],
+        )
+        for lo, hi in zip(offset[:-1].tolist(), offset[1:].tolist())
+    ]
+
+
 def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> BaggedModel:
     n, k = X.shape
-    n_feats = max(1, int(np.ceil(spec.feature_fraction * k)))
+    n_feats = min(k, max(1, int(np.ceil(spec.feature_fraction * k))))
     # One bin table serves every tree: each takes its rows and columns of
     # the codes.
     codes, bins = kernels.bin_table(X)
     every = np.arange(k)
-    trees = []
-    subsets = []
+    draws = []
     for t in range(spec.n_trees):
         rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
         rows = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-        if n_feats == k:
-            # The column draw is the tree's last, so skipping it changes
-            # no other draw.
-            cols, tree_codes, tree_bins = every, codes[rows], bins
-        else:
-            cols = np.sort(rng.choice(k, size=n_feats, replace=False))
-            tree_codes, tree_bins = codes[np.ix_(rows, cols)], bins.select(cols)
-        trees.append(
-            _grow_tree(tree_codes, y[rows], task, spec.max_depth, tree_bins)
-        )
-        subsets.append(cols)
+        # The column draw is the tree's last, so skipping it changes no
+        # other draw.
+        cols = every if n_feats == k else np.sort(
+            rng.choice(k, size=n_feats, replace=False))
+        draws.append((rows, cols))
+    if task is Task.BINARY:
+        # The trees of a group hold their rows' codes at once, each in the
+        # smallest type that holds every code.
+        codes = codes.astype(np.min_scalar_type(bins.values.size))
+        per_group = max(1, _GROUP_CELLS // max(1, n * n_feats))
+        trees = [
+            tree
+            for lo in range(0, len(draws), per_group)
+            for tree in _grow_forest(
+                codes, bins, y, draws[lo:lo + per_group], spec.max_depth)
+        ]
+    else:
+        trees = [
+            _grow_tree(codes[rows] if n_feats == k else codes[np.ix_(rows, cols)],
+                       y[rows], task, spec.max_depth, bins)
+            for rows, cols in draws
+        ]
     return BaggedModel(
         kind=LearnerKind.BAGGED_TREES,
         task=task,
         n_features=k,
         trees=tuple(trees),
-        feature_subsets=tuple(subsets),
+        feature_subsets=tuple(cols for _, cols in draws),
     )
 
 

@@ -802,7 +802,7 @@ def test_ensemble_train_with_models_that_never_split(kind):
 
 
 def test_ensemble_train_re_densifies_wide_cell_keys(monkeypatch):
-    from fairaudit import learners
+    from fairaudit import kernels
 
     k = 16
 
@@ -819,13 +819,13 @@ def test_ensemble_train_re_densifies_wide_cell_keys(monkeypatch):
     spec = LS(kind=LearnerKind.BAGGED_TREES, max_depth=6, n_trees=8,
               feature_fraction=0.5)
     densified = []
-    real = learners._densify
+    real = kernels.densify
 
     def counted(key, span):
         densified.append(span)
         return real(key, span)
 
-    monkeypatch.setattr(learners, "_densify", counted)
+    monkeypatch.setattr(kernels, "densify", counted)
     e = ensemble_train(spec, source, 3, 300, eval_set, seed=5)
     models, want = reference_ensemble(spec, source, 3, 300, eval_set, 5)
     radix_product = 1

@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 from fairaudit import kernels
 
 
+def gini_split(X, y, bins=None):
+    """The level Gini kernel on one node, as (feature, threshold, score)."""
+    found = kernels.best_splits_gini(X, y, bins)
+    return int(found.feature[0]), float(found.threshold[0]), float(found.score[0])
+
+
 def brute_best_split_gini(X, y):
     n, k = X.shape
     best = (-1, 0.0, np.inf)
@@ -30,7 +36,7 @@ def test_best_split_gini_matches_brute_force():
         k = rng.integers(1, 4)
         X = np.round(rng.normal(size=(n, k)), 1)  # induce ties
         y = (rng.random(n) < 0.5).astype(np.float64)
-        feat, thresh, score = kernels.best_split_gini(X, y)
+        feat, thresh, score = gini_split(X, y)
         bf, bt, bs = brute_best_split_gini(X, y)
         assert feat == bf
         if feat >= 0:
@@ -51,7 +57,7 @@ def test_best_split_var_reduces_sse():
 def test_split_no_separation():
     X = np.ones((5, 2))
     y = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
-    feat, _, _ = kernels.best_split_gini(X, y)
+    feat, _, _ = gini_split(X, y)
     assert feat == -1
 
 
@@ -256,7 +262,7 @@ def test_split_kernels_match_loops(style):
     for n in _sizes(rng, 25):
         X = _features(rng, n, int(rng.integers(1, 6)), style)
         labels = (rng.random(n) < 0.4).astype(np.float64)
-        assert _split_hex(kernels.best_split_gini(X, labels)) == _split_hex(
+        assert _split_hex(gini_split(X, labels)) == _split_hex(
             loop_best_split_gini(X, labels)
         )
         values = np.round(rng.normal(size=n), 1)
@@ -272,7 +278,7 @@ def test_split_separable_feature_matches_loop():
     x = np.sort(rng.normal(size=200))
     X = np.column_stack([rng.normal(size=200), x])
     y = (x > 0.3).astype(np.float64)
-    assert _split_hex(kernels.best_split_gini(X, y)) == _split_hex(
+    assert _split_hex(gini_split(X, y)) == _split_hex(
         loop_best_split_gini(X, y)
     )
     assert _split_hex(kernels.best_split_var(X, x)) == _split_hex(
@@ -286,7 +292,7 @@ def test_split_signed_zero_labels_match_loop():
     # must still agree.
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([-0.0, -0.0, -0.0])
-    for kernel, loop in ((kernels.best_split_gini, loop_best_split_gini),
+    for kernel, loop in ((gini_split, loop_best_split_gini),
                          (kernels.best_split_var, loop_best_split_var)):
         assert _split_hex(kernel(X, y)) == _split_hex(loop(X, y))
 
@@ -345,7 +351,7 @@ def test_knn_loo_fold_errors_match_loop(style, block_cells):
 
 
 def _assert_both_kernels_match(X, labels, values):
-    assert _split_hex(kernels.best_split_gini(X, labels)) == _split_hex(
+    assert _split_hex(gini_split(X, labels)) == _split_hex(
         loop_best_split_gini(X, labels)
     )
     assert _split_hex(kernels.best_split_var(X, values)) == _split_hex(
@@ -359,13 +365,13 @@ def test_split_node_with_every_feature_constant():
         X = np.tile(rng.normal(size=dim), (n, 1))
         labels = (np.arange(n) % 2).astype(np.float64)
         values = rng.normal(size=n)
-        assert kernels.best_split_gini(X, labels)[0] == -1
+        assert gini_split(X, labels)[0] == -1
         assert kernels.best_split_var(X, values)[0] == -1
         _assert_both_kernels_match(X, labels, values)
     # Signed zeros compare equal, so a column of 0.0 and -0.0 has no cut.
     X = np.array([[0.0], [-0.0], [0.0], [-0.0]])
     _assert_both_kernels_match(X, np.array([0.0, 1.0, 0.0, 1.0]), rng.normal(size=4))
-    assert kernels.best_split_gini(X, np.array([0.0, 1.0, 0.0, 1.0]))[0] == -1
+    assert gini_split(X, np.array([0.0, 1.0, 0.0, 1.0]))[0] == -1
 
 
 def test_split_node_with_exactly_one_valid_cut():
@@ -377,7 +383,7 @@ def test_split_node_with_exactly_one_valid_cut():
         labels = (rng.random(n) < 0.5).astype(np.float64)
         labels[0], labels[1] = 0.0, 1.0  # not pure
         values = np.round(rng.normal(size=n), 2)
-        result = kernels.best_split_gini(X, labels)
+        result = gini_split(X, labels)
         assert result[0] == feat
         _assert_both_kernels_match(X, labels, values)
 
@@ -415,8 +421,10 @@ def test_split_onehot_node_800_by_10():
 
 
 # ---------------------------------------------------------------------------
-# Split search on a bin table: any rows and columns of a table's codes, and
-# a table compacted to the bins they use, split as the values do alone.
+# Split search on a bin table: any rows and columns of a table's codes split
+# as the values do alone, whether the Gini kernel counts into a table over
+# every key or densifies the keys first, and whether a row is repeated or
+# counted once with its multiplicity as weight.
 
 NEXT_TO_ONE = float(np.nextafter(1.0, 2.0))
 CELLS = (-1.5, -0.0, 0.0, 0.5, 1.0, NEXT_TO_ONE, 1e308, 1.7e308)
@@ -435,22 +443,62 @@ def test_split_kernels_on_a_table_match_the_kernels_alone(data):
         st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
     cols = np.array(sorted(data.draw(
         st.sets(st.integers(0, k - 1), min_size=1), label="cols")))
-    labels = np.array(data.draw(st.lists(
-        st.sampled_from((0.0, 1.0)), min_size=rows.size, max_size=rows.size)))
+    row_labels = np.array(data.draw(st.lists(
+        st.sampled_from((0.0, 1.0)), min_size=n, max_size=n)))
+    labels = row_labels[rows]
     values = np.array(data.draw(st.lists(
         st.sampled_from((-2.0, 0.0, 0.25, 3.0)),
         min_size=rows.size, max_size=rows.size)))
     node = codes[np.ix_(rows, cols)]
-    tables = [(node, bins.select(cols))]
-    tables.append(kernels.compact_bins(*tables[0]))
     alone = X[np.ix_(rows, cols)]
-    for node_codes, node_bins in tables:
-        assert _split_hex(
-            kernels.best_split_gini(node_codes, labels, node_bins)
-        ) == _split_hex(kernels.best_split_gini(alone, labels))
-        assert _split_hex(
-            kernels.best_split_var(node_codes, values, node_bins)
-        ) == _split_hex(kernels.best_split_var(alone, values))
+    distinct, weight = np.unique(rows, return_counts=True)
+    want = _split_hex(gini_split(alone, labels))
+    for per_cell in (kernels._TABLE_PER_CELL, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_TABLE_PER_CELL", per_cell)
+            assert _split_hex(gini_split(node, labels, bins)) == want
+            found = kernels.best_splits_gini(
+                codes[np.ix_(distinct, cols)], row_labels[distinct], bins,
+                weight=weight)
+            assert _split_hex(
+                (found.feature[0], found.threshold[0], found.score[0])) == want
+            if found.feature[0] >= 0:
+                goes_left = alone[:, found.feature[0]] < found.threshold[0]
+                assert found.n_left[0] == goes_left.sum()
+                assert found.pos_left[0] == labels[goes_left].sum()
+    assert _split_hex(kernels.best_split_var(node, values, bins)) == _split_hex(
+        kernels.best_split_var(alone, values))
+
+
+# Scores a few ulps or well within 1e-12 of each other, NaN, and ties: a
+# level's scan per node must keep what a scan over that node alone keeps.
+NEAR_SCORES = (0.0, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.5 + 3e-12,
+               float(np.nextafter(0.5, 1.0)), 1.0, 1.0 - 5e-13, np.nan)
+
+
+def loop_scan(scores):
+    """The split loops' acceptance rule: the index of the cut they keep."""
+    best_at, best = -1, np.inf
+    for at, s in enumerate(scores):
+        if s < best - 1e-12:
+            best_at, best = at, s
+    return best_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(NEAR_SCORES), max_size=8),
+                min_size=1, max_size=6))
+def test_first_best_per_node_matches_the_loop_rule(nodes):
+    score = np.array([s for cuts in nodes for s in cuts], dtype=np.float64)
+    seg = np.repeat(np.arange(len(nodes)), [len(cuts) for cuts in nodes])
+    got = kernels._first_best(score, seg, len(nodes)).tolist()
+    start = 0
+    for j, cuts in enumerate(nodes):
+        want = loop_scan(cuts)
+        if cuts:
+            assert kernels._scan(np.array(cuts)) == want
+        assert got[j] == (-1 if want < 0 else start + want)
+        start += len(cuts)
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, NEXT_TO_ONE), (1e308, 1.7e308)])
@@ -459,7 +507,7 @@ def test_split_threshold_between_adjacent_or_huge_values(lo, hi):
     # every row to one side, so the threshold is hi.
     X = np.array([[lo], [hi], [lo], [hi]])
     y = np.array([0.0, 1.0, 0.0, 1.0])
-    for kernel, loop in ((kernels.best_split_gini, loop_best_split_gini),
+    for kernel, loop in ((gini_split, loop_best_split_gini),
                          (kernels.best_split_var, loop_best_split_var)):
         feat, thresh, _ = kernel(X, y)
         assert (feat, thresh) == (0, hi)
@@ -472,12 +520,11 @@ def test_bin_table_numbers_distinct_values_column_by_column():
     assert bins.values.tolist() == [-3.0, 1.0, 2.0, 0.0, 5.0]
     assert bins.feature.tolist() == [0, 0, 0, 1, 1]
     assert codes.tolist() == [[2, 3], [1, 4], [2, 3], [0, 4]]
-    second = bins.select(np.array([1]))
-    assert second.feature.tolist() == [-1, -1, -1, 0, 0]
-    # Rows 1 and 3 of the second column use only the bin of 5.0.
-    compact, table = kernels.compact_bins(codes[[1, 3]][:, [1]], second)
-    assert compact.tolist() == [[0], [0]]
-    assert table.values.tolist() == [5.0] and table.feature.tolist() == [0]
+    # Rows 1 and 3 of the second column use only the bin of 5.0, by a
+    # table over the span or by sorting.
+    for span in (bins.values.size, 100):
+        dense, used = kernels.densify(codes[[1, 3], 1], span)
+        assert dense.tolist() == [0, 0] and used.tolist() == [4]
 
 
 # ---------------------------------------------------------------------------

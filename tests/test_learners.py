@@ -17,6 +17,7 @@ from fairaudit import (
     train,
 )
 from fairaudit.learners import threshold_cells
+from test_kernels import loop_best_split_gini, loop_best_split_var
 
 
 def test_logistic_learns_separable():
@@ -117,6 +118,32 @@ def test_tree_depth_limit():
     assert model.node_feature.size <= 3
 
 
+@pytest.mark.parametrize("spec", [
+    LearnerSpec(kind=LearnerKind.TREE, max_depth=1),
+    LearnerSpec(kind=LearnerKind.TREE, max_depth=3),
+    LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=3, max_depth=1),
+    LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=3, max_depth=3,
+                bootstrap=False),
+])
+def test_trees_on_negative_zero_labels_have_no_negative_zero_node(spec):
+    # A leaf of -0.0 labels, at the depth limit or pure above it, is a node
+    # of the class 0.  Its value is +0.0 whether it comes from a sum of the
+    # labels (numpy's sum of -0.0s is +0.0) or from the kernel's counts,
+    # which a forest and a single tree's depth-limit leaves take.
+    x = np.repeat([0.0, 1.0, 2.0], 5)[:, None]
+    y = np.array([-0.0] * 5 + [1.0, -0.0] * 2 + [1.0] + [-0.0] * 5)
+    d = Dataset(features=x, group=np.zeros(15, dtype=np.int64), outcome=y,
+                task=Task.BINARY, column_names=("a",))
+    model = train(spec, d)
+    trees = getattr(model, "trees", (model,))
+    for tree in trees:
+        assert (tree.node_value == 0.0).any()
+        assert not np.signbit(tree.node_value).any()
+    if spec.kind is LearnerKind.TREE:
+        want = loop_grow_tree(x, y, Task.BINARY, spec.max_depth)
+        assert _tree_arrays(model) == tuple(a.tobytes() for a in want)
+
+
 def test_bagged_trees_deterministic(binary_dataset):
     spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=5, seed=11)
     a = train(spec, binary_dataset).predict_scores(binary_dataset.features)
@@ -175,14 +202,13 @@ def test_binary_scores_outside_unit_interval_raise():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracle: the tree grower that indexed X[rows] and y[rows] anew
-# for each use at a node.  The grower that slices each node once must build
-# the same node arrays byte for byte.
+# Reference oracle: a recursive tree grower that indexes X[rows] and y[rows]
+# anew for each use at a node and searches each node with the per-row loops
+# of test_kernels, so it shares no code with the kernels it checks.  Every
+# grower must build the same node arrays byte for byte.
 
 
 def loop_grow_tree(X, y, task, max_depth):
-    from fairaudit import kernels
-
     feature, threshold, left, right, value = [], [], [], [], []
 
     def build(rows, depth):
@@ -196,9 +222,9 @@ def loop_grow_tree(X, y, task, max_depth):
         if depth >= max_depth or rows.size < 2 or np.all(ys == ys[0]):
             return node
         if task is Task.BINARY:
-            feat, thresh, _ = kernels.best_split_gini(X[rows], ys)
+            feat, thresh, _ = loop_best_split_gini(X[rows], ys)
         else:
-            feat, thresh, _ = kernels.best_split_var(X[rows], ys)
+            feat, thresh, _ = loop_best_split_var(X[rows], ys)
         if feat < 0:
             return node
         go_right = X[rows, feat] >= thresh
@@ -252,27 +278,31 @@ def test_grow_tree_matches_reference(task, max_depth):
 
 
 def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
-    # The grower looks the kernel up on the module at every node, so a
-    # wrapper installed there sees each call, as many as the reference makes.
+    # A single tree searches its nodes one at a time.  The grower looks the
+    # kernel up on the module at every node, so a wrapper installed there
+    # sees each call, one per node the reference searches, in the same order.
     from fairaudit import kernels
     from fairaudit.learners import _grow_tree
 
-    calls = []
-    real = kernels.best_split_gini
+    calls, searched = [], []
+    real, real_loop = kernels.best_splits_gini, loop_best_split_gini
 
-    def counting(X, y, *table):
-        calls.append(X.shape)
-        return real(X, y, *table)
+    def counting(codes, y, *rest, **kwargs):
+        calls.append(codes.shape)
+        return real(codes, y, *rest, **kwargs)
 
-    monkeypatch.setattr(kernels, "best_split_gini", counting)
+    def loop_counting(X, y):
+        searched.append(X.shape)
+        return real_loop(X, y)
+
+    monkeypatch.setattr(kernels, "best_splits_gini", counting)
+    monkeypatch.setitem(globals(), "loop_best_split_gini", loop_counting)
     rng = np.random.default_rng(3)
     X = rng.integers(0, 2, size=(200, 5)).astype(np.float64)
     y = ((X[:, 0] + X[:, 1] + 2.0 * rng.random(200)) > 1.5).astype(np.float64)
     _grow_tree(X, y, Task.BINARY, 4)
-    got = list(calls)
-    calls.clear()
     loop_grow_tree(X, y, Task.BINARY, 4)
-    assert len(got) > 1 and got == calls
+    assert len(calls) > 1 and calls == searched
 
 
 @pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
@@ -337,28 +367,107 @@ def test_bagged_trees_equal_trees_grown_one_at_a_time(task, bootstrap,
 
 @pytest.mark.parametrize("feature_fraction", [1.0, 0.3])
 def test_gini_search_scans_no_more_bins_than_node_cells(monkeypatch, feature_fraction):
-    # On all-distinct columns the forest's table has a bin per cell; deep
-    # nodes must search a table compacted to their own bins.
+    # On all-distinct columns the forest's table has a bin per cell, and a
+    # deep level has many nodes: a table over every (node, bin, label) key
+    # would grow with nodes times bins.  No count table of a level may
+    # hold more than _TABLE_PER_CELL entries per cell it counts, so past
+    # that the keys are densified; with 2 trees and with 20.
     from fairaudit import kernels
 
-    sizes = []
-    real = kernels.best_split_gini
+    sizes, densified = [], []
+    real_bincount, real_densify = np.bincount, kernels.densify
 
-    def recording(codes, y, bins):
-        sizes.append((bins.values.size, codes.size))
-        return real(codes, y, bins)
+    def recording(x, weights=None, minlength=0):
+        out = real_bincount(x, weights, minlength)
+        sizes.append((out.size, x.size))
+        return out
 
-    monkeypatch.setattr(kernels, "best_split_gini", recording)
+    def counted(key, span):
+        densified.append(span)
+        return real_densify(key, span)
+
+    monkeypatch.setattr(np, "bincount", recording)
+    monkeypatch.setattr(kernels, "densify", counted)
     rng = np.random.default_rng(71)
     n, k = 500, 10
     X = rng.normal(size=(n, k))
     y = ((X[:, 0] + X[:, 1] + rng.normal(0, 0.7, n)) > 0).astype(np.float64)
     d = Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
                 task=Task.BINARY, column_names=tuple(f"x{j}" for j in range(k)))
-    train(LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=2, max_depth=8,
-                      feature_fraction=feature_fraction), d)
-    assert len(sizes) > 50
-    assert all(n_bins <= cells for n_bins, cells in sizes)
+    for n_trees in (2, 20):
+        sizes.clear()
+        densified.clear()
+        model = train(LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=n_trees,
+                                  max_depth=8, feature_fraction=feature_fraction), d)
+        assert max(tree.node_feature.size for tree in model.trees) > 50
+        assert len(sizes) > 8 and len(densified) > 0
+        assert all(entries <= kernels._TABLE_PER_CELL * cells
+                   for entries, cells in sizes)
+
+
+def test_forest_grown_one_tree_per_group_is_byte_equal(monkeypatch):
+    # Each tree's arithmetic is its own, so how many trees grow together
+    # cannot change any node array.
+    from fairaudit import learners
+
+    d = _bagged_dataset(Task.BINARY, n=400)
+    spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=12, max_depth=6,
+                       feature_fraction=0.5, seed=4)
+    grouped = train(spec, d)
+    assert 400 * 3 * 12 <= learners._GROUP_CELLS  # one group by default
+    monkeypatch.setattr(learners, "_GROUP_CELLS", 1)
+    alone = train(spec, d)
+    for a, b in zip(grouped.trees, alone.trees):
+        assert _tree_arrays(a) == _tree_arrays(b)
+
+
+ADJACENT = float(np.nextafter(1.0, 2.0))
+FOREST_CELLS = (-1.0, -0.0, 0.0, 1.0, ADJACENT, 1e308, 1.7e308)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
+    # Tied one-hot columns, signed zeros, adjacent doubles, 1e308-scale
+    # values and all-distinct columns: every tree grown level by level with
+    # its forest must be the tree the reference grows on its own rows and
+    # columns.
+    from fairaudit.data import derive_seed
+
+    n = data.draw(st.integers(1, 40), label="n")
+    k = data.draw(st.integers(0, 5), label="k")
+    kinds = data.draw(st.lists(
+        st.sampled_from(("onehot", "cells", "distinct")), min_size=k,
+        max_size=k), label="columns")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = np.empty((n, k))
+    for j, kind in enumerate(kinds):
+        if kind == "onehot":
+            X[:, j] = rng.integers(0, 2, size=n)
+        elif kind == "cells":
+            X[:, j] = rng.choice(FOREST_CELLS, size=n)
+        else:
+            X[:, j] = rng.permutation(n) * 0.5 - 3.0
+    # Negative labels spelled 0.0 or -0.0.
+    y = np.where(rng.random(n) < data.draw(st.floats(0.0, 1.0)), 1.0,
+                 rng.choice((0.0, -0.0), size=n))
+    spec = LearnerSpec(
+        kind=LearnerKind.BAGGED_TREES,
+        n_trees=data.draw(st.integers(1, 6), label="n_trees"),
+        max_depth=data.draw(st.integers(1, 8), label="max_depth"),
+        feature_fraction=data.draw(st.sampled_from((0.3, 0.5, 1.0))),
+        bootstrap=data.draw(st.booleans(), label="bootstrap"),
+        seed=data.draw(st.integers(0, 1000)),
+    )
+    d = Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
+                task=Task.BINARY, column_names=tuple(f"x{j}" for j in range(k)))
+    model = train(spec, d)
+    for t, (tree, cols) in enumerate(zip(model.trees, model.feature_subsets)):
+        draw = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
+        rows = draw.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
+        want = loop_grow_tree(X[np.ix_(rows, cols)], y[rows], Task.BINARY,
+                              spec.max_depth)
+        assert _tree_arrays(tree) == tuple(a.tobytes() for a in want)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ def test_package_source_has_no_assert_statements():
 ROOT = SRC.parent.parent
 # Bindings the benchmark's tracer expects but this package no longer has;
 # traced runs skip an absent binding.  ``per_sample_losses`` left
-# ``subgroups`` when its cells came to index one per-row loss pass.
-ABSENT_BINDINGS = {"subgroups.per_sample_losses"}
+# ``subgroups`` when its cells came to index one per-row loss pass, and the
+# per-node ``best_split_gini`` left ``kernels`` when one Gini kernel came to
+# search a whole level of nodes at once (``best_splits_gini``).
+ABSENT_BINDINGS = {"subgroups.per_sample_losses", "kernels.best_split_gini"}
 
 
 def _expected_sites():
