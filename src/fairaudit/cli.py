@@ -192,8 +192,7 @@ def cmd_decompose(args, report: AuditReport) -> None:
     else:
         synth_spec, gen = _synth_spec(args)
         sampler = lambda n, s: gen(synth_spec, n, s)[0]
-        _, om = gen(synth_spec, 1, seed)
-        eval_set = sampler(args.eval_size, derive_seed(seed, "eval"))
+        eval_set, om = gen(synth_spec, args.eval_size, derive_seed(seed, "eval"))
         ensemble = decomp.ensemble_train(
             spec, sampler, args.t_models, args.n_train or 200,
             eval_set, derive_seed(seed, "ensemble"), threshold=args.threshold,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -149,99 +149,72 @@ class KNNModel(TrainedModel):
 
 @dataclass(frozen=True)
 class TreeModel(TrainedModel):
-    # Flat array encoding: internal nodes carry (feature, threshold,
-    # left, right); leaves have feature == -1 and carry the value.
+    """One table of nodes holds every tree of the model, and tree i starts
+    at node ``roots[i]``; a ``tree`` model has the one root 0.  Internal
+    nodes carry (feature, threshold, left, right), the feature a column of
+    the model's features and each link a later node; leaves have feature
+    == -1 and carry the value."""
     node_feature: np.ndarray = None
     node_threshold: np.ndarray = None
     node_left: np.ndarray = None
     node_right: np.ndarray = None
     node_value: np.ndarray = None
+    roots: tuple = (0,)
 
-    def _scores(self, features, columns=None):
-        """Scores of the rows of ``features``, whose column ``columns[f]``
-        holds the tree's feature ``f`` (column ``f`` when ``columns`` is
-        None).
+    def _scores(self, features):
+        """The mean of the trees' scores: 0.0 plus each tree's, in tree
+        order, over the number of trees (so a leaf of -0.0 scores +0.0).
 
-        Row-index sets are pushed down the tree.  Each node compares its
-        feature's column view, whole at the root (which needs no index
-        set) and gathered at its rows below.  A node whose children are
-        both leaves writes its rows' values in one ``np.where``; a node
-        with one leaf child writes the leaf's value to all its rows, and
-        the rows of its other child are overwritten further down.  Only
-        leaf values are copied into the output, and a row's last write is
-        its own leaf's, so the scores are those of a per-row descent bit
-        for bit.
+        Each tree pushes row-index sets down from its root.  Each node
+        compares its feature's column view, whole at the root (which needs
+        no index set) and gathered at its rows below.  A node whose
+        children are both leaves writes its rows' values in one
+        ``np.where``; a node with one leaf child writes the leaf's value to
+        all its rows, and the rows of its other child are overwritten
+        further down.  Only leaf values are copied into the output, and a
+        row's last write is its own leaf's, so each tree's scores are those
+        of a per-row descent bit for bit.
         """
+        # Every tree reads whole columns: one column-major copy serves all.
+        features = np.asfortranarray(features)
         feature = self.node_feature.tolist()
-        if columns is not None:
-            feature = [-1 if f < 0 else columns[f] for f in feature]
         threshold = self.node_threshold.tolist()
         left = self.node_left.tolist()
         right = self.node_right.tolist()
         value = self.node_value.tolist()
-        out = np.empty(features.shape[0])
-        if feature[0] < 0:
-            out.fill(value[0])
-            return out
-        stack = [(0, None)]  # None: every row
-        while stack:
-            node, rows = stack.pop()
-            at = slice(None) if rows is None else rows
-            col = features[:, feature[node]]
-            # Fancy indexing gathers from a strided view in place; take
-            # would first copy the whole column.
-            go_right = (col if rows is None else col[rows]) >= threshold[node]
-            lo, hi = left[node], right[node]
-            if feature[lo] < 0 and feature[hi] < 0:
-                out[at] = np.where(go_right, value[hi], value[lo])
-                continue
-            if feature[lo] < 0:
-                out[at] = value[lo]
-                inner = ((hi, go_right),)
-            elif feature[hi] < 0:
-                out[at] = value[hi]
-                inner = ((lo, ~go_right),)
-            else:
-                inner = ((hi, go_right), (lo, ~go_right))
-            for child, go in inner:
-                child_rows = (
-                    go.nonzero()[0] if rows is None else rows.compress(go)
-                )
-                if child_rows.size:
-                    stack.append((child, child_rows))
-        return out
-
-
-@dataclass(frozen=True)
-class BaggedModel(TrainedModel):
-    trees: tuple = ()
-    feature_subsets: tuple = ()
-
-    def _scores(self, features):
-        # Every tree reads whole columns: one column-major copy serves all.
-        features = np.asfortranarray(features)
         acc = np.zeros(features.shape[0])
-        for tree, cols in zip(self.trees, self.feature_subsets):
-            acc += tree._scores(features, cols.tolist())
-        return acc / len(self.trees)
-
-
-def _splits(model: TrainedModel):
-    """(columns, thresholds) of the splits of each tree of a tree model,
-    with a bagged tree's columns mapped through its feature subset."""
-    if isinstance(model, TreeModel):
-        trees, subsets = (model,), (None,)
-    elif isinstance(model, BaggedModel):
-        trees, subsets = model.trees, model.feature_subsets
-    else:
-        raise AnalysisError(
-            f"{model.kind.value} models have no split thresholds")
-    for tree, cols in zip(trees, subsets):
-        inner = tree.node_feature >= 0
-        feature = tree.node_feature[inner]
-        if cols is not None:
-            feature = cols[feature]
-        yield feature, tree.node_threshold[inner]
+        out = np.empty(features.shape[0])
+        for root in self.roots:
+            if feature[root] < 0:
+                out.fill(value[root])
+                stack = []
+            else:
+                stack = [(root, None)]  # None: every row
+            while stack:
+                node, rows = stack.pop()
+                at = slice(None) if rows is None else rows
+                col = features[:, feature[node]]
+                go_right = (col if rows is None else col[rows]) >= threshold[node]
+                lo, hi = left[node], right[node]
+                if feature[lo] < 0 and feature[hi] < 0:
+                    out[at] = np.where(go_right, value[hi], value[lo])
+                    continue
+                if feature[lo] < 0:
+                    out[at] = value[lo]
+                    inner = ((hi, go_right),)
+                elif feature[hi] < 0:
+                    out[at] = value[hi]
+                    inner = ((lo, ~go_right),)
+                else:
+                    inner = ((hi, go_right), (lo, ~go_right))
+                for child, go in inner:
+                    child_rows = (
+                        go.nonzero()[0] if rows is None else rows.compress(go)
+                    )
+                    if child_rows.size:
+                        stack.append((child, child_rows))
+            acc += out
+        return acc / len(self.roots)
 
 
 # Cell keys stay below 2^62, inside int64: before a column whose radix
@@ -266,9 +239,15 @@ def threshold_cells(features: np.ndarray, models):
     features = np.asarray(features, dtype=np.float64)
     for model in models:
         model.checked_features(features)
-    splits = [split for model in models for split in _splits(model)]
-    columns = np.concatenate([c for c, _ in splits] + [np.zeros(0, np.int64)])
-    thresholds = np.concatenate([t for _, t in splits] + [np.zeros(0)])
+    for model in models:
+        if not isinstance(model, TreeModel):
+            raise AnalysisError(
+                f"{model.kind.value} models have no split thresholds")
+    inner = [model.node_feature >= 0 for model in models]
+    columns = np.concatenate([m.node_feature[i] for m, i in zip(models, inner)]
+                             + [np.zeros(0, np.int64)])
+    thresholds = np.concatenate(
+        [m.node_threshold[i] for m, i in zip(models, inner)] + [np.zeros(0)])
     # The distinct (column, threshold) pairs, by column then threshold;
     # -0.0 and 0.0 sort together and compare equal, so they are one cut.
     # (A bare np.unique would import numpy.ma, about 1 MB and 10 ms.)
@@ -543,16 +522,20 @@ def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
 _GROUP_CELLS = 1 << 16
 
 
-def _grow_forest(codes, bins, y, draws, max_depth: int) -> list:
-    """Binary trees grown together, one per (rows, cols) draw, each equal
-    byte for byte to ``_grow_tree`` on ``codes[rows][:, cols]``.
+def _grow_forest(codes, bins, y, draws, max_depth: int) -> TreeModel:
+    """Binary trees grown together, one per (rows, cols) draw: tree i,
+    walked from ``roots[i]``, is ``_grow_tree`` on ``codes[rows][:, cols]``
+    node for node, byte for byte, with its features mapped through
+    ``cols``.
 
     The trees grow level by level: one ``kernels.best_splits_gini`` call
     searches every node of the level, its rows being each tree's distinct
     drawn rows weighted by how often the tree drew them.  A node's counts
     are exact integers, so its value, its purity and its children's counts
-    come from the kernel's counts.  The levels are then renumbered into
-    the preorder ``_grow_tree`` gives its nodes.
+    come from the kernel's counts.  The nodes are stored in the order they
+    grow: the roots, then the two children of each splitting node in turn,
+    so the children of the j-th split are nodes ``n_trees + 2j`` and
+    ``n_trees + 2j + 1``.
     """
     n = codes.shape[0]
     n_trees = len(draws)
@@ -569,18 +552,18 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> list:
         cells = codes[row[:, None], cols[tree]]
     label = y[row]
     node = tree  # each row's node among those of the current depth
+    node_tree = np.arange(n_trees)  # each node's tree, at the current depth
     node_n = np.full(n_trees, n)
     node_pos = np.bincount(tree, weight * label, minlength=n_trees)
-    # Per depth: each node's value, feature, threshold and whether it
-    # splits; the children of the depth's splitting nodes, left then
-    # right, are the next depth's nodes in order.
+    # Per depth: each node's value, feature and threshold; the children of
+    # the depth's splitting nodes, left then right, are the next depth's
+    # nodes in order.
     levels = []
     while True:
         value = node_pos / node_n
         feature = np.full(value.size, -1, dtype=np.int64)
         threshold = np.zeros(value.size)
-        splits = np.zeros(value.size, dtype=bool)
-        levels.append((value, feature, threshold, splits))
+        levels.append((feature, threshold, value))
         if len(levels) > max_depth:
             break
         grows = (node_n >= 2) & (node_pos > 0) & (node_pos < node_n)
@@ -598,9 +581,9 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> list:
         if not did.any():
             break
         parent = front[did]
-        splits[parent] = True
-        feature[parent] = found.feature[did]
+        feature[parent] = cols[node_tree[parent], found.feature[did]]
         threshold[parent] = found.threshold[did]
+        node_tree = np.repeat(node_tree[parent], 2)
         n_left, pos_left = found.n_left[did], found.pos_left[did]
         children_n = np.empty(2 * parent.size)
         children_n[0::2] = n_left
@@ -618,59 +601,24 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> list:
         go_right = bins.values[cells.ravel()[at]] >= found.threshold[slot]
         # Rows of a node that does not split get a negative node.
         node = np.where(did, did.cumsum() - 1, -1)[slot] * 2 + go_right
-    return _preorder_trees(levels, n_trees, cols.shape[1])
+    feature, threshold, value = (np.concatenate(a) for a in zip(*levels))
+    splits = feature >= 0
+    left = np.full(feature.size, -1, dtype=np.int64)
+    left[splits] = np.arange(n_trees, feature.size, 2)
+    return TreeModel(
+        kind=LearnerKind.BAGGED_TREES, task=Task.BINARY,
+        n_features=codes.shape[1], node_feature=feature,
+        node_threshold=threshold, node_left=left,
+        node_right=np.where(splits, left + 1, -1), node_value=value,
+        roots=tuple(range(n_trees)),
+    )
 
 
-def _preorder_trees(levels, n_trees: int, n_features: int) -> list:
-    """The TreeModels of trees stored by depth (see ``_grow_forest``), the
-    roots being the first depth's nodes, with each tree's nodes numbered
-    in preorder."""
-    # Subtree sizes, from the deepest level up.
-    sizes = [None] * len(levels)
-    below = None
-    for d in range(len(levels) - 1, -1, -1):
-        splits = levels[d][3]
-        size = np.ones(splits.size, dtype=np.int64)
-        if below is not None:
-            size[splits] += below.reshape(-1, 2).sum(axis=1)
-        sizes[d] = below = size
-    # Preorder positions within each tree, from the roots down: a left
-    # child follows its parent, a right child follows its left sibling's
-    # subtree.
-    tree, pre = np.arange(n_trees), np.zeros(n_trees, dtype=np.int64)
-    offset = np.concatenate(([0], sizes[0].cumsum()))
-    total = int(offset[-1])
-    node_feature = np.empty(total, dtype=np.int64)
-    node_threshold = np.empty(total)
-    node_value = np.empty(total)
-    node_left = np.full(total, -1, dtype=np.int64)
-    node_right = np.full(total, -1, dtype=np.int64)
-    for d, (value, feature, threshold, splits) in enumerate(levels):
-        at = offset[tree] + pre
-        node_feature[at] = feature
-        node_threshold[at] = threshold
-        node_value[at] = value
-        if not splits.any():
-            break
-        left = pre[splits] + 1
-        right = left + sizes[d + 1][0::2]
-        node_left[at[splits]] = left
-        node_right[at[splits]] = right
-        tree = np.repeat(tree[splits], 2)
-        pre = np.column_stack((left, right)).ravel()
-    return [
-        TreeModel(
-            kind=LearnerKind.TREE, task=Task.BINARY, n_features=n_features,
-            node_feature=node_feature[lo:hi],
-            node_threshold=node_threshold[lo:hi],
-            node_left=node_left[lo:hi], node_right=node_right[lo:hi],
-            node_value=node_value[lo:hi],
-        )
-        for lo, hi in zip(offset[:-1].tolist(), offset[1:].tolist())
-    ]
-
-
-def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> BaggedModel:
+def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> TreeModel:
+    """The forest as one TreeModel: the node tables of its binary groups
+    (``_grow_forest``) or of its regression trees (``_grow_tree``), one
+    after another, their links and roots offset by the nodes before them,
+    so tree t starts at ``roots[t]``."""
     n, k = X.shape
     n_feats = min(k, max(1, int(np.ceil(spec.feature_fraction * k))))
     # One bin table serves every tree: each takes its rows and columns of
@@ -691,24 +639,37 @@ def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> BaggedModel:
         # smallest type that holds every code.
         codes = codes.astype(np.min_scalar_type(bins.values.size))
         per_group = max(1, _GROUP_CELLS // max(1, n * n_feats))
-        trees = [
-            tree
+        parts = [
+            _grow_forest(codes, bins, y, draws[lo:lo + per_group],
+                         spec.max_depth)
             for lo in range(0, len(draws), per_group)
-            for tree in _grow_forest(
-                codes, bins, y, draws[lo:lo + per_group], spec.max_depth)
         ]
     else:
-        trees = [
-            _grow_tree(codes[rows] if n_feats == k else codes[np.ix_(rows, cols)],
-                       y[rows], task, spec.max_depth, bins)
-            for rows, cols in draws
-        ]
-    return BaggedModel(
-        kind=LearnerKind.BAGGED_TREES,
-        task=task,
-        n_features=k,
-        trees=tuple(trees),
-        feature_subsets=tuple(cols for _, cols in draws),
+        parts = []
+        for rows, cols in draws:
+            tree = _grow_tree(
+                codes[rows] if n_feats == k else codes[np.ix_(rows, cols)],
+                y[rows], task, spec.max_depth, bins)
+            # A leaf's -1 indexes the -1 appended to the columns.
+            parts.append(replace(
+                tree, node_feature=np.append(cols, -1)[tree.node_feature]))
+    offsets = np.cumsum([0] + [p.node_value.size for p in parts]).tolist()
+
+    def joined(name, link=False):
+        return np.concatenate([
+            np.where(getattr(p, name) >= 0, getattr(p, name) + o, -1)
+            if link else getattr(p, name)
+            for p, o in zip(parts, offsets)
+        ])
+
+    return TreeModel(
+        kind=LearnerKind.BAGGED_TREES, task=task, n_features=k,
+        node_feature=joined("node_feature"),
+        node_threshold=joined("node_threshold"),
+        node_left=joined("node_left", link=True),
+        node_right=joined("node_right", link=True),
+        node_value=joined("node_value"),
+        roots=tuple(o + r for p, o in zip(parts, offsets) for r in p.roots),
     )
 
 

@@ -736,15 +736,11 @@ def reference_ensemble(spec, source, t_models, n_train, eval_set, seed,
 
 def split_thresholds(model):
     """{column: set of thresholds} over every split of a tree model."""
-    if model.kind is LearnerKind.TREE:
-        trees, subsets = [model], [np.arange(model.n_features)]
-    else:
-        trees, subsets = model.trees, model.feature_subsets
+    inner = model.node_feature >= 0
     out = {}
-    for tree, cols in zip(trees, subsets):
-        for f, t in zip(tree.node_feature.tolist(), tree.node_threshold.tolist()):
-            if f >= 0:
-                out.setdefault(int(cols[f]), set()).add(t)
+    for f, t in zip(model.node_feature[inner].tolist(),
+                    model.node_threshold[inner].tolist()):
+        out.setdefault(f, set()).add(t)
     return out
 
 

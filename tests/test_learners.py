@@ -135,13 +135,17 @@ def test_trees_on_negative_zero_labels_have_no_negative_zero_node(spec):
     d = Dataset(features=x, group=np.zeros(15, dtype=np.int64), outcome=y,
                 task=Task.BINARY, column_names=("a",))
     model = train(spec, d)
-    trees = getattr(model, "trees", (model,))
-    for tree in trees:
-        assert (tree.node_value == 0.0).any()
-        assert not np.signbit(tree.node_value).any()
     if spec.kind is LearnerKind.TREE:
-        want = loop_grow_tree(x, y, Task.BINARY, spec.max_depth)
-        assert _tree_arrays(model) == tuple(a.tobytes() for a in want)
+        wants = [loop_grow_tree(x, y, Task.BINARY, spec.max_depth)]
+    else:
+        wants = list(reference_forest(spec, x, y, Task.BINARY))
+    assert len(model.roots) == len(wants)
+    for i, want in enumerate(wants):
+        tree = walk_tree(model, i)
+        value = tree[4]
+        assert (value == 0.0).any()
+        assert not np.signbit(value).any()
+        assert _tree_arrays(tree) == _tree_arrays(want)
 
 
 def test_bagged_trees_deterministic(binary_dataset):
@@ -161,8 +165,11 @@ def test_bagged_feature_fraction(binary_dataset):
         kind=LearnerKind.BAGGED_TREES, n_trees=4, feature_fraction=0.4
     )
     model = train(spec, binary_dataset)
-    for cols in model.feature_subsets:
-        assert cols.size == int(np.ceil(0.4 * binary_dataset.k))
+    assert len(model.roots) == 4
+    for i in range(4):
+        feature = walk_tree(model, i)[0]
+        used = set(feature[feature >= 0].tolist())
+        assert len(used) <= math.ceil(0.4 * binary_dataset.k)
 
 
 def test_task_checks(binary_dataset, regression_dataset):
@@ -244,12 +251,57 @@ def loop_grow_tree(X, y, task, max_depth):
     )
 
 
-def _tree_arrays(model):
-    return tuple(
-        getattr(model, name).tobytes()
-        for name in ("node_feature", "node_threshold", "node_left",
-                     "node_right", "node_value")
+def reference_forest(spec, X, y, task):
+    """The reference's trees of a bagged forest, each grown on its own copy
+    of the rows and columns it draws, its features named as columns of X."""
+    from fairaudit.data import derive_seed
+
+    n, k = X.shape
+    n_feats = min(k, max(1, math.ceil(spec.feature_fraction * k)))
+    for t in range(spec.n_trees):
+        rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
+        rows = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
+        cols = np.sort(rng.choice(k, size=n_feats, replace=False))
+        feature, *rest = loop_grow_tree(X[np.ix_(rows, cols)], y[rows], task,
+                                        spec.max_depth)
+        yield (np.append(cols, -1)[feature], *rest)
+
+
+def walk_tree(model, i):
+    """Tree ``i`` of a tree model, walked from ``model.roots[i]`` into node
+    arrays (feature, threshold, left, right, value) numbered in preorder, as
+    ``loop_grow_tree`` numbers them."""
+    order = []
+
+    def visit(node):
+        order.append(node)
+        if model.node_feature[node] >= 0:
+            visit(model.node_left[node])
+            visit(model.node_right[node])
+
+    visit(model.roots[i])
+    order = np.asarray(order, dtype=np.int64)
+    at = np.full(model.node_feature.size, -1, dtype=np.int64)
+    at[order] = np.arange(order.size)
+    inner = model.node_feature[order] >= 0
+    return (
+        model.node_feature[order],
+        model.node_threshold[order],
+        np.where(inner, at[model.node_left[order]], -1),
+        np.where(inner, at[model.node_right[order]], -1),
+        model.node_value[order],
     )
+
+
+def _tree_arrays(arrays):
+    """The bytes of node arrays (feature, threshold, left, right, value)."""
+    return tuple(np.asarray(a).tobytes() for a in arrays)
+
+
+def _node_arrays(model):
+    return tuple(getattr(model, name) for name in (
+        "node_feature", "node_threshold", "node_left", "node_right",
+        "node_value"))
 
 
 @pytest.mark.parametrize("max_depth", [1, 3, 8])
@@ -272,9 +324,8 @@ def test_grow_tree_matches_reference(task, max_depth):
             y = (signal > 0.4).astype(np.float64)
         else:
             y = np.round(signal, 2)
-        got = _tree_arrays(_grow_tree(X, y, task, max_depth))
-        want = tuple(a.tobytes() for a in loop_grow_tree(X, y, task, max_depth))
-        assert got == want
+        got = _tree_arrays(_node_arrays(_grow_tree(X, y, task, max_depth)))
+        assert got == _tree_arrays(loop_grow_tree(X, y, task, max_depth))
 
 
 def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
@@ -347,22 +398,15 @@ def test_bagged_trees_equal_trees_grown_one_at_a_time(task, bootstrap,
     # One bin table serves the forest; each tree must still be the one the
     # reference grows on its own copy of its rows and columns.  A tree with
     # every column skips the column draw, which is its last.
-    from fairaudit.data import derive_seed
-
     d = _bagged_dataset(task)
     spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=6, max_depth=5,
                        feature_fraction=feature_fraction, bootstrap=bootstrap,
                        seed=9)
     model = train(spec, d)
-    X, y = d.features, d.outcome
-    n_feats = int(np.ceil(feature_fraction * d.k))
-    for t, (tree, cols) in enumerate(zip(model.trees, model.feature_subsets)):
-        rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
-        rows = rng.integers(0, d.n, size=d.n) if bootstrap else np.arange(d.n)
-        want_cols = np.sort(rng.choice(d.k, size=n_feats, replace=False))
-        assert cols.tolist() == want_cols.tolist()
-        want = loop_grow_tree(X[np.ix_(rows, cols)], y[rows], task, spec.max_depth)
-        assert _tree_arrays(tree) == tuple(a.tobytes() for a in want)
+    wants = list(reference_forest(spec, d.features, d.outcome, task))
+    assert len(model.roots) == len(wants)
+    for i, want in enumerate(wants):
+        assert _tree_arrays(walk_tree(model, i)) == _tree_arrays(want)
 
 
 @pytest.mark.parametrize("feature_fraction", [1.0, 0.3])
@@ -399,7 +443,8 @@ def test_gini_search_scans_no_more_bins_than_node_cells(monkeypatch, feature_fra
         densified.clear()
         model = train(LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=n_trees,
                                   max_depth=8, feature_fraction=feature_fraction), d)
-        assert max(tree.node_feature.size for tree in model.trees) > 50
+        assert max(walk_tree(model, i)[0].size
+                   for i in range(n_trees)) > 50
         assert len(sizes) > 8 and len(densified) > 0
         assert all(entries <= kernels._TABLE_PER_CELL * cells
                    for entries, cells in sizes)
@@ -417,8 +462,65 @@ def test_forest_grown_one_tree_per_group_is_byte_equal(monkeypatch):
     assert 400 * 3 * 12 <= learners._GROUP_CELLS  # one group by default
     monkeypatch.setattr(learners, "_GROUP_CELLS", 1)
     alone = train(spec, d)
-    for a, b in zip(grouped.trees, alone.trees):
-        assert _tree_arrays(a) == _tree_arrays(b)
+    assert len(grouped.roots) == len(alone.roots) == 12
+    for i in range(12):
+        assert (_tree_arrays(walk_tree(grouped, i))
+                == _tree_arrays(walk_tree(alone, i)))
+
+
+def _layout_forests(monkeypatch):
+    """(forest, its reference trees): a binary forest grown in one group,
+    the same forest grown one tree per group, and a regression forest."""
+    from fairaudit import learners
+
+    out = []
+    for task in (Task.BINARY, Task.REGRESSION):
+        d = _bagged_dataset(task, n=200)
+        spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=5,
+                           max_depth=4, feature_fraction=0.5, seed=6)
+        want = list(reference_forest(spec, d.features, d.outcome, task))
+        out.append((train(spec, d), want))
+        if task is Task.BINARY:
+            with monkeypatch.context() as patch:
+                patch.setattr(learners, "_GROUP_CELLS", 1)
+                out.append((train(spec, d), want))
+    return out
+
+
+def test_forest_node_table_layout(monkeypatch):
+    # Walked from the roots, the trees cover the table: every node once, no
+    # node shared and none orphaned; every link points to a later node.
+    for model, want in _layout_forests(monkeypatch):
+        size = model.node_feature.size
+        assert len(model.roots) == len(want)
+        assert size == sum(tree[0].size for tree in want)
+        for name in ("node_threshold", "node_left", "node_right", "node_value"):
+            assert getattr(model, name).shape == (size,)
+        seen = []
+        stack = list(model.roots)
+        while stack:
+            node = stack.pop()
+            seen.append(node)
+            if model.node_feature[node] >= 0:
+                stack += [model.node_left[node], model.node_right[node]]
+        assert sorted(seen) == list(range(size))
+        inner = np.flatnonzero(model.node_feature >= 0)
+        assert (model.node_left[inner] > inner).all()
+        assert (model.node_right[inner] > inner).all()
+        leaves = model.node_feature < 0
+        assert (model.node_left[leaves] == -1).all()
+        assert (model.node_right[leaves] == -1).all()
+
+
+def test_regression_forest_without_feature_columns():
+    # Every tree is one leaf, whose feature -1 names no column.
+    d = Dataset(features=np.empty((5, 0)), group=np.zeros(5, dtype=np.int64),
+                outcome=np.arange(5.0), task=Task.REGRESSION, column_names=())
+    model = train(LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=3,
+                              bootstrap=False), d)
+    assert model.roots == (0, 1, 2)
+    assert model.node_feature.tolist() == [-1, -1, -1]
+    assert model.predict_scores(np.empty((2, 0))).tolist() == [2.0, 2.0]
 
 
 ADJACENT = float(np.nextafter(1.0, 2.0))
@@ -432,8 +534,6 @@ def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
     # values and all-distinct columns: every tree grown level by level with
     # its forest must be the tree the reference grows on its own rows and
     # columns.
-    from fairaudit.data import derive_seed
-
     n = data.draw(st.integers(1, 40), label="n")
     k = data.draw(st.integers(0, 5), label="k")
     kinds = data.draw(st.lists(
@@ -462,12 +562,10 @@ def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
     d = Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
                 task=Task.BINARY, column_names=tuple(f"x{j}" for j in range(k)))
     model = train(spec, d)
-    for t, (tree, cols) in enumerate(zip(model.trees, model.feature_subsets)):
-        draw = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
-        rows = draw.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-        want = loop_grow_tree(X[np.ix_(rows, cols)], y[rows], Task.BINARY,
-                              spec.max_depth)
-        assert _tree_arrays(tree) == tuple(a.tobytes() for a in want)
+    wants = list(reference_forest(spec, X, y, Task.BINARY))
+    assert len(model.roots) == len(wants)
+    for i, want in enumerate(wants):
+        assert _tree_arrays(walk_tree(model, i)) == _tree_arrays(want)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +574,10 @@ def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
 # same scores byte for byte.
 
 
-def loop_tree_scores(tree, X):
+def loop_tree_scores(tree, X, root=0):
     out = np.empty(X.shape[0])
     for i in range(X.shape[0]):
-        node = 0
+        node = root
         while tree.node_feature[node] >= 0:
             if X[i, tree.node_feature[node]] >= tree.node_threshold[node]:
                 node = tree.node_right[node]
@@ -600,11 +698,59 @@ def test_bagged_scores_match_per_tree_copies(binary_dataset):
     model = train(spec, binary_dataset)
     X = binary_dataset.features
     want = np.zeros(X.shape[0])
-    for tree, cols in zip(model.trees, model.feature_subsets):
-        assert cols.size < X.shape[1]
-        want += tree._scores(np.ascontiguousarray(X[:, cols]))
-    want /= len(model.trees)
+    for i in range(len(model.roots)):
+        tree = _tree_model(*walk_tree(model, i), X.shape[1])
+        feature = tree.node_feature
+        assert len(set(feature[feature >= 0].tolist())) < X.shape[1]
+        want += tree._scores(np.ascontiguousarray(X))
+    want /= len(model.roots)
     assert model.predict_scores(X).tobytes() == want.tobytes()
+
+
+def test_forest_scores_are_the_mean_of_per_row_descents():
+    # Three hand-built trees in one table, their roots out of node order:
+    # tree 0 a leaf at node 4, tree 1 a split at node 0 whose children
+    # follow tree 2's root, and tree 2 a split on column 0 at node 1.
+    from fairaudit.learners import TreeModel
+
+    model = TreeModel(
+        kind=LearnerKind.BAGGED_TREES, task=Task.REGRESSION, n_features=2,
+        node_feature=np.array([1, 0, -1, -1, -1, -1, -1]),
+        node_threshold=np.array([0.5, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0]),
+        node_left=np.array([2, 5, -1, -1, -1, -1, -1]),
+        node_right=np.array([3, 6, -1, -1, -1, -1, -1]),
+        node_value=np.array([0.0, 0.0, 0.2, -0.0, 0.1, 0.3, 0.7]),
+        roots=(4, 0, 1),
+    )
+    X = np.array([[-1.0, 0.4], [-2.0, 0.4], [0.0, -0.0], [np.nan, 9.0]])
+    per_tree = [loop_tree_scores(model, X, root) for root in model.roots]
+    want = np.zeros(X.shape[0])
+    for scores in per_tree:
+        want += scores
+    want /= len(model.roots)
+    # The order of the sum shows in the bytes: 0.1 + 0.2 + 0.7 is not
+    # 0.7 + 0.2 + 0.1.
+    assert want.tobytes() != (sum(per_tree[::-1], np.zeros(4)) / 3).tobytes()
+    assert model.predict_scores(X).tobytes() == want.tobytes()
+    assert model.predict_scores(np.asfortranarray(X)).tobytes() == want.tobytes()
+
+
+def test_tree_model_scores_a_negative_zero_leaf_as_positive_zero():
+    # A tree model's score is 0.0 plus its leaf's value, as a forest's is,
+    # so a leaf of -0.0 scores +0.0; no report reads the sign of a score.
+    tree = _tree_model([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1],
+                       [2, -1, -1], [0.0, -0.0, 0.25], 1)
+    scores = tree.predict_scores(np.array([[-1.0], [1.0]]))
+    assert scores.tolist() == [0.0, 0.25] and not np.signbit(scores).any()
+    leaf = _tree_model([-1], [0.0], [-1], [-1], [-0.0], 1)
+    assert not np.signbit(leaf.predict_scores(np.zeros((3, 1)))).any()
+    # A grown leaf is -0.0 when a negative denormal mean underflows.
+    d = Dataset(features=np.zeros((3, 1)), group=np.zeros(3, dtype=np.int64),
+                outcome=np.array([-5e-324, 0.0, 0.0]), task=Task.REGRESSION,
+                column_names=("x",))
+    model = train(LearnerSpec(kind=LearnerKind.TREE, max_depth=2), d)
+    assert np.signbit(model.node_value).tolist() == [True]
+    assert not np.signbit(model.predict_scores(d.features)).any()
 
 
 def test_knn_model_z_scores_like_kernels_zscore():
@@ -880,16 +1026,9 @@ CELL_GRID = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
 
 def _splits_of(model):
     """(column, threshold) of every split of every tree of a tree model."""
-    if model.kind is LearnerKind.TREE:
-        trees, subsets = [model], [np.arange(model.n_features)]
-    else:
-        trees, subsets = model.trees, model.feature_subsets
-    return [
-        (int(cols[f]), t)
-        for tree, cols in zip(trees, subsets)
-        for f, t in zip(tree.node_feature.tolist(), tree.node_threshold.tolist())
-        if f >= 0
-    ]
+    inner = model.node_feature >= 0
+    return list(zip(model.node_feature[inner].tolist(),
+                    model.node_threshold[inner].tolist()))
 
 
 def _cell_case(seed):

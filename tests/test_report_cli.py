@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fairaudit import AuditReport, emit_report
@@ -230,6 +230,21 @@ def test_cli_decompose_synth(tmp_path):
     assert block["mode"] == "known"
     total = block["noise"] + block["bias"] + block["variance"]
     assert abs(block["cost"] - total) < 1e-12
+
+
+def test_cli_decompose_synth_takes_a_negative_seed(tmp_path):
+    # Seeds are read modulo 2^32, as every derived seed is; the synthetic
+    # outcome model once took the raw seed, and a negative one raised.
+    reports = []
+    for seed in (-3, 2**32 - 3):
+        out = tmp_path / str(seed)
+        assert run(["decompose", "--seed", seed, "--learner", "tree:max_depth=1",
+                    "--t-models", 2, "--n-train", 20, "--eval-size", 20,
+                    "--out", out]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"].pop("seed") == seed
+        reports.append(doc)
+    assert reports[0] == reports[1]
 
 
 def test_cli_curves_writes_plot_table(tmp_path, synth_csv):
@@ -1243,3 +1258,129 @@ def test_cli_non_finite_score_is_a_data_error(tmp_path, capsys):
                 "--learner", "ridge", "--kind", "mse", "--out", tmp_path / "o"])
     assert code == 3
     assert "r.csv:5: non-finite score value 'nan'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Whole argvs: a subcommand (or none, or an unknown one) and flags drawn
+# from a fixed vocabulary of values, valid and out of range, some naming
+# the files below.  "{name}" stands for the file ``name`` of the run.
+
+ARGV_FILES = {
+    "schema": "group=group\noutcome=outcome\ntask=binary\n",
+    "schema_regression": "group=group\noutcome=outcome\ntask=regression\n",
+    "schema_score": "group=group\noutcome=outcome\ntask=binary\nscore=score\n",
+    "config_seed": "seed=2\n",
+    "config_learner": "learner=tree:max_depth=1\n",
+    "config_decompose": "t_models=2\nn_train=10\neval_size=5\n",
+    "config_bad": "bogus=1\n",
+    "config_empty": "",
+    "topics": "0\n1\n" * 4,
+    "adult": "39, State-gov, 77516, Bachelors, 13, Never-married, "
+             "Adm-clerical, Not-in-family, White, Male, 2174, 0, 40, "
+             "United-States, <=50K\n",
+}
+ARGV_FLAGS = {
+    "--seed": ["1", "0", "-3", "x", ""],
+    "--data": ["{csv}", "{report}", "{adult}", "{schema}", "{missing}"],
+    "--schema": ["{schema}", "{schema_regression}", "{schema_score}",
+                 "{csv}", "{missing}"],
+    "--learner": ["tree:max_depth=2", "knn:k=3", "knn:k=1000", "logistic",
+                  "logistic:penalty=l1,lam=0.1", "ridge", "bagged_trees",
+                  "bagged_trees:n_trees=2,max_depth=2", "tree:max_depth=0",
+                  "svm"],
+    "--threshold": ["0.5", "1", "2", "nan"],
+    "--test-fraction": ["0.3", "0", "1.5"],
+    "--kind": ["zero_one", "fpr,fnr", "mse", "zero_one,zero_one", "bogus"],
+    "--level": ["0.05", "1"],
+    "--synth-kind": ["discrete", "regression", "binary"],
+    "--sigma-eps": ["0.5", "0", "inf"],
+    "--homoskedastic": [None],
+    "--t-models": ["2", "3", "1"],
+    "--n-train": ["0", "1", "10", "-1"],
+    "--eval-size": ["5", "0"],
+    "--grid": ["5,10", "10,20,30", "1,2,3", "0", "5,5", "1000"],
+    "--trials": ["1", "2", "0"],
+    "--k": ["1", "3", "0", "1000"],
+    "--folds": ["2", "3", "1", "1000"],
+    "--max-nn-samples": ["0", "1", "10", "-1"],
+    "--topics": ["{topics}", "{csv}", "{missing}"],
+    "--reps": ["100", "99"],
+    "--n": ["5", "1", "0"],
+    "--out-csv": ["{dir}/a.csv", "{missing}/a.csv"],
+    "--out-schema": ["{dir}/a.txt"],
+    "--format": ["json", "csv", "xml"],
+    "--out": ["{dir}/out", "{schema}/out"],
+    "--config": ["{config_seed}", "{config_learner}", "{config_decompose}",
+                 "{config_bad}", "{config_empty}", "{missing}"],
+    "--help": [None],
+    "--unknown": [None, "1"],
+    "extra": [None],
+}
+
+
+def _argv_flag(flags):
+    """A flag of ``flags`` and a value of its vocabulary."""
+    return st.sampled_from(sorted(flags)).flatmap(
+        lambda flag: st.sampled_from(ARGV_FLAGS[flag]).map(
+            lambda value: [flag] if value is None else [flag, value]))
+
+
+def _write_argv_files(root):
+    """The files an argv may name, written anew: a run may overwrite one."""
+    rng = np.random.default_rng(5)
+    n = 40
+    rows = [f"{i % 2},{int(rng.random() < 0.3 + 0.3 * (i % 2))},"
+            f"{rng.integers(0, 3)},{rng.normal():.2f},{rng.random():.3f}"
+            for i in range(n)]
+    files = {"csv": "group,outcome,a,b,score\n" + "\n".join(rows) + "\n",
+             "report": AuditReport(config={}).to_json(), **ARGV_FILES}
+    paths = {"dir": str(root), "missing": str(root / "missing")}
+    for name, text in files.items():
+        path = root / f"{name}.txt"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def argv_root(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_any_argv_exits_with_a_documented_code(argv_root, data):
+    """Any argv exits 0, 2, 3 or 4, with no traceback and no warning.  Most
+    flags are ones the subcommand declares, so that runs get past the
+    parser; the rest are any flag of the vocabulary."""
+    import contextlib
+    import io
+    import warnings
+
+    command = data.draw(st.sampled_from([*COMMANDS, *COMMANDS, "bogus", None]),
+                        label="command")
+    declared = ARGV_FLAGS
+    if command in COMMANDS:
+        parser = build_parser(command=command).commands[command]
+        declared = set(ARGV_FLAGS) & set(parser._option_string_actions)
+    argv = [] if command is None else [command]
+    argv += ["--out", "{dir}/out"]
+    argv += data.draw(st.sampled_from(
+        [[], ["--seed", "1"], ["--seed", "1", "--data", "{csv}",
+                               "--schema", "{schema}"]]), label="base")
+    argv += [token for flag in data.draw(st.lists(
+        st.one_of(_argv_flag(declared), _argv_flag(declared),
+                  _argv_flag(ARGV_FLAGS)), max_size=4), label="flags")
+        for token in flag]
+    paths = _write_argv_files(argv_root)
+    argv = [token.format(**paths) for token in argv]
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = run_cli(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    assert [str(w.message) for w in caught] == []

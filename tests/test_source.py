@@ -27,6 +27,23 @@ def test_package_source_has_no_assert_statements():
     assert found == []
 
 
+# The node table of a tree model (``learners.TreeModel``).  Only
+# ``learners`` reads it, so where each tree's nodes sit is decided there.
+NODE_TABLE = {"node_feature", "node_threshold", "node_left", "node_right",
+              "node_value", "roots"}
+
+
+def test_only_learners_reads_the_tree_node_table():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "learners"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in NODE_TABLE)
+        or (isinstance(node, ast.Constant) and node.value in NODE_TABLE)
+    ]
+    assert found == []
+
+
 ROOT = SRC.parent.parent
 # Bindings the benchmark's tracer expects but this package no longer has;
 # traced runs skip an absent binding.  ``per_sample_losses`` left
