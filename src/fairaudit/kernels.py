@@ -5,11 +5,53 @@ The kernels are vectorized numpy that reproduces, bit for bit, the plain
 per-row loops they replaced (``tests/test_kernels.py`` keeps those loops
 as the reference).  To stay exact they keep the loops' arithmetic:
 running sums use ``np.cumsum``, which adds in order; score formulas keep
-the loops' operand order; squared distances are accumulated one feature
-at a time; and neighbours are ranked by a stable sort, so distance ties go
-to the lower row index.  The k-NN kernels take query rows in blocks of at
-most ``_BLOCK_CELLS`` distance cells, so their memory stays flat however
-many rows a group has.
+the loops' operand order; a squared distance is summed one feature at a
+time from 0.0; and the k nearest rows are ranked by (distance, index),
+as a stable sort of the whole distance row ranks them.
+
+The k-NN kernels search exactly by screening, the multi-step scheme of
+Seidl & Kriegel ("Optimal multi-step k-nearest neighbor search", SIGMOD
+1998): a cheap bound rules most rows out, and exact distances rank the
+rest.  Query rows go in blocks of at most ``_BLOCK_CELLS`` distance cells,
+so memory stays flat however many rows a group has.  Per block:
+
+1. One matrix product gives approximate squared distances a = |q|^2 +
+   |r|^2 - 2 q.r, as rows (q, |q|^2, 1) times (-2 r, 1, |r|^2), on columns
+   centred on the reference rows' means: distances do not move under a
+   shift, and a large offset would blow up the bound.  The bits of a do
+   not matter.
+2. E bounds |a - s|, where s is the distance the loops take: the squares
+   of the raw columns' differences, added in feature order.  With u =
+   eps / 2 and N = |q|^2 + |r|^2 of the centred rows, to first order in
+   u: centring rounds each centred entry by at most u of itself, which
+   moves the root of the distance by at most u (|q| + |r|), so the
+   distance by at most 4 u N; the norms carry at most d u N, and the
+   product, d + 2 terms of total size at most 2 N added in any order,
+   with or without fused multiply-adds, at most 2 (d + 2) u N; and the
+   loops' sum rounds each of its non-negative terms at most d + 2 times,
+   at most 2 (d + 2) u N again, since s is at most about 2 N.  So |a - s|
+   <= (5 d + 12) u N.  The kernels take E = 4 (d + 4) eps M = 8 (d + 4)
+   u M, one value per query row, with M = |q|^2 + the largest |r|^2 >= N
+   for every cell of the row; the margin of (3 d + 20) u M covers the
+   second-order terms and the rounding of E and of the limit in step 4.
+   A product that underflows errs by at most 2^-1075 (sums and
+   differences among subnormals are exact), and a cell takes at most
+   4 d + 2 products, so E adds 4 (d + 4) times the smallest subnormal.  A
+   row with M >= max / 16, inf or NaN, takes an infinite E and zeros in
+   the product: all its cells are candidates and nothing overflows.
+3. U is the row's k-th smallest a + E, the rows of a query's own fold
+   counting as +inf; as E is one value per row, U = (k-th smallest a) +
+   E.
+4. A cell is a candidate unless a - E > U, tested as a > (k-th smallest
+   a) + 2 E, so that a NaN counts as a candidate.  The k cells with the
+   smallest a have s <= U, so the k-th smallest s is at most U, and every
+   cell with s at most that has a - E <= U: the candidates hold the k
+   nearest rows.  With fewer than k finite cells U is inf, and every cell
+   is a candidate.
+5. The candidates' distances are computed exactly, from the raw columns,
+   a bounded number of pairs at a time so that no array of the pass is
+   larger than the block, and ordered by (distance, index).
+6. The votes add the k nearest labels in that order, from 0.0.
 
 Split search works on value bins: each column's distinct values in
 ascending order, numbered column by column (``bin_table``).  A tree's
@@ -42,6 +84,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import AnalysisError
+
 # Benchmark tooling records this as the kernel path.  There is one path,
 # plain numpy; nothing is compiled.
 USE_NUMBA = False
@@ -62,9 +106,21 @@ _TABLE_PER_CELL = 4
 def zscore(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns of X centred on their means and divided by their population
     standard deviations, a zero deviation counting as 1; returns
-    (Z, mean, scale) so that new rows can be scaled alike."""
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
+    (Z, mean, scale) so that new rows can be scaled alike.
+
+    Raises AnalysisError for a column whose mean or deviation overflows
+    (values near the float limit, or deviations past about 1e154, whose
+    squares overflow): it has no z-scores.  With finite deviations every
+    Z is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        scale = X.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(scale))
+    if bad.any():
+        raise AnalysisError(
+            f"cannot z-score feature column {int(bad.argmax())} (0-based): "
+            "its mean or standard deviation overflows"
+        )
     scale = np.where(scale > 0, scale, 1.0)
     return (X - mean) / scale, mean, scale
 
@@ -401,18 +457,6 @@ def _blocks(n_rows: int, n_cols: int):
     return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
-def _sq_dists(queries: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, summed one feature at a time from the
-    first, as (queries, refs)."""
-    acc = np.zeros((queries.shape[0], refs.shape[0]))
-    diff = np.empty_like(acc)
-    for j in range(queries.shape[1]):
-        np.subtract.outer(queries[:, j], refs[:, j], out=diff)
-        diff *= diff
-        acc += diff
-    return acc
-
-
 def _vote_sums(labels: np.ndarray) -> np.ndarray:
     """Row sums of ``labels``, added column by column from 0.0."""
     total = np.zeros(labels.shape[0])
@@ -421,14 +465,94 @@ def _vote_sums(labels: np.ndarray) -> np.ndarray:
     return total
 
 
+def _pair_sq_dists(queries, refs, qi, ri):
+    """Squared Euclidean distances between the rows ``queries[qi]`` and
+    ``refs[ri]``, pair by pair, each summed one feature at a time from
+    0.0.  ``np.cumsum`` adds in order, and starting from the first square
+    equals starting from 0.0, as no square is -0.0."""
+    diff = queries[qi]
+    diff -= refs[ri]
+    diff *= diff
+    if diff.shape[1] == 0:
+        return np.zeros(qi.size)
+    return diff.cumsum(axis=1)[:, -1]
+
+
+def _neighbours(queries, refs, k, fold=None):
+    """Yield (rows, nearest) per block of query rows: row i of ``nearest``
+    holds the k reference rows nearest to query row ``rows.start + i``, in
+    order of (squared distance, index).  ``fold``, a pair of arrays (the
+    query rows' folds, the reference rows' folds), makes the reference
+    rows of a query's own fold infinitely far; each run of consecutive
+    query rows of one fold is masked at once.  Needs 1 <= k <= the
+    reference rows.
+
+    A matrix product screens the candidates and exact distances rank only
+    those; the module docstring derives the screen.
+    """
+    n_q, d = queries.shape
+    n_r = refs.shape[0]
+    blocks = _blocks(n_q, n_r)
+    f64 = np.finfo(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = refs.mean(axis=0)
+        ref_c = refs - centre
+        query_c = queries - centre
+        r_norm = np.einsum("ij,ij->i", ref_c, ref_c)
+        q_norm = np.einsum("ij,ij->i", query_c, query_c)
+        size = q_norm + r_norm.max()
+    # A row whose size is not below max / 16 (inf and NaN included) enters
+    # the product as zeros and takes an infinite bound, so that all its
+    # cells are candidates and no step of the screen overflows.  With no
+    # such row every reference row is finite and small enough too.
+    ok = size <= f64.max / 16
+    twice_bound = np.where(
+        ok, 8.0 * (d + 4) * (f64.eps * size + f64.smallest_subnormal), np.inf)
+    q_aug = np.column_stack([query_c, q_norm, np.ones(n_q)])
+    q_aug[~ok] = 0.0
+    r_aug = np.column_stack([-2.0 * ref_c, np.ones(n_r), r_norm])
+    if not ok.any():
+        r_aug[:] = 0.0
+    step = blocks[0].stop if blocks else 0
+    approx_buf = np.empty((step, n_r))
+    kth_buf = np.empty((step, n_r))
+    mask_buf = np.empty((step, n_r), dtype=bool)
+    offsets = np.arange(k)
+    for rows in blocks:
+        block_q = queries[rows]
+        b = block_q.shape[0]
+        approx = np.matmul(q_aug[rows], r_aug.T, out=approx_buf[:b])
+        if fold is not None:
+            q_fold = fold[0][rows]
+            starts = [0, *(np.flatnonzero(q_fold[1:] != q_fold[:-1]) + 1).tolist()]
+            for a, c in zip(starts, [*starts[1:], b]):
+                approx[a:c, fold[1] == q_fold[a]] = np.inf
+        kth = kth_buf[:b]
+        np.copyto(kth, approx)
+        kth.partition(k - 1, axis=1)
+        limit = kth[:, k - 1] + twice_bound[rows]
+        candidate = np.greater(approx, limit[:, None], out=mask_buf[:b])
+        np.logical_not(candidate, out=candidate)
+        qi, ri = np.divmod(candidate.ravel().nonzero()[0], n_r)
+        # No array of the exact pass is larger than the block.
+        chunk = max(1, approx.size // max(d, 1))
+        dist = np.empty(qi.size)
+        for s in range(0, qi.size, chunk):
+            dist[s:s + chunk] = _pair_sq_dists(
+                block_q, refs, qi[s:s + chunk], ri[s:s + chunk])
+        if fold is not None:
+            dist[fold[1][ri] == q_fold[qi]] = np.inf
+        # Stable, so each row's equal distances keep their index order.
+        order = np.lexsort((dist, qi))
+        first = np.searchsorted(qi, np.arange(b))
+        yield rows, ri[order[first[:, None] + offsets]]
+
+
 def knn_scores(train_X, train_y, test_X, k):
     """Mean label of the k nearest training rows (Euclidean) per test row."""
-    n_train = train_X.shape[0]
-    kk = min(k, n_train)
+    kk = min(k, train_X.shape[0])
     out = np.empty(test_X.shape[0])
-    for rows in _blocks(test_X.shape[0], n_train):
-        dist = _sq_dists(test_X[rows], train_X)
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :kk]
+    for rows, nearest in _neighbours(test_X, train_X, kk):
         out[rows] = _vote_sums(train_y[nearest]) / kk
     return out
 
@@ -439,18 +563,21 @@ def knn_loo_fold_errors(X, y, fold, k):
     For each row, neighbors are searched among rows of the *other* folds;
     the prediction is the majority vote of the k nearest (ties toward
     label 0).  Returns a 0/1 error vector aligned with the rows.
+
+    The rows are searched in fold order, so that a block of them holds
+    few folds.
     """
     n = X.shape[0]
     k = min(k, n)
+    order = np.argsort(fold, kind="stable")
+    q_fold = fold[order]
+    fold_size = (np.searchsorted(q_fold, q_fold, side="right")
+                 - np.searchsorted(q_fold, q_fold, side="left"))
     err = np.empty(n)
-    for rows in _blocks(n, n):
-        dist = _sq_dists(X[rows], X)
-        own_fold = fold[rows, None] == fold[None, :]
-        dist[own_fold] = np.inf
-        kk = np.minimum(k, n - own_fold.sum(axis=1))
-        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        counted = np.arange(nearest.shape[1]) < kk[:, None]
+    for rows, nearest in _neighbours(X[order], X, k, (q_fold, fold)):
+        kk = np.minimum(k, n - fold_size[rows])
+        counted = np.arange(k) < kk[:, None]
         votes = _vote_sums(np.where(counted, y[nearest], 0.0))
         pred = np.where(votes > kk / 2.0, 1.0, 0.0)
-        err[rows] = np.where(pred == y[rows], 0.0, 1.0)
+        err[order[rows]] = np.where(pred == y[order[rows]], 0.0, 1.0)
     return err

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairaudit import kernels
+from fairaudit.errors import AnalysisError
 
 
 def gini_split(X, y, bins=None):
@@ -346,6 +347,169 @@ def test_knn_loo_fold_errors_match_loop(style, block_cells):
 
 
 # ---------------------------------------------------------------------------
+# The screened k-NN search against the loops, on the inputs where a screen
+# could go wrong: ties, duplicate and all-equal rows, a large offset,
+# queries whose squares overflow or whose z-scores are infinite, and the
+# edges (one column, one fold, k above the rows, no query rows).
+
+
+@st.composite
+def _knn_rows(draw, n_rows):
+    """(rows, pool, rng): ``n_rows`` feature rows of a drawn style, a
+    function that draws more rows alike, and the generator behind both."""
+    dim = draw(st.integers(1, 4), label="dim")
+    style = draw(st.sampled_from(
+        [*STYLES, "duplicates", "all_equal"]), label="style")
+    offset = draw(st.sampled_from([0.0, 1e8]), label="offset")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = _features(rng, 3, dim, "normal")
+
+    def pool(count):
+        if style == "duplicates":
+            rows = base[rng.integers(0, 3, size=count)]
+        elif style == "all_equal":
+            rows = np.repeat(base[:1], count, axis=0)
+        else:
+            rows = _features(rng, count, dim, style)
+        return rows + offset
+
+    return pool(n_rows), pool, rng
+
+
+_HUGE = (1e160, 1e300, 1.7e308, np.inf)
+
+
+def _blow_up(draw, rows, rng, values):
+    """``rows`` with a few cells set to ± one of ``values``, as drawn."""
+    huge = draw(st.sampled_from((None, *values)), label="huge")
+    if huge is None or rows.size == 0:
+        return rows
+    rows = rows.copy()
+    cells = rng.random(rows.shape) < 0.3
+    rows[cells] = np.where(rng.random(rows.shape) < 0.5, huge, -huge)[cells]
+    return rows
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["default_blocks", "one_cell"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_knn_scores_screen_matches_loop(cells, data):
+    n_train = data.draw(st.integers(1, 24), label="n_train")
+    train_X, pool, rng = data.draw(_knn_rows(n_train))
+    test_X = _blow_up(data.draw, pool(data.draw(st.integers(0, 12))), rng, _HUGE)
+    train_y = np.round(rng.normal(size=n_train), 1)  # ties, and -0.0
+    k = data.draw(st.integers(1, n_train + 5), label="k")
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        if cells is not None:
+            mp.setattr(kernels, "_BLOCK_CELLS", cells)
+        assert _hex(kernels.knn_scores(train_X, train_y, test_X, k)) == _hex(
+            loop_knn_scores(train_X, train_y, test_X, k))
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["default_blocks", "one_cell"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_knn_loo_fold_errors_screen_matches_loop(cells, data):
+    n = data.draw(st.integers(1, 24), label="n")
+    X, _, rng = data.draw(_knn_rows(n))
+    X = _blow_up(data.draw, X, rng, _HUGE[:-1])
+    y = (rng.random(n) < 0.5).astype(np.float64)
+    n_folds = data.draw(st.integers(1, 6), label="folds")
+    fold = rng.permutation(n) % n_folds
+    k = data.draw(st.integers(1, n + 5), label="k")
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore"):
+        if cells is not None:
+            mp.setattr(kernels, "_BLOCK_CELLS", cells)
+        assert _hex(kernels.knn_loo_fold_errors(X, y, fold, k)) == _hex(
+            loop_knn_loo_fold_errors(X, y, fold, k))
+
+
+def _count_exact_pairs(monkeypatch):
+    """Record (pairs, features) of every call of the exact-distance pass."""
+    calls = []
+    exact = kernels._pair_sq_dists
+
+    def counted(queries, refs, qi, ri):
+        calls.append((qi.size, queries.shape[1]))
+        return exact(queries, refs, qi, ri)
+
+    monkeypatch.setattr(kernels, "_pair_sq_dists", counted)
+    return calls
+
+
+def test_screen_passes_about_k_candidates_per_row_on_distinct_rows(monkeypatch):
+    # Distinct rows have no ties at the k-th distance, so the screen should
+    # pass little more than the k nearest; 2 k per row allows for rows
+    # that fall within the rounding bound of the k-th.
+    calls = _count_exact_pairs(monkeypatch)
+    rng = np.random.default_rng(60)
+    X = rng.normal(size=(2000, 8))
+    y = (rng.random(2000) < 0.5).astype(np.float64)
+    kernels.knn_loo_fold_errors(X, y, rng.permutation(2000) % 5, 5)
+    assert sum(pairs for pairs, _ in calls) / 2000 <= 2 * 5
+    calls.clear()
+    kernels.knn_scores(X[:1500], y[:1500], X[1500:], 5)
+    assert sum(pairs for pairs, _ in calls) / 500 <= 2 * 5
+
+
+def test_exact_pass_on_all_equal_rows_stays_within_the_cell_budget(monkeypatch):
+    # Every row ties with every other, so every cell is a candidate, and
+    # the exact pass must take them a budget's worth at a time.
+    calls = _count_exact_pairs(monkeypatch)
+    X = np.full((150, 8), 2.5)
+    y = np.arange(150) % 2.0
+    fold = np.arange(150) % 3
+    assert _hex(kernels.knn_loo_fold_errors(X, y, fold, 7)) == _hex(
+        loop_knn_loo_fold_errors(X, y, fold, 7))
+    assert sum(pairs for pairs, _ in calls) == 150 * 100
+    assert _hex(kernels.knn_scores(X, y, X[:40], 7)) == _hex(
+        loop_knn_scores(X, y, X[:40], 7))
+    assert sum(pairs for pairs, _ in calls) == 150 * 100 + 40 * 150
+    # Each kernel ran one block, and split its exact pass into several.
+    assert len(calls) > 2
+    assert all(pairs * dim <= kernels._BLOCK_CELLS for pairs, dim in calls)
+
+
+# Run alike in this process and in one whose BLAS has a single thread: the
+# k-NN outputs, as hex, on continuous and on tie-heavy rows.
+_BLAS_CASE = """
+import numpy as np
+from fairaudit import kernels
+
+def outputs():
+    rng = np.random.default_rng(70)
+    out = []
+    for X in (rng.normal(size=(600, 37)),
+              rng.integers(0, 2, size=(600, 10)).astype(np.float64)):
+        y = (rng.random(600) < 0.5).astype(np.float64)
+        fold = rng.permutation(600) % 5
+        out += kernels.knn_loo_fold_errors(X, y, fold, 5).tolist()
+        out += kernels.knn_scores(X[:400], y[:400], X[400:], 15).tolist()
+    return [v.hex() for v in out]
+"""
+
+
+def test_knn_outputs_do_not_depend_on_blas_threads():
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(kernels.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c",
+         _BLAS_CASE + "import json; print(json.dumps(outputs()))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    here = {}
+    exec(_BLAS_CASE, here)
+    assert json.loads(done.stdout) == here["outputs"]()
+
+
+# ---------------------------------------------------------------------------
 # Only the cuts between distinct values are scored: nodes with no such cut,
 # one such cut, signed zeros, and the all-distinct case where every cut is.
 
@@ -550,3 +714,12 @@ def test_zscore_matches_loop_with_constant_columns():
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
         assert got[2][0] == 1.0 and not got[0][:, 0].any()
+
+
+@pytest.mark.parametrize("big", [1e308, 1e200])
+def test_zscore_rejects_a_column_whose_mean_or_deviation_overflows(big):
+    # 1e308 overflows the column's sum, 1e200 the squares of its
+    # deviations; either would leave Z all NaN or all zero.
+    X = np.column_stack([np.linspace(-1.0, 1.0, 6), np.tile([big, big / 2], 3)])
+    with pytest.raises(AnalysisError, match="feature column 1"):
+        kernels.zscore(X)

@@ -337,6 +337,38 @@ def test_cli_noise_k_above_the_rows_a_fold_trains_on_is_an_analysis_error(
         assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("big", [1e308, 1e200])
+@pytest.mark.parametrize("command", [["audit", "--learner", "knn:k=5"], ["noise"]],
+                         ids=["audit_knn", "noise"])
+def test_cli_column_too_large_to_z_score_is_an_analysis_error(
+    tmp_path, capsys, big, command
+):
+    # A column of about ±1e308 overflows its mean, one of about ±1e200 the
+    # squares of its deviations; both k-NN and the noise bounds z-score
+    # their features first, and must stop there.
+    import warnings
+
+    rng = np.random.default_rng(5)
+    x = np.where(rng.random(200) < 0.5, big, -big) * rng.uniform(0.5, 1.0, 200)
+    data, schema = tmp_path / "big.csv", tmp_path / "schema.txt"
+    data.write_text("x,w,group,outcome\n" + "".join(
+        f"{float(v)!r},{rng.normal():.3f},{i % 2},{int(rng.random() < 0.5)}\n"
+        for i, v in enumerate(x)))
+    schema.write_text("group=group\noutcome=outcome\ntask=binary\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([*command, "--seed", 1, "--data", data, "--schema", schema,
+                    "--out", out])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert ("fairaudit: analysis error: cannot z-score feature column 0 "
+            "(0-based): its mean or standard deviation overflows") in err
+    assert "Traceback" not in err
+    assert [str(w.message) for w in caught] == []
+    assert not (out / "report.json").exists()
+
+
 def test_cli_knn_k_above_the_training_rows_is_an_analysis_error(
     tmp_path, synth_csv, capsys
 ):
