@@ -24,8 +24,8 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .costs import (
-    CostKind, brier_score, cost_losses, discrimination_level,
-    empty_group_error, row_losses, sample_variance,
+    CostKind, brier_score, discrimination_level, empty_group_error,
+    group_losses, row_losses, sample_variance,
 )
 from .data import (
     Dataset,
@@ -287,6 +287,8 @@ def cmd_subgroups(args, report: AuditReport) -> None:
         for w in rep.warnings:
             report.warn(w)
     else:
+        # Raises for an inapplicable kind; the loop skips cell-less features.
+        row_losses(preds, eval_set, kind)
         clusterings = subgroups.threshold_clusterings(eval_set)
         summary = {}
         for j, cl in enumerate(clusterings):
@@ -328,21 +330,15 @@ def cmd_test(args, report: AuditReport) -> None:
     kind = parse_kind(args.kind)
     # Before any test runs, leave out each group whose cost is undefined
     # or that has fewer than the 2 samples a test needs.
-    rows = row_losses(preds, eval_set, kind)
-    losses = {}
-    for a in range(eval_set.n_groups):
-        try:
-            la = cost_losses(rows, eval_set.group_indices(a), kind, a)
-        except AnalysisError as exc:
-            report.warn(f"group {a} skipped: {exc}")
-            continue
+    samples, errors = group_losses(preds, eval_set, kind)
+    for a, la in samples.items():
         if la.size < 2:
-            report.warn(
-                f"group {a} skipped: group {a} has 1 {kind.value} sample; "
-                "a test needs at least 2"
+            errors[a] = AnalysisError(
+                f"group {a} has 1 {kind.value} sample; a test needs at least 2"
             )
-            continue
-        losses[a] = la
+    for a in sorted(errors):
+        report.warn(f"group {a} skipped: {errors[a]}")
+    losses = {a: la for a, la in samples.items() if a not in errors}
     groups = list(losses)
     if len(groups) < 2:
         raise AnalysisError(
@@ -473,6 +469,7 @@ def build_parser(
     unit_open = _checked(float, "in (0, 1)", lambda v: 0.0 < v < 1.0)
     unit_closed = _checked(float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
     positive = _checked(float, "finite and > 0", lambda v: 0.0 < v < math.inf)
+    uint32 = _checked(int, "in [0, 2**32)", lambda v: 0 <= v < 2**32)
     trained = ("audit", "decompose", "curves", "subgroups", "test")
     held_out = ("audit", "decompose/data", "subgroups", "test")
     synthetic = ("decompose/synthetic", "synth")
@@ -526,7 +523,7 @@ def build_parser(
         names = {name, *(f"{name}/{source}" for source in sources)}
         p.add_argument("--config", default=None)
         p.add_argument("--data", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=uint32, default=None)
         p.add_argument("--out", default="fairaudit_out")
         p.add_argument("--format", default="json", choices=("json", "csv"))
         for flag, readers, keywords in options:

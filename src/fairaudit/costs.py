@@ -180,6 +180,24 @@ def group_cost(
     return float(losses.mean()), losses.size, sample_variance(losses)
 
 
+def group_losses(
+    preds: PredictionSet, d: Dataset, kind: CostKind
+) -> tuple[dict[int, np.ndarray], dict[int, AnalysisError]]:
+    """One ``row_losses`` pass, then ``cost_losses`` per declared group:
+    the rule every group-level analysis shares.  Returns (samples, errors),
+    both keyed by group in ascending order: the loss samples of the groups
+    whose cost is defined and the AnalysisError of every other group.
+    Raises, as ``row_losses`` does, for a kind the data cannot take."""
+    losses = row_losses(preds, d, kind)
+    samples, errors = {}, {}
+    for a in range(d.n_groups):
+        try:
+            samples[a] = cost_losses(losses, d.group_indices(a), kind, a)
+        except AnalysisError as exc:
+            errors[a] = exc
+    return samples, errors
+
+
 def cost_gap(costs) -> float:
     """Gamma: the largest of ``costs`` minus the smallest."""
     return float(max(costs) - min(costs))
@@ -193,33 +211,20 @@ def discrimination_level(
     A declared group with no rows, or whose cost is undefined, is excluded
     and reported in ``skipped_groups`` with a warning.
     """
-    groups, costs, counts, variances = [], [], [], []
-    skipped, warnings = [], []
-    for a in range(d.n_groups):
-        try:
-            cost, m, var = group_cost(preds, d, kind, a)
-        except AnalysisError as exc:
-            skipped.append(a)
-            warnings.append(f"group {a} skipped: {exc}")
-            continue
-        groups.append(a)
-        costs.append(cost)
-        counts.append(m)
-        variances.append(var)
-    if len(groups) < 2:
-        raise AnalysisError(
-            f"fewer than 2 evaluable groups for {kind.value}"
-        )
-    gap = cost_gap(costs)
+    samples, errors = group_losses(preds, d, kind)
+    if len(samples) < 2:
+        raise AnalysisError(f"fewer than 2 evaluable groups for {kind.value}")
+    kept = list(samples.values())
+    costs = [float(losses.mean()) for losses in kept]
     return GroupCostReport(
         cost_kind=kind,
-        groups=tuple(groups),
+        groups=tuple(samples),
         costs=tuple(costs),
-        counts=tuple(counts),
-        variances=tuple(variances),
-        gap=gap,
-        skipped_groups=tuple(skipped),
-        warnings=tuple(warnings),
+        counts=tuple(losses.size for losses in kept),
+        variances=tuple(map(sample_variance, kept)),
+        gap=cost_gap(costs),
+        skipped_groups=tuple(errors),
+        warnings=tuple(f"group {a} skipped: {e}" for a, e in errors.items()),
     )
 
 

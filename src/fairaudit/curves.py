@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .costs import CostKind, cost_gap, per_sample_losses
+from .costs import CostKind, cost_gap, group_losses
 from .data import Dataset, derive_seed, split, subsample
 from .errors import AnalysisError, DataError
 from .learners import LearnerSpec, score_predictions, train
@@ -101,7 +101,8 @@ def run_curve_experiment(
     of ``HOLDOUT_FRACTION`` of the rows, subsample the training rows,
     train, and record each group cost.
 
-    Missing group/class cells are recorded as None, not failures.
+    Missing group/class cells are recorded as None, not failures; a cost
+    kind the task cannot take raises (``costs.group_losses``).
     """
     n_grid = tuple(sorted(int(n) for n in n_grid))
     if trials < 1:
@@ -123,12 +124,9 @@ def run_curve_experiment(
                 model.predict_scores(test.features), d.task, threshold
             )
             for kind in cost_kinds:
+                samples, _ = group_losses(preds, test, kind)
                 for a in range(d.n_groups):
-                    try:
-                        losses = per_sample_losses(preds, test, kind, a)
-                        cost = float(losses.mean())
-                    except AnalysisError:
-                        cost = None
+                    cost = float(samples[a].mean()) if a in samples else None
                     cells.append(
                         CurveCell(
                             n_train=n_train,

@@ -65,10 +65,6 @@ class EnsemblePredictions:
     """
 
     table: np.ndarray
-    spec: LearnerSpec
-    n_train: int
-    source: str  # "fresh_draws" or "bootstrap"
-    seed: int
     cells: np.ndarray | None = None
 
     def __post_init__(self):
@@ -197,14 +193,7 @@ def ensemble_train(
         table = np.empty((t_models, eval_set.n))
         for t in range(t_models):
             table[t] = recorded(trained(t).predict_scores(eval_set.features))
-    return EnsemblePredictions(
-        table=table,
-        spec=spec,
-        n_train=n_train,
-        source="fresh_draws" if fresh else "bootstrap",
-        seed=seed,
-        cells=cells,
-    )
+    return EnsemblePredictions(table=table, cells=cells)
 
 
 def _squared_errors(preds: np.ndarray, target, out=None) -> np.ndarray:

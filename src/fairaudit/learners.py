@@ -141,10 +141,25 @@ class KNNModel(TrainedModel):
     scale: np.ndarray = None
 
     def _scores(self, features):
-        z = (features - self.mean) / self.scale
-        return kernels.knn_scores(
-            self.train_features, self.train_outcome, z, self.k
-        )
+        """Raises AnalysisError for a query row whose squared distances to
+        the training rows could overflow, naming its farthest column."""
+        refs = self.train_features
+        with np.errstate(over="ignore"):
+            z = (features - self.mean) / self.scale
+            # Per column, the distance to the farther end of the training
+            # rows' range; their squares add up to a bound on every squared
+            # distance the search computes.
+            far = np.maximum(z - refs.min(axis=0), refs.max(axis=0) - z)
+            reach = (far * far).sum(axis=1)
+        bad = ~np.isfinite(reach)
+        if bad.any():
+            column = int(far[bad.argmax()].argmax())
+            raise AnalysisError(
+                f"k-NN: a query row's feature column {column} (0-based) lies "
+                "so far from the training rows that its squared distances "
+                "overflow"
+            )
+        return kernels.knn_scores(refs, self.train_outcome, z, self.k)
 
 
 @dataclass(frozen=True)

@@ -138,13 +138,7 @@ def test_criterion_3_zero_noise_gap_and_bayes_optimal():
             for i in range(eval_d.n)
         ]
     )
-    bayes = EnsemblePredictions(
-        table=np.tile(y_star, (50, 1)),
-        spec=LearnerSpec(kind=LearnerKind.TREE),
-        n_train=0,
-        source="fresh_draws",
-        seed=0,
-    )
+    bayes = EnsemblePredictions(table=np.tile(y_star, (50, 1)))
     oracle = exact_bayes(spec)
     for a in (0, 1):
         g = group_decomposition(bayes, eval_d, om_d, Loss.ZERO_ONE, a)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fairaudit import (
     AnalysisError,
@@ -11,7 +13,7 @@ from fairaudit import (
     group_cost,
     per_sample_losses,
 )
-from fairaudit.costs import brier_score, generalized_zero_one
+from fairaudit.costs import brier_score, generalized_zero_one, group_losses
 from fairaudit.errors import DataError
 
 
@@ -257,3 +259,64 @@ def test_brier_and_generalized_zero_one_match_formulas():
             assert generalized_zero_one(s, d, a).hex() == float(
                 np.mean(y * (1.0 - s[rows]) + (1.0 - y) * s[rows])
             ).hex()
+
+
+# ---------------------------------------------------------------------------
+# ``group_losses`` is ``per_sample_losses`` for every declared group at once.
+
+
+@st.composite
+def group_loss_cases(draw):
+    """Predictions and a dataset of up to 4 declared groups, some of them
+    empty, a group without one of the classes, scores outside [0, 1]."""
+    n = draw(st.integers(1, 10))
+    n_groups = draw(st.integers(1, 4))
+    task = draw(st.sampled_from(list(Task)))
+    rows = st.lists(st.integers(0, n_groups - 1), min_size=n, max_size=n)
+    values = [0.0, 1.0] if task is Task.BINARY else [-1.5, 0.0, 0.25, 2.0]
+    d = Dataset(
+        features=np.zeros((n, 1)),
+        group=np.array(draw(rows)),
+        outcome=np.array(draw(st.lists(st.sampled_from(values),
+                                       min_size=n, max_size=n))),
+        task=task,
+        column_names=("x",),
+        group_names=tuple(str(a) for a in range(n_groups)),
+    )
+    scores = np.array(draw(st.lists(
+        st.sampled_from([-0.25, 0.0, 0.5, 0.75, 1.0, 1.5]),
+        min_size=n, max_size=n)))
+    labels = (scores >= 0.5).astype(float)
+    preds = draw(st.sampled_from([
+        PredictionSet(scores=scores),
+        PredictionSet(labels=labels),
+        PredictionSet(scores=scores, labels=labels),
+    ]))
+    return preds, d, draw(st.sampled_from(list(CostKind)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(group_loss_cases())
+def test_group_losses_match_per_sample_losses(case):
+    preds, d, kind = case
+    try:
+        samples, errors = group_losses(preds, d, kind)
+    except AnalysisError as exc:
+        # A kind the data cannot take: every group's cost raises alike.
+        event("kind does not apply")
+        for a in range(d.n_groups):
+            with pytest.raises(AnalysisError) as one:
+                per_sample_losses(preds, d, kind, a)
+            assert str(one.value) == str(exc)
+        return
+    assert list(samples) == sorted(samples) and list(errors) == sorted(errors)
+    assert sorted([*samples, *errors]) == list(range(d.n_groups))
+    for a in range(d.n_groups):
+        try:
+            expected = per_sample_losses(preds, d, kind, a)
+        except AnalysisError as exc:
+            event(str(exc).replace(f"group {a} ", ""))
+            assert str(errors[a]) == str(exc)
+            continue
+        assert samples[a].dtype == expected.dtype
+        assert samples[a].tobytes() == expected.tobytes()

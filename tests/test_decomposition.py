@@ -35,13 +35,7 @@ from fairaudit.synth import ConditionalOutcomeModel
 
 
 def make_ensemble(preds):
-    return EnsemblePredictions(
-        table=np.asarray(preds, dtype=np.float64),
-        spec=LS(kind=LearnerKind.TREE),
-        n_train=10,
-        source="fresh_draws",
-        seed=0,
-    )
+    return EnsemblePredictions(table=np.asarray(preds, dtype=np.float64))
 
 
 def tiny_binary(n, probs, groups):
@@ -243,13 +237,7 @@ def test_compare_models_detects_difference():
         LS(kind=LearnerKind.TREE, max_depth=4), sampler, 5, 1500, d, seed=15
     )
     # constant-0 predictor as the bad model
-    bad = EnsemblePredictions(
-        table=np.zeros((5, d.n)),
-        spec=LS(kind=LearnerKind.TREE),
-        n_train=10,
-        source="fresh_draws",
-        seed=0,
-    )
+    bad = EnsemblePredictions(table=np.zeros((5, d.n)))
     res = compare_models_bias_variance(good, bad, d, Loss.ZERO_ONE)
     assert res.p_value < 0.05
 
@@ -937,10 +925,7 @@ def _entry_points(e, other, d, om, binary):
 
 
 def _table_ensemble(table, cells=None):
-    return EnsemblePredictions(
-        table=table, spec=LS(kind=LearnerKind.TREE), n_train=10,
-        source="fresh_draws", seed=0, cells=cells,
-    )
+    return EnsemblePredictions(table=table, cells=cells)
 
 
 @settings(max_examples=200, deadline=None)

@@ -232,19 +232,28 @@ def test_cli_decompose_synth(tmp_path):
     assert abs(block["cost"] - total) < 1e-12
 
 
-def test_cli_decompose_synth_takes_a_negative_seed(tmp_path):
-    # Seeds are read modulo 2^32, as every derived seed is; the synthetic
-    # outcome model once took the raw seed, and a negative one raised.
-    reports = []
-    for seed in (-3, 2**32 - 3):
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_seed_must_lie_in_the_32_bit_range(tmp_path, capsys, source):
+    # Every derived seed reads the master seed modulo 2^32, so a seed
+    # outside [0, 2^32) would repeat the run of one inside it.
+    argv = ["decompose", "--learner", "tree:max_depth=1", "--t-models", 2,
+            "--n-train", 20, "--eval-size", 20]
+    for seed, code in ((-3, 2), (2**32, 2), (2**32 - 1, 0)):
         out = tmp_path / str(seed)
-        assert run(["decompose", "--seed", seed, "--learner", "tree:max_depth=1",
-                    "--t-models", 2, "--n-train", 20, "--eval-size", 20,
-                    "--out", out]) == 0
-        doc = json.loads((out / "report.json").read_text())
-        assert doc["config"].pop("seed") == seed
-        reports.append(doc)
-    assert reports[0] == reports[1]
+        if source == "flag":
+            given = ["--seed", seed]
+        else:
+            config = tmp_path / f"{seed}.cfg"
+            config.write_text(f"seed={seed}\n")
+            given = ["--config", config]
+        assert run([*argv, *given, "--out", out]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert f"--seed: must be in [0, 2**32), got '{seed}'" in err
+            assert not (out / "report.json").exists()
+        else:
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["config"]["seed"] == seed
 
 
 def test_cli_curves_writes_plot_table(tmp_path, synth_csv):
@@ -961,6 +970,77 @@ def test_cli_one_kind_commands_reject_other_kinds_before_training(
     assert not (out / "report.json").exists()
 
 
+@pytest.fixture(scope="module")
+def regression_csv(tmp_path_factory):
+    root = tmp_path_factory.mktemp("regression")
+    data, schema = root / "r.csv", root / "schema.txt"
+    assert run(["synth", "--seed", 1, "--synth-kind", "regression", "--n", 300,
+                "--data", data, "--out", root / "synth_out"]) == 0
+    schema.write_text("group=group\noutcome=outcome\ntask=regression\n")
+    return data, schema
+
+
+@pytest.mark.parametrize("task,kind", [("binary", "mse"),
+                                       ("regression", "zero_one")])
+@pytest.mark.parametrize("command", [
+    ["audit"], ["test"], ["subgroups"],
+    ["curves", "--grid", "20,40,80", "--trials", 1],
+], ids=lambda argv: argv[0])
+def test_cli_inapplicable_kind_is_one_analysis_error(
+    tmp_path, synth_csv, regression_csv, capsys, command, task, kind
+):
+    # Every group-level analysis decides with ``costs.group_losses`` which
+    # kinds apply; curves and subgroups once exited 0 with empty blocks.
+    import warnings
+
+    data, schema = synth_csv[:2] if task == "binary" else regression_csv
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([*command, "--seed", 1, "--data", data, "--schema", schema,
+                    "--learner", "tree:max_depth=2", "--kind", kind,
+                    "--out", out])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err == (f"fairaudit: analysis error: cost kind {kind} requires a "
+                   f"{'regression' if kind == 'mse' else 'binary'} task\n")
+    assert [str(w.message) for w in caught] == []
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_cli_knn_query_row_too_far_to_measure_is_an_analysis_error(
+    tmp_path, capsys, seed
+):
+    # One raw 1e160 among standard normals: in a training row it stops the
+    # z-scoring; in a test row (as these seeds split it) its squared
+    # distances overflow, and its neighbours would be arbitrary.
+    import warnings
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 3))
+    x[37, 1] = 1e160
+    data, schema = tmp_path / "far.csv", tmp_path / "schema.txt"
+    data.write_text("a,b,c,group,outcome\n" + "".join(
+        f"{row[0]!r},{row[1]!r},{row[2]!r},{i % 2},{int(rng.random() < 0.5)}\n"
+        for i, row in enumerate(x.tolist())))
+    schema.write_text("group=group\noutcome=outcome\ntask=binary\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["audit", "--seed", seed, "--learner", "knn:k=5",
+                    "--data", data, "--schema", schema, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert err == (
+        "fairaudit: analysis error: k-NN: a query row's feature column 1 "
+        "(0-based) lies so far from the training rows that its squared "
+        "distances overflow\n"
+    )
+    assert [str(w.message) for w in caught] == []
+    assert not (out / "report.json").exists()
+
+
 def test_cli_non_finite_feature_names_its_line_and_column(tmp_path, capsys):
     data = tmp_path / "f.csv"
     data.write_text("g,y,x,z\n0,1,1,2\n1,0,2,3\n0,1,inf,4\n1,0,3,5\n")
@@ -1041,6 +1121,7 @@ def _grid_ok(text):
 
 # Each ranged option's valid values, written independently of the parser.
 RANGES = {
+    ("audit", "--seed"): lambda v: type(v) is int and 0 <= v < 2**32,
     ("test", "--level"): lambda v: type(v) is float and 0 < v < 1,
     ("audit", "--threshold"): lambda v: type(v) is float and 0 <= v <= 1,
     ("audit", "--test-fraction"): lambda v: type(v) is float and 0 < v < 1,

@@ -44,13 +44,32 @@ def test_only_learners_reads_the_tree_node_table():
     assert found == []
 
 
+def test_only_costs_and_subgroups_call_cost_losses():
+    # Which groups a cost covers is decided in ``costs.group_losses`` (and
+    # ``per_sample_losses``, its one-group form); ``subgroups`` applies the
+    # rule to the cells of a clustering.  No other module loops over groups
+    # with its own copy of it.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem not in ("costs", "subgroups")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and "cost_losses" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert found == []
+
+
 ROOT = SRC.parent.parent
 # Bindings the benchmark's tracer expects but this package no longer has;
 # traced runs skip an absent binding.  ``per_sample_losses`` left
-# ``subgroups`` when its cells came to index one per-row loss pass, and the
-# per-node ``best_split_gini`` left ``kernels`` when one Gini kernel came to
-# search a whole level of nodes at once (``best_splits_gini``).
-ABSENT_BINDINGS = {"subgroups.per_sample_losses", "kernels.best_split_gini"}
+# ``subgroups`` when its cells came to index one per-row loss pass, and
+# ``curves`` when each trial's group costs came to read one
+# ``costs.group_losses`` pass per kind; the per-node ``best_split_gini``
+# left ``kernels`` when one Gini kernel came to search a whole level of
+# nodes at once (``best_splits_gini``).
+ABSENT_BINDINGS = {"subgroups.per_sample_losses", "curves.per_sample_losses",
+                   "kernels.best_split_gini"}
 
 
 def _expected_sites():
@@ -98,7 +117,7 @@ UNREFERENCED_EXPORTS = {
     "mahalanobis_upper": "called by noise_bounds.all_bounds (noise)",
     "nn_bounds": "called by noise_bounds.all_bounds (noise)",
     "fit_power_law": "called by curves.fit_curve_experiment (curves)",
-    "group_cost": "called by costs.discrimination_level (audit)",
+    "group_cost": "one group's cost, variance and count, for the unit tests",
     "welch_t": "called by stats.pairwise_welch_holm (test)",
     # Analyses no subcommand reaches yet.
     "class_conditional_decomposition": "FPR/FNR decomposition, ROADMAP item 2",
