@@ -35,8 +35,7 @@ _EXPORTS = {
     "learners": ("LearnerKind", "LearnerSpec", "train"),
     "noise_bounds": (
         "BoundMethod", "NoiseBoundEstimate", "all_bounds",
-        "bhattacharyya_bounds", "cover_hart_lower", "mahalanobis_upper",
-        "nn_bounds",
+        "cover_hart_lower", "mahalanobis_upper", "nn_bounds",
     ),
     "report": ("AuditReport", "emit_report"),
     "stats": (

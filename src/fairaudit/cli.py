@@ -306,6 +306,11 @@ def cmd_subgroups(args, report: AuditReport) -> None:
                 "variance": rep.variances[top],
                 "enrichment": rep.enrichment[top],
             }
+        if not summary:
+            raise AnalysisError(
+                "no feature splits the evaluation rows into a cluster with "
+                f"{kind.value} costs in 2 groups"
+            )
         report.add("feature_threshold_clusters", summary)
 
 

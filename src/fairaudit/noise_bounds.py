@@ -1,11 +1,14 @@
-"""Group-wise Bayes-error bounds: Mahalanobis, Bhattacharyya, and
-nearest-neighbor (Cover-Hart) estimates.
+"""Group-wise Bayes-error bounds: a Mahalanobis upper bound and a
+nearest-neighbor (Cover-Hart) bracket.
 
 All bounds are computed within one protected group, with the binary
-outcome playing the role of the class label.  Features are always
-z-scored on the group's own rows; covariances are ridge-regularized with
-lambda = 1e-3 * trace / k, which is necessary on one-hot-expanded,
-rank-deficient feature matrices.
+outcome playing the role of the class label, on the group's features
+z-scored on its own rows.  The Mahalanobis bound assumes nothing about
+the class distributions (Devijver & Kittler 1982); its pooled covariance
+is ridge-regularized, which one-hot-expanded, rank-deficient feature
+matrices need.  Both ends of the nearest-neighbor bracket hold only as
+the group's row count grows: at finite size the cross-validated k-NN
+error can fall below the Bayes error.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import AnalysisError
 
 class BoundMethod(enum.Enum):
     MAHALANOBIS = "mahalanobis"
-    BHATTACHARYYA = "bhattacharyya"
     NEAREST_NEIGHBOR = "nearest_neighbor"
 
 
@@ -65,29 +67,25 @@ def _group_class_stats(d: Dataset, a: int):
     return neg, pos, priors
 
 
-def _regularized_cov(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """cov (as a k x k matrix) + lam * I with lam = 1e-3 * trace / k, or
-    1e-6 when that is not positive; and lam."""
-    cov = np.atleast_2d(cov)
-    k = cov.shape[0]
-    lam = 1e-3 * np.trace(cov) / k
-    if lam <= 0:
-        lam = 1e-6
-    return cov + lam * np.eye(k), lam
-
-
 def mahalanobis_upper(d: Dataset, a: int) -> NoiseBoundEstimate:
     """Upper bound 2 p1 p2 / (1 + p1 p2 * Delta) from the Mahalanobis
-    distance between class means under a pooled covariance."""
+    distance between class means under the pooled covariance plus
+    lam * I, with lam = 1e-3 * trace / k (1e-6 when that is not
+    positive).  The bound holds for any class distributions."""
     neg, pos, priors = _group_class_stats(d, a)
     p1, p2 = priors
     n1, n2 = neg.shape[0], pos.shape[0]
     diff = pos.mean(axis=0) - neg.mean(axis=0)
-    pooled, lam = _regularized_cov(
+    # atleast_2d: np.cov of one feature is a 0-d array.
+    pooled = np.atleast_2d(
         ((n1 - 1) * np.cov(neg, rowvar=False, ddof=1)
          + (n2 - 1) * np.cov(pos, rowvar=False, ddof=1)) / (n1 + n2 - 2)
     )
-    delta = float(diff @ np.linalg.solve(pooled, diff))
+    k = pooled.shape[0]
+    lam = 1e-3 * np.trace(pooled) / k
+    if lam <= 0:
+        lam = 1e-6
+    delta = float(diff @ np.linalg.solve(pooled + lam * np.eye(k), diff))
     if not math.isfinite(delta):
         raise AnalysisError("non-finite Mahalanobis distance")
     e_up = 2.0 * p1 * p2 / (1.0 + p1 * p2 * delta)
@@ -98,41 +96,6 @@ def mahalanobis_upper(d: Dataset, a: int) -> NoiseBoundEstimate:
         e_up=float(e_up),
         priors=priors,
         auxiliary={"delta": delta, "regularization": lam},
-    )
-
-
-def bhattacharyya_bounds(d: Dataset, a: int) -> NoiseBoundEstimate:
-    """Gaussian-assumption Bhattacharyya distance bounds.
-
-    B = (1/8) * dmu' Sbar^-1 dmu + (1/2) ln(det Sbar / sqrt(det S0 det S1)),
-    rho = exp(-B); E_up = sqrt(p1 p2) rho,
-    E_low = (1 - sqrt(1 - 4 p1 p2 rho^2)) / 2.
-    """
-    neg, pos, priors = _group_class_stats(d, a)
-    p1, p2 = priors
-    cov0, _ = _regularized_cov(np.cov(neg, rowvar=False, ddof=1))
-    cov1, _ = _regularized_cov(np.cov(pos, rowvar=False, ddof=1))
-    avg = 0.5 * (cov0 + cov1)
-    diff = pos.mean(axis=0) - neg.mean(axis=0)
-    sign, logdet_avg = np.linalg.slogdet(avg)
-    sign0, logdet0 = np.linalg.slogdet(cov0)
-    sign1, logdet1 = np.linalg.slogdet(cov1)
-    if sign <= 0 or sign0 <= 0 or sign1 <= 0:
-        raise AnalysisError("regularized covariance not positive definite")
-    dist = 0.125 * float(diff @ np.linalg.solve(avg, diff)) + 0.5 * (
-        logdet_avg - 0.5 * (logdet0 + logdet1)
-    )
-    rho = math.exp(-dist)
-    e_up = math.sqrt(p1 * p2) * rho
-    inner = max(0.0, 1.0 - 4.0 * p1 * p2 * rho * rho)
-    e_low = 0.5 * (1.0 - math.sqrt(inner))
-    return NoiseBoundEstimate(
-        method=BoundMethod.BHATTACHARYYA,
-        group=a,
-        e_low=float(e_low),
-        e_up=float(e_up),
-        priors=priors,
-        auxiliary={"bhattacharyya_distance": dist, "rho": rho},
     )
 
 
@@ -205,11 +168,10 @@ def all_bounds(
     d: Dataset, k: int = 5, folds: int = 5, seed: int = 0,
     max_samples: int | None = None,
 ) -> list[NoiseBoundEstimate]:
-    """All three methods for every group."""
+    """Both methods for every group."""
     out = []
     for a in range(d.n_groups):
         out.append(mahalanobis_upper(d, a))
-        out.append(bhattacharyya_bounds(d, a))
         out.append(
             nn_bounds(d, a, k=k, folds=folds, seed=seed,
                       max_samples=max_samples)

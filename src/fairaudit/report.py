@@ -87,13 +87,22 @@ class AuditReport:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid report JSON: {exc}") from exc
-        return AuditReport(
-            config=doc.get("config", {}),
-            version=doc.get("version", TOOL_VERSION),
-            results=doc.get("results", {}),
-            warnings=doc.get("warnings", []),
-            errors=doc.get("errors", []),
-        )
+        if not isinstance(doc, dict):
+            raise DataError("invalid report JSON: not an object")
+        # Each field the document gives, by the JSON type it must have.
+        report = AuditReport(config={})
+        for name, (kind, json_type) in {
+            "version": (str, "a string"), "config": (dict, "an object"),
+            "results": (dict, "an object"), "warnings": (list, "an array"),
+            "errors": (list, "an array"),
+        }.items():
+            value = doc.get(name, getattr(report, name))
+            if not isinstance(value, kind):
+                raise DataError(
+                    f"invalid report JSON: {name!r} is not {json_type}"
+                )
+            setattr(report, name, value)
+        return report
 
 
 def _flatten(prefix: str, value, rows: list) -> None:

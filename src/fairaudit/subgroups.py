@@ -182,7 +182,8 @@ def rank_clusters(
 ) -> ClusterReport:
     """Per-(cluster, group) costs ranked by cross-group variance of costs,
     ties broken by max-min gap, then cluster index; a cell of mass below
-    ``MIN_CELL_MASS`` is flagged."""
+    ``MIN_CELL_MASS`` is flagged.  A cluster with computable cells in
+    fewer than 2 groups has no gap and is left out of the ranking."""
     costs, masses = {}, {}
     gaps, variances, enrichment = {}, {}, {}
     unreliable = []
@@ -203,15 +204,19 @@ def rank_clusters(
             cell_costs.append(cost)
             if mass < MIN_CELL_MASS:
                 unreliable.append((c, a))
-        if not cell_costs:
-            warnings.append(f"cluster {c} dropped: no computable cells")
+        if len(cell_costs) < 2:
+            # A gap compares groups; one group's cells have none to show.
+            warnings.append(
+                f"cluster {c} dropped: computable cells in {len(cell_costs)} "
+                "group(s), a gap needs 2"
+            )
             continue
         gaps[c] = cost_gap(cell_costs)
         variances[c] = float(np.var(cell_costs))
         enrichment[c] = outcome_enrichment(d, cl, c)
         usable.append(c)
     if not usable:
-        raise AnalysisError("no cluster has a computable cell")
+        raise AnalysisError("no cluster has computable cells in 2 groups")
     order = sorted(usable, key=lambda c: (-variances[c], -gaps[c], c))
     if unreliable:
         warnings.append(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,11 @@ from fairaudit import (
     Dataset,
     Task,
     all_bounds,
-    bhattacharyya_bounds,
     cover_hart_lower,
     mahalanobis_upper,
     nn_bounds,
 )
+from fairaudit.cli import run_cli
 from fairaudit.errors import AnalysisError
 
 
@@ -62,26 +64,31 @@ def test_mahalanobis_matches_formula():
     assert est.e_up == pytest.approx(2 * p1 * p2 / (1 + p1 * p2 * delta))
 
 
-def test_bhattacharyya_1d_frozen_example():
-    # equal unit-variance Gaussians, means 0 and 2, equal priors:
-    # B = mu_diff^2 / 8 = 0.5, rho = exp(-0.5)
-    # oracle computed with exact arithmetic:
-    rho = np.exp(-0.5)
-    e_up = 0.5 * rho
-    e_low = 0.5 * (1 - np.sqrt(1 - rho**2))
-    d = gaussian_mixture(100_000, 2.0, 2, k=1)
-    est = bhattacharyya_bounds(d, 0)
-    assert est.e_up == pytest.approx(e_up, abs=0.01)
-    assert est.e_low == pytest.approx(e_low, abs=0.01)
-    assert est.e_low <= est.e_up
-
-
-def test_bhattacharyya_brackets_bayes_error():
+def test_mahalanobis_bounds_the_gaussian_bayes_error():
     for delta in (1.0, 2.0, 3.0):
         d = gaussian_mixture(60_000, delta, 3)
-        est = bhattacharyya_bounds(d, 0)
-        bayes = analytic_bayes_error(delta)
-        assert est.e_low - 0.01 <= bayes <= est.e_up + 0.01
+        assert mahalanobis_upper(d, 0).e_up >= analytic_bayes_error(delta)
+
+
+def test_noise_bounds_the_exact_bayes_error_of_the_discrete_source(tmp_path):
+    # The README's noise path: synth reports each group's exact Bayes error.
+    data, synth_out, out = (tmp_path / n for n in ("d.csv", "synth", "noise"))
+    assert run_cli(["synth", "--synth-kind", "discrete", "--n", "8000",
+                    "--seed", "5", "--data", str(data),
+                    "--out", str(synth_out)]) == 0
+    schema = tmp_path / "schema.txt"
+    schema.write_text("group=group\noutcome=outcome\ntask=binary\n")
+    assert run_cli(["noise", "--k", "5", "--folds", "5", "--seed", "5",
+                    "--data", str(data), "--schema", str(schema),
+                    "--out", str(out)]) == 0
+    exact = json.loads((synth_out / "report.json").read_text())[
+        "results"]["exact_bayes"]["noise"]
+    block = json.loads((out / "report.json").read_text())[
+        "results"]["noise_bounds"]
+    assert set(block) == {f"{m}.group{a}" for a in (0, 1)
+                          for m in ("mahalanobis", "nearest_neighbor")}
+    for a, bayes in enumerate(exact):
+        assert block[f"mahalanobis.group{a}"]["e_up"] >= bayes
 
 
 def test_nn_bounds_bracket_bayes_error():
@@ -133,15 +140,13 @@ def test_degenerate_one_hot_features_handled():
         task=Task.BINARY,
         column_names=("a", "b", "c"),
     )
-    est_m = mahalanobis_upper(d, 0)
-    est_b = bhattacharyya_bounds(d, 0)
-    assert np.isfinite(est_m.e_up) and np.isfinite(est_b.e_up)
+    assert np.isfinite(mahalanobis_upper(d, 0).e_up)
 
 
 def test_all_bounds_covers_groups_and_methods(binary_dataset):
     out = all_bounds(binary_dataset, seed=1)
     keys = {(e.method, e.group) for e in out}
-    assert len(keys) == 3 * binary_dataset.n_groups
+    assert len(keys) == 2 * binary_dataset.n_groups
 
 
 def test_requires_both_classes():
@@ -167,9 +172,8 @@ def test_estimate_rejects_lower_bound_above_upper():
 
 
 # ---------------------------------------------------------------------------
-# Reference oracles: the Mahalanobis bound's inline ridge and the
-# Bhattacharyya bound's regularized class covariances, as they read before
-# one function returned (cov, lam) for both.
+# Reference oracle: the Mahalanobis bound's ridge-regularized pooled
+# covariance, written out step by step.
 
 
 def _loop_class_stats(d, a):
@@ -199,22 +203,7 @@ def loop_mahalanobis(d, a):
     return float(lam).hex(), float(diff @ np.linalg.solve(pooled, diff)).hex()
 
 
-def loop_bhattacharyya_covs(d, a):
-    def regularized_cov(X):
-        cov = np.atleast_2d(np.cov(X, rowvar=False, ddof=1))
-        k = cov.shape[0]
-        lam = 1e-3 * np.trace(cov) / k
-        if lam <= 0:
-            lam = 1e-6
-        return cov + lam * np.eye(k)
-
-    neg, pos = _loop_class_stats(d, a)
-    return regularized_cov(neg), regularized_cov(pos)
-
-
 def test_regularization_matches_the_inline_formulas():
-    from fairaudit.noise_bounds import _regularized_cov
-
     rng = np.random.default_rng(41)
     cases = [gaussian_mixture(60, 1.5, seed, k=k) for seed, k in ((1, 1), (2, 3))]
     # All-constant features: zero trace, so lam falls back to 1e-6.
@@ -237,8 +226,4 @@ def test_regularization_matches_the_inline_formulas():
         assert float(est.auxiliary["regularization"]).hex() == lam_hex
         assert est.auxiliary["delta"].hex() == delta_hex
         fallback += est.auxiliary["regularization"] == 1e-6
-        neg, pos = _loop_class_stats(d, 0)
-        for X, want in zip((neg, pos), loop_bhattacharyya_covs(d, 0)):
-            cov = np.cov(X, rowvar=False, ddof=1)
-            assert _regularized_cov(cov)[0].tobytes() == want.tobytes()
     assert fallback == 1

@@ -1170,6 +1170,38 @@ def test_cli_subgroups_with_topics(tmp_path, synth_csv):
     assert "feature_threshold_clusters" in doc["results"]
 
 
+@pytest.mark.parametrize("rows", [
+    # Group 1 has no Y=0 rows, so no cluster has an fpr gap across groups.
+    ["1,1,{},{}".format(i % 7, i * 3 % 11) if i % 2 else
+     "0,{},{},{}".format(i // 2 % 2, i % 7, i * 3 % 11) for i in range(60)],
+    # The 1-row test split holds one group.
+    ["{},{},{},{}".format(i % 2, int(i % 3 == 0), i % 7, i * 3 % 11)
+     for i in range(6)],
+], ids=["one_group_has_fpr", "one_test_row"])
+def test_cli_subgroups_without_a_cross_group_cluster_is_an_analysis_error(
+    tmp_path, capsys, rows
+):
+    import warnings
+
+    data = tmp_path / "d.csv"
+    data.write_text("g,y,a,b\n" + "\n".join(rows) + "\n")
+    schema = tmp_path / "s.txt"
+    schema.write_text("group=g\noutcome=y\ntask=binary\n")
+    out = tmp_path / "sub"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["subgroups", "--seed", 1, "--data", data, "--schema",
+                    schema, "--kind", "fpr", "--learner", "logistic",
+                    "--out", out])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "fairaudit: analysis error: no feature splits the evaluation rows "
+        "into a cluster with fpr costs in 2 groups\n"
+    )
+    assert [str(w.message) for w in caught] == []
+    assert not (out / "report.json").exists()
+
+
 def test_cli_report_reemission(tmp_path, synth_csv):
     data, schema, _ = synth_csv
     out = tmp_path / "a"
@@ -1227,6 +1259,30 @@ def test_cli_report_missing_input_is_a_data_error(tmp_path, capsys):
     bad.write_bytes(b'{"results": "\xff"}')
     assert run(["report", "--seed", 0, "--data", bad, "--out", tmp_path / "o"]) == 3
     assert "cannot read report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,field", [
+    ("[]", None), ("1", None), ('"x"', None), ("null", None),
+    ('{"results": [1, 2]}', "results"), ('{"config": []}', "config"),
+    ('{"warnings": {}}', "warnings"), ('{"errors": "e"}', "errors"),
+    ('{"version": 1}', "version"), ('{"version": null}', "version"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_report_of_a_malformed_document_is_a_data_error(
+    tmp_path, capsys, text, field, fmt
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "o"
+    code = run(["report", "--seed", 1, "--data", bad, "--format", fmt,
+                "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith("fairaudit: data error: invalid report JSON: ")
+    if field is not None:
+        assert f"{field!r} is not " in err
+    assert not out.exists()
 
 
 def test_cli_non_utf8_dataset_is_a_data_error(tmp_path, capsys):

@@ -151,6 +151,26 @@ def test_rank_clusters_orders_by_variance():
     assert rep.variances[1] > rep.variances[0]
 
 
+def test_rank_clusters_drops_a_cluster_with_cells_in_one_group():
+    # Cluster 1 holds only group-0 rows: its one cell has no gap to show.
+    n = 30
+    group = np.array([0, 1] * 10 + [0] * 10)
+    assignment = np.repeat([0, 1], [20, 10]).astype(np.int64)
+    d = Dataset(
+        features=np.zeros((n, 1)),
+        group=group,
+        outcome=(np.arange(n) % 3 == 0).astype(float),
+        task=Task.BINARY,
+        column_names=("x",),
+    )
+    cl = Clustering(kind=ClusteringKind.HARD, assignment=assignment)
+    rep = rank_clusters(PredictionSet(labels=np.zeros(n)), d, cl, CostKind.ZERO_ONE)
+    assert rep.clusters == (0,)
+    assert set(rep.gaps) == {0} and (1, 0) in rep.costs
+    assert "cluster 1 dropped: computable cells in 1 group(s), a gap needs 2" \
+        in rep.warnings
+
+
 def test_rank_clusters_flags_thin_cells():
     n = 24
     group = np.array([0] * 22 + [1] * 2)  # group 1 thin everywhere
@@ -394,8 +414,11 @@ def test_cells_match_the_take_and_rebuild_loop(kind):
                 lambda: cluster_cost(preds, d, hard, kind, a, c)
             ) == (w if isinstance(w, str) else w[0])
         computable = {key: w for key, w in want.items() if isinstance(w, tuple)}
-        if not computable:
-            with pytest.raises(AnalysisError, match="no cluster has a computable"):
+        # Only a cluster with cells in 2 groups has a gap to rank.
+        ranked = [c for c in range(hard.n_clusters)
+                  if sum(key[0] == c for key in computable) >= 2]
+        if not ranked:
+            with pytest.raises(AnalysisError, match="no cluster has computable"):
                 rank_clusters(preds, d, hard, kind)
             continue
         rep = rank_clusters(preds, d, hard, kind)
