@@ -13,10 +13,12 @@ The acceptance tests look for a prepared file at the path given by the
 
 from __future__ import annotations
 
-import csv
+import io
 import os
 
-from .data import Dataset, Schema, Task, load_dataset
+from .data import (
+    Dataset, Schema, Task, load_dataset, read_text, write_csv, write_text,
+)
 from .errors import DataError
 
 RAW_COLUMNS = (
@@ -47,14 +49,10 @@ def convert_adult(raw_path, out_csv_path, out_schema_path) -> int:
     dropped).  Nothing is written when the raw file cannot be read or has
     no usable row.
     """
-    try:
-        with open(raw_path, "r", encoding="utf-8") as raw:
-            lines = raw.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {raw_path}: {exc}") from exc
+    text = read_text(raw_path, "raw Adult file")
     header = [c for c in RAW_COLUMNS if c not in ("fnlwgt", "income")]
     rows = []
-    for line in lines:
+    for line in io.StringIO(text, newline=None):
         line = line.strip()
         if not line or line.startswith("|"):
             continue
@@ -68,18 +66,9 @@ def convert_adult(raw_path, out_csv_path, out_schema_path) -> int:
         rows.append([record[c] for c in header] + [outcome])
     if not rows:
         raise DataError(f"{raw_path}: no usable rows")
-    try:
-        with open(out_csv_path, "w", encoding="utf-8", newline="") as out:
-            writer = csv.writer(out)
-            writer.writerow(header + ["outcome"])
-            writer.writerows(rows)
-    except OSError as exc:
-        raise DataError(f"cannot write {out_csv_path}: {exc}") from exc
-    try:
-        with open(out_schema_path, "w", encoding="utf-8") as fh:
-            fh.write("group=sex\noutcome=outcome\ntask=binary\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {out_schema_path}: {exc}") from exc
+    write_csv(out_csv_path, "dataset", header + ["outcome"], rows)
+    write_text(out_schema_path, "schema file",
+               "group=sex\noutcome=outcome\ntask=binary\n")
     return len(rows)
 
 

@@ -34,6 +34,7 @@ from .data import (
     derive_seed,
     load_dataset,
     read_key_values,
+    read_text,
     split,
     write_dataset,
 )
@@ -389,11 +390,7 @@ def cmd_synth(args, report: AuditReport) -> None:
 def cmd_report(args, report: AuditReport) -> None:
     if not args.data:
         raise ConfigError("report subcommand needs --data <report.json>")
-    try:
-        with open(args.data, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read report {args.data}: {exc}") from exc
+    text = read_text(args.data, "report")
     # The loaded report's own config and version replace this run's echo.
     vars(report).update(vars(AuditReport.from_json(text)))
 

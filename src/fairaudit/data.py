@@ -1,7 +1,8 @@
 """Tabular datasets with protected-group and outcome columns.
 
-Loading, validation, splitting, subsampling, and bootstrap resampling.
-All stochastic operations are pure functions of (inputs, seed).
+Loading, validation, splitting, subsampling, bootstrap resampling, and
+every file the package reads or writes.  All stochastic operations are
+pure functions of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -21,25 +22,57 @@ class Task(enum.Enum):
     REGRESSION = "regression"
 
 
-def read_key_values(path, what: str) -> list[tuple[str, str]]:
-    """The stripped (key, value) pairs of a UTF-8 file of ``key=value``
-    lines, in file order, skipping blank and ``#`` lines and a leading
-    byte-order mark.  Errors name the file as a ``what`` file."""
-    pairs = []
+def read_text(path, what: str) -> str:
+    """The text of the UTF-8 file ``path``, without a leading byte-order
+    mark and with its line ends as they are.  Errors name the file as a
+    ``what``."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected key=value, got {line!r}"
-                    )
-                key, _, value = line.partition("=")
-                pairs.append((key.strip(), value.strip()))
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_text(path, what: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as they are;
+    text that UTF-8 cannot encode (a lone surrogate) creates no file.
+    Errors name the file as a ``what``."""
+    try:
+        data = text.encode()
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, UnicodeEncodeError) as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_csv(path, what: str, header: list, rows) -> None:
+    """Write the ``header`` record, then ``rows``, to ``path`` as
+    ``csv.writer`` text: cells quoted where needed, records ended by
+    ``\r\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, what, buf.getvalue())
+
+
+def read_key_values(path, what: str) -> list[tuple[str, str]]:
+    """The stripped (key, value) pairs of a file of ``key=value`` lines
+    (see ``read_text``), in file order, skipping blank and ``#`` lines.
+    Errors name the file as a ``what`` file."""
+    try:
+        text = read_text(path, f"{what} file")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    pairs = []
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        pairs.append((key.strip(), value.strip()))
     return pairs
 
 
@@ -245,43 +278,46 @@ def _check_missing(first: list, linenos: list, origin: str) -> None:
         raise DataError(f"{origin}:{linenos[min(first)]}: missing value")
 
 
-def _numeric_column(
-    column: tuple, linenos: list, origin: str, role: str
-) -> np.ndarray:
-    """The ``role`` column's cells as finite floats.  Raises for the first
-    record whose cell is not a number, else for the first nan or infinite
-    one, naming the record's line."""
-    cells, codes = column
-    values = _floats(cells)
-    if values is None:
-        bad = np.array([_floats([cell]) is None for cell in cells])
-        i = np.argmax(bad[codes])
+def _raise_first_bad(bad: list, linenos: list, origin: str, what: str) -> None:
+    """Raise ``what`` for the first record with a bad cell, at its leftmost
+    such column.  ``bad`` holds, for each column in order, its column
+    form, a mark for each of its distinct cells, and the text that ends a
+    message on one of its cells."""
+    firsts = [(np.argmax(marks[codes]), j)
+              for j, ((_, codes), marks, _) in enumerate(bad) if marks.any()]
+    if firsts:
+        i, j = min(firsts)
+        (cells, codes), _, where = bad[j]
         raise DataError(
-            f"{origin}:{linenos[i]}: non-numeric {role} value {cells[codes[i]]!r}"
+            f"{origin}:{linenos[i]}: {what} {cells[codes[i]]!r}{where}"
         )
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = np.argmax(~finite[codes])
-        raise DataError(
-            f"{origin}:{linenos[i]}: non-finite {role} value {cells[codes[i]]!r}"
-        )
-    return values[codes]
+
+
+def numeric_columns(columns: list, linenos: list, origin: str, role: str) -> list:
+    """The cells of each ``role`` column as finite floats.  Raises for the
+    first record with a cell that is not a number, else with a nan or
+    infinite one, naming its leftmost such cell."""
+    values = [_floats(cells) for cells, _ in columns]
+    _raise_first_bad(
+        [(column, np.array([_floats([cell]) is None for cell in column[0]]), "")
+         for column, v in zip(columns, values) if v is None],
+        linenos, origin, f"non-numeric {role} value",
+    )
+    _raise_first_bad(
+        [(column, ~np.isfinite(v), "") for column, v in zip(columns, values)],
+        linenos, origin, f"non-finite {role} value",
+    )
+    return [v[codes] for v, (_, codes) in zip(values, columns)]
 
 
 def load_dataset(path, schema: Schema) -> Dataset:
-    """Load a CSV file under a column-role schema.
+    """Load a CSV file (see ``read_text``) under a column-role schema.
 
     Categorical feature columns (any non-numeric cell) are one-hot expanded
     with categories in code-point order; column names become
-    ``<col>=<category>``.  Missing cells are rejected outright.  A UTF-8
-    byte-order mark at the start of the file is dropped.
+    ``<col>=<category>``.  Missing cells are rejected outright.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
-    return _load_csv_text(text, schema, origin=str(path))
+    return _load_csv_text(read_text(path, "dataset"), schema, origin=str(path))
 
 
 # _KEEP[k] keeps the first k bytes of a little-endian 8-byte word.
@@ -456,7 +492,7 @@ def _split_quote_free(text: str) -> tuple[list, list, range] | None:
 
 def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
     """The columns and record line numbers of the records left in
-    ``reader``, skipping blank ones; see ``_load_csv_text`` for the
+    ``reader``, skipping blank ones; see ``read_csv_table`` for the
     errors."""
     columns = [[] for _ in range(width)]
     linenos = []
@@ -471,11 +507,9 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
 
     try:
         for lineno, row in enumerate(reader, 2):
-            # The header has at least two columns, so a blank record (no
-            # cell, or one blank cell) always fails the width test first.
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue  # a blank record: no cell, or one blank cell
             if len(row) != width:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
                 check_missing()
                 raise DataError(
                     f"{origin}:{lineno}: expected {width} cells, got {len(row)}"
@@ -494,28 +528,20 @@ def _read_csv_records(reader, width: int, origin: str) -> tuple[list, list]:
     return list(map(_factorize, columns)), linenos
 
 
-def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Dataset:
-    """Parse CSV text into a Dataset, one column at a time.
+def read_csv_table(text: str, origin: str, check_header=None) -> tuple:
+    """The stripped header cells, columns (in column form) and record line
+    numbers of CSV text.  ``check_header``, given, may raise for the
+    header cells before any record error is raised.
 
     Cells are stripped of surrounding whitespace.  Blank records are
     skipped but still count in the ``origin:lineno:`` of an error, which
     names the first ragged or unparsable record or record with an empty
-    cell.  A column is numeric when Python ``float()`` accepts every cell
-    (so ``1_000``, ``1e3``, ``nan`` and ``inf`` are numbers); otherwise its
-    distinct values, sorted by code point, become one-hot columns.  The
-    outcome and score must be numeric, and they and every numeric feature
-    finite.  A group column of non-negative integers keeps their numeric
-    order; any other group column is categorical.
-
-    Both record readers return each column as the stripped text of its
-    distinct cells and a code per record, so every rule above parses each
-    distinct cell once.  Text that ``_split_quote_free`` accepts is
-    factorized from its bytes; any other goes through ``csv.reader``,
-    which alone skips blank records and raises record errors.
+    cell.  Text that ``_split_quote_free`` accepts is factorized from its
+    bytes; any other goes through ``csv.reader``, which alone skips blank
+    records and raises record errors.
     """
     records = _split_quote_free(text)
     if records is None:
-        # Header errors come before record errors.
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
@@ -528,16 +554,8 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise DataError(f"{origin}: duplicate column names in header")
-    for needed in (schema.group, schema.outcome):
-        if needed not in header:
-            raise DataError(f"{origin}: schema column {needed!r} not in header")
-    if schema.score is not None and schema.score not in header:
-        raise DataError(f"{origin}: score column {schema.score!r} not in header")
-    special = {schema.group, schema.outcome, schema.score} | set(schema.ignore)
-    feature_cols = [h for h in header if h not in special]
-    if not feature_cols:
-        raise DataError(f"{origin}: no feature columns left under schema")
-
+    if check_header is not None:
+        check_header(header)
     if records is None:
         columns, linenos = _read_csv_records(reader, len(header), origin)
     _check_missing(
@@ -545,10 +563,37 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
          for cells, codes in columns if "" in cells],
         linenos, origin,
     )
+    return header, columns, linenos
+
+
+def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Dataset:
+    """Parse CSV text (see ``read_csv_table``) into a Dataset, one column
+    at a time, parsing each distinct cell once.
+
+    A column is numeric when Python ``float()`` accepts every cell (so
+    ``1_000``, ``1e3``, ``nan`` and ``inf`` are numbers); otherwise its
+    distinct values, sorted by code point, become one-hot columns.  The
+    outcome and score must be numeric, and they and every numeric feature
+    finite.  A group column of non-negative integers keeps their numeric
+    order; any other group column is categorical.
+    """
+    special = {schema.group, schema.outcome, schema.score} | set(schema.ignore)
+
+    def check_header(header):
+        for needed in (schema.group, schema.outcome):
+            if needed not in header:
+                raise DataError(f"{origin}: schema column {needed!r} not in header")
+        if schema.score is not None and schema.score not in header:
+            raise DataError(f"{origin}: score column {schema.score!r} not in header")
+        if all(h in special for h in header):
+            raise DataError(f"{origin}: no feature columns left under schema")
+
+    header, columns, linenos = read_csv_table(text, origin, check_header)
+    feature_cols = [h for h in header if h not in special]
     n = len(linenos)
     col = dict(zip(header, columns))
 
-    outcome = _numeric_column(col[schema.outcome], linenos, origin, "outcome")
+    [outcome] = numeric_columns([col[schema.outcome]], linenos, origin, "outcome")
     if schema.task is Task.BINARY and not np.all(np.isin(outcome, (0.0, 1.0))):
         i = np.flatnonzero(~np.isin(outcome, (0.0, 1.0)))[0]
         raise DataError(f"{origin}:{linenos[i]}: binary outcome value "
@@ -572,7 +617,7 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
     # Features: numeric columns pass through, categorical are one-hot.
     names: list[str] = []
     blocks = []  # (first feature column, values per cell or None, codes)
-    non_finite = []  # (first such record, name) per numeric column
+    numeric = []  # (column, non-finite cells, message end) per numeric column
     for name in feature_cols:
         cells, codes = col[name]
         values = _floats(cells)
@@ -583,9 +628,7 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
         else:
             blocks.append((len(names), values, codes))
             names.append(name)
-            finite = np.isfinite(values)
-            if not finite.all():
-                non_finite.append((np.argmax(~finite[codes]), name))
+            numeric.append((col[name], ~np.isfinite(values), f" in column {name!r}"))
     features = np.zeros((n, len(names)))
     flat = features.reshape(-1)
     row_starts = np.arange(n) * len(names)
@@ -597,16 +640,8 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 
     score = None
     if schema.score is not None:
-        score = _numeric_column(col[schema.score], linenos, origin, "score")
-    # Report the first record with a nan or infinite feature, at its
-    # leftmost such column (``min`` keeps the first of equal records).
-    if non_finite:
-        i, name = min(non_finite, key=lambda bad: bad[0])
-        cells, codes = col[name]
-        raise DataError(
-            f"{origin}:{linenos[i]}: non-finite feature value "
-            f"{cells[codes[i]]!r} in column {name!r}"
-        )
+        [score] = numeric_columns([col[schema.score]], linenos, origin, "score")
+    _raise_first_bad(numeric, linenos, origin, "non-finite feature value")
 
     return Dataset(
         features=features,
@@ -622,24 +657,17 @@ def _load_csv_text(text: str, schema: Schema, origin: str = "<memory>") -> Datas
 def write_dataset(d: Dataset, path) -> None:
     """Write a Dataset to CSV in the canonical schema (group, outcome,
     then feature columns).  load(write(d)) reproduces d."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["group", "outcome"] + list(d.column_names)
-            if d.score is not None:
-                header.append("score")
-            writer.writerow(header)
-            # Python floats from ``tolist`` give the same ``repr`` as numpy
-            # scalars, without a scalar object per cell.
-            columns = [d.group.tolist(), d.outcome.tolist(), d.features.tolist()]
-            if d.score is not None:
-                columns.append(d.score.tolist())
-            for group, outcome, features, *score in zip(*columns):
-                writer.writerow(
-                    [str(group), repr(outcome), *map(repr, features), *map(repr, score)]
-                )
-    except OSError as exc:
-        raise DataError(f"cannot write dataset {path}: {exc}") from exc
+    header = ["group", "outcome"] + list(d.column_names)
+    # Python floats from ``tolist`` give the same ``repr`` as numpy scalars,
+    # without a scalar object per cell.
+    columns = [d.group.tolist(), d.outcome.tolist(), d.features.tolist()]
+    if d.score is not None:
+        header.append("score")
+        columns.append(d.score.tolist())
+    write_csv(path, "dataset", header, (
+        [str(group), repr(outcome), *map(repr, features), *map(repr, score)]
+        for group, outcome, features, *score in zip(*columns)
+    ))
 
 
 def canonical_schema(d: Dataset) -> Schema:

@@ -9,7 +9,6 @@ flattens each block into its own CSV file.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -18,6 +17,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
+from .data import write_csv, write_text
 from .errors import AnalysisError, DataError
 
 TOOL_VERSION = "0.1.0"
@@ -83,8 +83,12 @@ class AuditReport:
 
     @staticmethod
     def from_json(text: str) -> "AuditReport":
+        """The report of JSON ``text``; every number in it must be finite,
+        as ``to_json`` writes only finite ones."""
         try:
-            doc = json.loads(text)
+            doc = json.loads(
+                text, parse_float=_finite_float, parse_constant=_finite_float
+            )
         except json.JSONDecodeError as exc:
             raise DataError(f"invalid report JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -105,51 +109,55 @@ class AuditReport:
         return report
 
 
-def _flatten(prefix: str, value, rows: list) -> None:
+def _finite_float(text: str) -> float:
+    """A JSON number literal, or ``NaN``/``Infinity``/``-Infinity``, as a
+    float; raises unless it is finite (``1e400`` overflows to inf)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise DataError(f"invalid report JSON: non-finite number {text}")
+    return value
+
+
+def _flatten(prefix: str, value):
+    """The (field, value) rows of a nested block, fields under ``prefix``."""
     if isinstance(value, dict):
         for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], rows)
+            yield from _flatten(f"{prefix}.{k}" if prefix else str(k), value[k])
     elif isinstance(value, list):
         for i, v in enumerate(value):
-            _flatten(f"{prefix}[{i}]", v, rows)
+            yield from _flatten(f"{prefix}[{i}]", v)
     else:
-        rows.append((prefix, value))
+        yield prefix, value
 
 
 def emit_report(report: AuditReport, out_dir, fmt: str = "json") -> list:
-    """Write the report; returns the list of files written."""
+    """Write the report; returns the list of files written.  In CSV form
+    each result block goes to the file it names, so a block name that is
+    no plain file name is refused before anything is written."""
+    if fmt not in ("json", "csv"):
+        raise DataError(f"unknown report format {fmt!r}")
+    for name in report.results:
+        if fmt == "csv" and (name in ("", ".", "..")
+                             or any(c in name for c in "/\\\0")):
+            raise DataError(f"report block name {name!r} is not a file name")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        written = []
-        if fmt == "json":
-            path = os.path.join(out_dir, "report.json")
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(report.to_json())
-            written.append(path)
-        elif fmt == "csv":
-            for name, block in sorted(report.results.items()):
-                rows: list = []
-                _flatten("", block, rows)
-                path = os.path.join(out_dir, f"{name}.csv")
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["field", "value"])
-                    writer.writerows(rows)
-                written.append(path)
-            path = os.path.join(out_dir, "meta.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["field", "value"])
-                rows = []
-                _flatten("config", _plain(report.config), rows)
-                writer.writerows(rows)
-                for i, w in enumerate(report.warnings):
-                    writer.writerow([f"warning[{i}]", w])
-            written.append(path)
-        else:
-            raise DataError(f"unknown report format {fmt!r}")
     except OSError as exc:
         raise DataError(f"cannot write report under {out_dir}: {exc}") from exc
+    if fmt == "json":
+        path = os.path.join(out_dir, "report.json")
+        write_text(path, "report", report.to_json())
+        return [path]
+    tables = [(f"{name}.csv", _flatten("", block))
+              for name, block in sorted(report.results.items())]
+    tables.append(("meta.csv", [
+        *_flatten("config", _plain(report.config)),
+        *((f"warning[{i}]", w) for i, w in enumerate(report.warnings)),
+    ]))
+    written = []
+    for file_name, rows in tables:
+        written.append(os.path.join(out_dir, file_name))
+        write_csv(written[-1], "report table", ["field", "value"], rows)
     return written
 
 
@@ -159,12 +167,9 @@ def write_curve_table(path, rows) -> None:
     Creates the file's directory if it does not exist."""
     try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "group", "cost_kind", "mean", "stderr", "fitted_value"]
-            )
-            for row in rows:
-                writer.writerow(row)
     except OSError as exc:
         raise DataError(f"cannot write curve table {path}: {exc}") from exc
+    write_csv(
+        path, "curve table",
+        ["n", "group", "cost_kind", "mean", "stderr", "fitted_value"], rows,
+    )

@@ -398,19 +398,18 @@ def anova_f(group_losses: list[np.ndarray], level: float = 0.05) -> TestResult:
 
 def welch_t(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """Welch two-sample t statistic of mean(x) - mean(y),
-    Welch-Satterthwaite df, and p-value; with no variance in either
-    sample, (t, p) is ``_exact_gap`` of the mean difference, and df is
-    m_x + m_y - 2."""
+    Welch-Satterthwaite df, and p-value.  The statistic is
+    ``two_sample_z``'s z, and so is the whole result of an exact gap (no
+    variance in either sample), with df m_x + m_y - 2."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size < 2 or y.size < 2:
         raise AnalysisError("Welch test needs >= 2 samples per group")
+    _, se, stat, p = two_sample_z(x, y)
+    if se == 0.0:
+        return stat, float(x.size + y.size - 2), p
     vx = x.var(ddof=1) / x.size
     vy = y.var(ddof=1) / y.size
-    if vx + vy == 0.0:
-        stat, p = _exact_gap(float(x.mean() - y.mean()))
-        return stat, float(x.size + y.size - 2), p
-    stat = float((x.mean() - y.mean()) / math.sqrt(vx + vy))
     df = (vx + vy) ** 2 / (vx**2 / (x.size - 1) + vy**2 / (y.size - 1))
     return stat, float(df), two_tailed_t_p(stat, df)
 

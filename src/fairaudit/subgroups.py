@@ -10,15 +10,13 @@ identify where discrimination is concentrated.  Every cell reads one
 
 from __future__ import annotations
 
-import csv
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .costs import CostKind, PredictionSet, cost_gap, cost_losses, row_losses
-from .data import Dataset
+from .data import Dataset, numeric_columns, read_csv_table, read_text
 from .errors import AnalysisError, DataError
 
 MIN_CELL_MASS = 10.0
@@ -236,34 +234,12 @@ def rank_clusters(
 
 
 def load_membership(path, n_expected: int | None = None) -> Clustering:
-    """Load a soft membership matrix from CSV (columns q_0..q_{C-1}).
-    A leading byte-order mark is dropped and blank lines are skipped."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise DataError(
-                        f"{path}:{reader.line_num}: ragged membership matrix: "
-                        f"expected {len(header)} cells, got {len(row)}"
-                    )
-                values = [float(cell) for cell in row]
-                for cell, v in zip(row, values):
-                    if not math.isfinite(v):
-                        raise DataError(
-                            f"{path}:{reader.line_num}: non-finite "
-                            f"membership value {cell.strip()!r}"
-                        )
-                rows.append(values)
-    except (OSError, ValueError, StopIteration, csv.Error) as exc:
-        raise DataError(f"cannot read membership file {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no membership rows")
-    q = np.asarray(rows, dtype=np.float64)
+    """Load a soft membership matrix from a CSV file (columns
+    q_0..q_{C-1}) under the dataset rules of ``data.read_csv_table``;
+    every cell must be a finite number."""
+    text, origin = read_text(path, "membership file"), str(path)
+    header, columns, linenos = read_csv_table(text, origin)
+    q = np.column_stack(numeric_columns(columns, linenos, origin, "membership"))
     if n_expected is not None and q.shape[0] != n_expected:
         raise DataError(
             f"{path}: {q.shape[0]} rows but dataset has {n_expected}"

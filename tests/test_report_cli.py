@@ -14,6 +14,7 @@ from fairaudit.cli import (
     COMMANDS, build_parser, parse_kinds, parse_learner, run_cli,
 )
 from fairaudit.costs import CostKind
+from fairaudit.data import Schema, load_dataset
 from fairaudit.errors import AnalysisError, ConfigError
 from fairaudit.learners import LearnerKind
 from fairaudit.report import write_curve_table
@@ -1084,7 +1085,7 @@ def test_cli_ragged_topics_file_is_a_data_error(tmp_path, synth_csv, capsys):
                 "--out", tmp_path / "o"]) == 3
     err = capsys.readouterr().err
     assert "fairaudit: data error: " in err
-    assert "q.csv:3: ragged membership matrix: expected 2 cells, got 1" in err
+    assert "q.csv:3: expected 2 cells, got 1" in err
 
 
 def test_cli_non_finite_topics_cell_is_a_data_error(tmp_path, synth_csv, capsys):
@@ -1102,6 +1103,52 @@ def test_cli_non_finite_topics_cell_is_a_data_error(tmp_path, synth_csv, capsys)
     err = capsys.readouterr().err
     assert "fairaudit: data error: " in err
     assert "q.csv:2: non-finite membership value 'nan'" in err
+
+
+
+@pytest.mark.parametrize("text,message", [
+    # A topics file is a CSV table under the dataset rules and messages.
+    ("q_0,q_1\n0.5,\n", "q.csv:2: missing value"),
+    ("q_0,q_1\n0.5,0.5\nx,1\n", "q.csv:3: non-numeric membership value 'x'"),
+    ("q_0,q_1\n", "q.csv: no data rows"),
+    ("", "q.csv: empty file"),
+    ("\ufeff", "q.csv: empty file"),
+    ("q_0,q_0\n0.5,0.5\n", "q.csv: duplicate column names in header"),
+    ('q_0,q_1\n"0.5,0.5\n', "q.csv:2: expected 2 cells, got 1"),
+    ("\n0.5,0.5\n", "q.csv:2: expected 0 cells, got 2"),
+])
+def test_cli_topics_file_follows_the_dataset_csv_rules(
+    tmp_path, synth_csv, capsys, text, message
+):
+    data, schema, _ = synth_csv
+    topics = tmp_path / "q.csv"
+    topics.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert run(["subgroups", "--seed", 9, "--data", data, "--schema", schema,
+                "--learner", "knn", "--topics", topics, "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("fairaudit: data error: ") and message in err, err
+    assert not out.exists()
+
+
+def test_cli_topics_file_reads_a_bom_quotes_and_crlf_as_plain_text(
+    tmp_path, synth_csv
+):
+    # The evaluation split holds 100 of the 500 rows.
+    data, schema, _ = synth_csv
+    args = ["subgroups", "--seed", 9, "--data", data, "--schema", schema,
+            "--learner", "knn"]
+    rows = [(i % 5 / 4, 1 - i % 5 / 4) for i in range(100)]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("q_0,q_1\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    other = tmp_path / "other.csv"
+    other.write_bytes(("\ufeff\"q_0\", q_1\r\n\r\n" + "\r\n".join(
+        f'"{a}", {b}' for a, b in rows)).encode())
+    for path in (plain, other):
+        assert run(args + ["--topics", path, "--out", tmp_path / path.stem]) == 0
+    assert (tmp_path / "other" / "report.json").read_bytes() == (
+        tmp_path / "plain" / "report.json").read_bytes().replace(
+        b"plain.csv", b"other.csv")
 
 
 def test_cli_on_off_flag_from_config(tmp_path):
@@ -1285,6 +1332,88 @@ def test_cli_report_of_a_malformed_document_is_a_data_error(
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("text", [
+    '{"results": {"a": NaN}}', '{"results": {"a": Infinity}}',
+    '{"results": {"a": {"b": [1, -Infinity]}}}', '{"results": {"a": 1e400}}',
+    '{"config": {"x": -1e400}}', '{"version": "0.1.0", "warnings": [NaN]}',
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_report_of_a_non_finite_number_is_a_data_error(
+    tmp_path, capsys, text, fmt
+):
+    # ``json.loads`` takes NaN and Infinity, and reads 1e400 as inf; none of
+    # them is JSON a report may hold.
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "o"
+    code = run(["report", "--seed", 1, "--data", bad, "--format", fmt,
+                "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "Traceback" not in err
+    assert err.startswith(
+        "fairaudit: data error: invalid report JSON: non-finite number ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a\u0000b", "", ".", "..",
+                                  "a\\b", "/abs"])
+def test_cli_report_csv_refuses_a_block_name_that_is_no_file_name(
+    tmp_path, capsys, name
+):
+    source = tmp_path / "r.json"
+    source.write_text(json.dumps({"results": {"ok": {"v": 1}, name: {"v": 1}}}))
+    out = tmp_path / "o2" / "inner"
+    code = run(["report", "--seed", 1, "--data", source, "--format", "csv",
+                "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err == (
+        f"fairaudit: data error: report block name {name!r} is not a file name\n"
+    )
+    assert not (tmp_path / "o2").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+    # In a JSON report the name is a key and no file name.
+    assert run(["report", "--seed", 1, "--data", source, "--out", out]) == 0
+    assert name in json.loads((out / "report.json").read_text())["results"]
+
+
+
+def test_cli_report_csv_of_a_lone_surrogate_is_a_data_error(tmp_path, capsys):
+    # JSON may escape a lone surrogate, which UTF-8 cannot encode; a JSON
+    # report escapes it again, but a CSV cell would have to hold it.
+    source = tmp_path / "r.json"
+    source.write_text('{"results": {"a": {"v": "\\ud800"}}}')
+    out = tmp_path / "o"
+    code = run(["report", "--seed", 1, "--data", source, "--format", "csv",
+                "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith(
+        f"fairaudit: data error: cannot write report table {out / 'a.csv'}: ")
+    assert not (out / "a.csv").exists()
+    assert run(["report", "--seed", 1, "--data", source, "--out", out]) == 0
+    assert '"v": "\\ud800"' in (out / "report.json").read_text()
+
+
+def test_cli_report_of_a_bom_prefixed_report_reemits_its_bytes(tmp_path):
+    first = tmp_path / "first"
+    assert run(["synth", "--seed", 3, "--n", 50, "--out", first]) == 0
+    text = (first / "report.json").read_bytes()
+    prefixed = tmp_path / "bom.json"
+    prefixed.write_bytes(b"\xef\xbb\xbf" + text)
+    for fmt in ("json", "csv"):
+        assert run(["report", "--seed", 1, "--data", first / "report.json",
+                    "--format", fmt, "--out", tmp_path / "plain" / fmt]) == 0
+        assert run(["report", "--seed", 1, "--data", prefixed,
+                    "--format", fmt, "--out", tmp_path / "bom" / fmt]) == 0
+        for path in (tmp_path / "plain" / fmt).iterdir():
+            assert (tmp_path / "bom" / fmt / path.name).read_bytes() == (
+                path.read_bytes())
+    assert (tmp_path / "bom" / "json" / "report.json").read_bytes() == text
+
+
 def test_cli_non_utf8_dataset_is_a_data_error(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_bytes(b"g,y,x\n0,1,\xff\n1,0,2\n")
@@ -1309,8 +1438,30 @@ def test_cli_prepare_adult_non_utf8_raw_file_is_a_data_error(tmp_path, capsys):
                 "--out-csv", tmp_path / "a.csv", "--out-schema", tmp_path / "a.txt",
                 "--out", tmp_path / "o"])
     assert code == 3
-    assert f"cannot read {raw}" in capsys.readouterr().err
+    assert f"cannot read raw Adult file {raw}" in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+def test_cli_prepare_adult_drops_a_byte_order_mark(tmp_path):
+    # With the mark kept, the first row's age read as "\ufeff39" and the age
+    # column loaded as one-hot columns.
+    lines = _ADULT_LINE + _ADULT_LINE.replace("39,", "50,").replace(
+        "Male", "Female").replace("<=50K", ">50K.")
+    written = {}
+    for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        raw = tmp_path / f"{name}.data"
+        raw.write_bytes(head + lines.encode())
+        out = tmp_path / name
+        out.mkdir()
+        assert run(["prepare-adult", "--seed", 0, "--data", raw,
+                    "--out-csv", out / "a.csv", "--out-schema", out / "a.txt",
+                    "--out", out / "o"]) == 0
+        written[name] = [(out / f).read_bytes() for f in ("a.csv", "a.txt")]
+    assert written["bom"] == written["plain"]
+    d = load_dataset(tmp_path / "bom" / "a.csv",
+                     Schema.from_file(tmp_path / "bom" / "a.txt"))
+    assert "age" in d.column_names
+    assert d.features[:, d.column_names.index("age")].tolist() == [39.0, 50.0]
 
 
 @pytest.mark.parametrize("missing", ["out-csv", "out-schema"])
@@ -1325,7 +1476,8 @@ def test_cli_prepare_adult_output_under_a_missing_directory_is_a_data_error(
                 "--out-csv", paths["out-csv"], "--out-schema", paths["out-schema"],
                 "--out", tmp_path / "o"])
     assert code == 3
-    assert f"cannot write {paths[missing]}" in capsys.readouterr().err
+    what = {"out-csv": "dataset", "out-schema": "schema file"}[missing]
+    assert f"cannot write {what} {paths[missing]}" in capsys.readouterr().err
 
 
 def test_cli_rejects_abbreviated_flags(tmp_path, capsys):
@@ -1553,3 +1705,98 @@ def test_any_argv_exits_with_a_documented_code(argv_root, data):
     assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
     assert [str(w.message) for w in caught] == []
+
+
+# ---------------------------------------------------------------------------
+# Input files of arbitrary bytes: a schema, a --config and a --topics file,
+# drawn from the byte tokens of ``test_load_dataset_on_arbitrary_bytes``
+# (a byte-order mark, bytes that are not UTF-8, NUL, carriage returns,
+# quotes, separators and numbers), ``=`` and ``#``, and words each file's
+# reader looks for.
+
+_FILE_TOKENS = [b"\xef\xbb\xbf", b"\xff", b"\xc3", "é".encode(), b"\x00",
+                b"\r", b"\n", b"\r\n", b'"', b",", b"=", b"#", b" ", b"\t",
+                b"0", b"1", b"2.5", b"-0", b"nan", b"a"]
+# Per file: the argv that reads it (as ``input``, in the fuzz directory),
+# the heads a file starts with, and the words its body may hold.
+_INPUT_FILES = {
+    "schema": (
+        ["audit", "--data", "d.csv", "--schema", "input",
+         "--learner", "tree:max_depth=1"],
+        [b"", b"\xef\xbb\xbf", b"group=group\noutcome=outcome\n",
+         b"\xef\xbb\xbfgroup=group\r\noutcome=outcome\r\ntask=binary\r\n"],
+        [b"group", b"outcome", b"task", b"binary", b"regression", b"score",
+         b"ignore", b"task=binary\n", b"score=score\n", b"ignore=a,b\n"],
+    ),
+    "config": (
+        ["synth", "--config", "input"],
+        [b"", b"\xef\xbb\xbf", b"n=20\n", b"\xef\xbb\xbfn=20\r\n"],
+        [b"n", b"sigma-eps", b"sigma_eps", b"synth_kind", b"discrete",
+         b"regression", b"homoskedastic", b"on", b"off", b"format", b"csv",
+         b"sigma-eps=0.5\n"],
+    ),
+    "topics": (
+        ["subgroups", "--data", "d.csv", "--schema", "schema.txt",
+         "--learner", "tree:max_depth=1", "--topics", "input"],
+        [b"", b"\xef\xbb\xbf", b"q_0,q_1\n", b"q_0,q_1\n" + b"0.5,0.5\n" * 11,
+         b"q_0,q_1\n" + b"0.5,0.5\n" * 12,
+         b"\xef\xbb\xbfq_0,q_1\r\n" + b"1,0\r\n" * 11],
+        [b"q_0", b"q_1", b"0.5", b"q_0,q_1\n", b"0.5,0.5\n", b"1,0\r\n"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def input_root(tmp_path_factory):
+    """A directory with a 60-row dataset (12 evaluation rows) and its
+    schema, where each run writes ``input`` and reports under ``out``."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(6)
+    rows = [f"{i % 2},{int(rng.random() < 0.3 + 0.3 * (i % 2))},"
+            f"{rng.integers(0, 3)},{rng.normal():.2f},{rng.random():.3f}\n"
+            for i in range(60)]
+    (root / "d.csv").write_text("group,outcome,a,b,score\n" + "".join(rows))
+    (root / "schema.txt").write_text(ARGV_FILES["schema"])
+    return root
+
+
+def _run_on_input_file(root, kind, data):
+    """Run the argv that reads a drawn ``kind`` file; it exits 0, 2, 3 or
+    4, and its stderr is empty or one ``fairaudit: ... error:`` line."""
+    import contextlib
+    import io
+
+    argv, heads, words = _INPUT_FILES[kind]
+    head = data.draw(st.sampled_from(heads), label="head")
+    body = data.draw(st.lists(st.sampled_from(_FILE_TOKENS + words),
+                              max_size=30).map(b"".join), label="body")
+    (root / "input").write_bytes(head + body)
+    stderr = io.StringIO()
+    # A config file may name a relative path; it lands in ``root``.
+    with contextlib.chdir(root), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code = run_cli([*argv, "--seed", "1", "--out", "out"])
+    err = stderr.getvalue()
+    event(f"{kind} exit {code}")
+    assert code in (0, 2, 3, 4), err
+    assert "Traceback" not in err
+    assert err == "" if code == 0 else re.fullmatch(
+        r"fairaudit: (config|data|analysis) error: [^\n]*\n", err), err
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_schema_file_exits_with_a_documented_code(input_root, data):
+    _run_on_input_file(input_root, "schema", data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_config_file_exits_with_a_documented_code(input_root, data):
+    _run_on_input_file(input_root, "config", data)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_topics_file_exits_with_a_documented_code(input_root, data):
+    _run_on_input_file(input_root, "topics", data)

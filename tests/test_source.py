@@ -60,6 +60,24 @@ def test_only_costs_and_subgroups_call_cost_losses():
     assert found == []
 
 
+
+def test_only_data_opens_files_or_imports_csv():
+    # Every file the package reads or writes goes through ``data``
+    # (``read_text``, ``write_text``, ``write_csv``, ``read_csv_table``), so
+    # one encoding, byte-order-mark and error rule holds for every file.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "data"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Call) and "open" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+        or (isinstance(node, ast.Import)
+            and any(a.name.split(".")[0] == "csv" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+    ]
+    assert found == []
+
+
 ROOT = SRC.parent.parent
 # Bindings the benchmark's tracer expects but this package no longer has;
 # traced runs skip an absent binding.  ``per_sample_losses`` left

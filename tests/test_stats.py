@@ -26,6 +26,7 @@ from fairaudit.stats import (
     t_sf,
     two_sample_z,
     two_tailed_normal_p,
+    two_tailed_t_p,
 )
 
 
@@ -202,6 +203,40 @@ def test_welch_exact_gap_follows_the_z_test_rule():
         assert (stat, p) == two_sample_z(x, y)[2:]
         assert df == x.size + y.size - 2
     assert welch_t(np.zeros(3), np.ones(3))[0] == -math.inf
+
+
+
+def loop_welch_t(x, y):
+    """``welch_t`` as it read before it took its statistic and exact-gap
+    case from ``two_sample_z``."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    vx = x.var(ddof=1) / x.size
+    vy = y.var(ddof=1) / y.size
+    if vx + vy == 0.0:
+        gap = float(x.mean() - y.mean())
+        stat = 0.0 if gap == 0.0 else math.copysign(math.inf, gap)
+        return stat, float(x.size + y.size - 2), 1.0 if gap == 0.0 else 0.0
+    stat = float((x.mean() - y.mean()) / math.sqrt(vx + vy))
+    df = (vx + vy) ** 2 / (vx**2 / (x.size - 1) + vy**2 / (y.size - 1))
+    return stat, float(df), two_tailed_t_p(stat, df)
+
+
+def test_welch_t_matches_its_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(27)
+    cases = [(np.zeros(3), np.ones(3)), (np.full(2, 0.5), np.full(4, 0.5)),
+             (np.full(5, 0.25), rng.normal(size=6))]
+    for _ in range(300):
+        m, k = rng.integers(2, 40, size=2)
+        scale = 10.0 ** rng.integers(-60, 60)
+        cases += [
+            (rng.normal(size=m), rng.normal(1.0, 3.0, size=k)),
+            (rng.integers(0, 2, m) * 1.0, rng.integers(0, 2, k) * 1.0),
+            (rng.normal(size=m) * scale, rng.normal(size=k) * scale),
+        ]
+    for x, y in cases:
+        got = [value.hex() for value in welch_t(x, y)]
+        assert got == [float(value).hex() for value in loop_welch_t(x, y)]
 
 
 def test_holm_adjustment_properties():

@@ -116,6 +116,16 @@ def test_load_membership_names_the_line_of_a_non_finite_cell(tmp_path):
         load_membership(path)
 
 
+
+def test_load_membership_of_one_topic_skips_blank_records(tmp_path):
+    # With one column a blank record is one blank cell, not a missing value.
+    path = tmp_path / "q.csv"
+    path.write_text("t0\n1\n\n  \n1.0\n")
+    cl = load_membership(path, n_expected=2)
+    assert cl.membership.tolist() == [[1.0], [1.0]]
+    assert cl.descriptors == ("t0",)
+
+
 def test_outcome_enrichment():
     d = build()
     cl = threshold_clusterings(d)[1]
