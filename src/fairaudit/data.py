@@ -33,27 +33,44 @@ def read_text(path, what: str) -> str:
         raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_text(path, what: str, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, its line ends as they are;
-    text that UTF-8 cannot encode (a lone surrogate) creates no file.
-    Errors name the file as a ``what``."""
+def encoded(path, what: str, text: str) -> bytes:
+    """``text`` as UTF-8, to be written to ``path``; text that UTF-8
+    cannot encode (a lone surrogate) is an error naming the file as a
+    ``what``."""
     try:
-        data = text.encode()
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except (OSError, UnicodeEncodeError) as exc:
+        return text.encode()
+    except UnicodeEncodeError as exc:
         raise DataError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def write_csv(path, what: str, header: list, rows) -> None:
-    """Write the ``header`` record, then ``rows``, to ``path`` as
-    ``csv.writer`` text: cells quoted where needed, records ended by
-    ``\r\n``."""
+def write_bytes(path, what: str, data: bytes) -> None:
+    """Write ``data`` to ``path``; errors name the file as a ``what``."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def write_text(path, what: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, its line ends as they are;
+    text that UTF-8 cannot encode creates no file."""
+    write_bytes(path, what, encoded(path, what, text))
+
+
+def csv_text(header: list, rows) -> str:
+    """The ``header`` record, then ``rows``, as ``csv.writer`` text: cells
+    quoted where needed, records ended by ``\r\n``."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    write_text(path, what, buf.getvalue())
+    return buf.getvalue()
+
+
+def write_csv(path, what: str, header: list, rows) -> None:
+    """Write ``csv_text(header, rows)`` to ``path`` (see ``write_text``)."""
+    write_text(path, what, csv_text(header, rows))
 
 
 def read_key_values(path, what: str) -> list[tuple[str, str]]:
@@ -715,13 +732,17 @@ def subsample(d: Dataset, m: int, seed: int) -> Dataset:
     return d.take(idx)
 
 
-def bootstrap_resample(d: Dataset, m: int, seed: int) -> Dataset:
-    """m rows drawn with replacement, deterministic given seed."""
+def bootstrap_indices(n: int, m: int, seed: int) -> np.ndarray:
+    """The indices of m rows of n drawn with replacement, deterministic
+    given seed."""
     if m < 1:
         raise DataError(f"bootstrap size {m} must be >= 1")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, d.n, size=m)
-    return d.take(idx)
+    return np.random.default_rng(seed).integers(0, n, size=m)
+
+
+def bootstrap_resample(d: Dataset, m: int, seed: int) -> Dataset:
+    """m rows drawn with replacement, deterministic given seed."""
+    return d.take(bootstrap_indices(d.n, m, seed))
 
 
 def derive_seed(master: int, *context) -> int:

@@ -38,11 +38,11 @@ from itertools import repeat
 
 import numpy as np
 
-from . import kernels
+from . import data, kernels, learners
 from .costs import apply_threshold, cost_gap, empty_group_error
-from .data import Dataset, Task, bootstrap_resample, derive_seed
+from .data import Dataset, Task, bootstrap_indices, derive_seed
 from .errors import AnalysisError, DataError
-from .learners import TREE_KINDS, LearnerSpec, threshold_cells, train
+from .learners import TREE_KINDS, LearnerSpec, threshold_cells
 from .stats import TestResult, two_sample_z
 from .synth import ConditionalOutcomeModel
 
@@ -154,26 +154,22 @@ def ensemble_train(
     training sets.  Per-trial seeds derive from (seed, trial), so results
     do not depend on execution order.
 
-    Tree kinds train all T models first, then score each only on one row
-    per cell of the ensemble's split grid (``learners.threshold_cells``).
-    A cell holds the rows that fall on the same side of every split
-    threshold of every tree, so they reach the same leaves: one row's
-    score is each of its rows' score bit for bit, and it fills the cell's
-    column of the table.  Other kinds score every evaluation row, one
-    column each, as each model is trained, so only one model (a k-NN
-    model holds its training set) is alive at a time.
+    Tree kinds train all T models at once (``learners.train_tree_models``):
+    the rows they draw are binned once, the source's rows that the
+    bootstrap indices point into or the fresh draws stacked, and their
+    trees grow together, in groups of whole models.  Each model is then
+    scored only on one row per cell of the ensemble's split grid
+    (``learners.threshold_cells``).  A cell holds the rows that fall on the
+    same side of every split threshold of every tree, so they reach the
+    same leaves: one row's score is each of its rows' score bit for bit,
+    and it fills the cell's column of the table.  Other kinds score every
+    evaluation row, one column each, as each model is trained, so only one
+    model (a k-NN model holds its training set) is alive at a time.
     """
     if t_models < 2:
         raise AnalysisError("ensemble needs T >= 2 models")
     fresh = callable(source)
-
-    def trained(t):
-        trial_seed = derive_seed(seed, "ensemble", t)
-        if fresh:
-            train_set = source(n_train, trial_seed)
-        else:
-            train_set = bootstrap_resample(source, n_train, trial_seed)
-        return train(replace(spec, seed=trial_seed), train_set)
+    seeds = [derive_seed(seed, "ensemble", t) for t in range(t_models)]
 
     def recorded(scores):
         if eval_set.task is Task.BINARY:
@@ -181,8 +177,19 @@ def ensemble_train(
         return scores
 
     if spec.kind in TREE_KINDS:
-        models = [trained(t) for t in range(t_models)]
-        cells, rows = threshold_cells(eval_set.features, models)
+        if fresh:
+            draws = [source(n_train, s) for s in seeds]
+            ends = np.cumsum([d.n for d in draws]).tolist()
+            samples = [np.arange(lo, hi) for lo, hi in zip([0] + ends, ends)]
+            X = np.concatenate([d.features for d in draws])
+            y = np.concatenate([d.outcome for d in draws])
+            task = draws[0].task
+        else:
+            samples = [bootstrap_indices(source.n, n_train, s) for s in seeds]
+            X, y, task = source.features, source.outcome, source.task
+        models, forests = learners.train_tree_models(
+            [replace(spec, seed=s) for s in seeds], X, y, task, samples)
+        cells, rows = threshold_cells(eval_set.features, forests)
         # The trees read whole columns: a column-major copy of the rows.
         features = np.asfortranarray(eval_set.features[rows])
         table = np.empty((t_models, rows.size))
@@ -191,8 +198,11 @@ def ensemble_train(
     else:
         cells = None
         table = np.empty((t_models, eval_set.n))
-        for t in range(t_models):
-            table[t] = recorded(trained(t).predict_scores(eval_set.features))
+        for t, s in enumerate(seeds):
+            train_set = (source(n_train, s) if fresh
+                         else data.bootstrap_resample(source, n_train, s))
+            model = learners.train(replace(spec, seed=s), train_set)
+            table[t] = recorded(model.predict_scores(eval_set.features))
     return EnsemblePredictions(table=table, cells=cells)
 
 

@@ -69,10 +69,13 @@ While a table over every key would hold at most ``_TABLE_PER_CELL``
 entries per cell counted, it is used as is; past that (all-distinct
 columns, deep levels) the keys are first densified to the ones that
 occur (``densify``), so no table grows with nodes times bins.
-The variance kernel searches one node: it sorts the codes, which orders
-the rows as a stable sort of the values does, and keeps the in-order
-running sums, so a tree's regression nodes are searched one at a time.
-Called without a table, either kernel bins its matrix first.  A threshold
+The variance kernel searches many nodes at once too, a whole level of
+the regression trees a forest grows together or one node of a single
+tree.  Its labels are reals, whose sums depend on the order they are
+added in, so each node keeps its own arithmetic: its rows fill one row of
+a padded array, sorting their codes orders them as a stable sort of the
+values does, and running sums along each row add them in order.  Called
+without a table, either kernel bins its matrix first.  A threshold
 is the midpoint of the values on either side of the cut, or the upper
 value where the midpoint would not separate them; rows go right when
 their value is at least the threshold.
@@ -94,8 +97,9 @@ USE_NUMBA = False
 # once; one block of float64 cells is 256 KiB.
 _BLOCK_CELLS = 1 << 15
 
-# A split search's result when no cut separates the node.
-_NO_SPLIT = (-1, 0.0, np.inf)
+# The variance kernel pads a node's rows to its group's width by at most
+# its own length or this many cells, whichever is more.
+_PAD_CELLS = 2048
 
 # The Gini kernel counts into a table over every (node, bin, label) key
 # while it has at most this many entries per cell of the codes; past that
@@ -185,33 +189,6 @@ def _threshold(lo: float, hi: float) -> float:
     overflow; either would put every row on one side."""
     mid = 0.5 * (lo + hi)
     return mid if lo < mid <= hi else hi
-
-
-def _presort(codes: np.ndarray, y: np.ndarray):
-    """Each feature's codes and labels in stable ascending order of the
-    codes, as (features, rows) arrays, and the cuts between distinct
-    codes: their flat indices into the (features, rows - 1) cut grid in
-    feature-major order, or None when every cut separates two distinct
-    codes."""
-    n = codes.shape[0]
-    # code * n + row is unique, so sorting it, stably or not, orders the
-    # rows as a stable sort of the codes does.
-    keys = np.multiply(codes.T, n, order="C")
-    keys += np.arange(n)
-    keys.sort(axis=1)
-    cs, rows = np.divmod(keys, n)
-    distinct = cs[:, :-1] != cs[:, 1:]
-    cuts = None if distinct.all() else distinct.ravel().nonzero()[0]
-    return cs, y[rows], cuts
-
-
-def _at_cuts(running: np.ndarray, cuts):
-    """The running sums over each feature's sorted rows read at the cuts,
-    and the number of rows left of each cut."""
-    if cuts is None:
-        return running[:, :-1], np.arange(1, running.shape[1])
-    feat, pos = np.divmod(cuts, running.shape[1] - 1)
-    return running.ravel()[cuts + feat], pos + 1
 
 
 def _scan(score: np.ndarray) -> int:
@@ -407,46 +384,123 @@ def _no_splits(n_nodes: int, dtype) -> GiniSplits:
                       np.zeros(n_nodes, dtype=dtype), np.zeros(n_nodes, dtype=dtype))
 
 
-def best_split_var(codes, y, bins=None):
-    """Best split of a regression node by weighted within-child variance.
+class VarSplits(NamedTuple):
+    """Each node's best variance split, as arrays over the nodes: the
+    column of the codes (-1 where no cut separates the node), the
+    threshold, and the children's summed squared deviations (inf with no
+    split)."""
 
-    ``codes`` holds the node's rows as bin codes into ``bins``; with
-    ``bins`` None it is the node's feature matrix, binned here.  ``y``
-    holds any real labels.  Returns (feature, threshold, score); feature
-    == -1 when no split separates the node.  Ties break toward the lowest
-    feature index, then the lowest threshold.
+    feature: np.ndarray
+    threshold: np.ndarray
+    score: np.ndarray
 
-    Sorting the codes gives the stable order of the values, as equal codes
-    mean equal values; the running sums add the sorted rows in order.
+
+def _padded_groups(length: np.ndarray):
+    """Yield (nodes, width): the nodes with ``length`` rows each, in
+    groups that hold each of their nodes' rows in a row of ``width`` cells
+    (their longest node's length), longest nodes first.  A group holds at
+    most twice its rows' cells, and pads no node by more than its own
+    length or ``_PAD_CELLS``, whichever is more."""
+    order = np.argsort(-length, kind="stable")
+    sizes = length[order]
+    filled = sizes.cumsum()
+    lo = 0
+    while lo < order.size:
+        width = int(sizes[lo])
+        # The lengths descend, so the nodes near enough come first.
+        rest = sizes[lo:]
+        near = np.count_nonzero(width - rest <= np.maximum(rest, _PAD_CELLS))
+        taken = np.arange(1, near + 1) * width
+        fits = taken <= 2 * (filled[lo:lo + near] - (filled[lo - 1] if lo else 0))
+        hi = lo + int(fits.nonzero()[0][-1]) + 1
+        yield order[lo:hi], width
+        lo = hi
+
+
+def best_splits_var(codes, y, bins=None, node=None) -> VarSplits:
+    """Best axis-aligned split by within-child squared deviation of each
+    of a set of regression nodes, all searched at once.
+
+    ``codes`` holds the rows as bin codes into ``bins``; with ``bins``
+    None it is a feature matrix, binned here.  Row i, with any real label
+    y[i], belongs to node ``node[i]`` (node 0 for every row when ``node``
+    is None); ``node`` does not decrease, so each node's rows are
+    consecutive, in their order, and each node in 0 .. max(node) must
+    hold a row.  Ties break toward the lowest feature index, then the
+    lowest threshold.
+
+    Each node is scored as the per-row loop scores it alone.  Its rows
+    fill one row of a padded (node, feature, row) array, and within each
+    feature sorting the codes orders them as a stable sort of the values
+    does; running sums along those rows add each node's sorted labels in
+    order, from its first, and its totals add its labels in its own row
+    order.  Nodes are padded in groups of similar length
+    (``_padded_groups``), so the arrays hold at most twice the cells.
     """
-    n = codes.shape[0]
-    if n < 2:
-        return _NO_SPLIT
+    n_rows, k = codes.shape
     if bins is None:
         codes, bins = bin_table(codes)
-    cs, ys, cuts = _presort(codes, y)
-    if cuts is not None and cuts.size == 0:
-        return _NO_SPLIT
-    total_sum = y.cumsum()[-1]
-    total_sq = (y * y).cumsum()[-1]
-    left_sum, n_l = _at_cuts(ys.cumsum(axis=1), cuts)
-    left_sq, _ = _at_cuts((ys * ys).cumsum(axis=1), cuts)
-    n_r = n - n_l
-    right_sum = total_sum - left_sum
-    right_sq = total_sq - left_sq
-    score = (left_sq - left_sum * left_sum / n_l) + (
-        right_sq - right_sum * right_sum / n_r
-    )
-    score = score.ravel()
-    at = _scan(score)
-    if at < 0:
-        return _NO_SPLIT
-    best = float(score[at])
-    if cuts is not None:
-        at = int(cuts[at])
-    feat, pos = divmod(at, n - 1)
-    lo, hi = bins.values[cs[feat, pos : pos + 2]].tolist()
-    return feat, _threshold(lo, hi), best
+    if node is None:
+        node = np.zeros(n_rows, dtype=np.intp)
+    n_nodes = int(node[-1]) + 1 if n_rows else 1
+    length = np.bincount(node, minlength=n_nodes)
+    start = length.cumsum() - length
+    out = VarSplits(np.full(n_nodes, -1, dtype=np.intp), np.zeros(n_nodes),
+                    np.full(n_nodes, np.inf))
+    searched = (length >= 2).nonzero()[0]
+    for members, width in _padded_groups(length[searched]):
+        members = searched[members]
+        m, n = members.size, length[members]
+        at = np.arange(width)
+        pad = at >= n[:, None]
+        rows = start[members][:, None] + at
+        rows[pad] = 0
+        yp = y.take(rows)
+        yp[pad] = 0.0
+        # Flat indices, into a (node, position) or (node, feature,
+        # position) array, of each node's last row and of each cut.
+        last = np.arange(0, m * width, width) + n - 1
+        total_sum = yp.cumsum(axis=1).take(last)
+        total_sq = (yp * yp).cumsum(axis=1).take(last)
+        # Sort keys code << shift | position; padding sorts last.
+        shift = width.bit_length()
+        key = codes[rows].transpose(0, 2, 1).astype(np.int64)
+        key <<= shift
+        key |= at
+        np.copyto(key, bins.values.size << shift, where=pad[:, None, :])
+        key.sort(axis=2)
+        cs = key >> shift
+        pos = key & ((1 << shift) - 1)
+        pos += np.arange(0, m * width, width)[:, None, None]
+        ys = yp.take(pos)
+        cut = cs[:, :, 1:] != cs[:, :, :-1]
+        cut &= at[:-1] < (n - 1)[:, None, None]
+        # In (node, feature, position) order: each node's cuts in the
+        # order its loop scans them.
+        node_feature, p = np.divmod(cut.ravel().nonzero()[0], width - 1)
+        j, f = np.divmod(node_feature, k)
+        at = node_feature * width + p
+        left_sum = ys.cumsum(axis=2).take(at)
+        left_sq = (ys * ys).cumsum(axis=2).take(at)
+        n_l = p + 1
+        n_r = n[j] - n_l
+        right_sum = total_sum[j] - left_sum
+        right_sq = total_sq[j] - left_sq
+        score = (left_sq - left_sum * left_sum / n_l) + (
+            right_sq - right_sum * right_sum / n_r
+        )
+        best = _first_best(score, j, m)
+        found = (best >= 0).nonzero()[0]
+        best = best[found]
+        kept = members[found]
+        out.feature[kept] = f[best]
+        out.threshold[kept] = [
+            _threshold(lo, hi) for lo, hi in zip(
+                bins.values[cs.take(at[best])].tolist(),
+                bins.values[cs.take(at[best] + 1)].tolist())
+        ]
+        out.score[kept] = score[best]
+    return out
 
 
 def _blocks(n_rows: int, n_cols: int):

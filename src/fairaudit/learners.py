@@ -248,6 +248,7 @@ def threshold_cells(features: np.ndarray, models):
     distinct thresholds t <= x, so ``x >= t`` holds exactly when the rank
     passes t's index (-0.0 and 0.0 compare equal both ways; NaN fails
     every comparison and takes rank 0, as a value below every cut does).
+    A column with one cut takes its rank as ``x >= t`` itself.
     A cell numbers one vector of ranks, through a mixed-radix key over the
     split columns.  Raises AnalysisError for a model that is not a tree.
     """
@@ -282,10 +283,13 @@ def threshold_cells(features: np.ndarray, models):
             key, distinct = kernels.densify(key, span)
             span = distinct.size
         x = features[:, f]
-        rank = np.searchsorted(cuts, x, side="right")
-        rank[np.isnan(x)] = 0
         key *= radix
-        key += rank
+        if radix == 2:
+            key += x >= cuts[0]
+        else:
+            rank = np.searchsorted(cuts, x, side="right")
+            rank[np.isnan(x)] = 0
+            key += rank
         span *= radix
     cells, distinct = kernels.densify(key, span)
     rows = np.empty(distinct.size, dtype=np.intp)
@@ -461,12 +465,11 @@ def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
     )
 
 
-def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
-    """A tree grown on the rows of the feature matrix X, or, with ``bins``,
-    on X as the bin codes of its rows into that table.  Nodes are numbered
-    in preorder: a node, then its left subtree, then its right."""
-    if bins is None:
-        X, bins = kernels.bin_table(X)
+def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
+    """A tree grown on the rows of the feature matrix X, on the bin codes
+    of its rows.  Nodes are numbered in preorder: a node, then its left
+    subtree, then its right."""
+    X, bins = kernels.bin_table(X)
     binary = task is Task.BINARY
     feature, threshold, left, right, value = [], [], [], [], []
     # A node's rows (codes and labels, sliced once from the parent's), its
@@ -494,13 +497,14 @@ def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
         # ``kernels`` sees every call.
         if binary:
             split = kernels.best_splits_gini(codes, yn, bins)
-            feat, thresh = int(split.feature[0]), float(split.threshold[0])
         else:
-            feat, thresh, _ = kernels.best_split_var(codes, yn, bins)
+            split = kernels.best_splits_var(codes, yn, bins)
+        feat = int(split.feature[0])
         if feat < 0:
             continue
-        feature[node] = int(feat)
-        threshold[node] = float(thresh)
+        thresh = float(split.threshold[0])
+        feature[node] = feat
+        threshold[node] = thresh
         # Children at the depth limit are leaves.  A binary leaf's value
         # follows from the counts of the search (0/1 labels sum exactly).
         inner = depth + 1 < max_depth
@@ -530,36 +534,61 @@ def _grow_tree(X, y, task: Task, max_depth: int, bins=None) -> TreeModel:
     )
 
 
-# Most (drawn row, column) cells of the binary trees of a bagged forest that
-# grow together.  A level holds about 20 bytes per cell (codes, count keys
-# and row weights), so a group's memory stays flat however many trees the
-# forest has.
+# Most (drawn row, column) cells of the trees that grow together.  A
+# level's split search holds up to about 200 bytes per cell (codes, keys,
+# counts or running sums; measured on all-distinct columns), so a group's
+# memory stays flat however many trees there are.
 _GROUP_CELLS = 1 << 16
 
 
-def _grow_forest(codes, bins, y, draws, max_depth: int) -> TreeModel:
-    """Binary trees grown together, one per (rows, cols) draw: tree i,
-    walked from ``roots[i]``, is ``_grow_tree`` on ``codes[rows][:, cols]``
-    node for node, byte for byte, with its features mapped through
-    ``cols``.
+def _node_sums(y: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``yn.sum()`` of each node's labels yn, the nodes' rows consecutive in
+    ``y`` and ``length[i]`` long: the nodes of one length are summed as the
+    rows of one matrix, each of which numpy sums as it sums a vector."""
+    start = length.cumsum() - length
+    out = np.empty(length.size)
+    order = np.argsort(length, kind="stable")
+    runs = np.flatnonzero(np.diff(length[order], prepend=-1)).tolist()
+    for lo, hi in zip(runs, runs[1:] + [order.size]):
+        nodes = order[lo:hi]
+        width = int(length[nodes[0]])
+        out[nodes] = y[start[nodes][:, None] + np.arange(width)].sum(axis=1)
+    return out
 
-    The trees grow level by level: one ``kernels.best_splits_gini`` call
-    searches every node of the level, its rows being each tree's distinct
-    drawn rows weighted by how often the tree drew them.  A node's counts
-    are exact integers, so its value, its purity and its children's counts
-    come from the kernel's counts.  The nodes are stored in the order they
-    grow: the roots, then the two children of each splitting node in turn,
-    so the children of the j-th split are nodes ``n_trees + 2j`` and
-    ``n_trees + 2j + 1``.
+
+def _grow_forest(codes, bins, y, draws, max_depth: int, task: Task) -> TreeModel:
+    """Trees grown together, one per (rows, cols) draw: tree i, walked
+    from ``roots[i]``, is ``_grow_tree`` on ``codes[rows][:, cols]`` node for
+    node, byte for byte, with its features mapped through ``cols``.
+
+    The trees grow level by level: one split-kernel call searches every
+    node of the level.  A binary tree's rows are its distinct drawn rows
+    weighted by how often it drew them; a node's counts are exact
+    integers, so its value, its purity and its children's counts come from
+    the Gini kernel's counts.  A regression tree's rows are its drawn rows
+    in draw order, repeated rows included (a weight w times y is not y
+    added w times), kept grouped by node in that order, so that each
+    node's value is its labels' own sum and the variance kernel sees them
+    as ``_grow_tree`` does.  Each tree's nodes are stored together, tree
+    after tree, in the order they grow: its root, then the two children of
+    each of its splitting nodes in turn, left then right.
     """
-    n = codes.shape[0]
+    binary = task is Task.BINARY
     n_trees = len(draws)
-    drawn = np.bincount(
-        np.concatenate([t * n + rows for t, (rows, _) in enumerate(draws)]),
-        minlength=n_trees * n)
-    sample = drawn.nonzero()[0]
-    weight = drawn[sample].astype(np.float64)
-    tree, row = np.divmod(sample, n)
+    node_n = np.array([rows.size for rows, _ in draws])
+    tree = np.repeat(np.arange(n_trees), node_n)
+    row = np.concatenate([rows for rows, _ in draws])
+    weight = None
+    if binary:
+        # Each tree's distinct rows in (tree, row) order, with their counts.
+        key = tree * codes.shape[0] + row
+        key.sort()
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = first.nonzero()[0]
+        weight = np.diff(starts, append=key.size).astype(np.float64)
+        tree, row = np.divmod(key[starts], codes.shape[0])
     cols = np.stack([c for _, c in draws])
     if cols.shape[1] == codes.shape[1]:  # every tree has every column
         cells = codes[row]
@@ -568,20 +597,25 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> TreeModel:
     label = y[row]
     node = tree  # each row's node among those of the current depth
     node_tree = np.arange(n_trees)  # each node's tree, at the current depth
-    node_n = np.full(n_trees, n)
-    node_pos = np.bincount(tree, weight * label, minlength=n_trees)
+    if binary:
+        node_pos = np.bincount(tree, weight * label, minlength=n_trees)
     # Per depth: each node's value, feature and threshold; the children of
     # the depth's splitting nodes, left then right, are the next depth's
     # nodes in order.
     levels = []
     while True:
-        value = node_pos / node_n
+        value = (node_pos if binary else _node_sums(label, node_n)) / node_n
         feature = np.full(value.size, -1, dtype=np.int64)
         threshold = np.zeros(value.size)
-        levels.append((feature, threshold, value))
+        levels.append((feature, threshold, value, node_tree))
         if len(levels) > max_depth:
             break
-        grows = (node_n >= 2) & (node_pos > 0) & (node_pos < node_n)
+        if binary:
+            grows = (node_n >= 2) & (node_pos > 0) & (node_pos < node_n)
+        else:
+            first = np.repeat(label[node_n.cumsum() - node_n], node_n)
+            mixed = np.bincount(node, label != first, minlength=node_n.size)
+            grows = (node_n >= 2) & (mixed > 0)
         slot = np.where(grows, grows.cumsum() - 1, -1)
         slot = np.where(node >= 0, slot[node], -1)
         kept = slot >= 0
@@ -589,8 +623,13 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> TreeModel:
             if not kept.any():
                 break
             slot, cells = slot[kept], cells.compress(kept, axis=0)
-            label, weight = label[kept], weight[kept]
-        found = kernels.best_splits_gini(cells, label, bins, slot, weight)
+            label = label[kept]
+            if binary:
+                weight = weight[kept]
+        if binary:
+            found = kernels.best_splits_gini(cells, label, bins, slot, weight)
+        else:
+            found = kernels.best_splits_var(cells, label, bins, slot)
         front = grows.nonzero()[0]
         did = found.feature >= 0
         if not did.any():
@@ -599,16 +638,17 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> TreeModel:
         feature[parent] = cols[node_tree[parent], found.feature[did]]
         threshold[parent] = found.threshold[did]
         node_tree = np.repeat(node_tree[parent], 2)
-        n_left, pos_left = found.n_left[did], found.pos_left[did]
-        children_n = np.empty(2 * parent.size)
-        children_n[0::2] = n_left
-        children_n[1::2] = node_n[parent] - n_left
-        children_pos = np.empty(2 * parent.size)
-        children_pos[0::2] = pos_left
-        children_pos[1::2] = node_pos[parent] - pos_left
-        node_n, node_pos = children_n, children_pos
-        if len(levels) == max_depth:
-            continue  # the children are leaves at the depth limit
+        if binary:
+            n_left, pos_left = found.n_left[did], found.pos_left[did]
+            children_n = np.empty(2 * parent.size)
+            children_n[0::2] = n_left
+            children_n[1::2] = node_n[parent] - n_left
+            children_pos = np.empty(2 * parent.size)
+            children_pos[0::2] = pos_left
+            children_pos[1::2] = node_pos[parent] - pos_left
+            node_n, node_pos = children_n, children_pos
+            if len(levels) == max_depth:
+                continue  # the children are leaves at the depth limit
         # By value, not by code, as ``_grow_tree`` splits: the value of each
         # row's code in its node's split column, read from the flat codes.
         at = found.feature[slot]
@@ -616,58 +656,56 @@ def _grow_forest(codes, bins, y, draws, max_depth: int) -> TreeModel:
         go_right = bins.values[cells.ravel()[at]] >= found.threshold[slot]
         # Rows of a node that does not split get a negative node.
         node = np.where(did, did.cumsum() - 1, -1)[slot] * 2 + go_right
-    feature, threshold, value = (np.concatenate(a) for a in zip(*levels))
+        if not binary:
+            # The rows of the children, grouped by child in their order.
+            order = np.argsort(node, kind="stable")
+            order = order[np.count_nonzero(node < 0):]
+            node, cells, label = node[order], cells[order], label[order]
+            node_n = np.bincount(node, minlength=2 * parent.size)
+    feature, threshold, value, tree = (np.concatenate(a) for a in zip(*levels))
+    # As grown, the children of the j-th split are nodes n_trees + 2j and
+    # n_trees + 2j + 1; a stable sort by tree keeps each tree's order, and
+    # so keeps two children of one node next to each other.
     splits = feature >= 0
     left = np.full(feature.size, -1, dtype=np.int64)
     left[splits] = np.arange(n_trees, feature.size, 2)
+    order = np.argsort(tree, kind="stable")
+    at = np.empty(feature.size, dtype=np.int64)
+    at[order] = np.arange(feature.size)
+    left = np.where(splits, at[left], -1)[order]
     return TreeModel(
-        kind=LearnerKind.BAGGED_TREES, task=Task.BINARY,
-        n_features=codes.shape[1], node_feature=feature,
-        node_threshold=threshold, node_left=left,
-        node_right=np.where(splits, left + 1, -1), node_value=value,
-        roots=tuple(range(n_trees)),
+        kind=LearnerKind.BAGGED_TREES, task=task,
+        n_features=codes.shape[1], node_feature=feature[order],
+        node_threshold=threshold[order], node_left=left,
+        node_right=np.where(left >= 0, left + 1, -1),
+        node_value=value[order],
+        roots=tuple(at[:n_trees].tolist()),
     )
 
 
-def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> TreeModel:
-    """The forest as one TreeModel: the node tables of its binary groups
-    (``_grow_forest``) or of its regression trees (``_grow_tree``), one
-    after another, their links and roots offset by the nodes before them,
-    so tree t starts at ``roots[t]``."""
-    n, k = X.shape
-    n_feats = min(k, max(1, int(np.ceil(spec.feature_fraction * k))))
-    # One bin table serves every tree: each takes its rows and columns of
-    # the codes.
-    codes, bins = kernels.bin_table(X)
-    every = np.arange(k)
-    draws = []
-    for t in range(spec.n_trees):
-        rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
-        rows = rng.integers(0, n, size=n) if spec.bootstrap else np.arange(n)
-        # The column draw is the tree's last, so skipping it changes no
-        # other draw.
-        cols = every if n_feats == k else np.sort(
-            rng.choice(k, size=n_feats, replace=False))
-        draws.append((rows, cols))
-    if task is Task.BINARY:
-        # The trees of a group hold their rows' codes at once, each in the
-        # smallest type that holds every code.
-        codes = codes.astype(np.min_scalar_type(bins.values.size))
-        per_group = max(1, _GROUP_CELLS // max(1, n * n_feats))
-        parts = [
-            _grow_forest(codes, bins, y, draws[lo:lo + per_group],
-                         spec.max_depth)
-            for lo in range(0, len(draws), per_group)
-        ]
-    else:
-        parts = []
-        for rows, cols in draws:
-            tree = _grow_tree(
-                codes[rows] if n_feats == k else codes[np.ix_(rows, cols)],
-                y[rows], task, spec.max_depth, bins)
-            # A leaf's -1 indexes the -1 appended to the columns.
-            parts.append(replace(
-                tree, node_feature=np.append(cols, -1)[tree.node_feature]))
+def _trees(forest: TreeModel, lo: int, hi: int, kind: LearnerKind) -> TreeModel:
+    """Trees lo .. hi - 1 of a ``_grow_forest`` forest as a model of their
+    own: the slice of its node table that holds their nodes."""
+    first = forest.roots[lo]
+    end = forest.roots[hi] if hi < len(forest.roots) else forest.node_value.size
+
+    def links(name):
+        link = getattr(forest, name)[first:end]
+        return np.where(link >= 0, link - first, -1)
+
+    return TreeModel(
+        kind=kind, task=forest.task, n_features=forest.n_features,
+        node_feature=forest.node_feature[first:end],
+        node_threshold=forest.node_threshold[first:end],
+        node_left=links("node_left"), node_right=links("node_right"),
+        node_value=forest.node_value[first:end],
+        roots=tuple(r - first for r in forest.roots[lo:hi]),
+    )
+
+
+def _joined(parts, kind: LearnerKind) -> TreeModel:
+    """One TreeModel of the trees of ``parts``, one after another, their
+    links and roots offset by the nodes before them."""
     offsets = np.cumsum([0] + [p.node_value.size for p in parts]).tolist()
 
     def joined(name, link=False):
@@ -677,8 +715,8 @@ def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> TreeModel:
             for p, o in zip(parts, offsets)
         ])
 
-    return TreeModel(
-        kind=LearnerKind.BAGGED_TREES, task=task, n_features=k,
+    return replace(
+        parts[0], kind=kind,
         node_feature=joined("node_feature"),
         node_threshold=joined("node_threshold"),
         node_left=joined("node_left", link=True),
@@ -686,6 +724,80 @@ def _train_bagged(spec: LearnerSpec, X, y, task: Task) -> TreeModel:
         node_value=joined("node_value"),
         roots=tuple(o + r for p, o in zip(parts, offsets) for r in p.roots),
     )
+
+
+def _draws(spec: LearnerSpec, sample: np.ndarray, k: int) -> list:
+    """The (rows, cols) of each tree of a ``spec`` model trained on the rows
+    ``sample``: a ``tree`` takes them all; each bagged tree draws from
+    its own seed, its rows (indices into ``sample``) and then, unless it
+    keeps every column, its columns."""
+    every = np.arange(k)
+    if spec.kind is LearnerKind.TREE:
+        return [(sample, every)]
+    n = sample.size
+    n_feats = min(k, max(1, int(np.ceil(spec.feature_fraction * k))))
+    draws = []
+    for t in range(spec.n_trees):
+        rng = np.random.default_rng(derive_seed(spec.seed, "bagged-tree", t))
+        rows = sample[rng.integers(0, n, size=n)] if spec.bootstrap else sample
+        # The column draw is the tree's last, so skipping it changes no
+        # other draw.
+        cols = every if n_feats == k else np.sort(
+            rng.choice(k, size=n_feats, replace=False))
+        draws.append((rows, cols))
+    return draws
+
+
+def train_tree_models(specs, X, y, task: Task, samples):
+    """The tree models ``specs[i]`` trained on the rows ``samples[i]`` of
+    (X, y), each equal to ``train`` on a dataset of those rows in the
+    scores it gives, its trees walked from its roots node for node.
+
+    X is binned once, and the models' trees grow together through
+    ``_grow_forest``, in groups of whole models of at most
+    ``_GROUP_CELLS`` drawn cells (a model with more grows alone, in groups
+    of its trees).  Returns (the models, the forests they were cut from):
+    a model is the slice of its group's node table that holds its trees."""
+    codes, bins = kernels.bin_table(X)
+    # The trees of a group hold their rows' codes at once, each in the
+    # smallest type that holds every code.
+    codes = codes.astype(np.min_scalar_type(bins.values.size))
+    draws = [_draws(spec, sample, X.shape[1])
+             for spec, sample in zip(specs, samples)]
+    max_depth = specs[0].max_depth
+    forests, models = [], []
+    group, cells = [], 0  # whole models waiting to grow together
+
+    def grow(trees):
+        forests.append(_grow_forest(codes, bins, y, trees, max_depth, task))
+        return forests[-1]
+
+    def flush():
+        if group:
+            forest = grow([tree for i in group for tree in draws[i]])
+            first = 0
+            for i in group:
+                models.append(_trees(forest, first, first + len(draws[i]),
+                                     specs[i].kind))
+                first += len(draws[i])
+            group.clear()
+
+    for i, trees in enumerate(draws):
+        size = sum(rows.size * c.size for rows, c in trees)
+        if cells + size > _GROUP_CELLS:
+            flush()
+            cells = 0
+        if size > _GROUP_CELLS:
+            per_group = max(1, _GROUP_CELLS // max(1, size // len(trees)))
+            models.append(_joined([
+                grow(trees[lo:lo + per_group])
+                for lo in range(0, len(trees), per_group)
+            ], specs[i].kind))
+        else:
+            group.append(i)
+            cells += size
+    flush()
+    return models, forests
 
 
 def train(spec: LearnerSpec, d: Dataset) -> TrainedModel:
@@ -710,7 +822,7 @@ def train(spec: LearnerSpec, d: Dataset) -> TrainedModel:
     if spec.kind is LearnerKind.TREE:
         return _grow_tree(X, y, d.task, spec.max_depth)
     if spec.kind is LearnerKind.BAGGED_TREES:
-        return _train_bagged(spec, X, y, d.task)
+        return train_tree_models([spec], X, y, d.task, [np.arange(d.n)])[0][0]
     raise AnalysisError(f"unknown learner kind {spec.kind}")
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
-from .data import write_csv, write_text
+from .data import csv_text, encoded, write_bytes, write_csv
 from .errors import AnalysisError, DataError
 
 TOOL_VERSION = "0.1.0"
@@ -133,32 +133,39 @@ def _flatten(prefix: str, value):
 def emit_report(report: AuditReport, out_dir, fmt: str = "json") -> list:
     """Write the report; returns the list of files written.  In CSV form
     each result block goes to the file it names, so a block name that is
-    no plain file name is refused before anything is written."""
+    no plain file name is refused before anything is written.  Every file
+    is rendered and encoded before ``out_dir`` or any file is created, so
+    a report that cannot be written leaves nothing behind."""
     if fmt not in ("json", "csv"):
         raise DataError(f"unknown report format {fmt!r}")
     for name in report.results:
         if fmt == "csv" and (name in ("", ".", "..")
                              or any(c in name for c in "/\\\0")):
             raise DataError(f"report block name {name!r} is not a file name")
+    if fmt == "json":
+        what = "report"
+        texts = [("report.json", report.to_json())]
+    else:
+        what = "report table"
+        tables = [(f"{name}.csv", _flatten("", block))
+                  for name, block in sorted(report.results.items())]
+        tables.append(("meta.csv", [
+            *_flatten("config", _plain(report.config)),
+            *((f"warning[{i}]", w) for i, w in enumerate(report.warnings)),
+        ]))
+        texts = [(file_name, csv_text(["field", "value"], rows))
+                 for file_name, rows in tables]
+    files = []
+    for file_name, text in texts:
+        path = os.path.join(out_dir, file_name)
+        files.append((path, encoded(path, what, text)))
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write report under {out_dir}: {exc}") from exc
-    if fmt == "json":
-        path = os.path.join(out_dir, "report.json")
-        write_text(path, "report", report.to_json())
-        return [path]
-    tables = [(f"{name}.csv", _flatten("", block))
-              for name, block in sorted(report.results.items())]
-    tables.append(("meta.csv", [
-        *_flatten("config", _plain(report.config)),
-        *((f"warning[{i}]", w) for i, w in enumerate(report.warnings)),
-    ]))
-    written = []
-    for file_name, rows in tables:
-        written.append(os.path.join(out_dir, file_name))
-        write_csv(written[-1], "report table", ["field", "value"], rows)
-    return written
+    for path, data in files:
+        write_bytes(path, what, data)
+    return [path for path, _ in files]
 
 
 def write_curve_table(path, rows) -> None:

@@ -766,6 +766,50 @@ def test_ensemble_train_matches_per_row_scoring(kind, task, fresh,
     assert thresholds & {1.5, 2.5}
 
 
+def loop_ensemble_train(spec, source, t_models, n_train, eval_set, seed,
+                        threshold=0.5):
+    """(table, cells) as a tree ensemble was built model by model: each
+    trial's model trained on its own dataset, the cells of all their splits,
+    and each model's scores on one row per cell."""
+    from fairaudit.learners import threshold_cells
+
+    models, _ = reference_ensemble(spec, source, t_models, n_train,
+                                   eval_set.take(np.arange(1)), seed)
+    cells, rows = threshold_cells(eval_set.features, models)
+    table = np.empty((t_models, rows.size))
+    for t, model in enumerate(models):
+        scores = model.predict_scores(eval_set.features[rows])
+        if eval_set.task is Task.BINARY:
+            scores = apply_threshold(scores, threshold)
+        table[t] = scores
+    return table, cells
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["bootstrap", "fresh"])
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+@pytest.mark.parametrize("kind", TREE_KIND_LIST)
+def test_ensemble_train_matches_the_model_by_model_loop(kind, task, fresh,
+                                                       monkeypatch):
+    # The models grow together, in groups of whole models or one model's
+    # trees per group; the table and the cells are the loop's.
+    from fairaudit import learners
+
+    spec = LS(kind=kind, max_depth=4, n_trees=3, feature_fraction=0.5)
+    if fresh:
+        source = lambda n, s: _grid_dataset(n, s, task, k=6)
+    else:
+        source = _grid_dataset(500, 6, task, k=6)
+    eval_set = _grid_eval(task, k=6)
+    want_table, want_cells = loop_ensemble_train(spec, source, 7, 120,
+                                                 eval_set, 21)
+    for cells in (learners._GROUP_CELLS, 120 * 6, 1):
+        monkeypatch.setattr(learners, "_GROUP_CELLS", cells)
+        e = ensemble_train(spec, source, 7, 120, eval_set, seed=21)
+        assert [v.hex() for v in e.table.ravel().tolist()] == [
+            v.hex() for v in want_table.ravel().tolist()]
+        assert e.cells.tolist() == want_cells.tolist()
+
+
 @pytest.mark.parametrize("kind", TREE_KIND_LIST)
 def test_ensemble_train_with_models_that_never_split(kind):
     spec = LS(kind=kind, max_depth=3, n_trees=3)

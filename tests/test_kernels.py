@@ -13,6 +13,13 @@ def gini_split(X, y, bins=None):
     return int(found.feature[0]), float(found.threshold[0]), float(found.score[0])
 
 
+def var_split(X, y, bins=None):
+    """The level variance kernel on one node, as (feature, threshold,
+    score)."""
+    found = kernels.best_splits_var(X, y, bins)
+    return int(found.feature[0]), float(found.threshold[0]), float(found.score[0])
+
+
 def brute_best_split_gini(X, y):
     n, k = X.shape
     best = (-1, 0.0, np.inf)
@@ -49,7 +56,7 @@ def test_best_split_var_reduces_sse():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 3))
     y = X[:, 1] * 3.0 + rng.normal(0, 0.01, 50)
-    feat, thresh, score = kernels.best_split_var(X, y)
+    feat, thresh, score = var_split(X, y)
     assert feat == 1
     total_sse = ((y - y.mean()) ** 2).sum()
     assert score < total_sse
@@ -267,7 +274,7 @@ def test_split_kernels_match_loops(style):
             loop_best_split_gini(X, labels)
         )
         values = np.round(rng.normal(size=n), 1)
-        assert _split_hex(kernels.best_split_var(X, values)) == _split_hex(
+        assert _split_hex(var_split(X, values)) == _split_hex(
             loop_best_split_var(X, values)
         )
 
@@ -282,7 +289,7 @@ def test_split_separable_feature_matches_loop():
     assert _split_hex(gini_split(X, y)) == _split_hex(
         loop_best_split_gini(X, y)
     )
-    assert _split_hex(kernels.best_split_var(X, x)) == _split_hex(
+    assert _split_hex(var_split(X, x)) == _split_hex(
         loop_best_split_var(X, x)
     )
 
@@ -294,7 +301,7 @@ def test_split_signed_zero_labels_match_loop():
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([-0.0, -0.0, -0.0])
     for kernel, loop in ((gini_split, loop_best_split_gini),
-                         (kernels.best_split_var, loop_best_split_var)):
+                         (var_split, loop_best_split_var)):
         assert _split_hex(kernel(X, y)) == _split_hex(loop(X, y))
 
 
@@ -307,13 +314,13 @@ def test_split_rule_skips_record_within_tolerance():
         side = np.repeat([0.0, 1.0], 6)
         X = np.column_stack([side, side + rng.permutation(12) * 1e-3])
         y = rng.normal(size=12)
-        s0 = kernels.best_split_var(X[:, :1], y)[2]
-        s1 = kernels.best_split_var(X[:, 1:], y)[2]
+        s0 = var_split(X[:, :1], y)[2]
+        s1 = var_split(X[:, 1:], y)[2]
         if s0 - 1e-12 <= s1 < s0:
             break
     else:
         pytest.fail("no case with a lower score on the second feature")
-    result = kernels.best_split_var(X, y)
+    result = var_split(X, y)
     assert result[0] == 0
     assert _split_hex(result) == _split_hex(loop_best_split_var(X, y))
 
@@ -518,7 +525,7 @@ def _assert_both_kernels_match(X, labels, values):
     assert _split_hex(gini_split(X, labels)) == _split_hex(
         loop_best_split_gini(X, labels)
     )
-    assert _split_hex(kernels.best_split_var(X, values)) == _split_hex(
+    assert _split_hex(var_split(X, values)) == _split_hex(
         loop_best_split_var(X, values)
     )
 
@@ -530,7 +537,7 @@ def test_split_node_with_every_feature_constant():
         labels = (np.arange(n) % 2).astype(np.float64)
         values = rng.normal(size=n)
         assert gini_split(X, labels)[0] == -1
-        assert kernels.best_split_var(X, values)[0] == -1
+        assert var_split(X, values)[0] == -1
         _assert_both_kernels_match(X, labels, values)
     # Signed zeros compare equal, so a column of 0.0 and -0.0 has no cut.
     X = np.array([[0.0], [-0.0], [0.0], [-0.0]])
@@ -630,8 +637,58 @@ def test_split_kernels_on_a_table_match_the_kernels_alone(data):
                 goes_left = alone[:, found.feature[0]] < found.threshold[0]
                 assert found.n_left[0] == goes_left.sum()
                 assert found.pos_left[0] == labels[goes_left].sum()
-    assert _split_hex(kernels.best_split_var(node, values, bins)) == _split_hex(
-        kernels.best_split_var(alone, values))
+    assert _split_hex(var_split(node, values, bins)) == _split_hex(
+        var_split(alone, values))
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_var_level_matches_the_loop_node_by_node(style):
+    # One call searches a level whose nodes differ in size (1 and 2 rows,
+    # then up to 60), in random order, on the nodes' own table or on one
+    # that also bins other rows.
+    rng = np.random.default_rng(60 + STYLES.index(style))
+    for trial in range(12):
+        sizes = _sizes(rng, int(rng.integers(1, 8)))
+        rng.shuffle(sizes)
+        k = int(rng.integers(1, 5))
+        X = _features(rng, sum(sizes), k, style)
+        y = np.round(rng.normal(size=sum(sizes)), 1)
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        extra = _features(rng, 20, k, style)
+        codes, bins = kernels.bin_table(np.vstack([X, extra]))
+        for found in (kernels.best_splits_var(X, y, None, node),
+                      kernels.best_splits_var(codes[:node.size], y, bins, node)):
+            for j in range(len(sizes)):
+                want = loop_best_split_var(X[node == j], y[node == j])
+                assert _split_hex((found.feature[j], found.threshold[j],
+                                   found.score[j])) == _split_hex(want)
+
+
+def test_var_level_pads_nodes_in_groups_of_similar_length(monkeypatch):
+    # A level of one long node and many short ones is padded in groups, so
+    # the padded arrays hold at most twice the level's cells; each node
+    # still gets its own loop's split.
+    widths = []
+    real = kernels._padded_groups
+
+    def recording(length):
+        for nodes, width in real(length):
+            widths.append((length[nodes].sum(), nodes.size * width))
+            yield nodes, width
+
+    monkeypatch.setattr(kernels, "_padded_groups", recording)
+    rng = np.random.default_rng(65)
+    sizes = [400] + [3] * 50 + [40] * 5
+    X = np.round(rng.normal(size=(sum(sizes), 2)), 1)
+    y = rng.normal(size=X.shape[0])
+    node = np.repeat(np.arange(len(sizes)), sizes)
+    found = kernels.best_splits_var(X, y, None, node)
+    assert len(widths) > 1
+    assert all(padded <= 2 * rows for rows, padded in widths)
+    for j in range(len(sizes)):
+        want = loop_best_split_var(X[node == j], y[node == j])
+        assert _split_hex((found.feature[j], found.threshold[j],
+                           found.score[j])) == _split_hex(want)
 
 
 # Scores a few ulps or well within 1e-12 of each other, NaN, and ties: a
@@ -672,7 +729,7 @@ def test_split_threshold_between_adjacent_or_huge_values(lo, hi):
     X = np.array([[lo], [hi], [lo], [hi]])
     y = np.array([0.0, 1.0, 0.0, 1.0])
     for kernel, loop in ((gini_split, loop_best_split_gini),
-                         (kernels.best_split_var, loop_best_split_var)):
+                         (var_split, loop_best_split_var)):
         feat, thresh, _ = kernel(X, y)
         assert (feat, thresh) == (0, hi)
         assert _split_hex(kernel(X, y)) == _split_hex(loop(X, y))

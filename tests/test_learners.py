@@ -512,6 +512,46 @@ def test_forest_node_table_layout(monkeypatch):
         assert (model.node_right[leaves] == -1).all()
 
 
+@pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
+def test_forest_roots_take_the_size_of_their_own_draw(task):
+    # Draws shorter and longer than the rows of the codes, and draws that
+    # repeat rows: each tree is the one the reference grows on its rows.
+    from fairaudit import kernels
+    from fairaudit.learners import _grow_forest
+
+    d = _bagged_dataset(task, n=120)
+    X, y = d.features, d.outcome
+    codes, bins = kernels.bin_table(X)
+    rng = np.random.default_rng(12)
+    samples = [np.arange(40), rng.integers(0, 120, size=300),
+               np.repeat(np.arange(30), 3), np.arange(120)]
+    for cols in ([np.arange(X.shape[1])] * 4,
+                 [np.array(c) for c in ([0, 2, 4], [1, 3, 5], [0, 1, 2],
+                                        [3, 4, 5])]):
+        draws = list(zip(samples, cols))
+        forest = _grow_forest(codes, bins, y, draws, 5, task)
+        assert len(forest.roots) == len(draws)
+        for i, (rows, c) in enumerate(draws):
+            feature, *rest = loop_grow_tree(X[np.ix_(rows, c)], y[rows], task, 5)
+            want = (np.append(c, -1)[feature], *rest)
+            assert _tree_arrays(walk_tree(forest, i)) == _tree_arrays(want)
+
+
+def test_node_sums_equal_numpy_sum_of_each_node():
+    # Pairwise summation makes a node's sum depend on its length, which is
+    # why nodes are summed in matrices of one length.
+    from fairaudit.learners import _node_sums
+
+    rng = np.random.default_rng(13)
+    length = rng.integers(1, 300, size=200)
+    length[:3] = (1, 129, 129)
+    y = rng.normal(size=length.sum()) * 10.0 ** rng.integers(-8, 8, length.sum())
+    got = _node_sums(y, length)
+    ends = np.cumsum(length)
+    want = [y[e - n:e].sum() for n, e in zip(length, ends)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_regression_forest_without_feature_columns():
     # Every tree is one leaf, whose feature -1 names no column.
     d = Dataset(features=np.empty((5, 0)), group=np.zeros(5, dtype=np.int64),
@@ -525,15 +565,16 @@ def test_regression_forest_without_feature_columns():
 
 ADJACENT = float(np.nextafter(1.0, 2.0))
 FOREST_CELLS = (-1.0, -0.0, 0.0, 1.0, ADJACENT, 1e308, 1.7e308)
+FOREST_LABELS = (-2.5, -0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
     # Tied one-hot columns, signed zeros, adjacent doubles, 1e308-scale
-    # values and all-distinct columns: every tree grown level by level with
-    # its forest must be the tree the reference grows on its own rows and
-    # columns.
+    # values and all-distinct columns, binary labels and real ones whose
+    # sums round: every tree grown level by level with its forest must be
+    # the tree the reference grows on its own rows and columns.
     n = data.draw(st.integers(1, 40), label="n")
     k = data.draw(st.integers(0, 5), label="k")
     kinds = data.draw(st.lists(
@@ -548,9 +589,13 @@ def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
             X[:, j] = rng.choice(FOREST_CELLS, size=n)
         else:
             X[:, j] = rng.permutation(n) * 0.5 - 3.0
-    # Negative labels spelled 0.0 or -0.0.
-    y = np.where(rng.random(n) < data.draw(st.floats(0.0, 1.0)), 1.0,
-                 rng.choice((0.0, -0.0), size=n))
+    task = data.draw(st.sampled_from((Task.BINARY, Task.REGRESSION)), label="task")
+    if task is Task.BINARY:
+        # Negative labels spelled 0.0 or -0.0.
+        y = np.where(rng.random(n) < data.draw(st.floats(0.0, 1.0)), 1.0,
+                     rng.choice((0.0, -0.0), size=n))
+    else:
+        y = rng.choice(FOREST_LABELS, size=n)
     spec = LearnerSpec(
         kind=LearnerKind.BAGGED_TREES,
         n_trees=data.draw(st.integers(1, 6), label="n_trees"),
@@ -560,9 +605,9 @@ def test_forest_trees_equal_the_reference_grown_one_at_a_time(data):
         seed=data.draw(st.integers(0, 1000)),
     )
     d = Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
-                task=Task.BINARY, column_names=tuple(f"x{j}" for j in range(k)))
+                task=task, column_names=tuple(f"x{j}" for j in range(k)))
     model = train(spec, d)
-    wants = list(reference_forest(spec, X, y, Task.BINARY))
+    wants = list(reference_forest(spec, X, y, task))
     assert len(model.roots) == len(wants)
     for i, want in enumerate(wants):
         assert _tree_arrays(walk_tree(model, i)) == _tree_arrays(want)
@@ -1107,6 +1152,41 @@ def test_threshold_cells_merge_signed_zero_cuts_and_rank_nan_lowest():
     X = np.array([[-0.0], [0.0], [1.0], [-1.0], [np.nan]])
     cells, rows = threshold_cells(X, trees)
     assert cells.tolist() == [1, 1, 1, 0, 0] and rows.size == 2
+    for tree in trees:
+        assert (tree.predict_scores(X)
+                == tree.predict_scores(X[rows])[cells]).all()
+
+
+def searchsorted_cells(X, models):
+    """Each row's cell under the rank rule ``searchsorted(cuts, x,
+    side="right")`` on every split column (NaN ranked 0), the cells
+    numbered in lexicographic order of the rank vectors."""
+    splits = {s for model in models for s in _splits_of(model)}
+    ranks = []
+    for col in sorted({c for c, _ in splits}):
+        cuts = np.sort([t for c, t in splits if c == col])
+        rank = np.searchsorted(cuts, X[:, col], side="right")
+        rank[np.isnan(X[:, col])] = 0
+        ranks.append(rank)
+    _, cells = np.unique(np.column_stack(ranks), axis=0, return_inverse=True)
+    return cells.ravel()
+
+
+def test_threshold_cells_of_one_cut_columns_follow_the_rank_rule():
+    # Columns with one cut compare x >= t; one column with two cuts keeps
+    # the searchsorted rank.  NaN, signed zeros, infinities and the
+    # neighbours of each cut land in the cells of the rank rule.
+    tiny = 5e-324
+    cuts = [(0, 0.0), (1, -0.0), (2, 1.0), (2, 2.0), (3, np.inf),
+            (4, -np.inf), (5, tiny)]
+    trees = [_tree_model([c, -1, -1], [t, 0.0, 0.0], [1, -1, -1],
+                         [2, -1, -1], [0.0, 1.0, 2.0], 6) for c, t in cuts]
+    pool = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, tiny, -tiny, 1.0,
+                     float(np.nextafter(1.0, 0.0)), 2.0, 3.0, -1.0])
+    X = np.random.default_rng(14).choice(pool, size=(400, 6))
+    X[:pool.size] = pool[:, None]
+    cells, rows = threshold_cells(X, trees)
+    assert cells.tolist() == searchsorted_cells(X, trees).tolist()
     for tree in trees:
         assert (tree.predict_scores(X)
                 == tree.predict_scores(X[rows])[cells]).all()

@@ -1397,6 +1397,22 @@ def test_cli_report_csv_of_a_lone_surrogate_is_a_data_error(tmp_path, capsys):
     assert '"v": "\\ud800"' in (out / "report.json").read_text()
 
 
+def test_cli_report_csv_that_cannot_be_written_leaves_nothing(tmp_path, capsys):
+    # Block "a" encodes and block "b" does not: every table is encoded
+    # before --out or any file is created, so "a.csv" is not left behind.
+    source = tmp_path / "r.json"
+    source.write_text('{"results": {"a": {"v": 1}, "b": {"v": "\\ud800"}}}')
+    out = tmp_path / "o"
+    code = run(["report", "--seed", 1, "--data", source, "--format", "csv",
+                "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith(
+        f"fairaudit: data error: cannot write report table {out / 'b.csv'}: ")
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
+
 def test_cli_report_of_a_bom_prefixed_report_reemits_its_bytes(tmp_path):
     first = tmp_path / "first"
     assert run(["synth", "--seed", 3, "--n", 50, "--out", first]) == 0

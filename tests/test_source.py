@@ -85,12 +85,18 @@ ROOT = SRC.parent.parent
 # ``curves`` when each trial's group costs came to read one
 # ``costs.group_losses`` pass per kind; the per-node ``best_split_gini``
 # left ``kernels`` when one Gini kernel came to search a whole level of
-# nodes at once (``best_splits_gini``); ``bhattacharyya_bounds`` left
-# ``noise_bounds`` because its Gaussian-only bracket missed the exact Bayes
-# error of the package's own discrete source.
+# nodes at once (``best_splits_gini``), and the per-node
+# ``best_split_var`` likewise (``best_splits_var``); ``bhattacharyya_bounds``
+# left ``noise_bounds`` because its Gaussian-only bracket missed the exact
+# Bayes error of the package's own discrete source; ``train`` and
+# ``bootstrap_resample`` left ``decomposition`` when a tree ensemble's
+# models came to grow together from bootstrap indices into one binned
+# matrix (other kinds reach them as ``learners.train`` and
+# ``data.bootstrap_resample``).
 ABSENT_BINDINGS = {"subgroups.per_sample_losses", "curves.per_sample_losses",
-                   "kernels.best_split_gini",
-                   "noise_bounds.bhattacharyya_bounds"}
+                   "kernels.best_split_gini", "kernels.best_split_var",
+                   "noise_bounds.bhattacharyya_bounds",
+                   "decomposition.train", "decomposition.bootstrap_resample"}
 
 
 def _expected_sites():
