@@ -15,10 +15,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import data, learners
 from .costs import CostKind, cost_gap, group_losses
-from .data import Dataset, derive_seed, split, subsample
+from .data import Dataset, derive_seed, split
 from .errors import AnalysisError, DataError
-from .learners import LearnerSpec, score_predictions, train
+from .learners import TREE_KINDS, LearnerSpec, score_predictions
 
 BETA_MIN = 0.01
 BETA_MAX = 3.0
@@ -101,8 +102,11 @@ def run_curve_experiment(
     of ``HOLDOUT_FRACTION`` of the rows, subsample the training rows,
     train, and record each group cost.
 
-    Missing group/class cells are recorded as None, not failures; a cost
-    kind the task cannot take raises (``costs.group_losses``).
+    Tree kinds train every (size, trial) model at once
+    (``learners.train_tree_models``), each on its trial's rows of ``d`` in
+    draw order; other kinds train one model at a time.  Missing
+    group/class cells are recorded as None, not failures; a cost kind the
+    task cannot take raises (``costs.group_losses``).
     """
     n_grid = tuple(sorted(int(n) for n in n_grid))
     if trials < 1:
@@ -112,30 +116,50 @@ def run_curve_experiment(
         raise AnalysisError(
             f"grid size {max(n_grid)} exceeds the training budget {budget}"
         )
+    runs = [(n_train, trial) for n_train in n_grid for trial in range(trials)]
+    seeds = [derive_seed(seed, "curve", n_train, trial)
+             for n_train, trial in runs]
+
+    def drawn(n_train, trial_seed):
+        """The rows of ``d`` a trial trains on, in draw order, and its test
+        split."""
+        ds = split(d, HOLDOUT_FRACTION, trial_seed)
+        rows = data.subsample_indices(ds.train.n, n_train,
+                                      derive_seed(trial_seed, "sub"))
+        return ds.train_indices[rows], ds.test
+
+    if spec.kind in TREE_KINDS:
+        trial_rows, tests = zip(*(drawn(n_train, s)
+                                  for (n_train, _), s in zip(runs, seeds)))
+        models, _ = learners.train_tree_models(
+            [replace(spec, seed=s) for s in seeds], d.features, d.outcome,
+            d.task, trial_rows)
+        fitted = zip(models, tests)
+    else:
+        def one_at_a_time():
+            for (n_train, _), s in zip(runs, seeds):
+                rows, test = drawn(n_train, s)
+                yield learners.train(replace(spec, seed=s), d.take(rows)), test
+
+        fitted = one_at_a_time()
     cells = []
-    for n_train in n_grid:
-        for trial in range(trials):
-            trial_seed = derive_seed(seed, "curve", n_train, trial)
-            ds = split(d, HOLDOUT_FRACTION, trial_seed)
-            train_full, test = ds.train, ds.test
-            sub = subsample(train_full, n_train, derive_seed(trial_seed, "sub"))
-            model = train(replace(spec, seed=trial_seed), sub)
-            preds = score_predictions(
-                model.predict_scores(test.features), d.task, threshold
-            )
-            for kind in cost_kinds:
-                samples, _ = group_losses(preds, test, kind)
-                for a in range(d.n_groups):
-                    cost = float(samples[a].mean()) if a in samples else None
-                    cells.append(
-                        CurveCell(
-                            n_train=n_train,
-                            trial=trial,
-                            group=a,
-                            cost_kind=kind,
-                            cost=cost,
-                        )
+    for (n_train, trial), (model, test) in zip(runs, fitted):
+        preds = score_predictions(
+            model.predict_scores(test.features), d.task, threshold
+        )
+        for kind in cost_kinds:
+            samples, _ = group_losses(preds, test, kind)
+            for a in range(d.n_groups):
+                cost = float(samples[a].mean()) if a in samples else None
+                cells.append(
+                    CurveCell(
+                        n_train=n_train,
+                        trial=trial,
+                        group=a,
+                        cost_kind=kind,
+                        cost=cost,
                     )
+                )
     return CurveExperiment(
         spec=spec,
         cost_kinds=tuple(cost_kinds),

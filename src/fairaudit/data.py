@@ -723,13 +723,17 @@ def split(d: Dataset, test_fraction: float, seed: int) -> DataSplit:
     )
 
 
+def subsample_indices(n: int, m: int, seed: int) -> np.ndarray:
+    """The indices of m rows of n drawn without replacement, in draw
+    order, deterministic given seed."""
+    if not 1 <= m <= n:
+        raise DataError(f"subsample size {m} not in [1, {n}]")
+    return np.random.default_rng(seed).choice(n, size=m, replace=False)
+
+
 def subsample(d: Dataset, m: int, seed: int) -> Dataset:
     """m rows drawn without replacement, deterministic given seed."""
-    if not 1 <= m <= d.n:
-        raise DataError(f"subsample size {m} not in [1, {d.n}]")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(d.n, size=m, replace=False)
-    return d.take(idx)
+    return d.take(subsample_indices(d.n, m, seed))
 
 
 def bootstrap_indices(n: int, m: int, seed: int) -> np.ndarray:

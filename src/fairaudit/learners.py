@@ -11,6 +11,7 @@ matrix.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -232,11 +233,6 @@ class TreeModel(TrainedModel):
         return acc / len(self.roots)
 
 
-# Cell keys stay below 2^62, inside int64: before a column whose radix
-# would carry the span of the keys past it, they are renumbered densely.
-_KEY_LIMIT = 1 << 62
-
-
 def threshold_cells(features: np.ndarray, models):
     """The cells of the rows of ``features`` under the split grid of the
     tree models ``models``: (cell of each row, one row of each cell).
@@ -249,7 +245,7 @@ def threshold_cells(features: np.ndarray, models):
     passes t's index (-0.0 and 0.0 compare equal both ways; NaN fails
     every comparison and takes rank 0, as a value below every cut does).
     A column with one cut takes its rank as ``x >= t`` itself.
-    A cell numbers one vector of ranks, through a mixed-radix key over the
+    A cell numbers one vector of ranks (``kernels.row_cells``) over the
     split columns.  Raises AnalysisError for a model that is not a tree.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -274,27 +270,18 @@ def threshold_cells(features: np.ndarray, models):
         thresholds[1:] != thresholds[:-1])
     columns, thresholds = columns[distinct], thresholds[distinct]
     starts = np.flatnonzero(np.diff(columns, prepend=-1)).tolist()
-    key = np.zeros(features.shape[0], dtype=np.int64)
-    span = 1  # every key is below span
-    for lo, hi in zip(starts, starts[1:] + [columns.size]):
-        f, cuts = columns[lo], thresholds[lo:hi]
-        radix = cuts.size + 1
-        if span * radix > _KEY_LIMIT:
-            key, distinct = kernels.densify(key, span)
-            span = distinct.size
-        x = features[:, f]
-        key *= radix
-        if radix == 2:
-            key += x >= cuts[0]
-        else:
-            rank = np.searchsorted(cuts, x, side="right")
-            rank[np.isnan(x)] = 0
-            key += rank
-        span *= radix
-    cells, distinct = kernels.densify(key, span)
-    rows = np.empty(distinct.size, dtype=np.intp)
-    rows[cells] = np.arange(cells.size)  # any row of a cell serves
-    return cells, rows
+
+    def ranks():
+        for lo, hi in zip(starts, starts[1:] + [columns.size]):
+            x, cuts = features[:, columns[lo]], thresholds[lo:hi]
+            if cuts.size == 1:
+                yield x >= cuts[0], 2
+            else:
+                rank = np.searchsorted(cuts, x, side="right")
+                rank[np.isnan(x)] = 0
+                yield rank, cuts.size + 1
+
+    return kernels.row_cells(features.shape[0], ranks())
 
 
 # Newton stops once the decrement, the fall of the objective that a full
@@ -534,10 +521,11 @@ def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
     )
 
 
-# Most (drawn row, column) cells of the trees that grow together.  A
-# level's split search holds up to about 200 bytes per cell (codes, keys,
-# counts or running sums; measured on all-distinct columns), so a group's
-# memory stays flat however many trees there are.
+# Most (row, column) cells of the trees that grow together, counting the
+# rows each tree grows on: a binary tree's merged rows, a regression
+# tree's drawn rows.  A level's split search holds up to about 200 bytes
+# per cell (codes, keys, counts or running sums; measured on all-distinct
+# columns), so a group's memory stays flat however many trees there are.
 _GROUP_CELLS = 1 << 16
 
 
@@ -557,13 +545,14 @@ def _node_sums(y: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 
 def _grow_forest(codes, bins, y, draws, max_depth: int, task: Task) -> TreeModel:
-    """Trees grown together, one per (rows, cols) draw: tree i, walked
-    from ``roots[i]``, is ``_grow_tree`` on ``codes[rows][:, cols]`` node for
-    node, byte for byte, with its features mapped through ``cols``.
+    """Trees grown together, one per (rows, weight, cols) draw of
+    ``_forest_draws``: tree i, walked from ``roots[i]``, is ``_grow_tree``
+    on the drawn rows its draw stands for, in the columns ``cols``, node
+    for node, byte for byte, with its features mapped through ``cols``.
 
     The trees grow level by level: one split-kernel call searches every
-    node of the level.  A binary tree's rows are its distinct drawn rows
-    weighted by how often it drew them; a node's counts are exact
+    node of the level.  A binary tree's rows are its distinct (codes row,
+    label) rows, each counting ``weight`` times; a node's counts are exact
     integers, so its value, its purity and its children's counts come from
     the Gini kernel's counts.  A regression tree's rows are its drawn rows
     in draw order, repeated rows included (a weight w times y is not y
@@ -575,21 +564,14 @@ def _grow_forest(codes, bins, y, draws, max_depth: int, task: Task) -> TreeModel
     """
     binary = task is Task.BINARY
     n_trees = len(draws)
-    node_n = np.array([rows.size for rows, _ in draws])
-    tree = np.repeat(np.arange(n_trees), node_n)
-    row = np.concatenate([rows for rows, _ in draws])
-    weight = None
+    tree = np.repeat(np.arange(n_trees), [rows.size for rows, _, _ in draws])
+    row = np.concatenate([rows for rows, _, _ in draws])
     if binary:
-        # Each tree's distinct rows in (tree, row) order, with their counts.
-        key = tree * codes.shape[0] + row
-        key.sort()
-        first = np.empty(key.size, dtype=bool)
-        first[:1] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        starts = first.nonzero()[0]
-        weight = np.diff(starts, append=key.size).astype(np.float64)
-        tree, row = np.divmod(key[starts], codes.shape[0])
-    cols = np.stack([c for _, c in draws])
+        weight = np.concatenate([w for _, w, _ in draws])
+        node_n = np.bincount(tree, weight, minlength=n_trees)
+    else:
+        node_n = np.array([rows.size for rows, _, _ in draws])
+    cols = np.stack([c for _, _, c in draws])
     if cols.shape[1] == codes.shape[1]:  # every tree has every column
         cells = codes[row]
     else:
@@ -748,22 +730,65 @@ def _draws(spec: LearnerSpec, sample: np.ndarray, k: int) -> list:
     return draws
 
 
+def _label_cells(codes, bins, y):
+    """The distinct (codes row, label) pairs of the rows of a binary task:
+    (each row's pair, numbered, and one row of each pair)."""
+    k = codes.shape[1]
+    radix = np.bincount(bins.feature, minlength=k)
+    first = (radix.cumsum() - radix).tolist()  # each column's first bin
+    digits = ((codes[:, j] - first[j], r) for j, r in enumerate(radix.tolist())
+              if r > 1)
+    return kernels.row_cells(y.size, itertools.chain([(y == 1.0, 2)], digits))
+
+
+def _forest_draws(draws, codes, bins, y, task: Task) -> list:
+    """The (rows, weight, cols) of each tree of each model, from the
+    (rows, cols) of ``_draws``.  A regression tree keeps its drawn rows,
+    in draw order, and no weight.  A binary tree's drawn rows merge into
+    one row of each of their distinct (codes row, label) pairs, in pair
+    order, weighted by how many drawn rows it stands for: one sort over
+    the keys (tree, pair) of every tree of every model."""
+    if task is not Task.BINARY:
+        return [[(rows, None, cols) for rows, cols in trees] for trees in draws]
+    cell, rows = _label_cells(codes, bins, y)
+    flat = [tree for trees in draws for tree in trees]
+    key = np.repeat(np.arange(len(flat)) * rows.size,
+                    [drawn.size for drawn, _ in flat])
+    key += cell[np.concatenate([drawn for drawn, _ in flat])]
+    key.sort()
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    weight = np.diff(starts, append=key.size).astype(np.float64)
+    tree, cell = np.divmod(key[starts], rows.size)
+    ends = np.searchsorted(tree, np.arange(len(flat)), side="right").tolist()
+    merged = iter([
+        (rows[cell[lo:hi]], weight[lo:hi], cols)
+        for lo, hi, (_, cols) in zip([0] + ends, ends, flat)
+    ])
+    return [[next(merged) for _ in trees] for trees in draws]
+
+
 def train_tree_models(specs, X, y, task: Task, samples):
     """The tree models ``specs[i]`` trained on the rows ``samples[i]`` of
     (X, y), each equal to ``train`` on a dataset of those rows in the
     scores it gives, its trees walked from its roots node for node.
 
-    X is binned once, and the models' trees grow together through
-    ``_grow_forest``, in groups of whole models of at most
-    ``_GROUP_CELLS`` drawn cells (a model with more grows alone, in groups
-    of its trees).  Returns (the models, the forests they were cut from):
-    a model is the slice of its group's node table that holds its trees."""
+    X is binned once, and a binary tree's drawn rows merge into its
+    distinct (codes row, label) rows (``_forest_draws``).  The models' trees
+    grow together through ``_grow_forest``, in groups of whole models of
+    at most ``_GROUP_CELLS`` cells of the rows they grow on (a model with
+    more grows alone, in groups of its trees).  Returns (the models, the
+    forests they were cut from): a model is the slice of its group's node
+    table that holds its trees."""
     codes, bins = kernels.bin_table(X)
+    draws = _forest_draws([_draws(spec, sample, X.shape[1])
+                           for spec, sample in zip(specs, samples)],
+                          codes, bins, y, task)
     # The trees of a group hold their rows' codes at once, each in the
     # smallest type that holds every code.
     codes = codes.astype(np.min_scalar_type(bins.values.size))
-    draws = [_draws(spec, sample, X.shape[1])
-             for spec, sample in zip(specs, samples)]
     max_depth = specs[0].max_depth
     forests, models = [], []
     group, cells = [], 0  # whole models waiting to grow together
@@ -783,7 +808,7 @@ def train_tree_models(specs, X, y, task: Task, samples):
             group.clear()
 
     for i, trees in enumerate(draws):
-        size = sum(rows.size * c.size for rows, c in trees)
+        size = sum(rows.size * c.size for rows, _, c in trees)
         if cells + size > _GROUP_CELLS:
             flush()
             cells = 0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,15 +10,31 @@ from fairaudit import (
     LearnerKind,
     LearnerSpec,
     PowerLawFit,
+    Schema,
+    derive_seed,
     extrapolate_gamma,
     fit_curve_experiment,
     fit_power_law,
+    kernels,
+    load_dataset,
     power_law_critical_point,
     power_law_crossings,
     run_curve_experiment,
+    split,
+    subsample,
+    train,
 )
+from fairaudit.cli import run_cli
+from fairaudit.costs import group_losses
+from fairaudit.curves import HOLDOUT_FRACTION
 from fairaudit.errors import AnalysisError
-from fairaudit.synth import default_discrete_spec, gen_discrete
+from fairaudit.learners import score_predictions
+from fairaudit.synth import (
+    RegressionSynthSpec,
+    default_discrete_spec,
+    gen_discrete,
+    gen_regression,
+)
 
 
 def curve(alpha, beta, delta, ns):
@@ -77,6 +95,99 @@ def test_curve_experiment_budget_guard():
     lspec = LearnerSpec(kind=LearnerKind.TREE)
     with pytest.raises(AnalysisError, match="budget"):
         run_curve_experiment(lspec, d, [190], 2, seed=0)
+
+
+def loop_run_curve_experiment(spec, d, n_grid, trials, seed, cost_kinds,
+                              threshold=0.5):
+    """Reference: the per-trial loop, one (size, trial) at a time: split,
+    subsample, train, score.  The cells as (size, trial, group, kind, the
+    cost's float.hex or None)."""
+    cells = []
+    for n_train in sorted(n_grid):
+        for trial in range(trials):
+            trial_seed = derive_seed(seed, "curve", n_train, trial)
+            ds = split(d, HOLDOUT_FRACTION, trial_seed)
+            sub = subsample(ds.train, n_train, derive_seed(trial_seed, "sub"))
+            model = train(replace(spec, seed=trial_seed), sub)
+            preds = score_predictions(
+                model.predict_scores(ds.test.features), d.task, threshold)
+            for kind in cost_kinds:
+                samples, _ = group_losses(preds, ds.test, kind)
+                for a in range(d.n_groups):
+                    cost = float(samples[a].mean()) if a in samples else None
+                    cells.append((n_train, trial, a, kind,
+                                  None if cost is None else cost.hex()))
+    return cells
+
+
+def _tied_onehot(n, seed):
+    """Discrete-source rows with a rare group: one-hot columns, so the
+    rows tie, and small test splits that lack a group's class."""
+    d, _ = gen_discrete(default_discrete_spec(), n, seed=seed)
+    keep = np.flatnonzero((d.group == 0) | (np.arange(n) % 10 == 0))
+    return d.take(keep)
+
+
+BINARY_KINDS = (CostKind.ZERO_ONE, CostKind.FPR, CostKind.FNR)
+CURVE_CASES = [
+    ("bagged", LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=7,
+                           max_depth=5, feature_fraction=0.5), BINARY_KINDS),
+    ("bagged_no_bootstrap",
+     LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=5, max_depth=3,
+                 feature_fraction=0.5, bootstrap=False), BINARY_KINDS),
+    ("tree", LearnerSpec(kind=LearnerKind.TREE, max_depth=4), BINARY_KINDS),
+    ("logistic", LearnerSpec(kind=LearnerKind.LOGISTIC, lam=0.1),
+     BINARY_KINDS),
+    ("tree_mse", LearnerSpec(kind=LearnerKind.TREE, max_depth=5),
+     (CostKind.MSE,)),
+]
+
+
+@pytest.mark.parametrize("name, spec, kinds", CURVE_CASES,
+                         ids=[c[0] for c in CURVE_CASES])
+def test_curve_experiment_equals_the_per_trial_loop(name, spec, kinds):
+    # Tree kinds train every (size, trial) model in one call; each model's
+    # costs are the loop's, bit for bit, and so are its missing cells.
+    if name == "tree_mse":
+        d, _ = gen_regression(RegressionSynthSpec(), 300, seed=8)
+        grid = [20, 60, 150, 240]
+    else:
+        d = _tied_onehot(400, seed=5)
+        grid = [8, 30, 90, 200]
+    exp = run_curve_experiment(spec, d, grid, 3, seed=9, cost_kinds=kinds)
+    got = [(c.n_train, c.trial, c.group, c.cost_kind,
+            None if c.cost is None else c.cost.hex()) for c in exp.cells]
+    want = loop_run_curve_experiment(spec, d, grid, 3, 9, kinds)
+    assert got == want
+    if name != "tree_mse":
+        assert any(c[-1] is None for c in want)
+
+
+def _discrete_csv(tmp_path, n):
+    data, schema = tmp_path / "d.csv", tmp_path / "schema.txt"
+    assert run_cli(["synth", "--synth-kind", "discrete", "--n", str(n),
+                    "--seed", "11", "--data", str(data),
+                    "--out", str(tmp_path / "synth")]) == 0
+    schema.write_text("group=group\noutcome=outcome\ntask=binary\n")
+    return load_dataset(data, Schema.from_file(schema))
+
+
+def test_curve_experiment_grows_its_forests_in_one_call_per_level(
+        monkeypatch, tmp_path):
+    # The README's curve: 9 bagged models of 20 trees, whose merged rows
+    # fit one group, so each level is one Gini call.
+    d = _discrete_csv(tmp_path, 1000)
+    calls = []
+    search = kernels.best_splits_gini
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "best_splits_gini", counted)
+    spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES)
+    run_curve_experiment(spec, d, [100, 200, 400], 3, seed=3)
+    assert 1 <= len(calls) <= spec.max_depth
 
 
 def test_fit_curve_experiment_and_extrapolation():

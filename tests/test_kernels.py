@@ -748,6 +748,61 @@ def test_bin_table_numbers_distinct_values_column_by_column():
         assert dense.tolist() == [0, 0] and used.tolist() == [4]
 
 
+def argsort_bin_table(X):
+    """Reference: the bin table of one argsort per column, each column's
+    codes scattered through its order and each bin's value the first of
+    its run in that order."""
+    n, k = X.shape
+    columns = np.ascontiguousarray(X.T)
+    order = columns.argsort(axis=1)
+    xs = columns.ravel()[order + np.arange(0, n * k, n)[:, None]]
+    first = np.empty((k, n), dtype=bool)
+    first[:, :1] = True
+    np.not_equal(xs[:, 1:], xs[:, :-1], out=first[:, 1:])
+    first = first.ravel()
+    rank = first.cumsum() - 1
+    codes = np.empty(n * k, dtype=np.intp)
+    codes[(order * k + np.arange(k)[:, None]).ravel()] = rank
+    starts = first.nonzero()[0]
+    return codes.reshape(n, k), kernels.Bins(xs.ravel()[starts], starts // n)
+
+
+def _bin_column(draw, n):
+    style = draw(st.sampled_from(
+        ["skewed", "balanced", "distinct", "zeros", "huge", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if style == "skewed":  # mostly one value, as a one-hot column
+        return (rng.random(n) < 0.1).astype(np.float64)
+    if style == "balanced":
+        return rng.integers(0, 2, size=n).astype(np.float64)
+    if style == "distinct":
+        return rng.normal(size=n)
+    if style == "zeros":  # 0.0 and -0.0, alone or beside another value
+        return rng.choice(draw(st.sampled_from(
+            [[0.0, -0.0], [-0.0, 1.0], [0.0, -0.0, 1.0], [-0.0], [0.0]])), n)
+    if style == "huge":
+        return rng.choice(draw(st.sampled_from(
+            [[1e308, -1e308], [1e308, 1.7e308], [-1e308, 0.0, 1e308]])), n)
+    return np.full(n, draw(st.sampled_from([0.0, -0.0, 3.5, -1e308])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bin_table_equals_one_argsort_per_column(data):
+    # Codes and table byte-equal to the argsort's, whichever columns take
+    # the comparison: one- and two-valued ones, one-row ones, a bin of
+    # 0.0 and -0.0 (valued as the argsort orders it), huge values.
+    n = data.draw(st.sampled_from([1, 2, 3, 17, 200]))
+    k = data.draw(st.integers(1, 5))
+    X = np.column_stack([_bin_column(data.draw, n) for _ in range(k)])
+    codes, bins = kernels.bin_table(X)
+    want_codes, want = argsort_bin_table(X)
+    assert codes.dtype == want_codes.dtype and codes.shape == want_codes.shape
+    assert codes.tobytes() == want_codes.tobytes()
+    assert bins.values.tobytes() == want.values.tobytes()
+    assert bins.feature.tobytes() == want.feature.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Reference oracle: the z-scoring that the k-NN learner and the noise
 # bounds each spelled out before `kernels.zscore` held it.

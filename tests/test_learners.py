@@ -517,7 +517,7 @@ def test_forest_roots_take_the_size_of_their_own_draw(task):
     # Draws shorter and longer than the rows of the codes, and draws that
     # repeat rows: each tree is the one the reference grows on its rows.
     from fairaudit import kernels
-    from fairaudit.learners import _grow_forest
+    from fairaudit.learners import _forest_draws, _grow_forest
 
     d = _bagged_dataset(task, n=120)
     X, y = d.features, d.outcome
@@ -529,12 +529,71 @@ def test_forest_roots_take_the_size_of_their_own_draw(task):
                  [np.array(c) for c in ([0, 2, 4], [1, 3, 5], [0, 1, 2],
                                         [3, 4, 5])]):
         draws = list(zip(samples, cols))
-        forest = _grow_forest(codes, bins, y, draws, 5, task)
+        forest = _grow_forest(codes, bins, y,
+                              _forest_draws([draws], codes, bins, y, task)[0],
+                              5, task)
         assert len(forest.roots) == len(draws)
         for i, (rows, c) in enumerate(draws):
             feature, *rest = loop_grow_tree(X[np.ix_(rows, c)], y[rows], task, 5)
             want = (np.append(c, -1)[feature], *rest)
             assert _tree_arrays(walk_tree(forest, i)) == _tree_arrays(want)
+
+
+def _tied_rows(task, n=300):
+    """Rows that repeat: three 0/1 columns and one of -0.0, 0.0 and 2.5,
+    labels that differ between equal rows."""
+    rng = np.random.default_rng(21)
+    X = np.column_stack([rng.integers(0, 2, size=(n, 3)).astype(np.float64),
+                         rng.choice([-0.0, 0.0, 2.5], size=n)])
+    signal = X[:, 0] - X[:, 1] + rng.normal(0, 0.7, n)
+    y = ((signal > 0.2).astype(np.float64) if task is Task.BINARY
+         else np.round(signal, 1))
+    return Dataset(features=X, group=np.zeros(n, dtype=np.int64), outcome=y,
+                   task=task, column_names=("a", "b", "c", "z"))
+
+
+def _first_search_rows(monkeypatch, name, spec, d):
+    """The rows of the first call of the split kernel ``name`` when
+    ``spec`` trains on ``d``."""
+    from fairaudit import kernels
+
+    rows = []
+    search = getattr(kernels, name)
+
+    def counted(codes, *args, **kwargs):
+        rows.append(codes.shape[0])
+        return search(codes, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, counted)
+    train(spec, d)
+    return rows[0]
+
+
+@pytest.mark.parametrize("feature_fraction", [0.5, 1.0])
+def test_binary_forest_searches_each_distinct_row_of_a_tree_once(
+        monkeypatch, feature_fraction):
+    # A tree's drawn rows merge by (codes row, label), whatever columns it
+    # drew: the root level gets one row per distinct triple.
+    from fairaudit.learners import _draws
+
+    d = _tied_rows(Task.BINARY)
+    spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=8, max_depth=3,
+                       feature_fraction=feature_fraction, seed=4)
+    got = _first_search_rows(monkeypatch, "best_splits_gini", spec, d)
+    # 0.0 and -0.0 share a bin: adding 0.0 makes them one key.
+    triples = {(t, tuple((d.features[r] + 0.0).tolist()), d.outcome[r])
+               for t, (drawn, _) in enumerate(_draws(spec, np.arange(d.n), d.k))
+               for r in drawn.tolist()}
+    assert got == len(triples)
+
+
+def test_regression_forest_searches_every_drawn_row(monkeypatch):
+    # Regression rows stay as drawn, repeats included.
+    d = _tied_rows(Task.REGRESSION)
+    spec = LearnerSpec(kind=LearnerKind.BAGGED_TREES, n_trees=8, max_depth=3,
+                       seed=4)
+    got = _first_search_rows(monkeypatch, "best_splits_var", spec, d)
+    assert got == 8 * d.n
 
 
 def test_node_sums_equal_numpy_sum_of_each_node():

@@ -92,11 +92,15 @@ ROOT = SRC.parent.parent
 # ``bootstrap_resample`` left ``decomposition`` when a tree ensemble's
 # models came to grow together from bootstrap indices into one binned
 # matrix (other kinds reach them as ``learners.train`` and
-# ``data.bootstrap_resample``).
+# ``data.bootstrap_resample``); ``train`` and ``subsample`` left ``curves``
+# when a curve's tree models came to grow together from subsample indices
+# into one binned matrix (other kinds reach them as ``learners.train`` and
+# ``data.subsample_indices``).
 ABSENT_BINDINGS = {"subgroups.per_sample_losses", "curves.per_sample_losses",
                    "kernels.best_split_gini", "kernels.best_split_var",
                    "noise_bounds.bhattacharyya_bounds",
-                   "decomposition.train", "decomposition.bootstrap_resample"}
+                   "decomposition.train", "decomposition.bootstrap_resample",
+                   "curves.train", "curves.subsample"}
 
 
 def _expected_sites():
@@ -153,6 +157,7 @@ UNREFERENCED_EXPORTS = {
     "power_law_critical_point": "group-targeted learning curves, ROADMAP item 5",
     "point_decomposition": "one-point oracle of the acceptance tests",
     "weighted_group_error": "thin wrapper through which tests probe subgroup cells",
+    "subsample": "a dataset of subsample_indices' rows, as curves draws them",
 }
 
 
