@@ -132,8 +132,7 @@ def run_curve_experiment(
         trial_rows, tests = zip(*(drawn(n_train, s)
                                   for (n_train, _), s in zip(runs, seeds)))
         models, _ = learners.train_tree_models(
-            [replace(spec, seed=s) for s in seeds], d.features, d.outcome,
-            d.task, trial_rows)
+            spec, seeds, d.features, d.outcome, d.task, trial_rows)
         fitted = zip(models, tests)
     else:
         def one_at_a_time():

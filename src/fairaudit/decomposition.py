@@ -188,7 +188,7 @@ def ensemble_train(
             samples = [bootstrap_indices(source.n, n_train, s) for s in seeds]
             X, y, task = source.features, source.outcome, source.task
         models, forests = learners.train_tree_models(
-            [replace(spec, seed=s) for s in seeds], X, y, task, samples)
+            spec, seeds, X, y, task, samples)
         cells, rows = threshold_cells(eval_set.features, forests)
         # The trees read whole columns: a column-major copy of the rows.
         features = np.asfortranarray(eval_set.features[rows])

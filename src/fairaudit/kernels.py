@@ -54,31 +54,29 @@ so memory stays flat however many rows a group has.  Per block:
 6. The votes add the k nearest labels in that order, from 0.0.
 
 Split search works on value bins: each column's distinct values in
-ascending order, numbered column by column (``bin_table``).  A tree's
-nodes, or a forest's trees, share one table, and pass their rows as
-(rows, features) bin codes into it.
+ascending order, numbered column by column (``bin_table``).  The trees a
+forest grows together share one table, and pass their rows as (rows,
+features) bin codes into it.
 
 The Gini kernel searches many nodes at once: a whole level of the trees
 a forest grows together, each row tagged with its node and weighted by
-how many of its tree's drawn rows it stands for, or one node of a single
-tree.  One ``np.bincount`` counts the rows of each (node, bin, label)
-key, and the cuts between consecutive non-empty bins of a column are
-scored from running sums over those counts.  The counts are exact integers, so each
-node's scores, and the cut its scan keeps, equal the per-node loop's.
-While a table over every key would hold at most ``_TABLE_PER_CELL``
-entries per cell counted, it is used as is; past that (all-distinct
-columns, deep levels) the keys are first densified to the ones that
-occur (``densify``), so no table grows with nodes times bins.
-The variance kernel searches many nodes at once too, a whole level of
-the regression trees a forest grows together or one node of a single
-tree.  Its labels are reals, whose sums depend on the order they are
-added in, so each node keeps its own arithmetic: its rows fill one row of
-a padded array, sorting their codes orders them as a stable sort of the
-values does, and running sums along each row add them in order.  Called
-without a table, either kernel bins its matrix first.  A threshold
-is the midpoint of the values on either side of the cut, or the upper
-value where the midpoint would not separate them; rows go right when
-their value is at least the threshold.
+how many of its tree's drawn rows it stands for.  One ``np.bincount``
+counts the rows of each (node, bin, label) key, and the cuts between
+consecutive non-empty bins of a column are scored from running sums over
+those counts.  The counts are exact integers, so each node's scores, and
+the cut its scan keeps, equal the per-node loop's.  While a table over
+every key would hold at most ``_TABLE_PER_CELL`` entries per cell
+counted, it is used as is; past that (all-distinct columns, deep levels)
+the keys are first densified to the ones that occur (``densify``), so no
+table grows with nodes times bins.
+The variance kernel searches a whole level of the regression trees a
+forest grows together too.  Its labels are reals, whose sums depend on
+the order they are added in, so each node keeps its own arithmetic: its
+rows fill one row of a padded array, sorting their codes orders them as
+a stable sort of the values does, and running sums along each row add
+them in order.  A threshold is the midpoint of the values on either side
+of the cut, or the upper value where the midpoint would not separate
+them; rows go right when their value is at least the threshold.
 """
 
 from __future__ import annotations
@@ -317,16 +315,14 @@ class GiniSplits(NamedTuple):
     pos_left: np.ndarray
 
 
-def best_splits_gini(codes, y, bins=None, node=None, weight=None) -> GiniSplits:
+def best_splits_gini(codes, y, bins, node, weight) -> GiniSplits:
     """Best axis-aligned split by Gini impurity of each of a set of
     classification nodes, all searched at once.
 
-    ``codes`` holds the rows as bin codes into ``bins``; with ``bins``
-    None it is a feature matrix, binned here.  Row i, labelled y[i] in
-    {0, 1}, belongs to node ``node[i]`` (node 0 for every row when
-    ``node`` is None) and counts ``weight[i]`` times (once when ``weight``
-    is None); each node in 0 .. max(node) must hold a row.  Ties break
-    toward the lowest feature index, then the lowest threshold.
+    ``codes`` holds the rows as bin codes into ``bins``.  Row i, labelled
+    y[i] in {0, 1}, belongs to node ``node[i]`` and counts ``weight[i]``
+    times; each node in 0 .. max(node) must hold a row.  Ties break toward
+    the lowest feature index, then the lowest threshold.
 
     One ``np.bincount`` counts the weighted rows of each (label, node,
     bin) key.  A cut lies between two consecutive non-empty bins of one
@@ -335,46 +331,29 @@ def best_splits_gini(codes, y, bins=None, node=None, weight=None) -> GiniSplits:
     The table holds every key while it has at most ``_TABLE_PER_CELL``
     entries per cell of the codes; past that the keys are densified
     first.
-
-    With ``node`` None, a single tree's search, the per-node bookkeeping
-    (node totals, node keys, per-node corrections and scans) reduces to
-    scalars and one ``_scan``.  Taking the general form there instead
-    costs about 1.7 times as much per call, enough to slow a session of
-    shallow single trees by a tenth.
     """
-    n_rows, k = codes.shape
-    if bins is None:
-        codes, bins = bin_table(codes)
+    k = codes.shape[1]
     size = bins.values.size
     positive = y == 1.0
-    if node is None:
-        n_nodes, node_key = 1, None
-        n_total = n_rows if weight is None else weight.sum()
-        total_pos = (np.count_nonzero(positive) if weight is None
-                     else weight[positive].sum())
-    else:
-        n_nodes, node_key = int(node.max()) + 1, node * size
-        totals = np.bincount(2 * node + positive, weight, minlength=2 * n_nodes)
-        total_pos = totals[1::2]
-        n_total = totals[0::2] + total_pos
+    n_nodes, node_key = int(node.max()) + 1, node * size
+    totals = np.bincount(2 * node + positive, weight, minlength=2 * n_nodes)
+    total_pos = totals[1::2]
+    n_total = totals[0::2] + total_pos
     span = n_nodes * size
-    cell_weight = None if weight is None else np.repeat(weight, k)
     # Keys label * span + node * size + bin, or, densified, label * (keys
     # that occur) + the (node, bin) key's rank among them.
     row_key = positive.astype(np.intp)
     if 2 * span <= _TABLE_PER_CELL * codes.size:
         row_key *= span
-        if node is not None:
-            row_key += node_key
+        row_key += node_key
         key, filled = codes + row_key[:, None], None
     else:
-        pair = codes if node is None else codes + node_key[:, None]
-        key, filled = densify(pair.ravel(), span)
+        key, filled = densify((codes + node_key[:, None]).ravel(), span)
         span = filled.size
         key = key.reshape(codes.shape)
         row_key *= span
         key += row_key[:, None]
-    table = np.bincount(key.ravel(), cell_weight, minlength=2 * span)
+    table = np.bincount(key.ravel(), np.repeat(weight, k), minlength=2 * span)
     count, pos = table[:span] + table[span:], table[span:]
     if filled is None:
         filled = count.nonzero()[0]
@@ -383,16 +362,12 @@ def best_splits_gini(codes, y, bins=None, node=None, weight=None) -> GiniSplits:
     # bin) that holds a row, in key order: node by node, column by column,
     # value by value.  A run is one column of one node; every node has one
     # run per column of the codes, each holding all of its rows.
-    if node is None:
-        bin_of = filled
-        run = bins.feature[bin_of]
-    else:
-        node_of, bin_of = np.divmod(filled, size)
-        run = bins.feature[bin_of] + node_of * size
+    node_of, bin_of = np.divmod(filled, size)
+    run = bins.feature[bin_of] + node_of * size
     same = run[1:] == run[:-1]
     cut = same.nonzero()[0]
     if cut.size == 0:
-        return _no_splits(n_nodes, table.dtype)
+        return _no_splits(n_nodes)
     # A new run starts between each two consecutive entries except at a
     # cut, so the cut after entry i lies in run i - (cuts before it):
     # column ``f`` of its node.  The rows left of it are the running count
@@ -401,32 +376,20 @@ def best_splits_gini(codes, y, bins=None, node=None, weight=None) -> GiniSplits:
     f = cut - np.arange(cut.size)
     n_l = count.cumsum()[cut]
     left_pos = pos.cumsum()[cut]
-    if node is None:
-        n_l -= n_total * f
-        left_pos -= total_pos * f
-    else:
-        nd = node_of[cut]
-        f -= nd * k
-        n_l -= k * (n_total.cumsum() - n_total)[nd] + n_total[nd] * f
-        left_pos -= k * (total_pos.cumsum() - total_pos)[nd] + total_pos[nd] * f
-        n_total, total_pos = n_total[nd], total_pos[nd]
+    nd = node_of[cut]
+    f -= nd * k
+    n_l -= k * (n_total.cumsum() - n_total)[nd] + n_total[nd] * f
+    left_pos -= k * (total_pos.cumsum() - total_pos)[nd] + total_pos[nd] * f
+    n_total, total_pos = n_total[nd], total_pos[nd]
     n_r = n_total - n_l
     p_l = left_pos / n_l
     p_r = (total_pos - left_pos) / n_r
     score = n_l * 2.0 * p_l * (1.0 - p_l) + n_r * 2.0 * p_r * (1.0 - p_r)
-    if node is None:
-        at = _scan(score)
-        if at < 0:
-            return _no_splits(1, table.dtype)
-        lo, hi = bins.values[bin_of[cut[at]:cut[at] + 2]].tolist()
-        at = slice(at, at + 1)
-        return GiniSplits(f[at], np.array([_threshold(lo, hi)]), score[at],
-                          n_l[at], left_pos[at])
     at = _first_best(score, nd, n_nodes)
     found = (at >= 0).nonzero()[0]
     at = at[found]
     c = cut[at]
-    out = _no_splits(n_nodes, table.dtype)
+    out = _no_splits(n_nodes)
     out.feature[found] = f[at]
     out.threshold[found] = [
         _threshold(lo, hi) for lo, hi in zip(
@@ -438,14 +401,14 @@ def best_splits_gini(codes, y, bins=None, node=None, weight=None) -> GiniSplits:
     return out
 
 
-def _no_splits(n_nodes: int, dtype) -> GiniSplits:
+def _no_splits(n_nodes: int) -> GiniSplits:
     """GiniSplits of ``n_nodes`` nodes that no cut separates."""
     feature = np.empty(n_nodes, dtype=np.intp)
     feature.fill(-1)
     score = np.empty(n_nodes)
     score.fill(np.inf)
-    return GiniSplits(feature, np.zeros(n_nodes), score,
-                      np.zeros(n_nodes, dtype=dtype), np.zeros(n_nodes, dtype=dtype))
+    return GiniSplits(feature, np.zeros(n_nodes), score, np.zeros(n_nodes),
+                      np.zeros(n_nodes))
 
 
 class VarSplits(NamedTuple):
@@ -481,17 +444,15 @@ def _padded_groups(length: np.ndarray):
         lo = hi
 
 
-def best_splits_var(codes, y, bins=None, node=None) -> VarSplits:
+def best_splits_var(codes, y, bins, node) -> VarSplits:
     """Best axis-aligned split by within-child squared deviation of each
     of a set of regression nodes, all searched at once.
 
-    ``codes`` holds the rows as bin codes into ``bins``; with ``bins``
-    None it is a feature matrix, binned here.  Row i, with any real label
-    y[i], belongs to node ``node[i]`` (node 0 for every row when ``node``
-    is None); ``node`` does not decrease, so each node's rows are
-    consecutive, in their order, and each node in 0 .. max(node) must
-    hold a row.  Ties break toward the lowest feature index, then the
-    lowest threshold.
+    ``codes`` holds the rows as bin codes into ``bins``.  Row i, with any
+    real label y[i], belongs to node ``node[i]``; ``node`` does not
+    decrease, so each node's rows are consecutive, in their order, and
+    each node in 0 .. max(node) must hold a row.  Ties break toward the
+    lowest feature index, then the lowest threshold.
 
     Each node is scored as the per-row loop scores it alone.  Its rows
     fill one row of a padded (node, feature, row) array, and within each
@@ -501,12 +462,8 @@ def best_splits_var(codes, y, bins=None, node=None) -> VarSplits:
     order.  Nodes are padded in groups of similar length
     (``_padded_groups``), so the arrays hold at most twice the cells.
     """
-    n_rows, k = codes.shape
-    if bins is None:
-        codes, bins = bin_table(codes)
-    if node is None:
-        node = np.zeros(n_rows, dtype=np.intp)
-    n_nodes = int(node[-1]) + 1 if n_rows else 1
+    k = codes.shape[1]
+    n_nodes = int(node[-1]) + 1
     length = np.bincount(node, minlength=n_nodes)
     start = length.cumsum() - length
     out = VarSplits(np.full(n_nodes, -1, dtype=np.intp), np.zeros(n_nodes),

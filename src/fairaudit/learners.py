@@ -452,75 +452,6 @@ def _train_knn(spec: LearnerSpec, X, y, task: Task) -> KNNModel:
     )
 
 
-def _grow_tree(X, y, task: Task, max_depth: int) -> TreeModel:
-    """A tree grown on the rows of the feature matrix X, on the bin codes
-    of its rows.  Nodes are numbered in preorder: a node, then its left
-    subtree, then its right."""
-    X, bins = kernels.bin_table(X)
-    binary = task is Task.BINARY
-    feature, threshold, left, right, value = [], [], [], [], []
-    # A node's rows (codes and labels, sliced once from the parent's), its
-    # depth, the child list and parent that take its index, and, for a
-    # binary leaf, its row count and label sum in place of its rows.  The
-    # right child is pushed first, so the left subtree is numbered first.
-    stack = [(X, y, 0, left, -1, None)]
-    while stack:
-        codes, yn, depth, link, parent, counts = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            link[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        n, total = (yn.size, yn.sum()) if counts is None else counts
-        value.append(float(total / n))  # bit-equal to yn.mean()
-        if depth >= max_depth or n < 2:
-            continue
-        # 0/1 labels sum exactly: a node is pure when they sum to 0 or n.
-        if (total == 0.0 or total == n) if binary else (yn == yn[0]).all():
-            continue
-        # Looked up on the module at each node, so a wrapper installed on
-        # ``kernels`` sees every call.
-        if binary:
-            split = kernels.best_splits_gini(codes, yn, bins)
-        else:
-            split = kernels.best_splits_var(codes, yn, bins)
-        feat = int(split.feature[0])
-        if feat < 0:
-            continue
-        thresh = float(split.threshold[0])
-        feature[node] = feat
-        threshold[node] = thresh
-        # Children at the depth limit are leaves.  A binary leaf's value
-        # follows from the counts of the search (0/1 labels sum exactly).
-        inner = depth + 1 < max_depth
-        if binary and not inner:
-            n_left, pos_left = split.n_left[0], split.pos_left[0]
-            stack.append((None, None, depth + 1, right, node,
-                          (n - n_left, total - pos_left)))
-            stack.append((None, None, depth + 1, left, node,
-                          (n_left, pos_left)))
-            continue
-        # By value, not by code: the threshold need not be a bin's value.
-        go_right = bins.values[codes[:, feat]] >= thresh
-        go_left = ~go_right
-        stack.append((codes.compress(go_right, axis=0) if inner else None,
-                      yn.compress(go_right), depth + 1, right, node, None))
-        stack.append((codes.compress(go_left, axis=0) if inner else None,
-                      yn.compress(go_left), depth + 1, left, node, None))
-    return TreeModel(
-        kind=LearnerKind.TREE,
-        task=task,
-        n_features=X.shape[1],
-        node_feature=np.asarray(feature, dtype=np.int64),
-        node_threshold=np.asarray(threshold),
-        node_left=np.asarray(left, dtype=np.int64),
-        node_right=np.asarray(right, dtype=np.int64),
-        node_value=np.asarray(value),
-    )
-
-
 # Most (row, column) cells of the trees that grow together, counting the
 # rows each tree grows on: a binary tree's merged rows, a regression
 # tree's drawn rows.  A level's split search holds up to about 200 bytes
@@ -546,9 +477,13 @@ def _node_sums(y: np.ndarray, length: np.ndarray) -> np.ndarray:
 
 def _grow_forest(codes, bins, y, draws, max_depth: int, task: Task) -> TreeModel:
     """Trees grown together, one per (rows, weight, cols) draw of
-    ``_forest_draws``: tree i, walked from ``roots[i]``, is ``_grow_tree``
-    on the drawn rows its draw stands for, in the columns ``cols``, node
-    for node, byte for byte, with its features mapped through ``cols``.
+    ``_forest_draws``.  Tree i, walked from ``roots[i]``, is node for node,
+    byte for byte, the tree a recursive per-node grower (the tests'
+    ``loop_grow_tree``) builds on the drawn rows its draw stands for, in
+    the columns ``cols``, with its features mapped through ``cols``: each
+    node's value is the mean of its labels, and a node less than
+    ``max_depth`` deep with two or more rows of mixed labels splits at its
+    rows' best cut, when a cut separates them.
 
     The trees grow level by level: one split-kernel call searches every
     node of the level.  A binary tree's rows are its distinct (codes row,
@@ -557,10 +492,11 @@ def _grow_forest(codes, bins, y, draws, max_depth: int, task: Task) -> TreeModel
     the Gini kernel's counts.  A regression tree's rows are its drawn rows
     in draw order, repeated rows included (a weight w times y is not y
     added w times), kept grouped by node in that order, so that each
-    node's value is its labels' own sum and the variance kernel sees them
-    as ``_grow_tree`` does.  Each tree's nodes are stored together, tree
-    after tree, in the order they grow: its root, then the two children of
-    each of its splitting nodes in turn, left then right.
+    node's value is its labels' own sum and the variance kernel adds them
+    in the order a search of that node alone would.  Each tree's nodes
+    are stored together, tree after tree, in the order they grow: its
+    root, then the two children of each of its splitting nodes in turn,
+    left then right.
     """
     binary = task is Task.BINARY
     n_trees = len(draws)
@@ -631,8 +567,9 @@ def _grow_forest(codes, bins, y, draws, max_depth: int, task: Task) -> TreeModel
             node_n, node_pos = children_n, children_pos
             if len(levels) == max_depth:
                 continue  # the children are leaves at the depth limit
-        # By value, not by code, as ``_grow_tree`` splits: the value of each
-        # row's code in its node's split column, read from the flat codes.
+        # By value, not by code (a threshold need not be a bin's value): the
+        # value of each row's code in its node's split column, read from
+        # the flat codes.
         at = found.feature[slot]
         at += np.arange(0, cells.size, cells.shape[1])
         go_right = bins.values[cells.ravel()[at]] >= found.threshold[slot]
@@ -770,10 +707,11 @@ def _forest_draws(draws, codes, bins, y, task: Task) -> list:
     return [[next(merged) for _ in trees] for trees in draws]
 
 
-def train_tree_models(specs, X, y, task: Task, samples):
-    """The tree models ``specs[i]`` trained on the rows ``samples[i]`` of
-    (X, y), each equal to ``train`` on a dataset of those rows in the
-    scores it gives, its trees walked from its roots node for node.
+def train_tree_models(spec: LearnerSpec, seeds, X, y, task: Task, samples):
+    """The tree models of ``spec`` with the seeds ``seeds[i]`` trained on
+    the rows ``samples[i]`` of (X, y), each equal to ``train`` on a dataset
+    of those rows in the scores it gives, its trees walked from its roots
+    node for node.
 
     X is binned once, and a binary tree's drawn rows merge into its
     distinct (codes row, label) rows (``_forest_draws``).  The models' trees
@@ -783,18 +721,18 @@ def train_tree_models(specs, X, y, task: Task, samples):
     forests they were cut from): a model is the slice of its group's node
     table that holds its trees."""
     codes, bins = kernels.bin_table(X)
-    draws = _forest_draws([_draws(spec, sample, X.shape[1])
-                           for spec, sample in zip(specs, samples)],
+    draws = _forest_draws([_draws(replace(spec, seed=s), sample, X.shape[1])
+                           for s, sample in zip(seeds, samples)],
                           codes, bins, y, task)
     # The trees of a group hold their rows' codes at once, each in the
     # smallest type that holds every code.
     codes = codes.astype(np.min_scalar_type(bins.values.size))
-    max_depth = specs[0].max_depth
     forests, models = [], []
     group, cells = [], 0  # whole models waiting to grow together
 
     def grow(trees):
-        forests.append(_grow_forest(codes, bins, y, trees, max_depth, task))
+        forests.append(
+            _grow_forest(codes, bins, y, trees, spec.max_depth, task))
         return forests[-1]
 
     def flush():
@@ -802,8 +740,8 @@ def train_tree_models(specs, X, y, task: Task, samples):
             forest = grow([tree for i in group for tree in draws[i]])
             first = 0
             for i in group:
-                models.append(_trees(forest, first, first + len(draws[i]),
-                                     specs[i].kind))
+                models.append(
+                    _trees(forest, first, first + len(draws[i]), spec.kind))
                 first += len(draws[i])
             group.clear()
 
@@ -817,7 +755,7 @@ def train_tree_models(specs, X, y, task: Task, samples):
             models.append(_joined([
                 grow(trees[lo:lo + per_group])
                 for lo in range(0, len(trees), per_group)
-            ], specs[i].kind))
+            ], spec.kind))
         else:
             group.append(i)
             cells += size
@@ -844,10 +782,9 @@ def train(spec: LearnerSpec, d: Dataset) -> TrainedModel:
         return _train_ridge(spec, X, y)
     if spec.kind is LearnerKind.KNN:
         return _train_knn(spec, X, y, d.task)
-    if spec.kind is LearnerKind.TREE:
-        return _grow_tree(X, y, d.task, spec.max_depth)
-    if spec.kind is LearnerKind.BAGGED_TREES:
-        return train_tree_models([spec], X, y, d.task, [np.arange(d.n)])[0][0]
+    if spec.kind in TREE_KINDS:
+        return train_tree_models(spec, [spec.seed], X, y, d.task,
+                                 [np.arange(d.n)])[0][0]
     raise AnalysisError(f"unknown learner kind {spec.kind}")
 
 

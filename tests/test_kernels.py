@@ -7,17 +7,33 @@ from fairaudit import kernels
 from fairaudit.errors import AnalysisError
 
 
-def gini_split(X, y, bins=None):
-    """The level Gini kernel on one node, as (feature, threshold, score)."""
-    found = kernels.best_splits_gini(X, y, bins)
+def gini_codes(codes, y, bins):
+    """The level Gini kernel on one node of bin codes into ``bins``, each
+    row counted once, as (feature, threshold, score)."""
+    n = codes.shape[0]
+    found = kernels.best_splits_gini(codes, y, bins, np.zeros(n, dtype=np.intp),
+                                     np.ones(n))
     return int(found.feature[0]), float(found.threshold[0]), float(found.score[0])
 
 
-def var_split(X, y, bins=None):
-    """The level variance kernel on one node, as (feature, threshold,
-    score)."""
-    found = kernels.best_splits_var(X, y, bins)
+def var_codes(codes, y, bins):
+    """The level variance kernel on one node of bin codes into ``bins``, as
+    (feature, threshold, score)."""
+    found = kernels.best_splits_var(codes, y, bins,
+                                    np.zeros(codes.shape[0], dtype=np.intp))
     return int(found.feature[0]), float(found.threshold[0]), float(found.score[0])
+
+
+def gini_split(X, y):
+    """``gini_codes`` on the feature matrix X, binned first."""
+    codes, bins = kernels.bin_table(X)
+    return gini_codes(codes, y, bins)
+
+
+def var_split(X, y):
+    """``var_codes`` on the feature matrix X, binned first."""
+    codes, bins = kernels.bin_table(X)
+    return var_codes(codes, y, bins)
 
 
 def brute_best_split_gini(X, y):
@@ -627,17 +643,17 @@ def test_split_kernels_on_a_table_match_the_kernels_alone(data):
     for per_cell in (kernels._TABLE_PER_CELL, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_TABLE_PER_CELL", per_cell)
-            assert _split_hex(gini_split(node, labels, bins)) == want
+            assert _split_hex(gini_codes(node, labels, bins)) == want
             found = kernels.best_splits_gini(
                 codes[np.ix_(distinct, cols)], row_labels[distinct], bins,
-                weight=weight)
+                np.zeros(distinct.size, dtype=np.intp), weight.astype(np.float64))
             assert _split_hex(
                 (found.feature[0], found.threshold[0], found.score[0])) == want
             if found.feature[0] >= 0:
                 goes_left = alone[:, found.feature[0]] < found.threshold[0]
                 assert found.n_left[0] == goes_left.sum()
                 assert found.pos_left[0] == labels[goes_left].sum()
-    assert _split_hex(var_split(node, values, bins)) == _split_hex(
+    assert _split_hex(var_codes(node, values, bins)) == _split_hex(
         var_split(alone, values))
 
 
@@ -655,8 +671,9 @@ def test_var_level_matches_the_loop_node_by_node(style):
         y = np.round(rng.normal(size=sum(sizes)), 1)
         node = np.repeat(np.arange(len(sizes)), sizes)
         extra = _features(rng, 20, k, style)
+        own_codes, own_bins = kernels.bin_table(X)
         codes, bins = kernels.bin_table(np.vstack([X, extra]))
-        for found in (kernels.best_splits_var(X, y, None, node),
+        for found in (kernels.best_splits_var(own_codes, y, own_bins, node),
                       kernels.best_splits_var(codes[:node.size], y, bins, node)):
             for j in range(len(sizes)):
                 want = loop_best_split_var(X[node == j], y[node == j])
@@ -682,7 +699,8 @@ def test_var_level_pads_nodes_in_groups_of_similar_length(monkeypatch):
     X = np.round(rng.normal(size=(sum(sizes), 2)), 1)
     y = rng.normal(size=X.shape[0])
     node = np.repeat(np.arange(len(sizes)), sizes)
-    found = kernels.best_splits_var(X, y, None, node)
+    codes, bins = kernels.bin_table(X)
+    found = kernels.best_splits_var(codes, y, bins, node)
     assert len(widths) > 1
     assert all(padded <= 2 * rows for rows, padded in widths)
     for j in range(len(sizes)):

@@ -128,8 +128,8 @@ def test_tree_depth_limit():
 def test_trees_on_negative_zero_labels_have_no_negative_zero_node(spec):
     # A leaf of -0.0 labels, at the depth limit or pure above it, is a node
     # of the class 0.  Its value is +0.0 whether it comes from a sum of the
-    # labels (numpy's sum of -0.0s is +0.0) or from the kernel's counts,
-    # which a forest and a single tree's depth-limit leaves take.
+    # labels (numpy's sum of -0.0s is +0.0) or from its rows' weighted
+    # counts, as every binary tree's nodes do.
     x = np.repeat([0.0, 1.0, 2.0], 5)[:, None]
     y = np.array([-0.0] * 5 + [1.0, -0.0] * 2 + [1.0] + [-0.0] * 5)
     d = Dataset(features=x, group=np.zeros(15, dtype=np.int64), outcome=y,
@@ -298,17 +298,16 @@ def _tree_arrays(arrays):
     return tuple(np.asarray(a).tobytes() for a in arrays)
 
 
-def _node_arrays(model):
-    return tuple(getattr(model, name) for name in (
-        "node_feature", "node_threshold", "node_left", "node_right",
-        "node_value"))
+def _dataset(X, y, task):
+    """A one-group dataset of the feature matrix X and the labels y."""
+    return Dataset(features=X, group=np.zeros(X.shape[0], dtype=np.int64),
+                   outcome=y, task=task,
+                   column_names=tuple(f"x{j}" for j in range(X.shape[1])))
 
 
 @pytest.mark.parametrize("max_depth", [1, 3, 8])
 @pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
 def test_grow_tree_matches_reference(task, max_depth):
-    from fairaudit.learners import _grow_tree
-
     rng = np.random.default_rng(80 + max_depth)
     for trial in range(6):
         n = int(rng.integers(2, 400))
@@ -324,36 +323,52 @@ def test_grow_tree_matches_reference(task, max_depth):
             y = (signal > 0.4).astype(np.float64)
         else:
             y = np.round(signal, 2)
-        got = _tree_arrays(_node_arrays(_grow_tree(X, y, task, max_depth)))
-        assert got == _tree_arrays(loop_grow_tree(X, y, task, max_depth))
+        model = train(LearnerSpec(kind=LearnerKind.TREE, max_depth=max_depth),
+                      _dataset(X, y, task))
+        assert model.kind is LearnerKind.TREE and model.roots == (0,)
+        assert (_tree_arrays(walk_tree(model, 0))
+                == _tree_arrays(loop_grow_tree(X, y, task, max_depth)))
 
 
-def test_grow_tree_calls_the_kernel_once_per_split_search(monkeypatch):
-    # A single tree searches its nodes one at a time.  The grower looks the
-    # kernel up on the module at every node, so a wrapper installed there
-    # sees each call, one per node the reference searches, in the same order.
+def test_tree_calls_the_gini_kernel_once_per_level(monkeypatch):
+    # A single tree grows level by level: one Gini call per depth at which
+    # the reference searches a node (two or more rows of mixed labels above
+    # the depth limit), holding exactly the nodes it searches there.  The
+    # grower looks the kernel up on the module, so a wrapper installed
+    # there sees each call.
     from fairaudit import kernels
-    from fairaudit.learners import _grow_tree
 
-    calls, searched = [], []
-    real, real_loop = kernels.best_splits_gini, loop_best_split_gini
+    calls = []
+    real = kernels.best_splits_gini
 
-    def counting(codes, y, *rest, **kwargs):
-        calls.append(codes.shape)
-        return real(codes, y, *rest, **kwargs)
-
-    def loop_counting(X, y):
-        searched.append(X.shape)
-        return real_loop(X, y)
+    def counting(codes, y, bins, node, weight):
+        calls.append(int(node.max()) + 1)
+        return real(codes, y, bins, node, weight)
 
     monkeypatch.setattr(kernels, "best_splits_gini", counting)
-    monkeypatch.setitem(globals(), "loop_best_split_gini", loop_counting)
     rng = np.random.default_rng(3)
     X = rng.integers(0, 2, size=(200, 5)).astype(np.float64)
     y = ((X[:, 0] + X[:, 1] + 2.0 * rng.random(200)) > 1.5).astype(np.float64)
-    _grow_tree(X, y, Task.BINARY, 4)
-    loop_grow_tree(X, y, Task.BINARY, 4)
-    assert len(calls) > 1 and calls == searched
+    model = train(LearnerSpec(kind=LearnerKind.TREE, max_depth=4),
+                  _dataset(X, y, Task.BINARY))
+    want = loop_grow_tree(X, y, Task.BINARY, 4)
+    assert _tree_arrays(walk_tree(model, 0)) == _tree_arrays(want)
+    # The nodes the reference searches at each depth, found by sending the
+    # rows down its tree.
+    feature, threshold, left, right, _ = want
+    searched = {}
+    stack = [(0, 0, np.arange(y.size))]
+    while stack:
+        node, depth, rows = stack.pop()
+        if depth < 4 and rows.size >= 2 and (y[rows] != y[rows[0]]).any():
+            searched[depth] = searched.get(depth, 0) + 1
+        if feature[node] >= 0:
+            go = X[rows, feature[node]] >= threshold[node]
+            stack += [(left[node], depth + 1, rows[~go]),
+                      (right[node], depth + 1, rows[go])]
+    assert sorted(searched) == list(range(len(searched)))
+    assert len(calls) > 1
+    assert calls == [searched[depth] for depth in range(len(searched))]
 
 
 @pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
@@ -714,8 +729,6 @@ def _assert_scores_match_loop(tree, X):
 @pytest.mark.parametrize("max_depth", [1, 2, 3, 8])
 @pytest.mark.parametrize("task", [Task.BINARY, Task.REGRESSION])
 def test_tree_scores_match_per_row_descent(task, max_depth):
-    from fairaudit.learners import _grow_tree
-
     rng = np.random.default_rng(90 + max_depth)
     for trial in range(6):
         n = int(rng.integers(2, 400))
@@ -731,8 +744,9 @@ def test_tree_scores_match_per_row_descent(task, max_depth):
             y = (signal > 0.4).astype(np.float64)
         else:
             y = np.round(signal, 2)
-        tree = _grow_tree(X, y, task, max_depth)
-        assert tree.node_feature[0] >= 0
+        tree = train(LearnerSpec(kind=LearnerKind.TREE, max_depth=max_depth),
+                     _dataset(X, y, task))
+        assert tree.roots == (0,) and tree.node_feature[0] >= 0
         # Training rows, fresh rows drawn like them, and a strided view.
         fresh = np.round(rng.normal(size=(500, X.shape[1])), 1)
         for rows in (X, fresh, np.hstack([fresh, fresh])[:, ::2]):

@@ -162,21 +162,30 @@ def test_cli_audit_outputs(tmp_path, synth_csv):
     assert doc["results"]["group_costs.zero_one"]["gap"] >= 0.0
 
 
-@pytest.mark.parametrize("learner", [
-    "tree:max_depth=100000",
-    "bagged_trees:max_depth=100000,bootstrap=false,n_trees=2",
+@pytest.mark.parametrize("learner, task", [
+    pytest.param("tree:max_depth=100000", "binary",
+                 id="tree:max_depth=100000"),
+    pytest.param("bagged_trees:max_depth=100000,bootstrap=false,n_trees=2",
+                 "binary",
+                 id="bagged_trees:max_depth=100000,bootstrap=false,n_trees=2"),
+    pytest.param("tree:max_depth=100000", "regression",
+                 id="tree:max_depth=100000-regression"),
 ])
-def test_cli_audit_grows_trees_deeper_than_the_recursion_limit(tmp_path, learner):
-    # 1 500 distinct x values, 10 rows each, labelled by the parity of x: a
-    # tree that separates them peels about one value per level, some 1 500
-    # levels deep, past Python's default recursion limit of 1 000.
+def test_cli_audit_grows_trees_deeper_than_the_recursion_limit(tmp_path, learner,
+                                                               task):
+    # 1 500 distinct x values, 10 rows each, labelled by the parity of x (0
+    # or 1, or 0.5 or 1.5 for regression): a tree that separates them peels
+    # about one value per level, some 1 500 levels deep, past Python's
+    # default recursion limit of 1 000.
     data, schema = tmp_path / "deep.csv", tmp_path / "schema.txt"
     x = np.repeat(np.arange(1500), 10).tolist()
+    offset = 0.5 if task == "regression" else 0
     data.write_text("x,group,outcome\n" + "".join(
-        f"{v},{row % 2},{v % 2}\n" for row, v in enumerate(x)))
-    schema.write_text("group=group\noutcome=outcome\ntask=binary\n")
+        f"{v},{row % 2},{v % 2 + offset}\n" for row, v in enumerate(x)))
+    schema.write_text(f"group=group\noutcome=outcome\ntask={task}\n")
+    kind = ["--kind", "mse"] if task == "regression" else []
     assert run(["audit", "--seed", 1, "--data", data, "--schema", schema,
-                "--learner", learner, "--out", tmp_path / "out"]) == 0
+                "--learner", learner, *kind, "--out", tmp_path / "out"]) == 0
 
 
 def test_cli_config_file_flag_precedence(tmp_path, synth_csv):

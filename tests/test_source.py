@@ -44,6 +44,36 @@ def test_only_learners_reads_the_tree_node_table():
     assert found == []
 
 
+# The split kernels, each of which searches every node of a level at once.
+SPLIT_KERNELS = {"best_splits_gini", "best_splits_var"}
+
+
+def test_only_the_forest_grower_reaches_the_split_kernels():
+    # Trees grow through one path: ``learners._grow_forest`` grows every
+    # tree of every tree model level by level, one kernel call a level.
+    # No other function names a split kernel, so a second grower that must
+    # agree with it node for node cannot come back unnoticed.
+    found, grower = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.stem == "learners":
+            grower = [fn for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef)
+                      and fn.name == "_grow_forest"]
+            allowed = {id(node) for fn in grower for node in ast.walk(fn)}
+        found += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if SPLIT_KERNELS & {getattr(node, "id", None),
+                                getattr(node, "attr", None)}
+            and id(node) not in allowed
+        ]
+    assert len(grower) == 1
+    assert {node.attr for node in ast.walk(grower[0])
+            if isinstance(node, ast.Attribute)} >= SPLIT_KERNELS
+    assert found == []
+
+
 def test_only_costs_and_subgroups_call_cost_losses():
     # Which groups a cost covers is decided in ``costs.group_losses`` (and
     # ``per_sample_losses``, its one-group form); ``subgroups`` applies the
@@ -324,10 +354,9 @@ def test_only_cli_imports_inside_functions():
 
 # Defaulted parameters that no call in the package sets, each kept on
 # purpose.  Input forms the package never passes are kept for the same
-# reason, though this syntactic gate cannot see them: the split kernels'
-# unbinned matrices (``bins=None``), which the kernel tests feed to their
-# loop references; ``fit_power_law``'s 2-tuples and the outcome models'
-# 1-D rows, which the acceptance tests use.
+# reason, though this syntactic gate cannot see them: ``fit_power_law``'s
+# 2-tuples and the outcome models' 1-D rows, which the acceptance tests
+# use.
 _ITEM_4 = "paired model comparison, ROADMAP item 4"
 UNSET_PARAMETERS = {
     ("compare_discrimination_test", "level"): _ITEM_4,
