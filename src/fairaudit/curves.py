@@ -170,108 +170,141 @@ def run_curve_experiment(
     )
 
 
-def _solve_linear(n, y, w, beta):
-    """Weighted least squares for (alpha, delta) at fixed beta, with
-    nonnegativity enforced by comparing the clamped alternatives."""
-    basis = n ** (-beta)
-    sw = w.sum()
-    candidates = []
+def _solve_linear(n, y, w, beta, flat):
+    """Weighted least squares for (alpha, delta) of B curves of m points
+    (the rows of the (B, m) arrays n, y, w) at each of K fixed betas (a
+    (B, K) array), with nonnegativity enforced by comparing the clamped
+    alternatives: unconstrained, then delta = 0, then alpha = 0, the first
+    with the least rss winning.  ``flat`` holds what no beta changes, each
+    (B, 1): sum(w), sum(w * y), and the flat candidate's delta and rss.
+    Returns (alpha, delta, rss), each (B, K)."""
+    sw, b2, flat_delta, flat_rss = flat
+    y, w = y[:, None, :], w[:, None, :]
+    basis = n[:, None, :] ** -beta[:, :, None]
+    wb = w * basis
+    a11 = np.add.reduce(wb * basis, axis=2)
+    a12 = np.add.reduce(wb, axis=2)
+    b1 = np.add.reduce(wb * y, axis=2)
     # Unconstrained 2-parameter solve.
-    a11 = float((w * basis * basis).sum())
-    a12 = float((w * basis).sum())
-    a22 = sw
-    b1 = float((w * basis * y).sum())
-    b2 = float((w * y).sum())
-    det = a11 * a22 - a12 * a12
-    if det > 1e-300:
-        alpha = (b1 * a22 - b2 * a12) / det
-        delta = (a11 * b2 - a12 * b1) / det
-        if alpha >= 0.0 and delta >= 0.0:
-            candidates.append((alpha, delta))
+    det = a11 * sw - a12 * a12
+    solved = det > 1e-300
+    alpha = np.divide(b1 * sw - b2 * a12, det, out=np.zeros_like(det),
+                      where=solved)
+    delta = np.divide(a11 * b2 - a12 * b1, det, out=np.zeros_like(det),
+                      where=solved)
+    solved &= (alpha >= 0.0) & (delta >= 0.0)
+    rss = np.add.reduce(
+        w * (y - alpha[:, :, None] * basis - delta[:, :, None]) ** 2, axis=2)
     # delta clamped to 0.
-    if a11 > 0:
-        alpha = max(0.0, b1 / a11)
-        candidates.append((alpha, 0.0))
-    # alpha clamped to 0 (flat curve).
-    candidates.append((0.0, max(0.0, b2 / sw)))
-    best = None
-    for alpha, delta in candidates:
-        rss = float((w * (y - alpha * basis - delta) ** 2).sum())
-        if best is None or rss < best[2]:
-            best = (alpha, delta, rss)
-    return best
+    clamped = a11 > 0
+    alpha_c = np.divide(b1, a11, out=np.zeros_like(a11), where=clamped)
+    alpha_c = np.where(alpha_c > 0.0, alpha_c, 0.0)
+    rss_c = np.add.reduce(w * (y - alpha_c[:, :, None] * basis) ** 2, axis=2)
+    take = clamped & (~solved | (rss_c < rss))
+    alpha = np.where(take, alpha_c, alpha)
+    delta = np.where(take, 0.0, delta)
+    rss = np.where(take, rss_c, rss)
+    # alpha clamped to 0 (flat curve): 0 * basis is exactly 0, so its rss
+    # is the same at every beta.
+    take = ~(solved | clamped) | (flat_rss < rss)
+    return (np.where(take, 0.0, alpha), np.where(take, flat_delta, delta),
+            np.where(take, flat_rss, rss))
+
+
+def _fit_batch(curves) -> list[PowerLawFit]:
+    """Fit cost(n) = alpha * n^(-beta) + delta to each of B equal-length
+    lists of (n, mean cost[, weight]) tuples by profiled least squares over
+    beta: a 200-point grid for every curve in one pass, then golden-section
+    refinement run in lockstep across the batch.  Fewer than 3 distinct
+    sizes, a non-finite value, or a size or weight <= 0 raise
+    AnalysisError."""
+    n, y, w = (
+        np.array([[p[i] if i < len(p) else 1.0 for p in pts]
+                  for pts in curves], dtype=np.float64)
+        for i in range(3)
+    )
+    if n.shape[1] < 3:
+        raise AnalysisError("need at least 3 points to fit a power law")
+    if not all(np.isfinite(v).all() for v in (n, y, w)):
+        raise AnalysisError("sizes, costs and weights must be finite")
+    ordered = np.sort(n, axis=1)
+    if np.any(np.count_nonzero(np.diff(ordered, axis=1), axis=1) < 2):
+        raise AnalysisError("need at least 3 distinct n values")
+    if np.any(n <= 0) or np.any(w <= 0):
+        raise AnalysisError("sizes and weights must be positive")
+    sw = np.add.reduce(w, axis=1)
+    b2 = np.add.reduce(w * y, axis=1)
+    mean = b2 / sw
+    flat_delta = np.where(mean > 0.0, mean, 0.0)
+    mean_rss = np.add.reduce(w * (y - mean[:, None]) ** 2, axis=1)
+    flat = (sw[:, None], b2[:, None], flat_delta[:, None],
+            np.add.reduce(w * (y - flat_delta[:, None]) ** 2, axis=1)[:, None])
+
+    def solve(beta):
+        return _solve_linear(n, y, w, beta, flat)
+
+    betas = np.geomspace(BETA_MIN, BETA_MAX, 200)
+    rss_grid = solve(np.broadcast_to(betas, (len(n), len(betas))))[2]
+    best = np.argmin(rss_grid, axis=1)
+    # Golden-section refinement on the grid neighbours of each minimum.
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    lo = betas[np.maximum(best - 1, 0)]
+    hi = betas[np.minimum(best + 1, len(betas) - 1)]
+    c = hi - invphi * (hi - lo)
+    d = lo + invphi * (hi - lo)
+    fc, fd = solve(np.stack([c, d], axis=1))[2].T
+    for _ in range(80):
+        left = fc < fd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        beta = np.where(left, hi - invphi * (hi - lo), lo + invphi * (hi - lo))
+        f = solve(beta[:, None])[2][:, 0]
+        c, d = np.where(left, beta, d), np.where(left, c, beta)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    beta = 0.5 * (lo + hi)
+    worse = solve(beta[:, None])[2][:, 0] > rss_grid.min(axis=1)
+    beta = np.where(worse, betas[best], beta)
+    alpha, delta, rss = (v[:, 0] for v in solve(beta[:, None]))
+    # Sanity floor: never worse than the flat fit.
+    floor = rss > mean_rss
+    fits = zip(
+        np.where(floor, 0.0, alpha).tolist(),
+        np.where(floor, BETA_MIN, beta).tolist(),
+        np.where(floor, flat_delta, delta).tolist(),
+        np.where(floor, mean_rss, rss).tolist(),
+        n.min(axis=1).tolist(),
+        n.max(axis=1).tolist(),
+    )
+    return [PowerLawFit(alpha=a, beta=b, delta=dl, rss=r, n_min=int(first),
+                        n_max=int(last))
+            for a, b, dl, r, first, last in fits]
 
 
 def fit_power_law(points) -> PowerLawFit:
     """Fit cost(n) = alpha * n^(-beta) + delta to (n, mean cost[, weight])
-    tuples by profiled least squares over beta."""
-    pts = [tuple(p) for p in points]
-    if len(pts) < 3:
-        raise AnalysisError("need at least 3 points to fit a power law")
-    n = np.array([p[0] for p in pts], dtype=np.float64)
-    y = np.array([p[1] for p in pts], dtype=np.float64)
-    w = np.array(
-        [p[2] if len(p) > 2 else 1.0 for p in pts], dtype=np.float64
-    )
-    if len(set(n.tolist())) < 3:
-        raise AnalysisError("need at least 3 distinct n values")
-    if np.any(n <= 0) or np.any(w <= 0):
-        raise AnalysisError("sizes and weights must be positive")
-
-    def rss_at(beta):
-        return _solve_linear(n, y, w, beta)[2]
-
-    betas = np.geomspace(BETA_MIN, BETA_MAX, 200)
-    rss_values = [rss_at(b) for b in betas]
-    best_idx = int(np.argmin(rss_values))
-    lo = betas[max(0, best_idx - 1)]
-    hi = betas[min(len(betas) - 1, best_idx + 1)]
-    # Golden-section refinement on [lo, hi].
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a_b, b_b = float(lo), float(hi)
-    c = b_b - invphi * (b_b - a_b)
-    dpt = a_b + invphi * (b_b - a_b)
-    fc, fd = rss_at(c), rss_at(dpt)
-    for _ in range(80):
-        if fc < fd:
-            b_b, dpt, fd = dpt, c, fc
-            c = b_b - invphi * (b_b - a_b)
-            fc = rss_at(c)
-        else:
-            a_b, c, fc = c, dpt, fd
-            dpt = a_b + invphi * (b_b - a_b)
-            fd = rss_at(dpt)
-    beta = 0.5 * (a_b + b_b)
-    if rss_at(beta) > min(rss_values):
-        beta = float(betas[best_idx])
-    alpha, delta, rss = _solve_linear(n, y, w, beta)
-    # Sanity floor: never worse than the flat fit.
-    flat_delta = float((w * y).sum() / w.sum())
-    flat_rss = float((w * (y - flat_delta) ** 2).sum())
-    if rss > flat_rss:
-        alpha, beta, delta, rss = 0.0, BETA_MIN, max(0.0, flat_delta), flat_rss
-    return PowerLawFit(
-        alpha=float(alpha),
-        beta=float(beta),
-        delta=float(delta),
-        rss=float(rss),
-        n_min=int(n.min()),
-        n_max=int(n.max()),
-    )
+    tuples by profiled least squares over beta: a batch of one."""
+    return _fit_batch([[tuple(p) for p in points]])[0]
 
 
 def fit_curve_experiment(
     exp: CurveExperiment,
 ) -> dict[tuple[int, CostKind], PowerLawFit]:
-    """One fit per (group, cost kind), weighted by trial counts."""
-    fits = {}
+    """One fit per (group, cost kind) with at least 3 grid sizes, weighted
+    by trial counts; the curves with as many points fit as one batch."""
+    curves = {}
     for kind in exp.cost_kinds:
         for a in range(exp.n_groups):
             pts = exp.mean_costs(a, kind)
             if len(pts) >= 3:
-                fit = fit_power_law(pts)
-                fits[(a, kind)] = replace(fit, group=a, cost_kind=kind)
-    return fits
+                curves[(a, kind)] = pts
+    batches = {}
+    for key, pts in curves.items():
+        batches.setdefault(len(pts), []).append(key)
+    fits = {}
+    for keys in batches.values():
+        batch = _fit_batch([curves[key] for key in keys])
+        for (a, kind), fit in zip(keys, batch):
+            fits[(a, kind)] = replace(fit, group=a, cost_kind=kind)
+    return {key: fits[key] for key in curves}
 
 
 def extrapolate_gamma(fits, n) -> float:

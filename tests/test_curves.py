@@ -26,7 +26,7 @@ from fairaudit import (
 )
 from fairaudit.cli import run_cli
 from fairaudit.costs import group_losses
-from fairaudit.curves import HOLDOUT_FRACTION
+from fairaudit.curves import BETA_MAX, BETA_MIN, HOLDOUT_FRACTION, _fit_batch
 from fairaudit.errors import AnalysisError
 from fairaudit.learners import score_predictions
 from fairaudit.synth import (
@@ -75,6 +75,172 @@ def test_fit_evaluation_and_infinity():
     fit = PowerLawFit(alpha=2.0, beta=1.0, delta=0.1, rss=0.0, n_min=10, n_max=100)
     assert fit(10) == pytest.approx(0.3)
     assert fit(np.inf) == 0.1
+
+
+def _loop_solve_linear(n, y, w, beta):
+    """Reference: one beta's weighted least squares, scalar Python."""
+    basis = n ** (-beta)
+    sw = w.sum()
+    candidates = []
+    # Unconstrained 2-parameter solve.
+    a11 = float((w * basis * basis).sum())
+    a12 = float((w * basis).sum())
+    a22 = sw
+    b1 = float((w * basis * y).sum())
+    b2 = float((w * y).sum())
+    det = a11 * a22 - a12 * a12
+    if det > 1e-300:
+        alpha = (b1 * a22 - b2 * a12) / det
+        delta = (a11 * b2 - a12 * b1) / det
+        if alpha >= 0.0 and delta >= 0.0:
+            candidates.append((alpha, delta))
+    # delta clamped to 0.
+    if a11 > 0:
+        alpha = max(0.0, b1 / a11)
+        candidates.append((alpha, 0.0))
+    # alpha clamped to 0 (flat curve).
+    candidates.append((0.0, max(0.0, b2 / sw)))
+    best = None
+    for alpha, delta in candidates:
+        rss = float((w * (y - alpha * basis - delta) ** 2).sum())
+        if best is None or rss < best[2]:
+            best = (alpha, delta, rss)
+    return best
+
+
+def loop_fit_power_law(points) -> PowerLawFit:
+    """Reference: the fit one curve and one beta at a time, scalar Python."""
+    pts = [tuple(p) for p in points]
+    if len(pts) < 3:
+        raise AnalysisError("need at least 3 points to fit a power law")
+    n = np.array([p[0] for p in pts], dtype=np.float64)
+    y = np.array([p[1] for p in pts], dtype=np.float64)
+    w = np.array(
+        [p[2] if len(p) > 2 else 1.0 for p in pts], dtype=np.float64
+    )
+    if len(set(n.tolist())) < 3:
+        raise AnalysisError("need at least 3 distinct n values")
+    if np.any(n <= 0) or np.any(w <= 0):
+        raise AnalysisError("sizes and weights must be positive")
+
+    def rss_at(beta):
+        return _loop_solve_linear(n, y, w, beta)[2]
+
+    betas = np.geomspace(BETA_MIN, BETA_MAX, 200)
+    rss_values = [rss_at(b) for b in betas]
+    best_idx = int(np.argmin(rss_values))
+    lo = betas[max(0, best_idx - 1)]
+    hi = betas[min(len(betas) - 1, best_idx + 1)]
+    # Golden-section refinement on [lo, hi].
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a_b, b_b = float(lo), float(hi)
+    c = b_b - invphi * (b_b - a_b)
+    dpt = a_b + invphi * (b_b - a_b)
+    fc, fd = rss_at(c), rss_at(dpt)
+    for _ in range(80):
+        if fc < fd:
+            b_b, dpt, fd = dpt, c, fc
+            c = b_b - invphi * (b_b - a_b)
+            fc = rss_at(c)
+        else:
+            a_b, c, fc = c, dpt, fd
+            dpt = a_b + invphi * (b_b - a_b)
+            fd = rss_at(dpt)
+    beta = 0.5 * (a_b + b_b)
+    if rss_at(beta) > min(rss_values):
+        beta = float(betas[best_idx])
+    alpha, delta, rss = _loop_solve_linear(n, y, w, beta)
+    # Sanity floor: never worse than the flat fit.
+    flat_delta = float((w * y).sum() / w.sum())
+    flat_rss = float((w * (y - flat_delta) ** 2).sum())
+    if rss > flat_rss:
+        alpha, beta, delta, rss = 0.0, BETA_MIN, max(0.0, flat_delta), flat_rss
+    return PowerLawFit(
+        alpha=float(alpha),
+        beta=float(beta),
+        delta=float(delta),
+        rss=float(rss),
+        n_min=int(n.min()),
+        n_max=int(n.max()),
+    )
+
+
+def _fit_hex(fit):
+    return (fit.alpha.hex(), fit.beta.hex(), fit.delta.hex(), fit.rss.hex(),
+            fit.n_min, fit.n_max)
+
+
+def _reference_curves():
+    """Seeded point sets of 3-20 points with integer weights, in five
+    shapes: flat, rising, falling, a pure power law with a negative offset
+    (delta = 0 wins) and noise around a constant (alpha = 0 wins)."""
+    rng = np.random.default_rng(20)
+    shapes = ("flat", "rising", "falling", "no_offset", "noisy_flat")
+    out = []
+    for m in range(3, 21):
+        for shape in shapes:
+            for _ in range(2):
+                ns = np.sort(rng.choice(np.arange(5, 3000), m, replace=False))
+                alpha = rng.uniform(0.5, 20.0)
+                beta = rng.uniform(0.05, 2.0)
+                noise = rng.normal(0.0, rng.choice([0.0, 1e-3, 0.02]), m)
+                if shape == "flat":
+                    ys = np.full(m, rng.uniform(0.0, 0.5))
+                elif shape == "rising":
+                    ys = 0.5 - alpha * ns ** (-beta) + noise
+                elif shape == "falling":
+                    ys = alpha * ns ** (-beta) + rng.uniform(0.0, 0.3) + noise
+                elif shape == "no_offset":
+                    ys = alpha * ns ** (-beta) - 0.01 + noise
+                else:
+                    ys = 0.2 + np.abs(noise)
+                ws = rng.integers(1, 6, m)
+                out.append([(int(a), float(b), int(c))
+                            for a, b, c in zip(ns, ys, ws)])
+    return out
+
+
+REFERENCE_CURVES = _reference_curves()
+
+
+@pytest.fixture(scope="module")
+def reference_fits():
+    return [loop_fit_power_law(pts) for pts in REFERENCE_CURVES]
+
+
+def test_fit_equals_the_loop_reference_one_curve_at_a_time(reference_fits):
+    fits = [fit_power_law(pts) for pts in REFERENCE_CURVES]
+    assert [_fit_hex(f) for f in fits] == [_fit_hex(f) for f in reference_fits]
+    # The cases reach every candidate of the solve and the flat floor.
+    assert any(f.alpha == 0.0 for f in reference_fits)
+    assert any(f.delta == 0.0 and f.alpha > 0.0 for f in reference_fits)
+    assert any(f.delta > 0.0 and f.alpha > 0.0 for f in reference_fits)
+    assert any(f.beta == BETA_MIN for f in reference_fits)
+
+
+def test_fit_of_a_batch_is_the_fit_of_each_curve_alone(reference_fits):
+    # Curves with as many points fit as one batch, in a shuffled order
+    # that mixes their shapes; each fit is the loop's, whatever its
+    # batch-mates.
+    rng = np.random.default_rng(21)
+    by_length = {}
+    for i in rng.permutation(len(REFERENCE_CURVES)):
+        by_length.setdefault(len(REFERENCE_CURVES[i]), []).append(i)
+    for keys in by_length.values():
+        batch = _fit_batch([REFERENCE_CURVES[i] for i in keys])
+        got = [_fit_hex(f) for f in batch]
+        assert got == [_fit_hex(reference_fits[i]) for i in keys]
+
+
+@pytest.mark.parametrize("points", [
+    [(100, np.nan), (200, 0.3), (400, 0.2)],
+    [(100, 0.5, np.nan), (200, 0.3, 1), (400, 0.2, 1)],
+    [(100, np.inf), (200, 0.3), (400, 0.2)],
+    [(100, 0.5), (200, 0.3), (2e308, 0.2)],
+], ids=["nan_cost", "nan_weight", "inf_cost", "inf_size"])
+def test_fit_rejects_non_finite_points(points):
+    with pytest.raises(AnalysisError, match="finite"):
+        fit_power_law(points)
 
 
 def test_run_curve_experiment_shapes_and_determinism():

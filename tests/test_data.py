@@ -213,6 +213,39 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(123, "a") != derive_seed(123, "b")
 
 
+def _list_form_seed(master, *context):
+    """Reference: the SeedSequence of the masked ints and UTF-8 bytes as a
+    list of Python ints."""
+    entropy = [int(master) & 0xFFFFFFFF]
+    for item in context:
+        if isinstance(item, str):
+            entropy.extend(item.encode("utf-8"))
+        else:
+            entropy.append(int(item) & 0xFFFFFFFF)
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+
+
+_SEED_INTS = st.one_of(
+    st.integers(-(2**40), -1), st.just(0), st.integers(1, 2**32 - 1),
+    st.integers(2**32, 2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SEED_INTS,
+       st.lists(st.one_of(_SEED_INTS, st.text(max_size=8)), max_size=6))
+def test_derive_seed_equals_the_list_form(master, context):
+    assert derive_seed(master, *context) == _list_form_seed(master, *context)
+
+
+def test_derive_seed_keeps_its_integers():
+    # Values of the list form, so a change in numpy's SeedSequence fails
+    # here rather than changing every report.
+    assert derive_seed(0, "curve", 100, 0) == 560346520
+    assert derive_seed(-3, "bagged-tree", 2**32 + 5) == 2789753179
+    assert derive_seed(2**40 + 1, "gr\u00fc\u00dfe \u03a9", -7,
+                       "sub") == 265153326
+
+
 def test_dataset_validation():
     with pytest.raises(DataError):
         Dataset(

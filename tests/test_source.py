@@ -176,7 +176,7 @@ UNREFERENCED_EXPORTS = {
     "cover_hart_lower": "called by noise_bounds.nn_bounds (noise)",
     "mahalanobis_upper": "called by noise_bounds.all_bounds (noise)",
     "nn_bounds": "called by noise_bounds.all_bounds (noise)",
-    "fit_power_law": "called by curves.fit_curve_experiment (curves)",
+    "fit_power_law": "one curve fitted as a batch of one (acceptance tests)",
     "group_cost": "one group's cost, variance and count, for the unit tests",
     "welch_t": "called by stats.pairwise_welch_holm (test)",
     # Analyses no subcommand reaches yet.
